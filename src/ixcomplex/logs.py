@@ -8,6 +8,11 @@ pages count as task time).
 
 File format: JSON, UTF-8, top level {"sessions": [...]} with snake_case
 keys mirroring the model fields and integer millisecond timestamps.
+dump_log writes it compact: one line, keys sorted, no spaces, and a trailing
+newline, so identical logs (and so one synth seed) give identical bytes.
+load_log accepts any JSON layout, including the indented files written by
+earlier versions.  load_log, dump_log and synth.generate_log pause the
+cyclic garbage collector while they build (see gc_paused).
 
 Outlier removal uses the interquartile range method: per group, durations
 outside [Q1 - 1.5*IQR, Q3 + 1.5*IQR] are dropped before speeds are
@@ -19,12 +24,14 @@ alternative quartile rules can be compared if ever needed.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, LogFormatError
 from .rounding import format_fixed
@@ -35,7 +42,7 @@ class AnalyticsWarning(UserWarning):
     """Degenerate but tolerable data: empty groups, zero durations."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     step_label: str
     start_ms: int
@@ -43,7 +50,7 @@ class StepRecord:
     is_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PageVisit:
     page: str
     enter_ms: int
@@ -51,7 +58,7 @@ class PageVisit:
     steps: tuple[StepRecord, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Task:
     task_id: str
     concept_name: str
@@ -72,13 +79,13 @@ class Task:
         return (self.end_ms - self.start_ms) / 1000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Session:
     session_id: str
     tasks: tuple[Task, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventLog:
     sessions: tuple[Session, ...] = ()
 
@@ -86,28 +93,48 @@ class EventLog:
 # --- loading and dumping ---------------------------------------------------
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for a bulk build of log records.
+
+    Building a large log allocates millions of objects that all stay alive,
+    which triggers repeated full collections that traverse every one of
+    them and find nothing: log trees and their JSON forms hold no reference
+    cycles, so reference counting frees them without the collector.  The
+    pause is process-wide; the collector's previous state is restored on
+    exit, also when the build raises.
+
+    What the build leaves alive sits in the youngest generation, where the
+    next few collections would traverse it again, in whatever code runs
+    next.  So when the build left more objects than the collector lets pass
+    before it looks at its oldest generation, one full collection runs on
+    exit instead.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            young, middle, _ = gc.get_threshold()
+            if young and gc.get_count()[0] > young * middle:
+                gc.collect()
+            gc.enable()
+
+
 def load_log(data: bytes | str) -> EventLog:
     """Parse and validate a log file; raises LogFormatError with the path
     to the first offending record."""
-    try:
-        parsed = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise LogFormatError(f"not valid JSON: {exc}") from None
-    if not isinstance(parsed, dict) or "sessions" not in parsed:
-        raise LogFormatError('top level must be an object with a "sessions" list')
-    log = EventLog(
-        tuple(
-            _session_from(raw, f"sessions[{i}]")
-            for i, raw in enumerate(_expect_list(parsed, "sessions", ""))
-        )
-    )
-    validate_log(log)
-    return log
+    with gc_paused():
+        # The decoded tree is gone once _log_from returns, before the
+        # collector resumes.
+        return _log_from(_decoded(data))
 
 
 def dump_log(log: EventLog) -> str:
-    """Deterministic JSON text; identical logs yield identical bytes."""
-    return json.dumps(log_to_dict(log), indent=2, sort_keys=True) + "\n"
+    """Deterministic compact JSON text; identical logs yield identical bytes."""
+    with gc_paused():
+        return json.dumps(log_to_dict(log), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def log_to_dict(log: EventLog) -> dict:
@@ -147,124 +174,152 @@ def log_to_dict(log: EventLog) -> dict:
     }
 
 
-def _expect_list(data: Mapping, key: str, where: str) -> list:
-    value = data.get(key)
-    if not isinstance(value, list):
-        raise LogFormatError(f"{key!r} must be a list", where)
-    return value
+def _decoded(data: bytes | str) -> dict:
+    try:
+        parsed = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise LogFormatError(f"not valid JSON: {exc}") from None
+    if not isinstance(parsed, dict) or "sessions" not in parsed:
+        raise LogFormatError('top level must be an object with a "sessions" list')
+    return parsed
 
 
-def _expect_str(data: Mapping, key: str, where: str) -> str:
-    value = data.get(key)
+def _log_from(parsed: dict) -> EventLog:
+    try:
+        return EventLog(_records(parsed, "sessions", _session_from))
+    except _Fault as fault:
+        raise fault.located() from None
+
+
+class _Fault(Exception):
+    """A failed check, raised below the record that catches it.
+
+    path names the way down to the offending record, innermost step first;
+    each level appends its own step while the fault passes through it, so no
+    path text is built unless a check fails.
+    """
+
+    def __init__(self, message: str, *path: str):
+        super().__init__(message)
+        self.message = message
+        self.path = list(path)
+
+    def located(self) -> LogFormatError:
+        return LogFormatError(self.message, ".".join(reversed(self.path)))
+
+
+def _records(raw: dict, key: str, build: Callable[[object], object]) -> tuple:
+    items = raw.get(key)
+    if not isinstance(items, list):
+        raise _Fault(f"{key!r} must be a list")
+    built = []
+    for index, item in enumerate(items):
+        try:
+            built.append(build(item))
+        except _Fault as fault:
+            fault.path.append(f"{key}[{index}]")
+            raise
+    return tuple(built)
+
+
+def _str(raw: dict, key: str) -> str:
+    value = raw.get(key)
     if not isinstance(value, str):
-        raise LogFormatError(f"{key!r} must be a string", where)
+        raise _Fault(f"{key!r} must be a string")
     return value
 
 
-def _expect_int(data: Mapping, key: str, where: str, minimum: int = 0) -> int:
-    value = data.get(key)
+def _int(raw: dict, key: str, minimum: int = 0) -> int:
+    value = raw.get(key)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise LogFormatError(f"{key!r} must be an integer", where)
+        raise _Fault(f"{key!r} must be an integer")
     if value < minimum:
-        raise LogFormatError(f"{key!r} must be >= {minimum}, got {value}", where)
+        raise _Fault(f"{key!r} must be >= {minimum}, got {value}")
     return value
 
 
-def _session_from(raw, where: str) -> Session:
+def _session_from(raw) -> Session:
     if not isinstance(raw, dict):
-        raise LogFormatError("session must be an object", where)
-    return Session(
-        _expect_str(raw, "session_id", where),
-        tuple(
-            _task_from(t, f"{where}.tasks[{i}]")
-            for i, t in enumerate(_expect_list(raw, "tasks", where))
-        ),
-    )
+        raise _Fault("session must be an object")
+    return Session(_str(raw, "session_id"), _records(raw, "tasks", _task_from))
 
 
-def _task_from(raw, where: str) -> Task:
+def _task_from(raw) -> Task:
     if not isinstance(raw, dict):
-        raise LogFormatError("task must be an object", where)
-    binding_raw = raw.get("binding", {})
-    if not isinstance(binding_raw, dict):
-        raise LogFormatError("'binding' must be an object", where)
-    binding: dict[str, int] = {}
-    for name, value in binding_raw.items():
+        raise _Fault("task must be an object")
+    binding = raw.get("binding", {})
+    if not isinstance(binding, dict):
+        raise _Fault("'binding' must be an object")
+    for name, value in binding.items():
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise LogFormatError(
-                f"binding value for {name!r} must be a nonnegative integer", where
-            )
-        binding[str(name)] = value
-    return Task(
-        _expect_str(raw, "task_id", where),
-        _expect_str(raw, "concept_name", where),
-        binding,
-        _expect_int(raw, "is_count", where),
-        tuple(
-            _visit_from(v, f"{where}.page_visits[{i}]")
-            for i, v in enumerate(_expect_list(raw, "page_visits", where))
-        ),
-    )
+            raise _Fault(f"binding value for {name!r} must be a nonnegative integer")
+    task_id = _str(raw, "task_id")
+    concept_name = _str(raw, "concept_name")
+    is_count = _int(raw, "is_count")
+    visits = _records(raw, "page_visits", _visit_from)
+    _check_intervals(visits)
+    return Task(task_id, concept_name, binding, is_count, visits)
 
 
-def _visit_from(raw, where: str) -> PageVisit:
+def _visit_from(raw) -> PageVisit:
     if not isinstance(raw, dict):
-        raise LogFormatError("page visit must be an object", where)
+        raise _Fault("page visit must be an object")
     return PageVisit(
-        _expect_str(raw, "page", where),
-        _expect_int(raw, "enter_ms", where),
-        _expect_int(raw, "exit_ms", where),
-        tuple(
-            _record_from(s, f"{where}.steps[{i}]")
-            for i, s in enumerate(_expect_list(raw, "steps", where))
-        ),
+        _str(raw, "page"),
+        _int(raw, "enter_ms"),
+        _int(raw, "exit_ms"),
+        _records(raw, "steps", _step_from),
     )
 
 
-def _record_from(raw, where: str) -> StepRecord:
+def _step_from(raw) -> StepRecord:
     if not isinstance(raw, dict):
-        raise LogFormatError("step record must be an object", where)
+        raise _Fault("step record must be an object")
     return StepRecord(
-        _expect_str(raw, "step_label", where),
-        _expect_int(raw, "start_ms", where),
-        _expect_int(raw, "end_ms", where),
-        _expect_int(raw, "is_count", where, minimum=1),
+        _str(raw, "step_label"),
+        _int(raw, "start_ms"),
+        _int(raw, "end_ms"),
+        _int(raw, "is_count", minimum=1),
     )
+
+
+def _check_intervals(visits: Sequence[PageVisit]) -> None:
+    """The interval rules of one task: page visits run forwards and in
+    chronological order, and each step runs forwards inside its visit."""
+    previous_exit: int | None = None
+    for k, visit in enumerate(visits):
+        if visit.exit_ms < visit.enter_ms:
+            raise _Fault("page visit exits before it is entered", f"page_visits[{k}]")
+        if previous_exit is not None and visit.enter_ms < previous_exit:
+            raise _Fault("page visits are not in chronological order", f"page_visits[{k}]")
+        previous_exit = visit.exit_ms
+        for index, step in enumerate(visit.steps):
+            if step.end_ms < step.start_ms:
+                raise _Fault("step ends before it starts", f"steps[{index}]", f"page_visits[{k}]")
+            if step.start_ms < visit.enter_ms or step.end_ms > visit.exit_ms:
+                raise _Fault(
+                    "step interval leaves its page visit", f"steps[{index}]", f"page_visits[{k}]"
+                )
 
 
 def validate_log(log: EventLog) -> None:
-    """Enforce interval nesting and ordering across the hierarchy."""
+    """Enforce interval nesting and ordering across the hierarchy.
+
+    load_log already applies these rules; this checks logs built in memory.
+    """
     for i, session in enumerate(log.sessions):
         for j, task in enumerate(session.tasks):
-            task_where = f"sessions[{i}].tasks[{j}]"
-            previous_exit: int | None = None
-            for k, visit in enumerate(task.page_visits):
-                visit_where = f"{task_where}.page_visits[{k}]"
-                if visit.exit_ms < visit.enter_ms:
-                    raise LogFormatError(
-                        "page visit exits before it is entered", visit_where
-                    )
-                if previous_exit is not None and visit.enter_ms < previous_exit:
-                    raise LogFormatError(
-                        "page visits are not in chronological order", visit_where
-                    )
-                previous_exit = visit.exit_ms
-                for index, step in enumerate(visit.steps):
-                    step_where = f"{visit_where}.steps[{index}]"
-                    if step.end_ms < step.start_ms:
-                        raise LogFormatError(
-                            "step ends before it starts", step_where
-                        )
-                    if step.start_ms < visit.enter_ms or step.end_ms > visit.exit_ms:
-                        raise LogFormatError(
-                            "step interval leaves its page visit", step_where
-                        )
+            try:
+                _check_intervals(task.page_visits)
+            except _Fault as fault:
+                fault.path += [f"tasks[{j}]", f"sessions[{i}]"]
+                raise fault.located() from None
 
 
 # --- outlier removal -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IqrBounds:
     q1: float
     q3: float
@@ -312,7 +367,7 @@ TABLE_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRow:
     group: str
     n: int

@@ -11,7 +11,9 @@ canonical text rendering, to obtain a textual form of stored expressions.
 generate_log produces deterministic synthetic event logs: per-step speeds
 are drawn from a normal distribution (PCG64-seeded, via numpy's Generator,
 so a seed pins the byte-exact output) and durations follow as IS divided by
-speed.
+speed.  All speeds come from one draw of shape (sessions, nonzero steps);
+its row-major order is the stream that one draw per step, session by
+session, would consume.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .concept import ActionKind, InteractionConcept, UserStep
 from .errors import DomainError, InvalidBindingError, NegativeCountError, UnboundVariableError
 from .expr import format_expr
-from .logs import EventLog, PageVisit, Session, StepRecord, Task
+from .logs import EventLog, PageVisit, Session, StepRecord, Task, gc_paused
 
 _MIN_SPEED = 0.01
 
@@ -194,30 +196,34 @@ def generate_log(config: SynthConfig) -> EventLog:
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     step_counts = [
-        (step, _step_is(step, config.binding)) for step in config.concept.steps
+        (step.label, _step_is(step, config.binding)) for step in config.concept.steps
     ]
     total_is = sum(count for _, count in step_counts)
+    drawn = [(label, count) for label, count in step_counts if count]
+    speeds = np.maximum(
+        rng.normal(config.speed_mean, config.speed_sd, size=(config.sessions, len(drawn))),
+        _MIN_SPEED,
+    ).tolist()
+    name = config.concept.name
     sessions = []
-    for index in range(config.sessions):
-        clock_ms = 0.0
-        visits = []
-        for step, count in step_counts:
-            if count == 0:
-                continue
-            speed = max(float(rng.normal(config.speed_mean, config.speed_sd)), _MIN_SPEED)
-            start = round(clock_ms)
-            clock_ms += count / speed * 1000.0
-            end = round(clock_ms)
-            record = StepRecord(step.label, start, end, count)
-            visits.append(PageVisit(step.label, start, end, (record,)))
-        task = Task(
-            task_id=config.concept.name,
-            concept_name=config.concept.name,
-            binding=dict(config.binding),
-            is_count=total_is,
-            page_visits=tuple(visits),
-        )
-        sessions.append(Session(f"s{index:04d}", (task,)))
+    with gc_paused():
+        for index, session_speeds in enumerate(speeds):
+            clock_ms = 0.0
+            visits = []
+            for (label, count), speed in zip(drawn, session_speeds):
+                start = round(clock_ms)
+                clock_ms += count / speed * 1000.0
+                end = round(clock_ms)
+                record = StepRecord(label, start, end, count)
+                visits.append(PageVisit(label, start, end, (record,)))
+            task = Task(
+                task_id=name,
+                concept_name=name,
+                binding=dict(config.binding),
+                is_count=total_is,
+                page_visits=tuple(visits),
+            )
+            sessions.append(Session(f"s{index:04d}", (task,)))
     return EventLog(tuple(sessions))
 
 

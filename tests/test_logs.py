@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -12,13 +13,18 @@ from ixcomplex.logs import (
     TABLE_COLUMNS,
     Task,
     dump_log,
+    gc_paused,
     iqr_filter,
     load_log,
     step_table,
     table_to_csv,
     table_to_text,
     task_table,
+    validate_log,
 )
+from ixcomplex.synth import SynthConfig, generate_log
+
+from helpers import V2_BINDING
 
 MINIMAL = {
     "sessions": [
@@ -50,6 +56,112 @@ MINIMAL = {
         }
     ]
 }
+
+
+SESSION = ("sessions", 0)
+TASK = SESSION + ("tasks", 0)
+VISIT = TASK + ("page_visits", 0)
+STEP = VISIT + ("steps", 0)
+DELETE = object()
+
+
+def with_fault(path, value):
+    """A deep copy of MINIMAL with the value at path replaced, or removed
+    when value is DELETE; the empty path replaces the whole document."""
+    if not path:
+        return value
+    data = json.loads(json.dumps(MINIMAL))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return data
+
+
+def late_visit(enter_ms, exit_ms):
+    return [
+        MINIMAL["sessions"][0]["tasks"][0]["page_visits"][0],
+        {"page": "p1", "enter_ms": enter_ms, "exit_ms": exit_ms, "steps": []},
+    ]
+
+
+S = "sessions[0]"
+T = S + ".tasks[0]"
+V = T + ".page_visits[0]"
+R = V + ".steps[0]"
+
+# One fault per check load_log makes, each with the full message it raises.
+SINGLE_FAULTS = [
+    # a non-object at each level
+    ((), [], 'top level must be an object with a "sessions" list'),
+    (SESSION, 5, f"{S}: session must be an object"),
+    (TASK, "t", f"{T}: task must be an object"),
+    (VISIT, None, f"{V}: page visit must be an object"),
+    (STEP, [], f"{R}: step record must be an object"),
+    # missing or wrong-typed fields
+    (("sessions",), DELETE, 'top level must be an object with a "sessions" list'),
+    (("sessions",), {}, "'sessions' must be a list"),
+    (SESSION + ("session_id",), DELETE, f"{S}: 'session_id' must be a string"),
+    (SESSION + ("session_id",), 3, f"{S}: 'session_id' must be a string"),
+    (SESSION + ("tasks",), {}, f"{S}: 'tasks' must be a list"),
+    (TASK + ("task_id",), DELETE, f"{T}: 'task_id' must be a string"),
+    (TASK + ("concept_name",), ["demo"], f"{T}: 'concept_name' must be a string"),
+    (TASK + ("binding",), [["m", 3]], f"{T}: 'binding' must be an object"),
+    (TASK + ("is_count",), DELETE, f"{T}: 'is_count' must be an integer"),
+    (TASK + ("is_count",), 7.0, f"{T}: 'is_count' must be an integer"),
+    (TASK + ("page_visits",), DELETE, f"{T}: 'page_visits' must be a list"),
+    (VISIT + ("page",), DELETE, f"{V}: 'page' must be a string"),
+    (VISIT + ("enter_ms",), "0", f"{V}: 'enter_ms' must be an integer"),
+    (VISIT + ("exit_ms",), DELETE, f"{V}: 'exit_ms' must be an integer"),
+    (VISIT + ("steps",), "pick", f"{V}: 'steps' must be a list"),
+    (STEP + ("step_label",), 1, f"{R}: 'step_label' must be a string"),
+    (STEP + ("start_ms",), DELETE, f"{R}: 'start_ms' must be an integer"),
+    (STEP + ("end_ms",), 7000.5, f"{R}: 'end_ms' must be an integer"),
+    (STEP + ("is_count",), None, f"{R}: 'is_count' must be an integer"),
+    # a bool where an int is expected
+    (TASK + ("is_count",), True, f"{T}: 'is_count' must be an integer"),
+    (VISIT + ("exit_ms",), True, f"{V}: 'exit_ms' must be an integer"),
+    (STEP + ("is_count",), True, f"{R}: 'is_count' must be an integer"),
+    # negative values
+    (TASK + ("is_count",), -1, f"{T}: 'is_count' must be >= 0, got -1"),
+    (VISIT + ("enter_ms",), -1, f"{V}: 'enter_ms' must be >= 0, got -1"),
+    (VISIT + ("exit_ms",), -1, f"{V}: 'exit_ms' must be >= 0, got -1"),
+    (STEP + ("start_ms",), -5, f"{R}: 'start_ms' must be >= 0, got -5"),
+    (STEP + ("end_ms",), -1, f"{R}: 'end_ms' must be >= 0, got -1"),
+    # a step worth no interaction steps
+    (STEP + ("is_count",), 0, f"{R}: 'is_count' must be >= 1, got 0"),
+    # bad binding values
+    (TASK + ("binding", "m"), -1, f"{T}: binding value for 'm' must be a nonnegative integer"),
+    (TASK + ("binding", "m"), True, f"{T}: binding value for 'm' must be a nonnegative integer"),
+    (TASK + ("binding", "m"), "3", f"{T}: binding value for 'm' must be a nonnegative integer"),
+    (TASK + ("binding", "m"), 1.5, f"{T}: binding value for 'm' must be a nonnegative integer"),
+    # interval rules
+    (STEP, {"step_label": "pick", "start_ms": 5000, "end_ms": 4000, "is_count": 7},
+     f"{R}: step ends before it starts"),
+    (VISIT + ("exit_ms",), 6000, f"{R}: step interval leaves its page visit"),
+    (VISIT + ("enter_ms",), 1000, f"{R}: step interval leaves its page visit"),
+    (STEP + ("end_ms",), 8000, f"{R}: step interval leaves its page visit"),
+    (TASK + ("page_visits",), [{"page": "p0", "enter_ms": 7000, "exit_ms": 0, "steps": []}],
+     f"{V}: page visit exits before it is entered"),
+    (TASK + ("page_visits",), late_visit(1000, 2000),
+     f"{T}.page_visits[1]: page visits are not in chronological order"),
+    (TASK + ("page_visits",), late_visit(9000, 8000),
+     f"{T}.page_visits[1]: page visit exits before it is entered"),
+]
+
+# Edge cases of the interval rules that are valid logs.
+ACCEPTED_EDGES = [
+    (STEP + ("start_ms",), 7000),
+    (STEP + ("end_ms",), 0),
+    (VISIT + ("steps",), []),
+    (TASK + ("page_visits",), []),
+    (TASK + ("page_visits",), late_visit(7000, 9000)),
+    (TASK + ("binding",), DELETE),
+    (TASK + ("is_count",), 0),
+]
 
 
 def make_log(durations_s, is_count=10, task_id="t", label="step"):
@@ -126,6 +238,85 @@ class TestLoad:
         bad["sessions"][0]["tasks"][0]["page_visits"][0]["enter_ms"] = -1
         with pytest.raises(LogFormatError):
             load_log(json.dumps(bad))
+
+    @pytest.mark.parametrize("path, value, message", SINGLE_FAULTS)
+    def test_single_fault_message(self, path, value, message):
+        with pytest.raises(LogFormatError) as exc:
+            load_log(json.dumps(with_fault(path, value)))
+        assert str(exc.value) == message
+
+    def test_validate_log_in_memory(self):
+        good = make_log([1.0, 2.0])
+        validate_log(good)
+        escaping = PageVisit("p", 0, 500, (StepRecord("step", 0, 600, 1),))
+        bad = EventLog(good.sessions + (Session("s2", (Task("t", "demo", {}, 1, (escaping,)),)),))
+        with pytest.raises(LogFormatError) as exc:
+            validate_log(bad)
+        assert str(exc.value) == (
+            "sessions[2].tasks[0].page_visits[0].steps[0]: step interval leaves its page visit"
+        )
+
+    @pytest.mark.parametrize("path, value", ACCEPTED_EDGES)
+    def test_interval_edges_accepted(self, path, value):
+        log = load_log(json.dumps(with_fault(path, value)))
+        assert load_log(dump_log(log)) == log
+
+
+class TestGcState:
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        """The collector as the caller left it; restored afterwards."""
+        was_enabled = gc.isenabled()
+        if request.param:
+            gc.enable()
+        else:
+            gc.disable()
+        yield request.param
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_paused_inside(self, collector):
+        with gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled() is collector
+
+    def test_bulk_builders_restore_it(self, collector, v2_concept):
+        log = generate_log(SynthConfig(v2_concept, V2_BINDING, 3, 1.05, 0.2))
+        assert gc.isenabled() is collector
+        text = dump_log(log)
+        assert gc.isenabled() is collector
+        assert load_log(text) == log
+        assert gc.isenabled() is collector
+
+    def test_large_build_collected_once_on_exit(self, collector, v2_concept):
+        # 1000 sessions leave about 16,000 tracked objects, more than the default
+        # 700 * 10 young allocations, so one full collection runs on exit,
+        # and is the last, when the collector was on; none runs when the
+        # caller had it off.
+        generations = []
+
+        def record(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            generate_log(SynthConfig(v2_concept, V2_BINDING, 1000, 1.05, 0.2))
+        finally:
+            gc.callbacks.remove(record)
+        if collector:
+            assert generations.count(2) == 1 and generations[-1] == 2
+        else:
+            assert generations == []
+
+    def test_failed_load_restores_it(self, collector):
+        bad = with_fault(TASK + ("page_visits",), late_visit(1000, 2000))
+        with pytest.raises(LogFormatError):
+            load_log(json.dumps(bad))
+        assert gc.isenabled() is collector
 
 
 class TestIqrFilter:

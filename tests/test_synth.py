@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +13,18 @@ from ixcomplex.errors import (
     UnboundVariableError,
 )
 from ixcomplex.expr import evaluate, format_expr
-from ixcomplex.logs import load_log, dump_log, task_table
+from ixcomplex.logs import (
+    EventLog,
+    PageVisit,
+    Session,
+    StepRecord,
+    Task,
+    dump_log,
+    load_log,
+    task_table,
+)
 from ixcomplex.synth import (
+    _MIN_SPEED,
     ActionCounts,
     SynthConfig,
     count_actions,
@@ -144,6 +155,68 @@ class TestGenerateLog:
     def test_unbound_binding_rejected(self, v2_concept):
         with pytest.raises(UnboundVariableError):
             generate_log(SynthConfig(v2_concept, {"m": 6}, 1, 1.0))
+
+
+def single_step(concept, step):
+    return InteractionConcept(concept.name, concept.variables, (step,))
+
+
+def one_draw_per_step(config):
+    """Reference for generate_log: one scalar rng.normal call per step with
+    nonzero IS, session by session; step IS comes from the oracle."""
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    concept = config.concept
+    counts = [
+        (step.label, count_actions(single_step(concept, step), config.binding).total)
+        for step in concept.steps
+    ]
+    sessions = []
+    for index in range(config.sessions):
+        clock_ms = 0.0
+        visits = []
+        for label, count in counts:
+            if count == 0:
+                continue
+            speed = max(float(rng.normal(config.speed_mean, config.speed_sd)), _MIN_SPEED)
+            start = round(clock_ms)
+            clock_ms += count / speed * 1000.0
+            end = round(clock_ms)
+            visits.append(PageVisit(label, start, end, (StepRecord(label, start, end, count),)))
+        total = sum(count for _, count in counts)
+        task = Task(concept.name, concept.name, dict(config.binding), total, tuple(visits))
+        sessions.append(Session(f"s{index:04d}", (task,)))
+    return EventLog(tuple(sessions))
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize(
+        "concept, binding, sd, seed",
+        [
+            ("v2_concept", V2_BINDING, 0.2, 0),
+            ("v2_concept", V2_BINDING, 0.2, 7),
+            ("v2_concept", V2_BINDING, 0.25, 2026),
+            ("v2_concept", V2_BINDING, 3.0, 11),
+            ("v1_concept", V1_BINDING, 0.0, 5),
+            ("v1_concept", dict(V1_BINDING, a=1), 0.5, 3),
+            ("v1_concept", dict(V1_BINDING, a=1), 3.0, 4),
+        ],
+    )
+    def test_same_stream_as_one_draw_per_step(self, request, concept, binding, sd, seed):
+        config = SynthConfig(request.getfixturevalue(concept), binding, 40, 1.05, sd, seed)
+        assert generate_log(config) == one_draw_per_step(config)
+
+    def test_large_sd_hits_the_speed_floor(self, v2_concept):
+        # The sd 3.0 cases above must exercise the clamp: a clamped step
+        # lasts is_count / _MIN_SPEED seconds.
+        log = generate_log(SynthConfig(v2_concept, V2_BINDING, 40, 1.05, 3.0, seed=11))
+        clamped = [
+            step
+            for session in log.sessions
+            for visit in session.tasks[0].page_visits
+            for step in visit.steps
+            if abs(step.end_ms - step.start_ms - step.is_count / _MIN_SPEED * 1000.0) <= 1
+        ]
+        assert clamped
 
 
 class TestOracleAgreement:
