@@ -9,10 +9,12 @@ into task- and step-level speed tables.
 
 from .bigi import (
     ActionVector,
+    Assessment,
     ComplexityReport,
     NormalizedComplexity,
     SimplifiedComplexity,
     analyze,
+    assess,
     instantiate,
     normalize,
     simplify,
@@ -33,7 +35,6 @@ from .concept import (
 from .errors import IxComplexError
 from .expr import (
     Expression,
-    combine,
     evaluate,
     format_expr,
     parse_expr,
@@ -53,6 +54,7 @@ from .klm import (
 from .logs import (
     EventLog,
     IqrBounds,
+    cross_check,
     dump_log,
     iqr_filter,
     load_log,
@@ -77,6 +79,7 @@ __all__ = [
     "ActionKind",
     "ActionMapping",
     "ActionVector",
+    "Assessment",
     "BUILTIN_SPEED_MODELS",
     "ComplexityReport",
     "DEFAULT_MAPPING",
@@ -97,10 +100,11 @@ __all__ = [
     "UserStep",
     "aggregate_speed",
     "analyze",
-    "combine",
+    "assess",
     "concept_from_dict",
     "concept_to_dict",
     "count_actions",
+    "cross_check",
     "dump_log",
     "estimate_time",
     "evaluate",

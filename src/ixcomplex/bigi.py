@@ -6,9 +6,8 @@ interaction steps (IS), the simplified dominant part with a growth-class
 label, and finally instantiation at a concrete variable binding.
 
 Everything is computed from the step definitions.  A separately published
-or hand-written formula can always be evaluated directly through the
-expression layer and reported side by side, so "as-defined" and
-"as-published" values never get silently merged.
+formula gets the same view through assess and is reported side by side,
+so "as-defined" and "as-published" values never get silently merged.
 """
 
 from __future__ import annotations
@@ -82,12 +81,21 @@ class SimplifiedComplexity:
 
 
 @dataclass(frozen=True)
-class ComplexityReport:
-    per_step: tuple[tuple[str, ActionVector], ...]
-    summed: ActionVector
+class Assessment:
+    """One IS polynomial seen three ways: whole, simplified, instantiated."""
+
     normalized: NormalizedComplexity
     simplified: SimplifiedComplexity
     instantiated: tuple[dict[str, int], int] | None = None
+
+
+@dataclass(frozen=True, kw_only=True)
+class ComplexityReport(Assessment):
+    """The assessment of a concept's summed IS polynomial, with the
+    per-step vectors it was summed from."""
+
+    per_step: tuple[tuple[str, ActionVector], ...]
+    summed: ActionVector
 
 
 def step_function(step: UserStep) -> ActionVector:
@@ -98,10 +106,7 @@ def step_function(step: UserStep) -> ActionVector:
 
 
 def sum_steps(concept: InteractionConcept) -> ActionVector:
-    total = ActionVector.zero()
-    for step in concept.steps:
-        total = total + step_function(step)
-    return total
+    return sum(map(step_function, concept.steps), ActionVector.zero())
 
 
 def normalize(vector: ActionVector) -> NormalizedComplexity:
@@ -144,17 +149,23 @@ def instantiate(normalized: NormalizedComplexity, binding: Binding) -> int:
     return evaluate(normalized.is_function, binding)
 
 
+def assess(is_function: Expression, binding: Binding | None = None) -> Assessment:
+    """Normalized, simplified and (given a binding) instantiated view of any
+    IS polynomial, whether derived from a concept or separately published."""
+    normalized = NormalizedComplexity(is_function)
+    instantiated = None
+    if binding is not None:
+        instantiated = (dict(binding), instantiate(normalized, binding))
+    return Assessment(normalized, simplify(normalized), instantiated)
+
+
 def analyze(
     concept: InteractionConcept, binding: Binding | None = None
 ) -> ComplexityReport:
     per_step = tuple((step.label, step_function(step)) for step in concept.steps)
-    summed = sum_steps(concept)
-    normalized = normalize(summed)
-    simplified = simplify(normalized)
-    instantiated = None
-    if binding is not None:
-        instantiated = (dict(binding), instantiate(normalized, binding))
-    return ComplexityReport(per_step, summed, normalized, simplified, instantiated)
+    summed = sum((vector for _, vector in per_step), ActionVector.zero())
+    view = assess(summed.total(), binding)
+    return ComplexityReport(**vars(view), per_step=per_step, summed=summed)
 
 
 # --- rendering helpers -----------------------------------------------------
@@ -164,23 +175,29 @@ def vector_to_dict(vector: ActionVector) -> dict[str, str]:
     return {kind.value: format_expr(expr) for kind, expr in vector.per_kind.items()}
 
 
-def report_to_dict(report: ComplexityReport) -> dict:
+def assessment_to_dict(view: Assessment) -> dict:
     instantiated = None
-    if report.instantiated is not None:
-        binding, count = report.instantiated
+    if view.instantiated is not None:
+        binding, count = view.instantiated
         instantiated = {"binding": dict(sorted(binding.items())), "is": count}
+    return {
+        "normalized": format_expr(view.normalized.is_function),
+        "simplified": {
+            "retained": format_expr(view.simplified.retained),
+            "class_label": view.simplified.class_label,
+        },
+        "instantiated": instantiated,
+    }
+
+
+def report_to_dict(report: ComplexityReport) -> dict:
     return {
         "per_step": [
             {"label": label, "actions": vector_to_dict(vector)}
             for label, vector in report.per_step
         ],
         "summed": vector_to_dict(report.summed),
-        "normalized": format_expr(report.normalized.is_function),
-        "simplified": {
-            "retained": format_expr(report.simplified.retained),
-            "class_label": report.simplified.class_label,
-        },
-        "instantiated": instantiated,
+        **assessment_to_dict(report),
     }
 
 

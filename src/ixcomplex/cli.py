@@ -1,4 +1,7 @@
-"""Command-line frontend.
+"""Command-line frontend: parse argv, call the library, render the result.
+
+The library makes every semantic decision; this module reads files, calls
+the library and formats what it returns.
 
 Subcommands:
     analyze   derive, classify and optionally instantiate a concept's complexity
@@ -8,10 +11,10 @@ Subcommands:
     synth     generate a deterministic synthetic event log
     oracle    brute-force action counts for a concept and binding
 
-Exit codes: 0 success, 1 domain or validation error, 2 usage error.
-Bindings come only from explicit --set flags or a --bindings file; there
-are no default variable values.  Set IXCOMPLEX_NO_COLOR to disable the
-minimal styling on terminals.
+Exit codes: 0 success, 1 domain, validation or input-file error, 2 usage
+error.  Bindings come only from explicit --set flags or a --bindings file;
+there are no default variable values.  Set IXCOMPLEX_NO_COLOR to disable
+the minimal styling on terminals.
 """
 
 from __future__ import annotations
@@ -21,20 +24,21 @@ import json
 import os
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 from .bigi import (
-    NormalizedComplexity,
     analyze,
+    assess,
+    assessment_to_dict,
     factored_text,
     report_to_dict,
-    simplify,
     vector_to_dict,
 )
 from .concept import InteractionConcept, parse_concept, validate
 from .errors import IxComplexError
-from .expr import evaluate, format_expr, is_variable_name, parse_expr
+from .expr import format_expr, is_variable_name, parse_expr
 from .klm import (
     DEFAULT_MAPPING,
     KlmModel,
@@ -47,6 +51,7 @@ from .klm import (
 )
 from .logs import (
     AnalyticsWarning,
+    cross_check,
     load_log,
     dump_log,
     step_table,
@@ -55,8 +60,8 @@ from .logs import (
     table_to_text,
     task_table,
 )
-from .rounding import format_fixed
-from .speed import SpeedModel, estimate_time, get_speed_model
+from .rounding import format_fixed, round_half_up
+from .speed import SpeedModel, estimate_time, get_speed_model, speed_model_from_dict
 from .synth import SynthConfig, count_actions, generate_log
 
 
@@ -71,23 +76,14 @@ def _binding_pair(text: str) -> tuple[str, int]:
     return name, int(value)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(minimum: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
+    if value < minimum:
+        kind = "positive" if minimum == 1 else "nonnegative"
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
     return value
 
 
@@ -134,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--is",
         dest="is_count",
-        type=_nonnegative_int,
+        type=partial(_int_at_least, 0),
         metavar="N",
         help="IS count for deriving an interaction speed",
     )
@@ -167,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("synth", help="generate a synthetic event log")
     sub.add_argument("concept", help="concept file")
     add_bindings(sub)
-    sub.add_argument("--sessions", type=_positive_int, required=True)
+    sub.add_argument("--sessions", type=partial(_int_at_least, 1), required=True)
     sub.add_argument("--speed-mean", type=float, required=True, help="mean IS/sec")
     sub.add_argument("--speed-sd", type=float, default=0.0, help="IS/sec standard deviation")
     sub.add_argument("--seed", type=int, default=0, help="64-bit generator seed")
@@ -189,8 +185,23 @@ def _styled(text: str) -> str:
     return text
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IxComplexError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _read_json(path: str):
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise IxComplexError(f"invalid JSON input: {exc}") from None
+
+
 def _read_concept(path: str) -> InteractionConcept:
-    concept = parse_concept(Path(path).read_text(encoding="utf-8"))
+    concept = parse_concept(_read_text(path))
     for diagnostic in validate(concept):
         if diagnostic.severity == "warning":
             where = f" (step {diagnostic.step!r})" if diagnostic.step else ""
@@ -201,7 +212,7 @@ def _read_concept(path: str) -> InteractionConcept:
 def _collect_bindings(args: argparse.Namespace) -> dict[str, int]:
     binding: dict[str, int] = {}
     if getattr(args, "bindings_file", None):
-        raw = json.loads(Path(args.bindings_file).read_text(encoding="utf-8"))
+        raw = _read_json(args.bindings_file)
         if not isinstance(raw, dict):
             raise IxComplexError("bindings file must hold a JSON object")
         for name, value in raw.items():
@@ -223,28 +234,16 @@ def _print_json(payload) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     concept = _read_concept(args.concept)
-    binding = _collect_bindings(args)
-    report = analyze(concept, binding or None)
-    published = parse_expr(args.formula) if args.formula else None
+    binding = _collect_bindings(args) or None
+    report = analyze(concept, binding)
+    views = [("as-defined", report)]
+    if args.formula:
+        views.append(("as-published", assess(parse_expr(args.formula), binding)))
 
     if args.format == "json":
         payload = report_to_dict(report)
-        if published is not None:
-            simplified = simplify(NormalizedComplexity(published))
-            entry = {
-                "normalized": format_expr(published),
-                "simplified": {
-                    "retained": format_expr(simplified.retained),
-                    "class_label": simplified.class_label,
-                },
-                "instantiated": None,
-            }
-            if binding:
-                entry["instantiated"] = {
-                    "binding": dict(sorted(binding.items())),
-                    "is": evaluate(published, binding),
-                }
-            payload["as_published"] = entry
+        if args.formula:
+            payload["as_published"] = assessment_to_dict(views[1][1])
         _print_json(payload)
         return 0
 
@@ -254,24 +253,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for label, vector in report.per_step:
             print(f"  {label}: {_vector_text(vector)}")
     print(f"summed: {_vector_text(report.summed)}")
-    print(f"normalized: {format_expr(report.normalized.is_function)}")
-    print(
-        f"simplified: I({factored_text(report.simplified.retained)}) "
-        f"[{report.simplified.class_label}]"
-    )
-    if published is not None:
-        simplified = simplify(NormalizedComplexity(published))
-        print(f"as-published normalized: {format_expr(published)}")
+    for label, view in views:
+        prefix = "" if label == "as-defined" else f"{label} "
+        print(f"{prefix}normalized: {format_expr(view.normalized.is_function)}")
         print(
-            f"as-published simplified: I({factored_text(simplified.retained)}) "
-            f"[{simplified.class_label}]"
+            f"{prefix}simplified: I({factored_text(view.simplified.retained)}) "
+            f"[{view.simplified.class_label}]"
         )
-    if report.instantiated is not None:
-        if published is not None:
-            print(f"as-defined: IS = {report.instantiated[1]}")
-            print(f"as-published: IS = {evaluate(published, binding)}")
-        else:
-            print(f"IS = {report.instantiated[1]}")
+    if binding is not None:
+        for label, view in views:
+            prefix = f"{label}: " if len(views) > 1 else ""
+            print(f"{prefix}IS = {view.instantiated[1]}")
     return 0
 
 
@@ -288,10 +280,10 @@ def cmd_klm(args: argparse.Namespace) -> int:
         return 2
     model = KlmModel()
     if args.model_file:
-        model = model_from_dict(json.loads(Path(args.model_file).read_text(encoding="utf-8")))
+        model = model_from_dict(_read_json(args.model_file))
     mapping = DEFAULT_MAPPING
     if args.mapping_file:
-        mapping = mapping_from_dict(json.loads(Path(args.mapping_file).read_text(encoding="utf-8")))
+        mapping = mapping_from_dict(_read_json(args.mapping_file))
     binding = _collect_bindings(args)
 
     results: list[tuple[str, float]] = []
@@ -304,8 +296,8 @@ def cmd_klm(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             label: {
-                "seconds": float(format_fixed(seconds)),
-                "is_per_sec": float(format_fixed(klm_speed(args.is_count, seconds)))
+                "seconds": round_half_up(seconds),
+                "is_per_sec": round_half_up(klm_speed(args.is_count, seconds))
                 if args.is_count is not None and seconds > 0
                 else None,
             }
@@ -325,14 +317,7 @@ def cmd_klm(args: argparse.Namespace) -> int:
 
 def _resolve_speed_model(args: argparse.Namespace) -> SpeedModel:
     if args.speed_file:
-        raw = json.loads(Path(args.speed_file).read_text(encoding="utf-8"))
-        return SpeedModel(
-            name=str(raw.get("name", "custom")),
-            mean=float(raw["mean"]),
-            min=float(raw["min"]) if raw.get("min") is not None else None,
-            max=float(raw["max"]) if raw.get("max") is not None else None,
-            source=str(raw.get("source", "")),
-        )
+        return speed_model_from_dict(_read_json(args.speed_file))
     if args.speed_mean is not None:
         return SpeedModel("custom", args.speed_mean, args.speed_min, args.speed_max)
     if args.speed_min is not None or args.speed_max is not None:
@@ -345,13 +330,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     binding = _collect_bindings(args)
     model = _resolve_speed_model(args)
 
-    defined_count = evaluate(analyze(concept).normalized.is_function, binding)
-    results = [("as-defined", defined_count, estimate_time(defined_count, model))]
+    views = [("as-defined", analyze(concept, binding))]
     if args.formula:
-        published_count = evaluate(parse_expr(args.formula), binding)
-        results.append(
-            ("as-published", published_count, estimate_time(published_count, model))
-        )
+        views.append(("as-published", assess(parse_expr(args.formula), binding)))
+    results = [
+        (label, view.instantiated[1], estimate_time(view.instantiated[1], model))
+        for label, view in views
+    ]
 
     if args.format == "json":
         payload = {
@@ -390,7 +375,8 @@ def cmd_logs(args: argparse.Namespace) -> int:
         print("warning: log contains no tasks", file=sys.stderr)
 
     if args.concept:
-        _cross_check_concept(args.concept, log)
+        for message in cross_check(log, _read_concept(args.concept)):
+            print(f"warning: {message}", file=sys.stderr)
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AnalyticsWarning)
@@ -413,27 +399,6 @@ def cmd_logs(args: argparse.Namespace) -> int:
         blocks.append(_styled(f"{name} table:") + "\n" + table_to_text(rows))
     print("\n\n".join(blocks))
     return 0
-
-
-def _cross_check_concept(concept_path: str, log) -> None:
-    from .bigi import instantiate, normalize, sum_steps
-
-    concept = _read_concept(concept_path)
-    expected_cache: dict[tuple, int] = {}
-    for session in log.sessions:
-        for task in session.tasks:
-            if task.concept_name != concept.name or not task.binding:
-                continue
-            key = tuple(sorted(task.binding.items()))
-            if key not in expected_cache:
-                expected_cache[key] = instantiate(normalize(sum_steps(concept)), task.binding)
-            expected = expected_cache[key]
-            if expected != task.is_count:
-                print(
-                    f"warning: task {task.task_id!r} in session {session.session_id!r} "
-                    f"records {task.is_count} IS but the concept yields {expected}",
-                    file=sys.stderr,
-                )
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -479,14 +444,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except IxComplexError as exc:
+    except (IxComplexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return 1
 
 

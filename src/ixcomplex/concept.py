@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Collection, Mapping
 
 from .errors import ConceptSyntaxError, DomainError
 from .expr import ONE, Expression, format_expr, is_variable_name, parse_expr
@@ -127,38 +127,43 @@ def validate(concept: InteractionConcept) -> list[Diagnostic]:
         diagnostics.append(Diagnostic("error", "concept name is empty"))
     seen_vars: set[str] = set()
     for variable in concept.variables:
-        if not is_variable_name(variable.name):
-            diagnostics.append(
-                Diagnostic("error", f"invalid variable name {variable.name!r}")
-            )
-        if variable.name in seen_vars:
-            diagnostics.append(
-                Diagnostic("error", f"duplicate variable {variable.name!r}")
-            )
+        for message in _variable_errors(variable.name, seen_vars):
+            diagnostics.append(Diagnostic("error", message))
         seen_vars.add(variable.name)
 
     seen_labels: set[str] = set()
     for step in concept.steps:
         if not step.label:
             diagnostics.append(Diagnostic("error", "empty step label", step.label))
-        if step.label in seen_labels:
-            diagnostics.append(
-                Diagnostic("error", f"duplicate step label {step.label!r}", step.label)
-            )
+        for message in _step_errors(step, seen_labels, seen_vars):
+            diagnostics.append(Diagnostic("error", message, step.label))
         seen_labels.add(step.label)
-        used = step.repeat.variables()
-        for expr in step.actions.values():
-            used |= expr.variables()
-        for name in sorted(used - seen_vars):
-            diagnostics.append(
-                Diagnostic("error", f"undeclared variable {name!r}", step.label)
-            )
         if not step.actions:
             diagnostics.append(
                 Diagnostic("warning", "step contributes no interaction", step.label)
             )
     diagnostics.sort(key=lambda d: d.severity)  # errors before warnings
     return diagnostics
+
+
+def _variable_errors(name: str, declared: Collection[str]) -> list[str]:
+    """The variable rules: a valid name, declared once."""
+    errors = []
+    if not is_variable_name(name):
+        errors.append(f"invalid variable name {name!r}")
+    if name in declared:
+        errors.append(f"duplicate variable {name!r}")
+    return errors
+
+
+def _step_errors(step: UserStep, labels: Collection[str], declared: set[str]) -> list[str]:
+    """The step rules: a label used once, and only declared variables."""
+    errors = []
+    if step.label in labels:
+        errors.append(f"duplicate step label {step.label!r}")
+    used = step.repeat.variables().union(*(e.variables() for e in step.actions.values()))
+    errors.extend(f"undeclared variable {name!r}" for name in sorted(used - declared))
+    return errors
 
 
 # --- file format -----------------------------------------------------------
@@ -173,6 +178,7 @@ def parse_concept(text: str) -> InteractionConcept:
     """
     concept_name: str | None = None
     variables: list[ConceptVariable] = []
+    declared: set[str] = set()
     step_lines: list[tuple[int, str, str | None]] = []
 
     for number, raw_line in enumerate(text.splitlines(), start=1):
@@ -190,7 +196,8 @@ def parse_concept(text: str) -> InteractionConcept:
                 "the concept line must come before anything else", number
             )
         elif keyword == "var":
-            variables.append(_parse_var_line(code, comment, variables, number))
+            variables.append(_parse_var_line(code, comment, declared, number))
+            declared.add(variables[-1].name)
         elif keyword == "step":
             step_lines.append((number, code, comment))
         else:
@@ -203,22 +210,14 @@ def parse_concept(text: str) -> InteractionConcept:
     if concept_name is None:
         raise ConceptSyntaxError("missing concept line", 1)
 
-    declared = {variable.name for variable in variables}
     steps: list[UserStep] = []
     labels: set[str] = set()
     for number, code, comment in step_lines:
         step = _parse_step_line(code, comment, number)
-        if step.label in labels:
-            raise ConceptSyntaxError(f"duplicate step label {step.label!r}", number)
+        errors = _step_errors(step, labels, declared)
+        if errors:
+            raise ConceptSyntaxError(errors[0], number)
         labels.add(step.label)
-        used = step.repeat.variables()
-        for expr in step.actions.values():
-            used |= expr.variables()
-        undeclared = sorted(used - declared)
-        if undeclared:
-            raise ConceptSyntaxError(
-                f"undeclared variable {undeclared[0]!r}", number
-            )
         steps.append(step)
 
     return InteractionConcept(concept_name, tuple(variables), tuple(steps))
@@ -262,18 +261,14 @@ def _parse_concept_line(code: str, number: int) -> str:
 
 
 def _parse_var_line(
-    code: str,
-    comment: str | None,
-    variables: list[ConceptVariable],
-    number: int,
+    code: str, comment: str | None, declared: Collection[str], number: int
 ) -> ConceptVariable:
     rest = code.strip()[len("var") :].strip()
     if not rest:
         raise ConceptSyntaxError("missing variable name", number)
-    if not is_variable_name(rest):
-        raise ConceptSyntaxError(f"invalid variable name {rest!r}", number)
-    if any(variable.name == rest for variable in variables):
-        raise ConceptSyntaxError(f"duplicate variable {rest!r}", number)
+    errors = _variable_errors(rest, declared)
+    if errors:
+        raise ConceptSyntaxError(errors[0], number)
     return ConceptVariable(rest, comment or "")
 
 

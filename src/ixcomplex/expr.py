@@ -139,17 +139,6 @@ ZERO = Expression()
 ONE = Expression((((), 1),))
 
 
-def combine(op: str, a: Expression, b: Expression) -> Expression:
-    """Apply "add", "sub" or "mul"; the result is canonical."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def total_degree(expression: Expression) -> int:
     """Largest total degree over the monomials; 0 for the zero polynomial."""
     if not expression.terms:

@@ -14,9 +14,11 @@ Composites:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .bigi import step_function
 from .concept import ActionKind, InteractionConcept, UserStep
 from .errors import (
     DomainError,
@@ -33,6 +35,7 @@ from .expr import (
     is_variable_name,
     parse_operator_expr,
 )
+from .speed import json_number
 
 
 class KlmOperator(enum.Enum):
@@ -69,6 +72,18 @@ _OPERATOR_ALIASES: dict[str, KlmOperator] = {
 }
 
 
+# The KlmModel field holding each primitive operator's unit time.
+_PRIMITIVE_FIELDS: dict[KlmOperator, str] = {
+    KlmOperator.KEYSTROKE: "keystroke",
+    KlmOperator.POINT: "point",
+    KlmOperator.CLICK: "click",
+    KlmOperator.SACCADE: "saccade",
+    KlmOperator.PERCEIVE: "perceive",
+    KlmOperator.RETRIEVE: "retrieve",
+    KlmOperator.MENTAL_STEP: "mental_step",
+}
+
+
 @dataclass(frozen=True)
 class KlmModel:
     """Primitive operator unit times in seconds; composites are derived."""
@@ -82,15 +97,10 @@ class KlmModel:
     mental_step: float = 0.07
 
     def __post_init__(self):
-        for name, value in (
-            ("keystroke", self.keystroke),
-            ("point", self.point),
-            ("click", self.click),
-            ("saccade", self.saccade),
-            ("perceive", self.perceive),
-            ("retrieve", self.retrieve),
-            ("mental_step", self.mental_step),
-        ):
+        for name in _PRIMITIVE_FIELDS.values():
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"unit time {name} must be finite, got {value}")
             if value <= 0:
                 raise DomainError(f"unit time {name} must be positive, got {value}")
 
@@ -107,35 +117,21 @@ class KlmModel:
             return self.point_click
         if operator is KlmOperator.GLANCE:
             return self.glance
-        return {
-            KlmOperator.KEYSTROKE: self.keystroke,
-            KlmOperator.POINT: self.point,
-            KlmOperator.CLICK: self.click,
-            KlmOperator.SACCADE: self.saccade,
-            KlmOperator.PERCEIVE: self.perceive,
-            KlmOperator.RETRIEVE: self.retrieve,
-            KlmOperator.MENTAL_STEP: self.mental_step,
-        }[operator]
+        return getattr(self, _PRIMITIVE_FIELDS[operator])
 
 
 def model_from_dict(data: Mapping[str, float]) -> KlmModel:
     """Build a model from a JSON-style mapping of primitive unit times."""
-    fields = {
-        "K": "keystroke",
-        "M": "point",
-        "C_click": "click",
-        "S_saccade": "saccade",
-        "P": "perceive",
-        "R": "retrieve",
-        "E_mental": "mental_step",
-    }
+    if not isinstance(data, Mapping):
+        raise DomainError("operator model must be a JSON object")
+    fields = {operator.value: name for operator, name in _PRIMITIVE_FIELDS.items()}
     kwargs = {}
     for key, value in data.items():
         if key not in fields:
             raise DomainError(
                 f"unknown or derived operator time {key!r}; settable: {sorted(fields)}"
             )
-        kwargs[fields[key]] = float(value)
+        kwargs[fields[key]] = json_number(value, f"operator time {key!r}")
     return KlmModel(**kwargs)
 
 
@@ -156,12 +152,17 @@ DEFAULT_MAPPING = ActionMapping(
 
 
 def mapping_from_dict(data: Mapping[str, Sequence[str]]) -> ActionMapping:
+    """Build a mapping from a JSON-style object: action word to operator names."""
+    if not isinstance(data, Mapping):
+        raise DomainError("action mapping must be a JSON object")
     per_kind: dict[ActionKind, tuple[KlmOperator, ...]] = {}
     for word, names in data.items():
         try:
             kind = ActionKind.from_word(word)
         except KeyError:
             raise DomainError(f"unknown action kind {word!r}") from None
+        if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+            raise DomainError(f"operators for {word!r} must be a list of operator names")
         operators = []
         for name in names:
             operator = _OPERATOR_ALIASES.get(name)
@@ -193,14 +194,13 @@ class KlmExpression:
 
 def klm_step(step: UserStep, mapping: ActionMapping = DEFAULT_MAPPING) -> KlmExpression:
     """Operator counts of one step under a mapping."""
-    per_operator: dict[KlmOperator, Expression] = {}
-    for kind, count in step.actions.items():
-        operators = mapping.per_kind.get(kind)
-        if not operators:
+    for kind in step.actions:
+        if not mapping.per_kind.get(kind):
             raise UnmappedActionError(kind.word, step.label)
-        contribution = step.repeat * count
-        for operator in operators:
-            per_operator[operator] = per_operator.get(operator, ZERO) + contribution
+    per_operator: dict[KlmOperator, Expression] = {}
+    for kind, count in step_function(step).per_kind.items():
+        for operator in mapping.per_kind[kind]:
+            per_operator[operator] = per_operator.get(operator, ZERO) + count
     return KlmExpression(per_operator)
 
 

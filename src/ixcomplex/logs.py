@@ -30,9 +30,11 @@ import json
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
+from .bigi import instantiate, normalize, sum_steps
+from .concept import InteractionConcept
 from .errors import DomainError, LogFormatError
 from .rounding import format_fixed
 from .speed import speed_stats
@@ -177,7 +179,7 @@ def log_to_dict(log: EventLog) -> dict:
 def _decoded(data: bytes | str) -> dict:
     try:
         parsed = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise LogFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(parsed, dict) or "sessions" not in parsed:
         raise LogFormatError('top level must be an object with a "sessions" list')
@@ -316,6 +318,27 @@ def validate_log(log: EventLog) -> None:
                 raise fault.located() from None
 
 
+def cross_check(log: EventLog, concept: InteractionConcept) -> list[str]:
+    """Messages for the tasks of this concept, with a binding, whose recorded
+    IS count differs from what the concept yields at that binding."""
+    normalized = normalize(sum_steps(concept))
+    expected: dict[tuple, int] = {}
+    messages = []
+    for session in log.sessions:
+        for task in session.tasks:
+            if task.concept_name != concept.name or not task.binding:
+                continue
+            key = tuple(sorted(task.binding.items()))
+            if key not in expected:
+                expected[key] = instantiate(normalized, task.binding)
+            if expected[key] != task.is_count:
+                messages.append(
+                    f"task {task.task_id!r} in session {session.session_id!r} "
+                    f"records {task.is_count} IS but the concept yields {expected[key]}"
+                )
+    return messages
+
+
 # --- outlier removal -------------------------------------------------------
 
 
@@ -369,6 +392,8 @@ TABLE_COLUMNS = (
 
 @dataclass(frozen=True, slots=True)
 class TableRow:
+    """One table line; the renderers rely on the fields being in TABLE_COLUMNS order."""
+
     group: str
     n: int
     is_count: int
@@ -473,17 +498,8 @@ def _rows_from_groups(groups: dict[str, list[tuple[int, float]]]) -> list[TableR
 
 
 def _row_cells(row: TableRow) -> list[str]:
-    return [
-        row.group,
-        str(row.n),
-        str(row.is_count),
-        format_fixed(row.min_s),
-        format_fixed(row.max_s),
-        format_fixed(row.mean_s),
-        format_fixed(row.max_is_per_s),
-        format_fixed(row.min_is_per_s),
-        format_fixed(row.mean_is_per_s),
-    ]
+    group, n, is_count, *seconds_and_speeds = astuple(row)
+    return [group, str(n), str(is_count), *map(format_fixed, seconds_and_speeds)]
 
 
 def table_to_text(rows: Sequence[TableRow]) -> str:
@@ -507,17 +523,4 @@ def table_to_csv(rows: Sequence[TableRow]) -> str:
 
 
 def table_to_dicts(rows: Sequence[TableRow]) -> list[dict]:
-    return [
-        {
-            "group": row.group,
-            "n": row.n,
-            "is": row.is_count,
-            "min_s": row.min_s,
-            "max_s": row.max_s,
-            "mean_s": row.mean_s,
-            "max_is_per_s": row.max_is_per_s,
-            "min_is_per_s": row.min_is_per_s,
-            "mean_is_per_s": row.mean_is_per_s,
-        }
-        for row in rows
-    ]
+    return [dict(zip(TABLE_COLUMNS, astuple(row))) for row in rows]

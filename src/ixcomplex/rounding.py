@@ -11,8 +11,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 
 def round_half_up(value: float, ndigits: int = 2) -> float:
-    quantum = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(str(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return float(format_fixed(value, ndigits))
 
 
 def format_fixed(value: float, ndigits: int = 2) -> str:

@@ -14,8 +14,9 @@ mean_speed * mean_time = is_count exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import DomainError
 
@@ -29,6 +30,10 @@ class SpeedModel:
     source: str = ""
 
     def __post_init__(self):
+        for name in ("mean", "min", "max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} speed must be finite, got {value}")
         if self.mean <= 0:
             raise DomainError(f"mean speed must be positive, got {self.mean}")
         if self.min is not None and not 0 < self.min <= self.mean:
@@ -48,6 +53,31 @@ BUILTIN_SPEED_MODELS: dict[str, SpeedModel] = {
     "v1": SpeedModel("v1", 1.20, source="wizard version, all attempts pooled"),
     "v2": SpeedModel("v2", 0.66, source="single-page version, n=260"),
 }
+
+
+def json_number(value: object, what: str) -> float:
+    """A number read from a JSON file, as a float; bools are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{what} is too large") from None
+
+
+def speed_model_from_dict(data: object) -> SpeedModel:
+    """Build a model from a JSON speed file: an object with a numeric "mean",
+    optional numeric "min" and "max", and optional "name" and "source"."""
+    if not isinstance(data, Mapping) or data.get("mean") is None:
+        raise DomainError("speed model must be a JSON object with a 'mean'")
+    limits = {
+        key: json_number(data[key], f"speed {key!r}")
+        for key in ("mean", "min", "max")
+        if data.get(key) is not None
+    }
+    return SpeedModel(
+        name=str(data.get("name", "custom")), source=str(data.get("source", "")), **limits
+    )
 
 
 def get_speed_model(name: str) -> SpeedModel:

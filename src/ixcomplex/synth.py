@@ -1,8 +1,9 @@
 """Brute-force counting oracle and synthetic log generation.
 
 count_actions is the reference the symbolic pipeline is checked against:
-it walks a concept step by step, executes each step repeat-many times, and
-adds up evaluated action counts.  No polynomial algebra is involved; leaf
+it walks a concept step by step, multiplies each step's evaluated repeat
+by its evaluated per-execution action counts, and adds up the products, in
+time linear in the number of steps.  No polynomial algebra is involved; leaf
 expressions are evaluated by the small recursive interpreter below, which
 parses expression text on its own instead of reusing the polynomial
 engine's parser or evaluator.  The only engine facility used here is
@@ -18,6 +19,7 @@ session, would consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -44,16 +46,12 @@ class ActionCounts:
 
 
 def count_actions(concept: InteractionConcept, binding: Mapping[str, int]) -> ActionCounts:
-    """Count actions by simulated execution: loop and add, nothing else."""
+    """Count actions step by step: repeat times per-execution count, added up."""
     totals = {kind: 0 for kind in ActionKind}
     for step in concept.steps:
         repeat = _leaf_value(step.repeat, binding)
-        per_execution = {
-            kind: _leaf_value(expr, binding) for kind, expr in step.actions.items()
-        }
-        for _ in range(repeat):
-            for kind, count in per_execution.items():
-                totals[kind] += count
+        for kind, expr in step.actions.items():
+            totals[kind] += repeat * _leaf_value(expr, binding)
     per_kind = {kind: count for kind, count in totals.items() if count}
     return ActionCounts(per_kind, sum(totals.values()))
 
@@ -179,6 +177,9 @@ class SynthConfig:
     def __post_init__(self):
         if self.sessions < 1:
             raise DomainError(f"sessions must be positive, got {self.sessions}")
+        for name in ("speed_mean", "speed_sd"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.speed_mean <= 0:
             raise DomainError(f"speed_mean must be positive, got {self.speed_mean}")
         if self.speed_sd < 0:

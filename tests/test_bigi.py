@@ -5,8 +5,11 @@ from hypothesis import given, settings
 
 from ixcomplex.bigi import (
     ActionVector,
+    Assessment,
     NormalizedComplexity,
     analyze,
+    assess,
+    assessment_to_dict,
     class_label,
     factored_text,
     instantiate,
@@ -172,6 +175,32 @@ class TestAnalyze:
         assert set(data) == {"per_step", "summed", "normalized", "simplified", "instantiated"}
         assert set(data["simplified"]) == {"retained", "class_label"}
         assert data["instantiated"]["is"] == 45
+
+    def test_report_is_the_assessment_of_the_summed_polynomial(self, v1_concept):
+        report = analyze(v1_concept, V1_BINDING)
+        view = assess(sum_steps(v1_concept).total(), V1_BINDING)
+        assert (report.normalized, report.simplified, report.instantiated) == (
+            view.normalized,
+            view.simplified,
+            view.instantiated,
+        )
+        data = report_to_dict(report)
+        assert {key: data[key] for key in assessment_to_dict(view)} == assessment_to_dict(view)
+
+    def test_assess_published_formulas(self):
+        v1 = assess(parse_expr(V1_PUBLISHED_IS), V1_BINDING)
+        v2 = assess(parse_expr(V2_PUBLISHED_IS), V2_BINDING)
+        assert (v1.instantiated[1], v2.instantiated[1]) == (171, 46)
+        assert (v1.simplified.class_label, v2.simplified.class_label) == ("quadratic", "linear")
+        assert v1.simplified.retained == parse_expr("a*(r + t + d + s + 11)")
+
+    def test_assess_without_binding(self):
+        view = assess(parse_expr("m + 5"))
+        assert view == Assessment(
+            NormalizedComplexity(parse_expr("m + 5")),
+            simplify(NormalizedComplexity(parse_expr("m + 5"))),
+        )
+        assert assessment_to_dict(view)["instantiated"] is None
 
     def test_argmax_stability_on_published_instances(self):
         v1 = simplify(NormalizedComplexity(parse_expr(V1_PUBLISHED_IS)))

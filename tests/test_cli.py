@@ -311,3 +311,109 @@ class TestBindingsFile:
         code, _, err = run(capsys, "oracle", V2, "--bindings", str(bindings))
         assert code == 1
         assert "nonnegative" in err
+
+
+class TestNoTraceback:
+    """Malformed side files and inputs end in exit 1 with an error line."""
+
+    def run_failing(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        return err
+
+    def test_speed_file_without_mean(self, capsys, tmp_path):
+        speed = tmp_path / "speed.json"
+        speed.write_text(json.dumps({"name": "lab", "min": 0.5}))
+        err = self.run_failing(capsys, "estimate", V2, *V2_SET, "--speed-file", str(speed))
+        assert "'mean'" in err
+
+    def test_speed_file_holding_a_list(self, capsys, tmp_path):
+        speed = tmp_path / "speed.json"
+        speed.write_text("[1.05, 0.18, 8.15]")
+        self.run_failing(capsys, "estimate", V2, *V2_SET, "--speed-file", str(speed))
+
+    def test_speed_file_holding_nan(self, capsys, tmp_path):
+        speed = tmp_path / "speed.json"
+        speed.write_text('{"mean": NaN}')
+        err = self.run_failing(capsys, "estimate", V2, *V2_SET, "--speed-file", str(speed))
+        assert "finite" in err
+
+    def test_model_with_a_string_time(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"K": "abc"}))
+        err = self.run_failing(capsys, "klm", "--formula", "1*K", "--model", str(model))
+        assert "'K' must be a number" in err
+
+    def test_model_holding_nan(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text('{"M": NaN}')
+        err = self.run_failing(capsys, "klm", "--formula", "1*T", "--model", str(model))
+        assert "finite" in err
+
+    def test_map_holding_a_list(self, capsys, tmp_path):
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps([["Think", "Glance"]]))
+        self.run_failing(capsys, "klm", V2, *V2_SET, "--map", str(mapping))
+
+    def test_speed_mean_nan(self, capsys):
+        err = self.run_failing(capsys, "estimate", V2, *V2_SET, "--speed-mean", "nan")
+        assert "finite" in err
+
+    def test_synth_speed_mean_nan(self, capsys, tmp_path):
+        err = self.run_failing(
+            capsys, "synth", V2, *V2_SET,
+            "--sessions", "1", "--speed-mean", "nan", "--out", str(tmp_path / "log.json"),
+        )
+        assert "finite" in err
+
+    def test_concept_not_utf8(self, capsys, tmp_path):
+        concept = tmp_path / "bad.concept"
+        concept.write_bytes(b'concept "caf\xe9"\n')
+        err = self.run_failing(capsys, "analyze", str(concept))
+        assert "not UTF-8" in err
+
+    def test_bindings_file_not_utf8(self, capsys, tmp_path):
+        bindings = tmp_path / "bindings.json"
+        bindings.write_bytes(b'{"m": 6, "\xff": 1}')
+        err = self.run_failing(capsys, "oracle", V2, "--bindings", str(bindings))
+        assert "not UTF-8" in err
+
+    def test_bindings_file_nested_too_deeply(self, capsys, tmp_path):
+        bindings = tmp_path / "bindings.json"
+        bindings.write_text("[" * 100_000)
+        err = self.run_failing(capsys, "oracle", V2, "--bindings", str(bindings))
+        assert "invalid JSON input" in err
+
+    def test_log_not_utf8(self, capsys, tmp_path):
+        log = tmp_path / "log.json"
+        log.write_bytes(b'{"sessions": [], "note": "\xff"}')
+        err = self.run_failing(capsys, "logs", str(log))
+        assert "not valid JSON" in err
+
+    def test_log_nested_too_deeply(self, capsys, tmp_path):
+        log = tmp_path / "log.json"
+        log.write_text("[" * 100_000)
+        err = self.run_failing(capsys, "logs", str(log))
+        assert "not valid JSON" in err
+
+
+class TestIntegerFlags:
+    def test_sessions_must_be_positive(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "synth", V2, *V2_SET,
+            "--sessions", "0", "--speed-mean", "1.0", "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert "expected a positive integer, got 0" in err
+
+    def test_is_must_be_nonnegative(self, capsys):
+        code, _, err = run(capsys, "klm", "--formula", "1*T", "--is", "-1")
+        assert code == 2
+        assert "expected a nonnegative integer, got -1" in err
+
+    def test_is_must_be_an_integer(self, capsys):
+        code, _, err = run(capsys, "klm", "--formula", "1*T", "--is", "many")
+        assert code == 2
+        assert "expected an integer, got 'many'" in err

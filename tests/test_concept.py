@@ -94,6 +94,25 @@ class TestParse:
         assert concept.steps[0].actions == {}
 
 
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ('concept "x"\nvar A', "invalid variable name 'A'", 2),
+            ('concept "x"\nvar a\nvar b\nvar a', "duplicate variable 'a'", 4),
+            # Variable lines are checked before any step line.
+            ('concept "x"\nstep "s" { Q: 1 }\nvar a\nvar a', "duplicate variable 'a'", 4),
+            ('concept "x"\nstep "s" { T: 1 }\nstep "s" { T: q }', "duplicate step label 's'", 3),
+            ('concept "x"\nvar a\nstep "s" repeat z { T: a + q }', "undeclared variable 'q'", 3),
+            # Every variable line counts, also one after the step.
+            ('concept "x"\nstep "s" { T: a }\nvar a\nstep "t" { T: b }', "undeclared variable 'b'", 4),
+        ],
+    )
+    def test_first_rule_violation(self, text, message, line):
+        with pytest.raises(ConceptSyntaxError) as exc:
+            parse_concept(text)
+        assert str(exc.value) == f"line {line}, column 1: {message}"
+
+
 class TestSerialize:
     def test_empty(self):
         assert serialize_concept(InteractionConcept("empty")) == 'concept "empty"\n'
@@ -154,6 +173,26 @@ class TestValidate:
             "x", (), (UserStep("s", {ActionKind.THINK: parse_expr("q")}),)
         )
         assert any("undeclared variable 'q'" in d.message for d in validate(concept))
+
+
+    def test_every_variable_rule_reported(self):
+        concept = InteractionConcept("x", (ConceptVariable("A"), ConceptVariable("A")))
+        assert [d.message for d in validate(concept)] == [
+            "invalid variable name 'A'",
+            "invalid variable name 'A'",
+            "duplicate variable 'A'",
+        ]
+
+    def test_every_step_rule_reported(self):
+        step = UserStep("s", {ActionKind.THINK: parse_expr("q + b")})
+        concept = InteractionConcept("x", (), (step, step))
+        assert [(d.message, d.step) for d in validate(concept)] == [
+            ("undeclared variable 'b'", "s"),
+            ("undeclared variable 'q'", "s"),
+            ("duplicate step label 's'", "s"),
+            ("undeclared variable 'b'", "s"),
+            ("undeclared variable 'q'", "s"),
+        ]
 
 
 class TestProperties:

@@ -15,7 +15,6 @@ from ixcomplex.errors import (
 from ixcomplex.expr import (
     Expression,
     ZERO,
-    combine,
     evaluate,
     format_expr,
     parse_expr,
@@ -85,21 +84,13 @@ class TestParse:
 
 class TestCombine:
     def test_add(self):
-        assert combine("add", parse_expr("4*a + 2"), parse_expr("7*a")) == parse_expr(
-            "11*a + 2"
-        )
+        assert parse_expr("4*a + 2") + parse_expr("7*a") == parse_expr("11*a + 2")
 
     def test_mul(self):
-        assert combine("mul", parse_expr("a"), parse_expr("r + t")) == parse_expr(
-            "a*r + a*t"
-        )
+        assert parse_expr("a") * parse_expr("r + t") == parse_expr("a*r + a*t")
 
     def test_sub_self_cancels(self):
-        assert combine("sub", parse_expr("m + 5"), parse_expr("m + 5")) == ZERO
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            combine("div", ZERO, ZERO)
+        assert parse_expr("m + 5") - parse_expr("m + 5") == ZERO
 
 
 class TestEvaluate:
@@ -171,8 +162,7 @@ class TestProperties:
         }
         va = _raw(a, binding)
         vb = _raw(b, binding)
-        for op, expected in (("add", va + vb), ("sub", va - vb), ("mul", va * vb)):
-            combined = combine(op, a, b)
+        for combined, expected in ((a + b, va + vb), (a - b, va - vb), (a * b, va * vb)):
             if expected < 0:
                 with pytest.raises(NegativeCountError):
                     evaluate(combined, binding)

@@ -61,6 +61,19 @@ class TestModel:
         with pytest.raises(DomainError):
             KlmModel(point=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_rejected(self, value):
+        with pytest.raises(DomainError, match="finite"):
+            KlmModel(retrieve=value)
+
+    def test_unit_time_of_every_operator(self):
+        model = KlmModel(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+        times = {operator.value: model.unit_time(operator) for operator in KlmOperator}
+        assert times == {
+            "K": 1.0, "M": 2.0, "C_click": 3.0, "S_saccade": 4.0, "P": 5.0,
+            "R": 6.0, "E_mental": 7.0, "PointClick": 5.0, "Glance": 16.0,
+        }
+
     def test_model_from_dict(self):
         model = model_from_dict({"M": 1.6, "C_click": 0.2})
         assert model.point == 1.6
@@ -69,6 +82,18 @@ class TestModel:
     def test_composite_key_rejected(self):
         with pytest.raises(DomainError):
             model_from_dict({"PointClick": 2.0})
+
+    def test_model_from_dict_sets_every_primitive(self):
+        keys = ("K", "M", "C_click", "S_saccade", "P", "R", "E_mental")
+        model = model_from_dict({key: float(i + 1) for i, key in enumerate(keys)})
+        assert model == KlmModel(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+
+    @pytest.mark.parametrize(
+        "data", [[1, 2], "K", {"K": "abc"}, {"K": True}, {"K": None}, {"K": 10**400}]
+    )
+    def test_malformed_model_rejected(self, data):
+        with pytest.raises(DomainError):
+            model_from_dict(data)
 
 
 class TestMappingFromConcept:
@@ -119,6 +144,18 @@ class TestMappingFromConcept:
             KlmOperator.POINT,
             KlmOperator.CLICK,
         )
+
+    @pytest.mark.parametrize(
+        "data", [["Glance"], {"Think": "Glance"}, {"Think": [["Glance"]]}, {"Think": [1]}]
+    )
+    def test_malformed_mapping_rejected(self, data):
+        with pytest.raises(DomainError):
+            mapping_from_dict(data)
+
+    def test_unmapped_action_in_never_taken_step(self):
+        concept = parse_concept('concept "x"\nstep "scroll page" repeat 0 { S: 2 }')
+        with pytest.raises(UnmappedActionError):
+            klm_step(concept.steps[0], DEFAULT_MAPPING)
 
     def test_mapping_unknown_names(self):
         with pytest.raises(DomainError):

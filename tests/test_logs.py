@@ -7,6 +7,7 @@ from ixcomplex.errors import DomainError, LogFormatError
 from ixcomplex.logs import (
     AnalyticsWarning,
     EventLog,
+    cross_check,
     PageVisit,
     Session,
     StepRecord,
@@ -197,6 +198,13 @@ class TestLoad:
     def test_not_json(self):
         with pytest.raises(LogFormatError):
             load_log(b"{nope")
+
+    @pytest.mark.parametrize(
+        "data", [b'{"sessions": [\xff]}', b"[" * 100_000, b'{"sessions": ' + b"1" * 5000 + b"}"]
+    )
+    def test_undecodable_input(self, data):
+        with pytest.raises(LogFormatError, match="not valid JSON"):
+            load_log(data)
 
     def test_missing_sessions(self):
         with pytest.raises(LogFormatError):
@@ -459,3 +467,20 @@ class TestRendering:
 
     def test_empty_table_renders_header(self):
         assert table_to_text([]).split() == list(TABLE_COLUMNS)
+
+
+class TestCrossCheck:
+    def test_reports_each_mismatching_task(self, v2_concept):
+        log = generate_log(SynthConfig(v2_concept, V2_BINDING, 3, 1.0))
+        sessions = list(log.sessions)
+        task = sessions[1].tasks[0]
+        edited = Task(task.task_id, task.concept_name, task.binding, 999, task.page_visits)
+        sessions[1] = Session("s0001", (edited,))
+        assert cross_check(EventLog(tuple(sessions)), v2_concept) == [
+            "task 'v2-single-page' in session 's0001' records 999 IS but the concept yields 45"
+        ]
+
+    def test_other_concepts_and_unbound_tasks_pass(self, v2_concept):
+        assert cross_check(make_log([1.0, 2.0], is_count=999), v2_concept) == []
+        log = generate_log(SynthConfig(v2_concept, V2_BINDING, 2, 1.0))
+        assert cross_check(log, v2_concept) == []

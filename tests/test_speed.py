@@ -10,6 +10,7 @@ from ixcomplex.speed import (
     aggregate_speed,
     estimate_time,
     get_speed_model,
+    speed_model_from_dict,
     speed_stats,
 )
 
@@ -45,6 +46,38 @@ class TestModels:
             SpeedModel("bad", 1.0, min=2.0)
         with pytest.raises(DomainError):
             SpeedModel("bad", 1.0, min=0.5, max=0.7)
+
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_rejected(self, value):
+        with pytest.raises(DomainError, match="finite"):
+            SpeedModel("bad", value)
+        with pytest.raises(DomainError, match="finite"):
+            SpeedModel("bad", 1.0, max=value)
+
+
+class TestSpeedModelFromDict:
+    def test_full_and_minimal(self):
+        data = {"name": "lab", "mean": 1, "min": 0.5, "max": 2, "source": "pilot"}
+        assert speed_model_from_dict(data) == SpeedModel("lab", 1.0, 0.5, 2.0, "pilot")
+        assert speed_model_from_dict({"mean": 1.5, "min": None}) == SpeedModel("custom", 1.5)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1.0],
+            {"name": "x"},
+            {"mean": None},
+            {"mean": "1.0"},
+            {"mean": True},
+            {"mean": 1.0, "min": "0.5"},
+            {"mean": float("nan")},
+            {"mean": 10**400},
+        ],
+    )
+    def test_malformed_rejected(self, data):
+        with pytest.raises(DomainError):
+            speed_model_from_dict(data)
 
 
 class TestEstimateTime:

@@ -1,10 +1,12 @@
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ixcomplex.bigi import normalize, sum_steps
 from ixcomplex.concept import ActionKind, InteractionConcept
 from ixcomplex.errors import (
     DomainError,
@@ -71,6 +73,13 @@ class TestCountActions:
     def test_inadmissible_binding(self, v1_concept):
         with pytest.raises(NegativeCountError):
             count_actions(v1_concept, dict(V1_BINDING, a=0))
+
+    def test_huge_repeat_counts_at_once(self, v1_concept):
+        binding = dict(V1_BINDING, a=10**12)
+        engine = evaluate(normalize(sum_steps(v1_concept)).is_function, binding)
+        started = time.perf_counter()
+        assert count_actions(v1_concept, binding).total == engine
+        assert time.perf_counter() - started < 0.5
 
     def test_total_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -151,6 +160,11 @@ class TestGenerateLog:
             SynthConfig(v2_concept, V2_BINDING, sessions=1, speed_mean=0.0)
         with pytest.raises(DomainError):
             SynthConfig(v2_concept, V2_BINDING, sessions=1, speed_mean=1.0, speed_sd=-0.1)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="finite"):
+                SynthConfig(v2_concept, V2_BINDING, sessions=1, speed_mean=value)
+            with pytest.raises(DomainError, match="finite"):
+                SynthConfig(v2_concept, V2_BINDING, sessions=1, speed_mean=1.0, speed_sd=value)
 
     def test_unbound_binding_rejected(self, v2_concept):
         with pytest.raises(UnboundVariableError):
