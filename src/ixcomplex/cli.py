@@ -38,7 +38,7 @@ from .bigi import (
 )
 from .concept import InteractionConcept, parse_concept, validate
 from .errors import IxComplexError
-from .expr import format_expr, is_variable_name, parse_expr
+from .expr import binding_from_dict, format_expr, is_variable_name, parse_expr
 from .klm import (
     DEFAULT_MAPPING,
     KlmModel,
@@ -212,19 +212,8 @@ def _read_concept(path: str) -> InteractionConcept:
 def _collect_bindings(args: argparse.Namespace) -> dict[str, int]:
     binding: dict[str, int] = {}
     if getattr(args, "bindings_file", None):
-        raw = _read_json(args.bindings_file)
-        if not isinstance(raw, dict):
-            raise IxComplexError("bindings file must hold a JSON object")
-        for name, value in raw.items():
-            if not is_variable_name(str(name)) or isinstance(value, bool) \
-                    or not isinstance(value, int) or value < 0:
-                raise IxComplexError(
-                    f"bindings file entry {name!r} must map a variable "
-                    "to a nonnegative integer"
-                )
-            binding[str(name)] = value
-    for name, value in args.bindings:
-        binding[name] = value
+        binding = binding_from_dict(_read_json(args.bindings_file))
+    binding.update(args.bindings)
     return binding
 
 
@@ -286,32 +275,40 @@ def cmd_klm(args: argparse.Namespace) -> int:
         mapping = mapping_from_dict(_read_json(args.mapping_file))
     binding = _collect_bindings(args)
 
-    results: list[tuple[str, float]] = []
+    times: list[tuple[str, float]] = []
     if args.concept:
         concept = _read_concept(args.concept)
-        results.append(("as-defined", klm_time(klm_from_concept(concept, mapping), model, binding)))
+        times.append(("as-defined", klm_time(klm_from_concept(concept, mapping), model, binding)))
     if args.formula:
-        results.append(("as-published", klm_time(klm_parse(args.formula), model, binding)))
+        times.append(("as-published", klm_time(klm_parse(args.formula), model, binding)))
+    results = [
+        (
+            label,
+            seconds,
+            klm_speed(args.is_count, seconds)
+            if args.is_count is not None and seconds > 0
+            else None,
+        )
+        for label, seconds in times
+    ]
 
     if args.format == "json":
         payload = {
             label: {
                 "seconds": round_half_up(seconds),
-                "is_per_sec": round_half_up(klm_speed(args.is_count, seconds))
-                if args.is_count is not None and seconds > 0
-                else None,
+                "is_per_sec": None if speed is None else round_half_up(speed),
             }
-            for label, seconds in results
+            for label, seconds, speed in results
         }
         _print_json(payload)
         return 0
 
     labelled = len(results) > 1
-    for label, seconds in results:
+    for label, seconds, speed in results:
         prefix = f"{label}: " if labelled else ""
         print(f"{prefix}{format_fixed(seconds)} sec")
-        if args.is_count is not None and seconds > 0:
-            print(f"{prefix}{format_fixed(klm_speed(args.is_count, seconds))} IS/sec")
+        if speed is not None:
+            print(f"{prefix}{format_fixed(speed)} IS/sec")
     return 0
 
 

@@ -25,6 +25,8 @@ so that the formatted form of any polynomial parses back to it.
 
 Coefficients and evaluated values must stay inside the signed 64-bit range;
 leaving it raises OverflowLimitError rather than silently continuing.
+Parentheses nest at most MAX_NESTING deep, so the recursive-descent parser
+stays well inside the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import (
+    DomainError,
     ExpressionSyntaxError,
     InvalidBindingError,
     NegativeCountError,
@@ -46,6 +49,7 @@ Binding = Mapping[str, int]
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
+MAX_NESTING = 100
 
 _VARIABLE_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _LOWER_NAME = re.compile(r"[a-z][a-z0-9_]*")
@@ -54,6 +58,21 @@ _MIXED_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 def is_variable_name(name: str) -> bool:
     return bool(_VARIABLE_RE.match(name))
+
+
+def binding_from_dict(data: object) -> dict[str, int]:
+    """Read a JSON bindings file: an object mapping variable names to
+    nonnegative integers (bools are not integers)."""
+    if not isinstance(data, Mapping):
+        raise DomainError("bindings file must hold a JSON object")
+    for name, value in data.items():
+        if not isinstance(name, str) or not is_variable_name(name) \
+                or isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise DomainError(
+                f"bindings file entry {name!r} must map a variable "
+                "to a nonnegative integer"
+            )
+    return dict(data)
 
 
 def _check_range(value: int, what: str) -> int:
@@ -198,8 +217,9 @@ def _render_magnitude(mono: Monomial, coeff: int) -> str:
 def parse_expr(text: str) -> Expression:
     """Parse expression text into its canonical expanded polynomial.
 
-    Errors carry the byte offset of the problem; the empty string and
-    characters outside the grammar are rejected.
+    Errors carry the byte offset of the problem; the empty string,
+    characters outside the grammar and parentheses nested more than
+    MAX_NESTING deep are rejected.
     """
     return _parse(text, _LOWER_NAME)
 
@@ -260,6 +280,7 @@ class _Parser:
         self.text = text
         self.tokens = tokens
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, object, int] | None:
         if self.index < len(self.tokens):
@@ -303,8 +324,14 @@ class _Parser:
             self.index += 1
             return Expression.from_terms([(((str(value), 1),), 1)])
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ExpressionSyntaxError(
+                    f"parentheses nested more than {MAX_NESTING} deep", pos
+                )
             self.index += 1
+            self.depth += 1
             inner = self.parse_expression()
+            self.depth -= 1
             closing = self.peek()
             if closing is None or closing[0] != ")":
                 raise ExpressionSyntaxError(

@@ -248,12 +248,16 @@ def klm_time(
     model: KlmModel | None = None,
     binding: Binding | None = None,
 ) -> float:
-    """Execution time in seconds: operator counts times unit times."""
+    """Execution time in seconds: operator counts times unit times.
+
+    A time that overflows to infinity raises DomainError."""
     model = model or KlmModel()
     binding = binding if binding is not None else {}
     seconds = 0.0
     for operator, count in expression.per_operator.items():
         seconds += evaluate(count, binding) * model.unit_time(operator)
+    if not math.isfinite(seconds):
+        raise DomainError(f"execution time must be finite, got {seconds}")
     return seconds
 
 
@@ -263,4 +267,7 @@ def klm_speed(is_count: int, seconds: float) -> float:
         raise DomainError(f"IS count cannot be negative, got {is_count}")
     if seconds <= 0:
         raise DomainError(f"execution time must be positive, got {seconds}")
-    return is_count / seconds
+    speed = is_count / seconds
+    if not math.isfinite(speed):
+        raise DomainError(f"interaction speed must be finite, got {speed}")
+    return speed

@@ -92,15 +92,24 @@ def get_speed_model(name: str) -> SpeedModel:
 @dataclass(frozen=True)
 class TimeEstimate:
     """Expected/fastest/slowest seconds; the range is None for mean-only
-    models rather than a fabricated value."""
+    models rather than a fabricated value.  Every time present is finite."""
 
     expected: float
     fastest: float | None
     slowest: float | None
 
+    def __post_init__(self):
+        for name in ("expected", "fastest", "slowest"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} time must be finite, got {value}")
+
 
 def estimate_time(is_count: int, model: SpeedModel) -> TimeEstimate:
-    """Translate an IS count into seconds by dividing by model speeds."""
+    """Translate an IS count into seconds by dividing by model speeds.
+
+    A time that overflows to infinity, as with a subnormal speed, raises
+    DomainError."""
     if is_count < 0:
         raise DomainError(f"IS count cannot be negative, got {is_count}")
     if is_count == 0:

@@ -14,7 +14,9 @@ are drawn from a normal distribution (PCG64-seeded, via numpy's Generator,
 so a seed pins the byte-exact output) and durations follow as IS divided by
 speed.  All speeds come from one draw of shape (sessions, nonzero steps);
 its row-major order is the stream that one draw per step, session by
-session, would consume.
+session, would consume.  generate_log is the package's only numpy user and
+imports it itself, so importing the package or running any other command
+does not load numpy.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Mapping
-
-import numpy as np
 
 from .concept import ActionKind, InteractionConcept, UserStep
 from .errors import DomainError, InvalidBindingError, NegativeCountError, UnboundVariableError
@@ -195,6 +195,8 @@ def generate_log(config: SynthConfig) -> EventLog:
     are generated sequentially for reproducibility: a fixed seed yields a
     byte-identical log.
     """
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(config.seed))
     step_counts = [
         (step.label, _step_is(step, config.binding)) for step in config.concept.steps

@@ -126,6 +126,13 @@ class TestKlm:
         assert code == 1
         assert "Scroll" in err
 
+    def test_huge_finite_time_renders(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"M": 1e30}))
+        code, out, _ = run(capsys, "klm", "--formula", "M", "--model", str(model))
+        assert code == 0
+        assert out == "1" + "0" * 30 + ".00 sec\n"
+
     def test_model_override(self, capsys, tmp_path):
         model = tmp_path / "model.json"
         model.write_text(json.dumps({"M": 3.0, "C_click": 1.0}))
@@ -397,6 +404,38 @@ class TestNoTraceback:
         log.write_text("[" * 100_000)
         err = self.run_failing(capsys, "logs", str(log))
         assert "not valid JSON" in err
+
+    def test_klm_time_overflowing_to_infinity(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"M": 1e308}))
+        err = self.run_failing(
+            capsys, "klm", "--formula", "(m+2)*M", "--set", "m=100", "--model", str(model)
+        )
+        assert err == "error: execution time must be finite, got inf\n"
+
+    def test_klm_speed_overflowing_to_infinity(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"K": 5e-324}))
+        err = self.run_failing(
+            capsys, "klm", "--formula", "K", "--model", str(model), "--is", "171"
+        )
+        assert err == "error: interaction speed must be finite, got inf\n"
+
+    def test_estimate_overflowing_to_infinity(self, capsys):
+        err = self.run_failing(capsys, "estimate", V2, *V2_SET, "--speed-mean", "1e-320")
+        assert err == "error: expected time must be finite, got inf\n"
+
+    def test_formula_nested_too_deeply(self, capsys):
+        nested = "(" * 5000 + "a" + ")" * 5000
+        err = self.run_failing(capsys, "analyze", V2, "--formula", nested)
+        assert err == "error: parentheses nested more than 100 deep (offset 100)\n"
+
+    def test_concept_nested_too_deeply(self, capsys, tmp_path):
+        concept = tmp_path / "deep.concept"
+        nested = "(" * 5000 + "a" + ")" * 5000
+        concept.write_text(f'concept "x"\nvar a\nstep "s" repeat {nested} {{ C: 1 }}\n')
+        err = self.run_failing(capsys, "analyze", str(concept))
+        assert err.startswith("error: line 3, column 117: parentheses nested more than 100 deep")
 
 
 class TestIntegerFlags:

@@ -14,7 +14,7 @@ from ixcomplex.concept import (
     validate,
 )
 from ixcomplex.errors import ConceptSyntaxError, IxComplexError
-from ixcomplex.expr import ONE, parse_expr
+from ixcomplex.expr import MAX_NESTING, ONE, parse_expr
 
 from helpers import concepts
 
@@ -84,6 +84,18 @@ class TestParse:
         with pytest.raises(ConceptSyntaxError) as exc:
             parse_concept('concept "x"\nvar m\nstep "s" { T: m + }')
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize(
+        "step_head, step_tail",
+        [('step "s" repeat ', " { C: 1 }"), ('step "s" { C: ', " }")],
+    )
+    def test_nesting_past_the_limit(self, step_head, step_tail):
+        nested = "(" * 5000 + "a" + ")" * 5000
+        with pytest.raises(ConceptSyntaxError) as exc:
+            parse_concept(f'concept "x"\nvar a\n{step_head}{nested}{step_tail}')
+        assert exc.value.line == 3
+        assert exc.value.column == len(step_head) + MAX_NESTING + 1
+        assert f"nested more than {MAX_NESTING} deep" in str(exc.value)
 
     def test_comment_only_lines_ignored(self):
         concept = parse_concept('# header\nconcept "x"\n   # another\n')

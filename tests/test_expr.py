@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ixcomplex.errors import (
+    DomainError,
     ExpressionSyntaxError,
     InvalidBindingError,
     NegativeCountError,
@@ -13,11 +14,14 @@ from ixcomplex.errors import (
     UnboundVariableError,
 )
 from ixcomplex.expr import (
+    MAX_NESTING,
     Expression,
     ZERO,
+    binding_from_dict,
     evaluate,
     format_expr,
     parse_expr,
+    parse_operator_expr,
     total_degree,
 )
 
@@ -80,6 +84,38 @@ class TestParse:
     def test_huge_literal_overflows(self):
         with pytest.raises(OverflowLimitError):
             parse_expr("9223372036854775808")
+
+    def test_nesting_at_the_limit_parses(self):
+        assert parse_expr("(" * MAX_NESTING + "a" + ")" * MAX_NESTING) == parse_expr("a")
+
+    @pytest.mark.parametrize("parse", [parse_expr, parse_operator_expr])
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 5000])
+    def test_nesting_past_the_limit_is_a_syntax_error(self, parse, depth):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse("(" * depth + "a" + ")" * depth)
+        assert exc.value.offset == MAX_NESTING
+        assert f"nested more than {MAX_NESTING} deep" in str(exc.value)
+
+
+class TestBindingFromDict:
+    def test_valid(self):
+        assert binding_from_dict({"m": 6, "a_1": 0}) == {"m": 6, "a_1": 0}
+
+    def test_non_object(self):
+        with pytest.raises(DomainError, match="^bindings file must hold a JSON object$"):
+            binding_from_dict([["m", 6]])
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"m": True}, {"m": -1}, {"m": 1.5}, {"m": "6"}, {"m": None}, {"M": 6}, {"1a": 6}, {"": 6}],
+    )
+    def test_malformed_entry(self, entry):
+        (name,) = entry
+        with pytest.raises(DomainError) as exc:
+            binding_from_dict(entry)
+        assert str(exc.value) == (
+            f"bindings file entry {name!r} must map a variable to a nonnegative integer"
+        )
 
 
 class TestCombine:

@@ -218,6 +218,15 @@ class TestTime:
         assert round(klm_speed(46, 29.57), 2) == 1.56
         assert klm_speed(0, 10.0) == 0.0
 
+    def test_time_overflowing_to_infinity(self):
+        model = KlmModel(point=1e308)
+        with pytest.raises(DomainError, match="execution time must be finite, got inf"):
+            klm_time(klm_parse("(m + 2)*M"), model, {"m": 100})
+
+    def test_speed_overflowing_to_infinity(self):
+        with pytest.raises(DomainError, match="interaction speed must be finite, got inf"):
+            klm_speed(171, 5e-324)
+
     def test_speed_needs_positive_time(self):
         with pytest.raises(DomainError):
             klm_speed(10, 0.0)

@@ -7,6 +7,7 @@ from ixcomplex.rounding import format_fixed, round_half_up
 from ixcomplex.speed import (
     BUILTIN_SPEED_MODELS,
     SpeedModel,
+    TimeEstimate,
     aggregate_speed,
     estimate_time,
     get_speed_model,
@@ -101,6 +102,16 @@ class TestEstimateTime:
         with pytest.raises(DomainError):
             estimate_time(-1, get_speed_model("overall"))
 
+    def test_time_overflowing_to_infinity(self):
+        with pytest.raises(DomainError, match="expected time must be finite, got inf"):
+            estimate_time(45, SpeedModel("custom", 1e-320))
+        with pytest.raises(DomainError, match="slowest time must be finite, got inf"):
+            estimate_time(45, SpeedModel("custom", 1.0, 1e-320, 2.0))
+
+    def test_estimate_holds_finite_times(self):
+        with pytest.raises(DomainError, match="fastest time must be finite, got nan"):
+            TimeEstimate(1.0, float("nan"), None)
+
     @given(st.integers(0, 10_000))
     def test_identity_with_mean(self, is_count):
         for model in BUILTIN_SPEED_MODELS.values():
@@ -180,3 +191,9 @@ class TestRounding:
         assert round_half_up(1.5556) == 1.56
         assert format_fixed(0.005) == "0.01"
         assert format_fixed(2.0) == "2.00"
+
+    def test_every_finite_float_renders(self):
+        assert format_fixed(1e30) == "1" + "0" * 30 + ".00"
+        assert format_fixed(4.5e26) == "45" + "0" * 25 + ".00"
+        assert format_fixed(1.7976931348623157e308) == "17976931348623157" + "0" * 292 + ".00"
+        assert round_half_up(1e300) == 1e300
