@@ -67,7 +67,7 @@ from .synth import SynthConfig, count_actions, generate_log
 
 def _binding_pair(text: str) -> tuple[str, int]:
     name, sep, value = text.partition("=")
-    if not sep or not name or not value.isdigit():
+    if not sep or not name or not (value.isascii() and value.isdigit()):
         raise argparse.ArgumentTypeError(
             f"expected <name>=<nonnegative integer>, got {text!r}"
         )

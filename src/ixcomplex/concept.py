@@ -30,7 +30,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Collection, Mapping
 
-from .errors import ConceptSyntaxError, DomainError
+from .errors import ConceptSyntaxError, DomainError, ExpressionSyntaxError, OverflowLimitError
 from .expr import ONE, Expression, format_expr, is_variable_name, parse_expr
 
 
@@ -333,11 +333,11 @@ def _parse_step_line(code: str, comment: str | None, number: int) -> UserStep:
 
 
 def _parse_embedded(text: str, base: int, number: int) -> Expression:
-    from .errors import ExpressionSyntaxError
-
     try:
         return parse_expr(text)
-    except ExpressionSyntaxError as exc:
+    except (ExpressionSyntaxError, OverflowLimitError) as exc:
+        if exc.offset is None:  # an overflow in arithmetic, not in the text
+            raise
         raise ConceptSyntaxError(str(exc), number, base + exc.offset + 1) from None
 
 

@@ -20,7 +20,17 @@ class ExpressionSyntaxError(IxComplexError):
 
 
 class OverflowLimitError(IxComplexError):
-    """A coefficient or evaluated value left the signed 64-bit range."""
+    """A coefficient or evaluated value left the signed 64-bit range; an
+    out-of-range integer literal also carries its offset in the text."""
+
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message if offset is None else f"{message} (offset {offset})")
+        self.offset = offset
+
+
+class TermLimitError(IxComplexError):
+    """A product of expressions would form more monomial products than
+    expr.MAX_TERMS allows."""
 
 
 class UnboundVariableError(IxComplexError):

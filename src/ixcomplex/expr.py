@@ -18,13 +18,23 @@ Expression text grammar (used inside concept files and on the command line):
     term   := factor {"*" factor}
     factor := INT | IDENT | "(" expr ")"
 
-IDENT matches [a-z][a-z0-9_]*.  There is no division and no exponent
+IDENT matches [a-z][a-z0-9_]*.  INT is ASCII digits only; whitespace is
+whatever str.isspace accepts.  There is no division and no exponent
 syntax; powers arise only through repeated multiplication, and formatted
 output renders them the same way ("a*a").  The optional leading "-" exists
 so that the formatted form of any polynomial parses back to it.
 
+Each term's sort key, (-total degree, expanded variable sequence), is
+computed once, when its monomial first enters a canonical expression, and
+travels with it: sums merge two sorted term tuples in one pass, scaling
+keeps the order, and a general product collects into a dict and sorts once.
+
 Coefficients and evaluated values must stay inside the signed 64-bit range;
-leaving it raises OverflowLimitError rather than silently continuing.
+leaving it raises OverflowLimitError rather than silently continuing.  An
+integer literal of more than 19 significant digits is rejected unread, and
+an out-of-range literal carries its offset.  A product whose operands have
+n and m terms raises TermLimitError when n*m exceeds MAX_TERMS, before
+forming any of them, so a short text cannot expand without bound.
 Parentheses nest at most MAX_NESTING deep, so the recursive-descent parser
 stays well inside the interpreter's recursion limit.
 """
@@ -41,6 +51,7 @@ from .errors import (
     InvalidBindingError,
     NegativeCountError,
     OverflowLimitError,
+    TermLimitError,
     UnboundVariableError,
 )
 
@@ -50,10 +61,16 @@ Binding = Mapping[str, int]
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 MAX_NESTING = 100
+MAX_TERMS = 10_000
 
 _VARIABLE_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-_LOWER_NAME = re.compile(r"[a-z][a-z0-9_]*")
-_MIXED_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# After optional whitespace (\s is exactly str.isspace): an ASCII integer,
+# a name, an operator, any other character, or the end of the text.
+_TOKEN = r"\s*(?:([0-9]+)|({name})|([-+*()])|(.)|\Z)"
+_LOWER_TOKEN = re.compile(_TOKEN.format(name="[a-z][a-z0-9_]*"))
+_MIXED_TOKEN = re.compile(_TOKEN.format(name="[A-Za-z][A-Za-z0-9_]*"))
+# INT64_MAX has 19 digits, so a longer literal is out of range unread.
+_MAX_DIGITS = len(str(INT64_MAX))
 
 
 def is_variable_name(name: str) -> bool:
@@ -75,9 +92,9 @@ def binding_from_dict(data: object) -> dict[str, int]:
     return dict(data)
 
 
-def _check_range(value: int, what: str) -> int:
+def _check_range(value: int, what: str, offset: int | None = None) -> int:
     if value < INT64_MIN or value > INT64_MAX:
-        raise OverflowLimitError(f"{what} {value} is outside the signed 64-bit range")
+        raise OverflowLimitError(f"{what} {value} is outside the signed 64-bit range", offset)
     return value
 
 
@@ -97,21 +114,25 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 @dataclass(frozen=True)
 class Expression:
-    """Canonical integer polynomial over named variables."""
+    """Canonical integer polynomial over named variables.  The sort keys of
+    the terms (_keys) are not a field: ==, hash and repr see terms alone."""
 
     terms: tuple[tuple[Monomial, int], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_keys", tuple(_mono_key(mono) for mono, _ in self.terms))
 
     @staticmethod
     def from_terms(raw: Iterable[tuple[Monomial, int]]) -> "Expression":
         merged: dict[Monomial, int] = {}
         for mono, coeff in raw:
             merged[mono] = merged.get(mono, 0) + coeff
-        terms = tuple(
-            (mono, _check_range(coeff, "coefficient"))
-            for mono, coeff in sorted(merged.items(), key=lambda item: _mono_key(item[0]))
-            if coeff != 0
+        keys = {mono: _mono_key(mono) for mono, coeff in merged.items() if coeff != 0}
+        order = sorted(keys, key=keys.__getitem__)
+        return _canonical(
+            tuple((mono, _check_range(merged[mono], "coefficient")) for mono in order),
+            tuple(keys[mono] for mono in order),
         )
-        return Expression(terms)
 
     @staticmethod
     def zero() -> "Expression":
@@ -119,13 +140,13 @@ class Expression:
 
     @staticmethod
     def constant(value: int) -> "Expression":
-        return Expression.from_terms((((), value),))
+        return _constant(_check_range(value, "coefficient"))
 
     @staticmethod
     def variable(name: str) -> "Expression":
         if not is_variable_name(name):
             raise ValueError(f"invalid variable name {name!r}")
-        return Expression.from_terms([(((name, 1),), 1)])
+        return _variable(name)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -134,24 +155,116 @@ class Expression:
         return frozenset(name for mono, _ in self.terms for name, _ in mono)
 
     def __add__(self, other: "Expression") -> "Expression":
-        return Expression.from_terms(self.terms + other.terms)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        return _merge(self, other, negate=False)
 
     def __sub__(self, other: "Expression") -> "Expression":
-        negated = tuple((mono, -coeff) for mono, coeff in other.terms)
-        return Expression.from_terms(self.terms + negated)
+        if not other.terms:
+            return self
+        return _merge(self, other, negate=True)
 
     def __neg__(self) -> "Expression":
-        return Expression.from_terms((mono, -coeff) for mono, coeff in self.terms)
+        return _scale(self, -1)
 
     def __mul__(self, other: "Expression") -> "Expression":
-        products = []
-        for mono_a, coeff_a in self.terms:
-            for mono_b, coeff_b in other.terms:
-                products.append((_mono_mul(mono_a, mono_b), coeff_a * coeff_b))
-        return Expression.from_terms(products)
+        a, b = self.terms, other.terms
+        if len(a) * len(b) > MAX_TERMS:
+            raise TermLimitError(
+                f"a product of {len(a)} by {len(b)} terms would form more than "
+                f"{MAX_TERMS} monomial products"
+            )
+        if not a or not b:
+            return ZERO
+        if len(a) == 1 and not a[0][0]:
+            return _scale(other, a[0][1])
+        if len(b) == 1 and not b[0][0]:
+            return _scale(self, b[0][1])
+        # Keys double as dict keys: the expanded sequence of a product is
+        # the sorted concatenation of its factors' sequences.
+        coeffs: dict[tuple[int, tuple[str, ...]], int] = {}
+        monos: dict[tuple[int, tuple[str, ...]], Monomial] = {}
+        for (mono_a, coeff_a), (degree_a, expanded_a) in zip(a, self._keys):
+            for (mono_b, coeff_b), (degree_b, expanded_b) in zip(b, other._keys):
+                key = (degree_a + degree_b, tuple(sorted(expanded_a + expanded_b)))
+                if key in coeffs:
+                    coeffs[key] += coeff_a * coeff_b
+                else:
+                    coeffs[key] = coeff_a * coeff_b
+                    monos[key] = _mono_mul(mono_a, mono_b)
+        order = sorted(key for key, coeff in coeffs.items() if coeff != 0)
+        return _canonical(
+            tuple((monos[key], _check_range(coeffs[key], "coefficient")) for key in order),
+            tuple(order),
+        )
 
     def __str__(self) -> str:
         return format_expr(self)
+
+
+def _canonical(terms, keys) -> Expression:
+    """An Expression from terms already canonical and their sort keys."""
+    expression = object.__new__(Expression)
+    object.__setattr__(expression, "terms", terms)
+    object.__setattr__(expression, "_keys", keys)
+    return expression
+
+
+def _constant(value: int) -> Expression:
+    return _canonical((((), value),), ((0, ()),)) if value else ZERO
+
+
+def _variable(name: str) -> Expression:
+    return _canonical(((((name, 1),), 1),), ((-1, (name,)),))
+
+
+def _scale(expression: Expression, factor: int) -> Expression:
+    """A nonzero factor times a canonical expression: same order and keys."""
+    if factor == 1:
+        return expression
+    terms = tuple(
+        (mono, _check_range(coeff * factor, "coefficient")) for mono, coeff in expression.terms
+    )
+    return _canonical(terms, expression._keys)
+
+
+def _merge(a: Expression, b: Expression, negate: bool) -> Expression:
+    """a + b, or a - b, in one pass over the two sorted term tuples.
+
+    Only a sum of two coefficients, or a negated one, can leave the range;
+    a - b checks every coefficient afterwards, in order, as from_terms does.
+    """
+    a_terms, a_keys, b_keys = a.terms, a._keys, b._keys
+    b_terms = tuple((mono, -coeff) for mono, coeff in b.terms) if negate else b.terms
+    terms: list[tuple[Monomial, int]] = []
+    keys: list[tuple[int, tuple[str, ...]]] = []
+    i = j = 0
+    while i < len(a_terms) and j < len(b_terms):
+        key_a, key_b = a_keys[i], b_keys[j]
+        if key_a < key_b:
+            terms.append(a_terms[i])
+            keys.append(key_a)
+            i += 1
+        elif key_b < key_a:
+            terms.append(b_terms[j])
+            keys.append(key_b)
+            j += 1
+        else:
+            coeff = a_terms[i][1] + b_terms[j][1]
+            if coeff != 0:
+                if not negate:
+                    _check_range(coeff, "coefficient")
+                terms.append((a_terms[i][0], coeff))
+                keys.append(key_a)
+            i += 1
+            j += 1
+    result = tuple(terms) + a_terms[i:] + b_terms[j:]
+    if negate:
+        for _, coeff in result:
+            _check_range(coeff, "coefficient")
+    return _canonical(result, tuple(keys) + a_keys[i:] + b_keys[j:])
 
 
 ZERO = Expression()
@@ -221,7 +334,7 @@ def parse_expr(text: str) -> Expression:
     characters outside the grammar and parentheses nested more than
     MAX_NESTING deep are rejected.
     """
-    return _parse(text, _LOWER_NAME)
+    return _parse(text, _LOWER_TOKEN)
 
 
 def parse_operator_expr(text: str) -> Expression:
@@ -230,11 +343,11 @@ def parse_operator_expr(text: str) -> Expression:
     Used by the KLM front-end, where uppercase-initial names denote time
     operators rather than concept variables.
     """
-    return _parse(text, _MIXED_NAME)
+    return _parse(text, _MIXED_TOKEN)
 
 
-def _parse(text: str, name_pattern: re.Pattern[str]) -> Expression:
-    tokens = _tokenize(text, name_pattern)
+def _parse(text: str, token_pattern: re.Pattern[str]) -> Expression:
+    tokens = _tokenize(text, token_pattern)
     if not tokens:
         raise ExpressionSyntaxError("empty expression", 0)
     parser = _Parser(text, tokens)
@@ -246,33 +359,30 @@ def _parse(text: str, name_pattern: re.Pattern[str]) -> Expression:
 
 
 def _tokenize(
-    text: str, name_pattern: re.Pattern[str]
+    text: str, token_pattern: re.Pattern[str]
 ) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
     pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch.isdigit():
-            end = pos
-            while end < len(text) and text[end].isdigit():
-                end += 1
-            tokens.append(("int", _check_range(int(text[pos:end]), "integer literal"), pos))
-            pos = end
-            continue
-        match = name_pattern.match(text, pos)
-        if match:
-            tokens.append(("name", match.group(), pos))
-            pos = match.end()
-            continue
-        if ch in "+-*()":
-            tokens.append((ch, ch, pos))
-            pos += 1
-            continue
-        raise ExpressionSyntaxError(f"unknown character {ch!r}", pos)
-    return tokens
+    while True:
+        match = token_pattern.match(text, pos)
+        pos = match.end()
+        group = match.lastindex
+        if group is None:
+            return tokens
+        start, lexeme = match.start(group), match.group(group)
+        if group == 1:
+            digits = lexeme.lstrip("0") or "0"
+            if len(digits) > _MAX_DIGITS:
+                raise OverflowLimitError(
+                    f"integer literal {digits[:_MAX_DIGITS]}... ({len(digits)} digits) "
+                    "is outside the signed 64-bit range",
+                    start,
+                )
+            tokens.append(("int", _check_range(int(digits), "integer literal", start), start))
+        elif group == 4:
+            raise ExpressionSyntaxError(f"unknown character {lexeme!r}", start)
+        else:
+            tokens.append(("name" if group == 2 else lexeme, lexeme, start))
 
 
 class _Parser:
@@ -319,10 +429,10 @@ class _Parser:
         kind, value, pos = token
         if kind == "int":
             self.index += 1
-            return Expression.constant(value)  # type: ignore[arg-type]
+            return _constant(value)  # type: ignore[arg-type]
         if kind == "name":
             self.index += 1
-            return Expression.from_terms([(((str(value), 1),), 1)])
+            return _variable(value)  # type: ignore[arg-type]
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ExpressionSyntaxError(

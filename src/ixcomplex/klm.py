@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .bigi import step_function
+from .bigi import ActionVector, step_function, sum_steps
 from .concept import ActionKind, InteractionConcept, UserStep
 from .errors import (
     DomainError,
@@ -194,24 +194,32 @@ class KlmExpression:
 
 def klm_step(step: UserStep, mapping: ActionMapping = DEFAULT_MAPPING) -> KlmExpression:
     """Operator counts of one step under a mapping."""
-    for kind in step.actions:
-        if not mapping.per_kind.get(kind):
-            raise UnmappedActionError(kind.word, step.label)
-    per_operator: dict[KlmOperator, Expression] = {}
-    for kind, count in step_function(step).per_kind.items():
-        for operator in mapping.per_kind[kind]:
-            per_operator[operator] = per_operator.get(operator, ZERO) + count
-    return KlmExpression(per_operator)
+    _check_mapped(step, mapping)
+    return _operator_counts(step_function(step), mapping)
 
 
 def klm_from_concept(
     concept: InteractionConcept, mapping: ActionMapping = DEFAULT_MAPPING
 ) -> KlmExpression:
-    total: dict[KlmOperator, Expression] = {}
+    """Operator counts of a whole concept: the steps' summed action vector,
+    mapped once."""
     for step in concept.steps:
-        for operator, count in klm_step(step, mapping).per_operator.items():
-            total[operator] = total.get(operator, ZERO) + count
-    return KlmExpression(total)
+        _check_mapped(step, mapping)
+    return _operator_counts(sum_steps(concept), mapping)
+
+
+def _check_mapped(step: UserStep, mapping: ActionMapping) -> None:
+    for kind in step.actions:
+        if not mapping.per_kind.get(kind):
+            raise UnmappedActionError(kind.word, step.label)
+
+
+def _operator_counts(vector: ActionVector, mapping: ActionMapping) -> KlmExpression:
+    per_operator: dict[KlmOperator, Expression] = {}
+    for kind, count in vector.per_kind.items():
+        for operator in mapping.per_kind[kind]:
+            per_operator[operator] = per_operator.get(operator, ZERO) + count
+    return KlmExpression(per_operator)
 
 
 def klm_parse(text: str) -> KlmExpression:

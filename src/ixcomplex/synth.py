@@ -26,11 +26,19 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .concept import ActionKind, InteractionConcept, UserStep
-from .errors import DomainError, InvalidBindingError, NegativeCountError, UnboundVariableError
+from .errors import (
+    DomainError,
+    InvalidBindingError,
+    NegativeCountError,
+    OverflowLimitError,
+    UnboundVariableError,
+)
 from .expr import format_expr
 from .logs import EventLog, PageVisit, Session, StepRecord, Task, gc_paused
 
 _MIN_SPEED = 0.01
+# The oracle's own copy of the signed 64-bit limit; counts are nonnegative.
+_COUNT_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -46,14 +54,24 @@ class ActionCounts:
 
 
 def count_actions(concept: InteractionConcept, binding: Mapping[str, int]) -> ActionCounts:
-    """Count actions step by step: repeat times per-execution count, added up."""
+    """Count actions step by step: repeat times per-execution count, added up.
+
+    Each product and the total must fit in a signed 64-bit integer, the
+    engine's contract; beyond it OverflowLimitError is raised.
+    """
     totals = {kind: 0 for kind in ActionKind}
     for step in concept.steps:
         repeat = _leaf_value(step.repeat, binding)
         for kind, expr in step.actions.items():
-            totals[kind] += repeat * _leaf_value(expr, binding)
+            totals[kind] += _in_range(repeat * _leaf_value(expr, binding), "step count")
     per_kind = {kind: count for kind, count in totals.items() if count}
-    return ActionCounts(per_kind, sum(totals.values()))
+    return ActionCounts(per_kind, _in_range(sum(totals.values()), "total count"))
+
+
+def _in_range(count: int, what: str) -> int:
+    if count > _COUNT_MAX:
+        raise OverflowLimitError(f"{what} {count} is outside the signed 64-bit range")
+    return count
 
 
 def _leaf_value(expr, binding: Mapping[str, int]) -> int:

@@ -437,6 +437,55 @@ class TestNoTraceback:
         err = self.run_failing(capsys, "analyze", str(concept))
         assert err.startswith("error: line 3, column 117: parentheses nested more than 100 deep")
 
+    def test_formula_with_a_superscript_digit(self, capsys):
+        err = self.run_failing(capsys, "analyze", V2, "--formula", "a²")
+        assert err == "error: unknown character '²' (offset 1)\n"
+
+    def test_concept_with_a_superscript_digit(self, capsys, tmp_path):
+        concept = tmp_path / "sup.concept"
+        concept.write_text('concept "x"\nvar a\nstep "s" { T: a*² }\n', encoding="utf-8")
+        err = self.run_failing(capsys, "analyze", str(concept))
+        assert err == "error: line 3, column 17: unknown character '²' (offset 3)\n"
+
+    def test_formula_literal_of_5000_digits(self, capsys):
+        err = self.run_failing(capsys, "analyze", V2, "--formula", "1" * 5000)
+        assert err == (
+            "error: integer literal 1111111111111111111... (5000 digits) "
+            "is outside the signed 64-bit range (offset 0)\n"
+        )
+
+    def test_concept_literal_out_of_range(self, capsys, tmp_path):
+        concept = tmp_path / "big.concept"
+        concept.write_text('concept "x"\nstep "s" { C: 2 + 9223372036854775808 }\n')
+        err = self.run_failing(capsys, "analyze", str(concept))
+        assert err == (
+            "error: line 2, column 19: integer literal 9223372036854775808 "
+            "is outside the signed 64-bit range (offset 5)\n"
+        )
+
+    def test_formula_past_the_term_bound(self, capsys):
+        tenfold = "*".join(["(a+b+c+d+e+f+g+h)"] * 10)
+        err = self.run_failing(capsys, "analyze", V2, "--formula", tenfold)
+        assert err.startswith("error: a product of ")
+
+    def test_concept_past_the_term_bound(self, capsys, tmp_path):
+        concept = tmp_path / "wide.concept"
+        tenfold = "*".join(["(a+b+c+d+e+f+g+h)"] * 10)
+        concept.write_text(
+            'concept "x"\n' + "".join(f"var {v}\n" for v in "abcdefgh")
+            + f'step "s" {{ T: {tenfold} }}\n'
+        )
+        err = self.run_failing(capsys, "analyze", str(concept))
+        assert err.startswith("error: a product of ")
+
+    def test_oracle_count_past_the_64_bit_range(self, capsys, tmp_path):
+        concept = tmp_path / "square.concept"
+        concept.write_text('concept "x"\nvar a\nstep "s" { T: a*a }\n')
+        err = self.run_failing(capsys, "oracle", str(concept), "--set", f"a={2**40}")
+        assert err == (
+            "error: step count 1208925819614629174706176 is outside the signed 64-bit range\n"
+        )
+
 
 class TestIntegerFlags:
     def test_sessions_must_be_positive(self, capsys, tmp_path):
@@ -451,6 +500,11 @@ class TestIntegerFlags:
         code, _, err = run(capsys, "klm", "--formula", "1*T", "--is", "-1")
         assert code == 2
         assert "expected a nonnegative integer, got -1" in err
+
+    def test_binding_value_must_be_ascii_digits(self, capsys):
+        code, _, err = run(capsys, "oracle", V2, "--set", "a=²")
+        assert code == 2
+        assert "expected <name>=<nonnegative integer>, got 'a=²'" in err
 
     def test_is_must_be_an_integer(self, capsys):
         code, _, err = run(capsys, "klm", "--formula", "1*T", "--is", "many")

@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import math
+import sys
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,10 +14,16 @@ from ixcomplex.errors import (
     InvalidBindingError,
     NegativeCountError,
     OverflowLimitError,
+    TermLimitError,
     UnboundVariableError,
 )
 from ixcomplex.expr import (
+    _LOWER_TOKEN,
+    INT64_MAX,
+    INT64_MIN,
     MAX_NESTING,
+    MAX_TERMS,
+    ONE,
     Expression,
     ZERO,
     binding_from_dict,
@@ -25,7 +34,7 @@ from ixcomplex.expr import (
     total_degree,
 )
 
-from helpers import expressions, nonneg_expressions
+from helpers import expressions, monomials, nonneg_expressions
 
 
 def mono(*pairs):
@@ -95,6 +104,78 @@ class TestParse:
             parse("(" * depth + "a" + ")" * depth)
         assert exc.value.offset == MAX_NESTING
         assert f"nested more than {MAX_NESTING} deep" in str(exc.value)
+
+
+class TestTokens:
+    @pytest.mark.parametrize("text, offset", [("a²", 1), ("٣", 0), ("2*１", 2)])
+    def test_only_ascii_digits(self, text, offset):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expr(text)
+        assert exc.value.offset == offset
+        assert str(exc.value).startswith(f"unknown character {text[offset]!r}")
+
+    def test_leading_zeros_are_not_significant(self):
+        assert parse_expr("0" * 5000 + "9223372036854775807") == Expression.constant(INT64_MAX)
+
+    @pytest.mark.parametrize("digits", ["1" * 20, "1" * 5000, "9" * 4301])
+    def test_long_literal_overflows_unread(self, digits):
+        with pytest.raises(OverflowLimitError) as exc:
+            parse_expr(f"a + {digits}")
+        assert exc.value.offset == 4
+        assert str(exc.value) == (
+            f"integer literal {digits[:19]}... ({len(digits)} digits) "
+            "is outside the signed 64-bit range (offset 4)"
+        )
+
+    def test_literal_just_past_the_range_carries_its_offset(self):
+        with pytest.raises(OverflowLimitError) as exc:
+            parse_expr("2*9223372036854775808")
+        assert exc.value.offset == 2
+
+    def test_whitespace_is_exactly_str_isspace(self):
+        # Over every code point: c is skipped before the name in c + "a"
+        # exactly when str.isspace says c is whitespace.
+        skipped = set()
+        for c in map(chr, range(sys.maxunicode + 1)):
+            match = _LOWER_TOKEN.match(c + "a")
+            if match is not None and match.start(2) == 1:
+                skipped.add(c)
+        spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+        assert skipped == spaces
+        gap = "".join(sorted(spaces))
+        assert parse_expr(f"{gap}a{gap}+{gap}1{gap}") == parse_expr("a + 1")
+        with pytest.raises(ExpressionSyntaxError):
+            parse_expr("a\u200b")
+
+
+class TestTermBound:
+    @staticmethod
+    def sum_of(count):
+        return "(" + " + ".join(f"v{i}" for i in range(count)) + ")"
+
+    def test_product_at_the_bound(self):
+        side = math.isqrt(MAX_TERMS)
+        assert side * side == MAX_TERMS
+        assert len(parse_expr(f"{self.sum_of(side)}*{self.sum_of(side)}").terms) == (
+            side * (side + 1) // 2
+        )
+
+    def test_product_past_the_bound(self):
+        side = math.isqrt(MAX_TERMS)
+        with pytest.raises(TermLimitError) as exc:
+            parse_expr(f"{self.sum_of(side)}*{self.sum_of(side + 1)}")
+        assert str(exc.value) == (
+            f"a product of {side} by {side + 1} terms would form more than "
+            f"{MAX_TERMS} monomial products"
+        )
+
+    def test_tenfold_product_fails_fast(self):
+        # 179 characters that would expand to C(17, 10) = 19,448 terms.
+        text = "*".join(["(a+b+c+d+e+f+g+h)"] * 10)
+        started = time.perf_counter()
+        with pytest.raises(TermLimitError):
+            parse_expr(text)
+        assert time.perf_counter() - started < 0.5
 
 
 class TestBindingFromDict:
@@ -242,6 +323,89 @@ class TestProperties:
     @given(expressions())
     def test_sub_self_is_zero(self, a):
         assert a - a == ZERO
+
+
+_EXTREMES = (INT64_MIN, INT64_MIN + 1, -1, 1, INT64_MAX - 1, INT64_MAX)
+_WIDE_INTEGERS = st.one_of(st.integers(-9, 9), st.sampled_from(_EXTREMES))
+
+
+@st.composite
+def wide_expressions(draw):
+    """Expressions whose coefficients reach the ends of the 64-bit range."""
+    terms = draw(st.dictionaries(monomials(), _WIDE_INTEGERS, max_size=5))
+    return Expression.from_terms(terms.items())
+
+
+def _expanded_key(mono):
+    expanded = tuple(name for name, exp in mono for _ in range(exp))
+    return (-len(expanded), expanded)
+
+
+def _reference_terms(raw):
+    # The plain way: merge equal monomials, drop zeros, sort by a key
+    # recomputed from scratch.
+    merged = {}
+    for mono, coeff in raw:
+        merged[mono] = merged.get(mono, 0) + coeff
+    kept = [(mono, coeff) for mono, coeff in merged.items() if coeff != 0]
+    return tuple(sorted(kept, key=lambda term: _expanded_key(term[0])))
+
+
+def _product_mono(a, b):
+    powers = dict(a)
+    for name, exp in b:
+        powers[name] = powers.get(name, 0) + exp
+    return tuple(sorted(powers.items()))
+
+
+def _negated(e):
+    return [(mono, -coeff) for mono, coeff in e.terms]
+
+
+class TestFastPath:
+    @given(wide_expressions(), wide_expressions(), _WIDE_INTEGERS)
+    @example(parse_expr("-x"), Expression.from_terms([((("x", 1),), INT64_MIN)]), 1)
+    @example(ZERO, Expression.from_terms([((("x", 1),), INT64_MIN)]), -1)
+    def test_arithmetic_matches_reference(self, a, b, factor):
+        constant = Expression.constant(factor)
+        cases = [
+            (lambda: a + b, a.terms + b.terms),
+            (lambda: a - b, list(a.terms) + _negated(b)),
+            (lambda: -a, _negated(a)),
+            (
+                lambda: a * b,
+                [(_product_mono(ma, mb), ca * cb) for ma, ca in a.terms for mb, cb in b.terms],
+            ),
+            (lambda: constant * a, [(mono, factor * coeff) for mono, coeff in a.terms]),
+            (lambda: b * constant, [(mono, coeff * factor) for mono, coeff in b.terms]),
+        ]
+        for compute, raw in cases:
+            expected = _reference_terms(raw)
+            outside = [c for _, c in expected if not INT64_MIN <= c <= INT64_MAX]
+            if outside:
+                with pytest.raises(OverflowLimitError) as exc:
+                    compute()
+                assert str(exc.value) == (
+                    f"coefficient {outside[0]} is outside the signed 64-bit range"
+                )
+                continue
+            result = compute()
+            assert result.terms == expected
+            assert result._keys == tuple(_expanded_key(mono) for mono, _ in expected)
+
+    @given(expressions())
+    def test_parsed_keys_match_recomputed(self, e):
+        parsed = parse_expr(format_expr(e))
+        assert parsed._keys == tuple(_expanded_key(mono) for mono, _ in parsed.terms)
+
+    def test_keys_are_not_a_field(self):
+        e = parse_expr("a*b + 2")
+        assert [field.name for field in dataclasses.fields(Expression)] == ["terms"]
+        assert repr(e) == "Expression(terms=(((('a', 1), ('b', 1)), 1), ((), 2)))"
+        rebuilt = Expression(e.terms)
+        assert rebuilt == e and hash(rebuilt) == hash(e)
+        assert rebuilt._keys == e._keys == ((-2, ("a", "b")), (0, ()))
+        assert ONE._keys == ((0, ()),) and ZERO._keys == ()
 
 
 def _raw(e, binding):

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from ixcomplex.errors import (
     UnknownOperatorError,
     UnmappedActionError,
 )
-from ixcomplex.expr import parse_expr
+from ixcomplex.expr import ZERO, parse_expr
 from ixcomplex.klm import (
     DEFAULT_MAPPING,
     ActionMapping,
@@ -34,6 +35,18 @@ from helpers import (
     V1_PUBLISHED_KLM,
     V2_PUBLISHED_KLM,
     concepts,
+    random_concept,
+)
+
+# Every kind mapped; Scroll and External share operators with the others.
+FULL_MAPPING = mapping_from_dict(
+    {
+        "Think": ["Glance"],
+        "Enter": ["PointClick"],
+        "Click": ["PointClick"],
+        "Scroll": ["M", "C_click"],
+        "External": ["R", "PointClick"],
+    }
 )
 
 
@@ -135,6 +148,25 @@ class TestMappingFromConcept:
 
     def test_empty_concept(self):
         assert klm_from_concept(InteractionConcept("empty")) == KlmExpression({})
+
+    def test_first_unmapped_step_is_reported(self):
+        concept = parse_concept(
+            'concept "x"\nstep "read" { T: 1 }\n'
+            'step "skim" repeat 0 { X: 1; S: 2 }\nstep "scroll" { S: 1 }'
+        )
+        with pytest.raises(UnmappedActionError) as exc:
+            klm_from_concept(concept, DEFAULT_MAPPING)
+        assert (exc.value.kind_word, exc.value.step_label) == ("External", "skim")
+
+    def test_concept_is_the_sum_of_its_steps(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            concept = random_concept(rng)
+            total = {}
+            for step in concept.steps:
+                for operator, count in klm_step(step, FULL_MAPPING).per_operator.items():
+                    total[operator] = total.get(operator, ZERO) + count
+            assert klm_from_concept(concept, FULL_MAPPING) == KlmExpression(total)
 
     def test_mapping_from_dict(self):
         mapping = mapping_from_dict(

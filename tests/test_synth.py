@@ -3,18 +3,19 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ixcomplex.bigi import normalize, sum_steps
-from ixcomplex.concept import ActionKind, InteractionConcept
+from ixcomplex.bigi import analyze, normalize, sum_steps
+from ixcomplex.concept import ActionKind, InteractionConcept, UserStep
 from ixcomplex.errors import (
     DomainError,
     InvalidBindingError,
     NegativeCountError,
+    OverflowLimitError,
     UnboundVariableError,
 )
-from ixcomplex.expr import evaluate, format_expr
+from ixcomplex.expr import evaluate, format_expr, parse_expr
 from ixcomplex.logs import (
     EventLog,
     PageVisit,
@@ -84,6 +85,63 @@ class TestCountActions:
     def test_total_invariant_enforced(self):
         with pytest.raises(ValueError):
             ActionCounts({ActionKind.THINK: 2}, 3)
+
+
+# Nonnegative leaves and repeats: every expanded term is at most the total,
+# so the engine and the oracle both overflow exactly when the total does.
+_LEAVES = ("a", "b", "a*b", "a*a", "2*a + 1", "a*b*c", "3", "c + 1")
+_REPEATS = ("1", "0", "a", "b*c", "2*c")
+# Values around the roots of 2**63 for degrees 1 to 3, and small ones.
+_NEAR_LIMIT = st.one_of(
+    st.integers(0, 4),
+    st.integers(2**21 - 3, 2**21 + 3),
+    st.integers(3037000499 - 3, 3037000499 + 3),
+    st.integers(2**62 - 3, 2**62 + 3),
+    st.integers(2**63 - 3, 2**63 + 3),
+)
+
+
+@st.composite
+def _limit_cases(draw):
+    steps = []
+    for index in range(draw(st.integers(1, 3))):
+        kinds = draw(
+            st.lists(st.sampled_from(list(ActionKind)), min_size=1, max_size=2, unique=True)
+        )
+        actions = {kind: draw(st.sampled_from(_LEAVES)) for kind in kinds}
+        steps.append((f"s{index}", draw(st.sampled_from(_REPEATS)), actions))
+    binding = {name: draw(_NEAR_LIMIT) for name in "abc"}
+    return steps, binding
+
+
+class TestInt64Contract:
+    @given(_limit_cases())
+    @settings(max_examples=150)
+    @example(([("s", "1", {ActionKind.THINK: "a*a"})], {"a": 2**40}))
+    @example(([("s", "1", {ActionKind.THINK: "a"})], {"a": 2**63 - 1}))
+    @example(([("s", "1", {ActionKind.THINK: "a"})], {"a": 2**63}))
+    @example(([("s", "a", {ActionKind.THINK: "1", ActionKind.CLICK: "1"})], {"a": 2**62}))
+    def test_engine_and_oracle_share_the_limit(self, case):
+        steps, binding = case
+        concept = InteractionConcept(
+            "limit",
+            steps=tuple(
+                UserStep(label, {k: parse_expr(t) for k, t in actions.items()}, parse_expr(repeat))
+                for label, repeat, actions in steps
+            ),
+        )
+        exact = sum(
+            eval_source(repeat, binding) * sum(eval_source(t, binding) for t in actions.values())
+            for _, repeat, actions in steps
+        )
+        if exact > 2**63 - 1:
+            with pytest.raises(OverflowLimitError):
+                analyze(concept, binding)
+            with pytest.raises(OverflowLimitError):
+                count_actions(concept, binding)
+        else:
+            assert analyze(concept, binding).instantiated[1] == exact
+            assert count_actions(concept, binding).total == exact
 
 
 class TestEvalSource:
