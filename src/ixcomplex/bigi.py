@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from .concept import ActionKind, InteractionConcept, UserStep
 from .expr import (
@@ -33,38 +32,32 @@ def class_label(degree: int) -> str:
     return _CLASS_NAMES.get(degree, f"degree-{degree}")
 
 
+_KIND_SLOT = {kind: slot for slot, kind in enumerate(ActionKind)}
+
+
 @dataclass(frozen=True)
 class ActionVector:
-    """Count polynomials organized by action kind; zero kinds are dropped."""
+    """Count polynomials in fixed slots, one per ActionKind in its order, ZERO
+    in empty ones: + adds slot by slot, and per_kind views the nonzero slots.
+    ActionVector() is the zero vector."""
 
-    per_kind: Mapping[ActionKind, Expression]
+    counts: tuple[Expression, ...] = (ZERO,) * len(ActionKind)
 
-    def __post_init__(self):
-        cleaned = {
-            kind: self.per_kind[kind]
-            for kind in ActionKind
-            if kind in self.per_kind and not self.per_kind[kind].is_zero()
-        }
-        object.__setattr__(self, "per_kind", cleaned)
+    @property
+    def per_kind(self) -> dict[ActionKind, Expression]:
+        return {kind: count for kind, count in zip(ActionKind, self.counts) if count.terms}
 
     def get(self, kind: ActionKind) -> Expression:
-        return self.per_kind.get(kind, ZERO)
+        return self.counts[_KIND_SLOT[kind]]
 
     def total(self) -> Expression:
         result = ZERO
-        for expr in self.per_kind.values():
-            result = result + expr
+        for count in self.counts:
+            result = result + count
         return result
 
     def __add__(self, other: "ActionVector") -> "ActionVector":
-        merged = dict(self.per_kind)
-        for kind, expr in other.per_kind.items():
-            merged[kind] = merged.get(kind, ZERO) + expr
-        return ActionVector(merged)
-
-    @staticmethod
-    def zero() -> "ActionVector":
-        return ActionVector({})
+        return ActionVector(tuple(a + b for a, b in zip(self.counts, other.counts)))
 
 
 @dataclass(frozen=True)
@@ -100,13 +93,14 @@ class ComplexityReport(Assessment):
 
 def step_function(step: UserStep) -> ActionVector:
     """Per-kind count of one step: repeat times the per-execution count."""
-    return ActionVector(
-        {kind: step.repeat * expr for kind, expr in step.actions.items()}
-    )
+    counts = [ZERO] * len(ActionKind)
+    for kind, expr in step.actions.items():
+        counts[_KIND_SLOT[kind]] = step.repeat * expr
+    return ActionVector(tuple(counts))
 
 
 def sum_steps(concept: InteractionConcept) -> ActionVector:
-    return sum(map(step_function, concept.steps), ActionVector.zero())
+    return sum(map(step_function, concept.steps), ActionVector())
 
 
 def normalize(vector: ActionVector) -> NormalizedComplexity:
@@ -133,12 +127,12 @@ def simplify(normalized: NormalizedComplexity) -> SimplifiedComplexity:
         for mono, _ in function.terms
         if sum(exp for _, exp in mono) == degree
     ]
-    retained = Expression.from_terms(
-        (mono, coeff)
-        for mono, coeff in function.terms
-        if frozenset(name for name, _ in mono)
-        and any(
-            frozenset(name for name, _ in mono) <= dom for dom in dominant
+    retained = Expression(
+        tuple(
+            (mono, coeff)
+            for mono, coeff in function.terms
+            if frozenset(name for name, _ in mono)
+            and any(frozenset(name for name, _ in mono) <= dom for dom in dominant)
         )
     )
     return SimplifiedComplexity(retained, class_label(degree))
@@ -163,7 +157,7 @@ def analyze(
     concept: InteractionConcept, binding: Binding | None = None
 ) -> ComplexityReport:
     per_step = tuple((step.label, step_function(step)) for step in concept.steps)
-    summed = sum((vector for _, vector in per_step), ActionVector.zero())
+    summed = sum((vector for _, vector in per_step), ActionVector())
     view = assess(summed.total(), binding)
     return ComplexityReport(**vars(view), per_step=per_step, summed=summed)
 
@@ -221,8 +215,8 @@ def factored_text(expression: Expression) -> str:
     coeff_gcd = math.gcd(*(abs(coeff) for _, coeff in terms))
     if not common and coeff_gcd == 1:
         return format_expr(expression)
-    inner = Expression.from_terms(
-        (_mono_without(mono, common), coeff // coeff_gcd) for mono, coeff in terms
+    inner = Expression(
+        tuple((_mono_without(mono, common), coeff // coeff_gcd) for mono, coeff in terms)
     )
     prefix = ([] if coeff_gcd == 1 else [str(coeff_gcd)]) + [
         name for name, exp in sorted(common.items()) for _ in range(exp)

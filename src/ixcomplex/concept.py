@@ -50,17 +50,15 @@ class ActionKind(enum.Enum):
 
     @classmethod
     def from_letter(cls, letter: str) -> "ActionKind":
-        for kind in cls:
-            if kind.value == letter:
-                return kind
-        raise KeyError(letter)
+        return _KIND_BY_LETTER[letter]
 
     @classmethod
     def from_word(cls, word: str) -> "ActionKind":
-        for kind in cls:
-            if kind.word == word:
-                return kind
-        raise KeyError(word)
+        return _KIND_BY_WORD[word]
+
+
+_KIND_BY_LETTER = {kind.value: kind for kind in ActionKind}
+_KIND_BY_WORD = {kind.word: kind for kind in ActionKind}
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ A polynomial is a sorted tuple of (monomial, coefficient) pairs, where a
 monomial is a sorted tuple of (variable, exponent) pairs and the empty
 monomial is the constant term.  Canonical by construction: equal monomials
 merged, zero coefficients dropped, terms ordered by descending total degree
-and then lexicographic variable order.  Structural equality therefore
-coincides with mathematical equality, and the zero polynomial has no terms.
+and then lexicographic variable order.  Expression(terms) is the one
+constructor; it builds this form from terms in any order, repeated or zero.
+Structural equality therefore coincides with mathematical equality, and the
+zero polynomial has no terms.
 
 Expression text grammar (used inside concept files and on the command line):
 
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import (
     DomainError,
@@ -114,39 +116,21 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 @dataclass(frozen=True)
 class Expression:
-    """Canonical integer polynomial over named variables.  The sort keys of
+    """Canonical integer polynomial over named variables, built from terms
+    in any order, each merged coefficient range-checked.  The sort keys of
     the terms (_keys) are not a field: ==, hash and repr see terms alone."""
 
     terms: tuple[tuple[Monomial, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "_keys", tuple(_mono_key(mono) for mono, _ in self.terms))
-
-    @staticmethod
-    def from_terms(raw: Iterable[tuple[Monomial, int]]) -> "Expression":
         merged: dict[Monomial, int] = {}
-        for mono, coeff in raw:
+        for mono, coeff in self.terms:
             merged[mono] = merged.get(mono, 0) + coeff
         keys = {mono: _mono_key(mono) for mono, coeff in merged.items() if coeff != 0}
         order = sorted(keys, key=keys.__getitem__)
-        return _canonical(
-            tuple((mono, _check_range(merged[mono], "coefficient")) for mono in order),
-            tuple(keys[mono] for mono in order),
-        )
-
-    @staticmethod
-    def zero() -> "Expression":
-        return ZERO
-
-    @staticmethod
-    def constant(value: int) -> "Expression":
-        return _constant(_check_range(value, "coefficient"))
-
-    @staticmethod
-    def variable(name: str) -> "Expression":
-        if not is_variable_name(name):
-            raise ValueError(f"invalid variable name {name!r}")
-        return _variable(name)
+        terms = tuple((mono, _check_range(merged[mono], "coefficient")) for mono in order)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_keys", tuple(keys[mono] for mono in order))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -234,7 +218,8 @@ def _merge(a: Expression, b: Expression, negate: bool) -> Expression:
     """a + b, or a - b, in one pass over the two sorted term tuples.
 
     Only a sum of two coefficients, or a negated one, can leave the range;
-    a - b checks every coefficient afterwards, in order, as from_terms does.
+    a - b checks every coefficient afterwards, in order, as the constructor
+    does.
     """
     a_terms, a_keys, b_keys = a.terms, a._keys, b._keys
     b_terms = tuple((mono, -coeff) for mono, coeff in b.terms) if negate else b.terms

@@ -173,23 +173,26 @@ def mapping_from_dict(data: Mapping[str, Sequence[str]]) -> ActionMapping:
     return ActionMapping(per_kind)
 
 
+_OPERATOR_SLOT = {operator: slot for slot, operator in enumerate(KlmOperator)}
+
+
 @dataclass(frozen=True)
 class KlmExpression:
-    """Count polynomial per operator; zero counts are dropped."""
+    """Count polynomials in fixed slots, one per KlmOperator in its order, ZERO
+    in empty ones: + adds slot by slot, and per_operator views the nonzero
+    slots.  KlmExpression() is the zero vector."""
 
-    per_operator: Mapping[KlmOperator, Expression]
+    counts: tuple[Expression, ...] = (ZERO,) * len(KlmOperator)
 
-    def __post_init__(self):
-        cleaned = {
-            operator: self.per_operator[operator]
-            for operator in KlmOperator
-            if operator in self.per_operator
-            and not self.per_operator[operator].is_zero()
-        }
-        object.__setattr__(self, "per_operator", cleaned)
+    @property
+    def per_operator(self) -> dict[KlmOperator, Expression]:
+        return {op: count for op, count in zip(KlmOperator, self.counts) if count.terms}
 
     def get(self, operator: KlmOperator) -> Expression:
-        return self.per_operator.get(operator, ZERO)
+        return self.counts[_OPERATOR_SLOT[operator]]
+
+    def __add__(self, other: "KlmExpression") -> "KlmExpression":
+        return KlmExpression(tuple(a + b for a, b in zip(self.counts, other.counts)))
 
 
 def klm_step(step: UserStep, mapping: ActionMapping = DEFAULT_MAPPING) -> KlmExpression:
@@ -215,11 +218,12 @@ def _check_mapped(step: UserStep, mapping: ActionMapping) -> None:
 
 
 def _operator_counts(vector: ActionVector, mapping: ActionMapping) -> KlmExpression:
-    per_operator: dict[KlmOperator, Expression] = {}
+    counts = [ZERO] * len(KlmOperator)
     for kind, count in vector.per_kind.items():
         for operator in mapping.per_kind[kind]:
-            per_operator[operator] = per_operator.get(operator, ZERO) + count
-    return KlmExpression(per_operator)
+            slot = _OPERATOR_SLOT[operator]
+            counts[slot] = counts[slot] + count
+    return KlmExpression(tuple(counts))
 
 
 def klm_parse(text: str) -> KlmExpression:
@@ -229,13 +233,13 @@ def klm_parse(text: str) -> KlmExpression:
     variables.  Every term must be linear in exactly one operator.
     """
     mixed = parse_operator_expr(text)
-    collected: dict[KlmOperator, list] = {}
+    collected: list[list] = [[] for _ in KlmOperator]
     for mono, coeff in mixed.terms:
         operator_parts = [(name, exp) for name, exp in mono if name[0].isupper()]
         variable_parts = [(name, exp) for name, exp in mono if not name[0].isupper()]
         if not operator_parts:
             raise KlmFormulaError(
-                f"term without an operator: {format_expr(Expression.from_terms([(mono, coeff)]))!r}"
+                f"term without an operator: {format_expr(Expression(((mono, coeff),)))!r}"
             )
         if len(operator_parts) > 1 or operator_parts[0][1] != 1:
             raise KlmFormulaError("each term must be linear in exactly one operator")
@@ -245,10 +249,8 @@ def klm_parse(text: str) -> KlmExpression:
         for name, _ in variable_parts:
             if not is_variable_name(name):
                 raise KlmFormulaError(f"invalid variable name {name!r} in formula")
-        collected.setdefault(operator, []).append((tuple(variable_parts), coeff))
-    return KlmExpression(
-        {operator: Expression.from_terms(terms) for operator, terms in collected.items()}
-    )
+        collected[_OPERATOR_SLOT[operator]].append((tuple(variable_parts), coeff))
+    return KlmExpression(tuple(Expression(tuple(terms)) for terms in collected))
 
 
 def klm_time(

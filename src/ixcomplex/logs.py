@@ -7,7 +7,8 @@ end-to-end duration (last page exit minus first page enter, so gaps between
 pages count as task time).
 
 File format: JSON, UTF-8, top level {"sessions": [...]} with snake_case
-keys mirroring the model fields and integer millisecond timestamps.
+keys mirroring the model fields and integer millisecond timestamps.  Every
+integer (timestamp, IS count, binding value) lies in the signed 64-bit range.
 dump_log writes it compact: one line, keys sorted, no spaces, and a trailing
 newline, so identical logs (and so one synth seed) give identical bytes.
 load_log accepts any JSON layout, including the indented files written by
@@ -36,6 +37,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .bigi import instantiate, normalize, sum_steps
 from .concept import InteractionConcept
 from .errors import DomainError, LogFormatError
+from .expr import INT64_MAX
 from .rounding import format_fixed
 from .speed import speed_stats
 
@@ -237,6 +239,8 @@ def _int(raw: dict, key: str, minimum: int = 0) -> int:
         raise _Fault(f"{key!r} must be an integer")
     if value < minimum:
         raise _Fault(f"{key!r} must be >= {minimum}, got {value}")
+    if value > INT64_MAX:
+        raise _Fault(f"{key!r} is outside the signed 64-bit range")
     return value
 
 
@@ -255,6 +259,8 @@ def _task_from(raw) -> Task:
     for name, value in binding.items():
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise _Fault(f"binding value for {name!r} must be a nonnegative integer")
+        if value > INT64_MAX:
+            raise _Fault(f"binding value for {name!r} is outside the signed 64-bit range")
     task_id = _str(raw, "task_id")
     concept_name = _str(raw, "concept_name")
     is_count = _int(raw, "is_count")

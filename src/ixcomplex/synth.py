@@ -61,11 +61,20 @@ def count_actions(concept: InteractionConcept, binding: Mapping[str, int]) -> Ac
     """
     totals = {kind: 0 for kind in ActionKind}
     for step in concept.steps:
-        repeat = _leaf_value(step.repeat, binding)
-        for kind, expr in step.actions.items():
-            totals[kind] += _in_range(repeat * _leaf_value(expr, binding), "step count")
+        for kind, count in _step_counts(step, binding).items():
+            totals[kind] += count
     per_kind = {kind: count for kind, count in totals.items() if count}
     return ActionCounts(per_kind, _in_range(sum(totals.values()), "total count"))
+
+
+def _step_counts(step: UserStep, binding: Mapping[str, int]) -> dict[ActionKind, int]:
+    """One step's count per kind: repeat times per-execution count, each
+    inside the 64-bit range."""
+    repeat = _leaf_value(step.repeat, binding)
+    return {
+        kind: _in_range(repeat * _leaf_value(expr, binding), "step count")
+        for kind, expr in step.actions.items()
+    }
 
 
 def _in_range(count: int, what: str) -> int:
@@ -215,11 +224,14 @@ def generate_log(config: SynthConfig) -> EventLog:
     """
     import numpy as np
 
+    for name, value in config.binding.items():
+        _in_range(value, f"binding {name} =")
     rng = np.random.Generator(np.random.PCG64(config.seed))
     step_counts = [
-        (step.label, _step_is(step, config.binding)) for step in config.concept.steps
+        (step.label, sum(_step_counts(step, config.binding).values()))
+        for step in config.concept.steps
     ]
-    total_is = sum(count for _, count in step_counts)
+    total_is = _in_range(sum(count for _, count in step_counts), "total count")
     drawn = [(label, count) for label, count in step_counts if count]
     speeds = np.maximum(
         rng.normal(config.speed_mean, config.speed_sd, size=(config.sessions, len(drawn))),
@@ -237,6 +249,8 @@ def generate_log(config: SynthConfig) -> EventLog:
                 end = round(clock_ms)
                 record = StepRecord(label, start, end, count)
                 visits.append(PageVisit(label, start, end, (record,)))
+            # Timestamps only grow, so the session's last one bounds them all.
+            _in_range(round(clock_ms), "timestamp")
             task = Task(
                 task_id=name,
                 concept_name=name,
@@ -246,11 +260,3 @@ def generate_log(config: SynthConfig) -> EventLog:
             )
             sessions.append(Session(f"s{index:04d}", (task,)))
     return EventLog(tuple(sessions))
-
-
-def _step_is(step: UserStep, binding: Mapping[str, int]) -> int:
-    repeat = _leaf_value(step.repeat, binding)
-    per_execution = sum(
-        _leaf_value(expr, binding) for expr in step.actions.values()
-    )
-    return repeat * per_execution

@@ -49,7 +49,7 @@ def expressions(draw, min_coeff=-9, max_coeff=9, max_terms=5):
             max_size=max_terms,
         )
     )
-    return Expression.from_terms(terms)
+    return Expression(tuple(terms))
 
 
 def nonneg_expressions(max_terms=4):
@@ -98,8 +98,8 @@ def _restricted(draw, pool):
             max_size=3,
         )
     )
-    return Expression.from_terms(
-        (tuple(sorted((name, 1) for name in names)), coeff) for names, coeff in terms
+    return Expression(
+        tuple((tuple(sorted((name, 1) for name in names)), coeff) for names, coeff in terms)
     )
 
 

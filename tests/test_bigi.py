@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ixcomplex.bigi import (
     ActionVector,
@@ -31,6 +32,7 @@ from helpers import (
     V2_BINDING,
     V2_PUBLISHED_IS,
     concepts,
+    expressions,
     random_binding,
     random_concept,
 )
@@ -51,7 +53,7 @@ class TestStepFunction:
 
     def test_zero_repeat_collapses(self):
         step = UserStep("s", {ActionKind.THINK: parse_expr("m")}, parse_expr("0"))
-        assert step_function(step) == ActionVector.zero()
+        assert step_function(step) == ActionVector()
 
 
 class TestSumSteps:
@@ -68,7 +70,7 @@ class TestSumSteps:
         assert vector.get(ActionKind.CLICK) == parse_expr("4")
 
     def test_empty_concept(self):
-        assert sum_steps(InteractionConcept("empty")) == ActionVector.zero()
+        assert sum_steps(InteractionConcept("empty")) == ActionVector()
 
     def test_matches_brute_force_counts(self, v1_concept, v2_concept):
         for concept, binding in ((v1_concept, V1_BINDING), (v2_concept, V2_BINDING)):
@@ -81,26 +83,85 @@ class TestSumSteps:
 class TestNormalize:
     def test_published_wizard_vector(self):
         vector = ActionVector(
-            {
-                ActionKind.THINK: parse_expr("m + 2 + a*(r + t + d + s)"),
-                ActionKind.ENTER: parse_expr("4*a + 2"),
-                ActionKind.CLICK: parse_expr("7*a + 1"),
-            }
+            (
+                parse_expr("m + 2 + a*(r + t + d + s)"),  # Think
+                parse_expr("4*a + 2"),  # Enter
+                parse_expr("7*a + 1"),  # Click
+                ZERO,
+                ZERO,
+            )
         )
         assert normalize(vector).is_function == parse_expr(V1_PUBLISHED_IS)
 
     def test_published_single_page_vector(self):
         vector = ActionVector(
-            {
-                ActionKind.THINK: parse_expr("m + r + d + s + g + o + 1"),
-                ActionKind.ENTER: parse_expr("7"),
-                ActionKind.CLICK: parse_expr("4"),
-            }
+            (
+                parse_expr("m + r + d + s + g + o + 1"),  # Think
+                parse_expr("7"),  # Enter
+                parse_expr("4"),  # Click
+                ZERO,
+                ZERO,
+            )
         )
         assert normalize(vector).is_function == parse_expr(V2_PUBLISHED_IS)
 
     def test_zero_vector(self):
-        assert normalize(ActionVector.zero()).is_function == ZERO
+        assert normalize(ActionVector()).is_function == ZERO
+
+
+def kind_counts():
+    return st.dictionaries(st.sampled_from(list(ActionKind)), expressions(), max_size=5)
+
+
+def vector_of(counts):
+    return ActionVector(tuple(counts.get(kind, ZERO) for kind in ActionKind))
+
+
+def folded(*dicts):
+    """Reference sum: a dict fold, zero results dropped, in ActionKind order."""
+    merged = {}
+    for counts in dicts:
+        for kind, count in counts.items():
+            merged[kind] = merged.get(kind, ZERO) + count
+    return {kind: merged[kind] for kind in ActionKind if not merged.get(kind, ZERO).is_zero()}
+
+
+class TestActionVector:
+    @given(kind_counts(), kind_counts())
+    def test_sum_matches_a_dict_fold(self, a, b):
+        total = vector_of(a) + vector_of(b)
+        expected = folded(a, b)
+        assert list(total.per_kind.items()) == list(expected.items())
+        for kind in ActionKind:
+            assert total.get(kind) == expected.get(kind, ZERO)
+        assert total == vector_of(expected)
+
+    @given(concepts())
+    @settings(max_examples=40)
+    def test_step_sum_matches_a_dict_fold(self, concept):
+        expected = folded(
+            *({kind: step.repeat * count for kind, count in step.actions.items()}
+              for step in concept.steps)
+        )
+        assert list(sum_steps(concept).per_kind.items()) == list(expected.items())
+
+    def test_per_kind_keeps_kind_order_and_drops_zeros(self):
+        a, two, b = parse_expr("a"), parse_expr("2"), parse_expr("b")
+        vector = ActionVector((a, ZERO, two, ZERO, b))
+        assert list(vector.per_kind.items()) == [
+            (ActionKind.THINK, a),
+            (ActionKind.CLICK, two),
+            (ActionKind.EXTERNAL, b),
+        ]
+        assert vector.get(ActionKind.ENTER) == ZERO
+        assert vector.total() == parse_expr("a + b + 2")
+
+    def test_repeat_zero_step_is_the_zero_vector(self):
+        concept = parse_concept('concept "x"\nvar m\nstep "skip" repeat 0 { T: m; C: 2 }')
+        vector = step_function(concept.steps[0])
+        assert vector == ActionVector()
+        assert vector.per_kind == {}
+        assert vector.total() == ZERO
 
 
 class TestSimplify:
@@ -165,7 +226,7 @@ class TestAnalyze:
 
     def test_empty_concept(self):
         report = analyze(InteractionConcept("empty"), {})
-        assert report.summed == ActionVector.zero()
+        assert report.summed == ActionVector()
         assert report.simplified.retained == ZERO
         assert report.simplified.class_label == "constant"
         assert report.instantiated == ({}, 0)
@@ -235,7 +296,7 @@ class TestProperties:
     @given(concepts())
     @settings(max_examples=40)
     def test_linearity_of_summation(self, concept):
-        total = ActionVector.zero()
+        total = ActionVector()
         for step in concept.steps:
             total = total + step_function(step)
         assert total == sum_steps(concept)

@@ -405,6 +405,51 @@ class TestNoTraceback:
         err = self.run_failing(capsys, "logs", str(log))
         assert "not valid JSON" in err
 
+    def test_synth_count_past_64_bits(self, capsys, tmp_path):
+        concept = tmp_path / "square.concept"
+        concept.write_text('concept "square"\nvar a\nstep "s" { T: a*a }\n')
+        out = tmp_path / "log.json"
+        err = self.run_failing(
+            capsys, "synth", str(concept), "--set", "a=1099511627776",
+            "--sessions", "1", "--speed-mean", "1", "--out", str(out),
+        )
+        assert err == (
+            "error: step count 1208925819614629174706176 is outside the signed 64-bit range\n"
+        )
+        assert not out.exists()
+
+    def test_synth_timestamp_past_64_bits(self, capsys, tmp_path):
+        concept = tmp_path / "line.concept"
+        concept.write_text('concept "line"\nvar a\nstep "s" { T: a }\n')
+        err = self.run_failing(
+            capsys, "synth", str(concept), "--set", f"a={2**63 - 1}",
+            "--sessions", "1", "--speed-mean", "1", "--out", str(tmp_path / "log.json"),
+        )
+        assert err == (
+            "error: timestamp 9223372036854775808000 is outside the signed 64-bit range\n"
+        )
+
+    def test_synth_binding_past_64_bits(self, capsys, tmp_path):
+        err = self.run_failing(
+            capsys, "synth", V2, *V2_SET, "--set", f"unused={2**63}",
+            "--sessions", "1", "--speed-mean", "1", "--out", str(tmp_path / "log.json"),
+        )
+        assert err == (
+            "error: binding unused = 9223372036854775808 is outside the signed 64-bit range\n"
+        )
+
+    def test_log_integer_past_64_bits(self, capsys, tmp_path):
+        task = {
+            "task_id": "t", "concept_name": "c", "binding": {}, "is_count": 10**400,
+            "page_visits": [{"page": "p", "enter_ms": 0, "exit_ms": 5, "steps": []}],
+        }
+        log = tmp_path / "log.json"
+        log.write_text(json.dumps({"sessions": [{"session_id": "s", "tasks": [task]}]}))
+        err = self.run_failing(capsys, "logs", str(log))
+        assert err == (
+            "error: sessions[0].tasks[0]: 'is_count' is outside the signed 64-bit range\n"
+        )
+
     def test_klm_time_overflowing_to_infinity(self, capsys, tmp_path):
         model = tmp_path / "model.json"
         model.write_text(json.dumps({"M": 1e308}))

@@ -43,14 +43,14 @@ def mono(*pairs):
 
 class TestParse:
     def test_distributes_product(self):
-        expected = Expression.from_terms(
-            [
+        expected = Expression(
+            (
                 (mono(("a", 1), ("r", 1)), 1),
                 (mono(("a", 1), ("t", 1)), 1),
                 (mono(("a", 1), ("d", 1)), 1),
                 (mono(("a", 1), ("s", 1)), 1),
                 (mono(("a", 1)), 11),
-            ]
+            )
         )
         assert parse_expr("a * (r + t + d + s + 11)") == expected
 
@@ -59,12 +59,12 @@ class TestParse:
         assert parse_expr("0").terms == ()
 
     def test_subtraction_distributes(self):
-        assert parse_expr("(a - 1) * 3") == Expression.from_terms(
-            [(mono(("a", 1)), 3), ((), -3)]
+        assert parse_expr("(a - 1) * 3") == Expression(
+            ((mono(("a", 1)), 3), ((), -3))
         )
 
     def test_powers_via_repetition(self):
-        assert parse_expr("a*a*a") == Expression.from_terms([(mono(("a", 3)),  1)])
+        assert parse_expr("a*a*a") == Expression(((mono(("a", 3)), 1),))
 
     def test_empty_input(self):
         with pytest.raises(ExpressionSyntaxError):
@@ -115,7 +115,7 @@ class TestTokens:
         assert str(exc.value).startswith(f"unknown character {text[offset]!r}")
 
     def test_leading_zeros_are_not_significant(self):
-        assert parse_expr("0" * 5000 + "9223372036854775807") == Expression.constant(INT64_MAX)
+        assert parse_expr("0" * 5000 + "9223372036854775807") == Expression((((), INT64_MAX),))
 
     @pytest.mark.parametrize("digits", ["1" * 20, "1" * 5000, "9" * 4301])
     def test_long_literal_overflows_unread(self, digits):
@@ -333,7 +333,7 @@ _WIDE_INTEGERS = st.one_of(st.integers(-9, 9), st.sampled_from(_EXTREMES))
 def wide_expressions(draw):
     """Expressions whose coefficients reach the ends of the 64-bit range."""
     terms = draw(st.dictionaries(monomials(), _WIDE_INTEGERS, max_size=5))
-    return Expression.from_terms(terms.items())
+    return Expression(tuple(terms.items()))
 
 
 def _expanded_key(mono):
@@ -362,12 +362,53 @@ def _negated(e):
     return [(mono, -coeff) for mono, coeff in e.terms]
 
 
+@st.composite
+def scrambled(draw):
+    """A canonical expression and a raw term list for it: each term split in
+    two parts (so monomials repeat), zero terms and cancelling pairs added,
+    and the whole shuffled."""
+    e = draw(expressions())
+    raw = []
+    for mono, coeff in e.terms:
+        part = draw(st.integers(-9, 9))
+        raw += [(mono, part), (mono, coeff - part)]
+    for mono in draw(st.lists(monomials(), max_size=3)):
+        part = draw(st.integers(-9, 9))
+        raw += [(mono, 0), (mono, part), (mono, -part)]
+    return e, tuple(draw(st.permutations(raw)))
+
+
+class TestConstructor:
+    @given(scrambled())
+    @example((parse_expr("a + b"), (((("b", 1),), 1), ((("a", 1),), 1))))
+    def test_any_term_list_gives_the_canonical_value(self, case):
+        e, raw = case
+        built = Expression(raw)
+        assert built == e and hash(built) == hash(e)
+        assert format_expr(built) == format_expr(e)
+        assert built._keys == e._keys
+        assert built - e == ZERO and e - built == ZERO
+
+    @given(st.integers(1, 2**62), st.integers(0, 2**62))
+    def test_merged_coefficient_past_the_range(self, first, second):
+        a = (("a", 1),)
+        with pytest.raises(OverflowLimitError) as exc:
+            Expression(((a, INT64_MAX - second), ((), 1), (a, first + second)))
+        assert str(exc.value) == (
+            f"coefficient {INT64_MAX + first} is outside the signed 64-bit range"
+        )
+
+    def test_only_the_merged_coefficient_is_checked(self):
+        a = (("a", 1),)
+        assert Expression(((a, 2**63), (a, -1))) == Expression(((a, INT64_MAX),))
+
+
 class TestFastPath:
     @given(wide_expressions(), wide_expressions(), _WIDE_INTEGERS)
-    @example(parse_expr("-x"), Expression.from_terms([((("x", 1),), INT64_MIN)]), 1)
-    @example(ZERO, Expression.from_terms([((("x", 1),), INT64_MIN)]), -1)
+    @example(parse_expr("-x"), Expression((((("x", 1),), INT64_MIN),)), 1)
+    @example(ZERO, Expression((((("x", 1),), INT64_MIN),)), -1)
     def test_arithmetic_matches_reference(self, a, b, factor):
-        constant = Expression.constant(factor)
+        constant = Expression((((), factor),))
         cases = [
             (lambda: a + b, a.terms + b.terms),
             (lambda: a - b, list(a.terms) + _negated(b)),

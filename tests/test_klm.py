@@ -35,6 +35,7 @@ from helpers import (
     V1_PUBLISHED_KLM,
     V2_PUBLISHED_KLM,
     concepts,
+    expressions,
     random_concept,
 )
 
@@ -147,7 +148,7 @@ class TestMappingFromConcept:
         assert exc.value.step_label == "scroll page"
 
     def test_empty_concept(self):
-        assert klm_from_concept(InteractionConcept("empty")) == KlmExpression({})
+        assert klm_from_concept(InteractionConcept("empty")) == KlmExpression()
 
     def test_first_unmapped_step_is_reported(self):
         concept = parse_concept(
@@ -166,7 +167,8 @@ class TestMappingFromConcept:
             for step in concept.steps:
                 for operator, count in klm_step(step, FULL_MAPPING).per_operator.items():
                     total[operator] = total.get(operator, ZERO) + count
-            assert klm_from_concept(concept, FULL_MAPPING) == KlmExpression(total)
+            expected = KlmExpression(tuple(total.get(op, ZERO) for op in KlmOperator))
+            assert klm_from_concept(concept, FULL_MAPPING) == expected
 
     def test_mapping_from_dict(self):
         mapping = mapping_from_dict(
@@ -196,6 +198,50 @@ class TestMappingFromConcept:
             mapping_from_dict({"Think": ["Blink"]})
 
 
+def operator_counts():
+    return st.dictionaries(st.sampled_from(list(KlmOperator)), expressions(), max_size=9)
+
+
+def klm_of(counts):
+    return KlmExpression(tuple(counts.get(operator, ZERO) for operator in KlmOperator))
+
+
+def folded(*dicts):
+    """Reference sum: a dict fold, zero results dropped, in KlmOperator order."""
+    merged = {}
+    for counts in dicts:
+        for operator, count in counts.items():
+            merged[operator] = merged.get(operator, ZERO) + count
+    return {op: merged[op] for op in KlmOperator if not merged.get(op, ZERO).is_zero()}
+
+
+class TestKlmExpression:
+    @given(operator_counts(), operator_counts())
+    def test_sum_matches_a_dict_fold(self, a, b):
+        total = klm_of(a) + klm_of(b)
+        expected = folded(a, b)
+        assert list(total.per_operator.items()) == list(expected.items())
+        for operator in KlmOperator:
+            assert total.get(operator) == expected.get(operator, ZERO)
+        assert total == klm_of(expected)
+
+    def test_per_operator_keeps_operator_order_and_drops_zeros(self):
+        m, nine = parse_expr("m"), parse_expr("9")
+        expression = klm_parse("9*T + m*Q + 0*K")
+        assert list(expression.per_operator.items()) == [
+            (KlmOperator.POINT_CLICK, nine),
+            (KlmOperator.GLANCE, m),
+        ]
+        assert expression.get(KlmOperator.KEYSTROKE) == ZERO
+
+    def test_repeat_zero_step_is_the_zero_expression(self):
+        concept = parse_concept('concept "x"\nvar m\nstep "skip" repeat 0 { T: m; C: 2 }')
+        expression = klm_step(concept.steps[0])
+        assert expression == KlmExpression()
+        assert expression.per_operator == {}
+        assert klm_time(expression) == 0.0
+
+
 class TestFormulaParse:
     def test_wizard_published_formula(self):
         expr = klm_parse(V1_PUBLISHED_KLM)
@@ -212,7 +258,7 @@ class TestFormulaParse:
         }
 
     def test_zero_formula(self):
-        assert klm_parse("0*Q") == KlmExpression({})
+        assert klm_parse("0*Q") == KlmExpression()
 
     def test_long_operator_names(self):
         expr = klm_parse("2*PointClick + m*Glance + K")
@@ -243,7 +289,7 @@ class TestTime:
         assert seconds == pytest.approx(29.57, abs=0.005)
 
     def test_empty_expression(self):
-        assert klm_time(KlmExpression({})) == 0.0
+        assert klm_time(KlmExpression()) == 0.0
 
     def test_speed(self):
         assert round(klm_speed(171, 126.52), 2) == 1.35

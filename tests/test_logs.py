@@ -153,6 +153,19 @@ SINGLE_FAULTS = [
      f"{T}.page_visits[1]: page visit exits before it is entered"),
 ]
 
+# Every integer of a log must fit in a signed 64-bit integer.
+OUT_OF_RANGE = [
+    (TASK + ("is_count",), 2**63, f"{T}: 'is_count' is outside the signed 64-bit range"),
+    (TASK + ("is_count",), 10**400, f"{T}: 'is_count' is outside the signed 64-bit range"),
+    (VISIT + ("enter_ms",), 2**63, f"{V}: 'enter_ms' is outside the signed 64-bit range"),
+    (VISIT + ("exit_ms",), 2**64, f"{V}: 'exit_ms' is outside the signed 64-bit range"),
+    (STEP + ("start_ms",), 2**63, f"{R}: 'start_ms' is outside the signed 64-bit range"),
+    (STEP + ("end_ms",), 2**63, f"{R}: 'end_ms' is outside the signed 64-bit range"),
+    (STEP + ("is_count",), 2**63, f"{R}: 'is_count' is outside the signed 64-bit range"),
+    (TASK + ("binding", "m"), 2**63,
+     f"{T}: binding value for 'm' is outside the signed 64-bit range"),
+]
+
 # Edge cases of the interval rules that are valid logs.
 ACCEPTED_EDGES = [
     (STEP + ("start_ms",), 7000),
@@ -162,6 +175,9 @@ ACCEPTED_EDGES = [
     (TASK + ("page_visits",), late_visit(7000, 9000)),
     (TASK + ("binding",), DELETE),
     (TASK + ("is_count",), 0),
+    (TASK + ("is_count",), 2**63 - 1),
+    (STEP + ("is_count",), 2**63 - 1),
+    (TASK + ("binding", "m"), 2**63 - 1),
 ]
 
 
@@ -252,6 +268,20 @@ class TestLoad:
         with pytest.raises(LogFormatError) as exc:
             load_log(json.dumps(with_fault(path, value)))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("path, value, message", OUT_OF_RANGE)
+    def test_integer_out_of_range(self, path, value, message):
+        with pytest.raises(LogFormatError) as exc:
+            load_log(json.dumps(with_fault(path, value)))
+        assert str(exc.value) == message
+
+    def test_timestamps_at_the_top_of_the_range(self):
+        top = 2**63 - 1
+        visit = {"page": "p", "enter_ms": top, "exit_ms": top, "steps": [
+            {"step_label": "s", "start_ms": top, "end_ms": top, "is_count": 1}
+        ]}
+        log = load_log(json.dumps(with_fault(TASK + ("page_visits",), [visit])))
+        assert log.sessions[0].tasks[0].page_visits[0].steps[0].end_ms == top
 
     def test_validate_log_in_memory(self):
         good = make_log([1.0, 2.0])

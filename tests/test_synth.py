@@ -142,6 +142,14 @@ class TestInt64Contract:
         else:
             assert analyze(concept, binding).instantiated[1] == exact
             assert count_actions(concept, binding).total == exact
+        # At a million IS per second every timestamp stays inside the range;
+        # synth also writes the binding, so it refuses a value past the range.
+        synth = SynthConfig(concept, binding, sessions=1, speed_mean=1e6)
+        if exact > 2**63 - 1 or max(binding.values(), default=0) > 2**63 - 1:
+            with pytest.raises(OverflowLimitError):
+                generate_log(synth)
+        else:
+            assert generate_log(synth).sessions[0].tasks[0].is_count == exact
 
 
 class TestEvalSource:
