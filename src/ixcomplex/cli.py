@@ -38,7 +38,7 @@ from .bigi import (
 )
 from .concept import InteractionConcept, parse_concept, validate
 from .errors import IxComplexError
-from .expr import binding_from_dict, format_expr, is_variable_name, parse_expr
+from .expr import INT64_MAX, binding_from_dict, format_expr, is_variable_name, parse_expr
 from .klm import (
     DEFAULT_MAPPING,
     KlmModel,
@@ -54,6 +54,7 @@ from .logs import (
     cross_check,
     load_log,
     dump_log,
+    gc_paused,
     step_table,
     table_to_csv,
     table_to_dicts,
@@ -65,22 +66,41 @@ from .speed import SpeedModel, estimate_time, get_speed_model, speed_model_from_
 from .synth import SynthConfig, count_actions, generate_log
 
 
+# An integer flag, like a literal in an expression, has at most as many
+# significant digits as INT64_MAX.
+_MAX_DIGITS = len(str(INT64_MAX))
+
+
+def _echo(text: str) -> str:
+    """text quoted for a usage error, cut to its first 40 characters."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _binding_pair(text: str) -> tuple[str, int]:
     name, sep, value = text.partition("=")
     if not sep or not name or not (value.isascii() and value.isdigit()):
         raise argparse.ArgumentTypeError(
-            f"expected <name>=<nonnegative integer>, got {text!r}"
+            f"expected <name>=<nonnegative integer>, got {_echo(text)}"
         )
     if not is_variable_name(name):
-        raise argparse.ArgumentTypeError(f"invalid variable name {name!r}")
-    return name, int(value)
+        raise argparse.ArgumentTypeError(f"invalid variable name {_echo(name)}")
+    return name, _int_at_least(0, value)
 
 
 def _int_at_least(minimum: int, text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    """The value of an integer flag: an optional sign and ASCII digits, at
+    most _MAX_DIGITS of them significant; int() reads only text that passed,
+    so its own digit limit is never reached."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {_echo(text)}")
+    if len(digits.lstrip("0")) > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at most {_MAX_DIGITS} digits, got {_echo(text)}"
+        )
+    value = int(text)
     if value < minimum:
         kind = "positive" if minimum == 1 else "nonnegative"
         raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
@@ -166,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--sessions", type=partial(_int_at_least, 1), required=True)
     sub.add_argument("--speed-mean", type=float, required=True, help="mean IS/sec")
     sub.add_argument("--speed-sd", type=float, default=0.0, help="IS/sec standard deviation")
-    sub.add_argument("--seed", type=int, default=0, help="64-bit generator seed")
+    sub.add_argument(
+        "--seed", type=partial(_int_at_least, 0), default=0, help="64-bit generator seed"
+    )
     sub.add_argument("--out", required=True, help="output file, or - for stdout")
     sub.set_defaults(func=cmd_synth)
 
@@ -409,7 +431,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         speed_sd=args.speed_sd,
         seed=args.seed,
     )
-    payload = dump_log(generate_log(config))
+    # The log is garbage before the pause ends, so no collection visits it.
+    with gc_paused():
+        payload = dump_log(generate_log(config))
     if args.out == "-":
         sys.stdout.write(payload)
     else:

@@ -10,10 +10,14 @@ File format: JSON, UTF-8, top level {"sessions": [...]} with snake_case
 keys mirroring the model fields and integer millisecond timestamps.  Every
 integer (timestamp, IS count, binding value) lies in the signed 64-bit range.
 dump_log writes it compact: one line, keys sorted, no spaces, and a trailing
-newline, so identical logs (and so one synth seed) give identical bytes.
-load_log accepts any JSON layout, including the indented files written by
-earlier versions.  load_log, dump_log and synth.generate_log pause the
-cyclic garbage collector while they build (see gc_paused).
+newline, so identical logs (and so one synth seed) give identical bytes.  It
+writes the text straight from the records and refuses any field that
+load_log would refuse; validate_log checks the interval rules of a log built
+in memory.  load_log accepts any JSON layout, including the indented files
+written by earlier versions.  load_log and synth.generate_log pause the
+cyclic garbage collector while they build, and the CLI's synth command
+pauses it around generating and dumping; dump_log allocates only strings
+and needs no pause (see gc_paused).
 
 Outlier removal uses the interquartile range method: per group, durations
 outside [Q1 - 1.5*IQR, Q3 + 1.5*IQR] are dropped before speeds are
@@ -106,7 +110,11 @@ def gc_paused() -> Iterator[None]:
     them and find nothing: log trees and their JSON forms hold no reference
     cycles, so reference counting frees them without the collector.  The
     pause is process-wide; the collector's previous state is restored on
-    exit, also when the build raises.
+    exit, also when the build raises.  load_log and synth.generate_log
+    pause it, and the CLI's synth command holds one pause around generating
+    and dumping, so the log is garbage before that pause ends.  dump_log
+    takes none: it allocates only strings, which the collector does not
+    track.
 
     What the build leaves alive sits in the youngest generation, where the
     next few collections would traverse it again, in whatever code runs
@@ -136,46 +144,82 @@ def load_log(data: bytes | str) -> EventLog:
 
 
 def dump_log(log: EventLog) -> str:
-    """Deterministic compact JSON text; identical logs yield identical bytes."""
-    with gc_paused():
-        return json.dumps(log_to_dict(log), sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic compact JSON text; identical logs yield identical bytes.
+
+    The text is json.dumps(tree, sort_keys=True, separators=(",", ":"))
+    plus a newline, where tree is the log as nested dicts and lists keyed by
+    field name; it is written straight from the records, encoding each
+    distinct string once.  Raises LogFormatError, with the path to the
+    record, for any field load_log would refuse: an integer field holding
+    anything but an int (a bool too), a negative value, a value above
+    2**63 - 1 or a step is_count below 1, and an id, concept name, label,
+    page or binding name that is not a str.  The interval rules are checked
+    by validate_log, not here.
+    """
+    quoted = _Quoted()
+    out = ['{"sessions":[']
+    append = out.append
+    for i, session in enumerate(log.sessions):
+        if type(session.session_id) is not str:
+            _refuse(session, f"sessions[{i}]")
+        append(f'{"," if i else ""}{{"session_id":{quoted[session.session_id]},"tasks":[')
+        for j, task in enumerate(session.tasks):
+            task_id, concept_name, is_count = task.task_id, task.concept_name, task.is_count
+            items = task.binding.items()
+            if not (type(task_id) is str and type(concept_name) is str
+                    and type(is_count) is int and 0 <= is_count <= INT64_MAX
+                    and all(type(name) is str and type(value) is int and 0 <= value <= INT64_MAX
+                            for name, value in items)):
+                _refuse(task, f"sessions[{i}].tasks[{j}]")
+            binding = ",".join([f"{quoted[name]}:{value}" for name, value in sorted(items)])
+            append(
+                f'{"," if j else ""}{{"binding":{{{binding}}},"concept_name":'
+                f'{quoted[concept_name]},"is_count":{is_count},"page_visits":['
+            )
+            for k, visit in enumerate(task.page_visits):
+                page, enter, exit_ = visit.page, visit.enter_ms, visit.exit_ms
+                if not (type(page) is str and type(enter) is int and type(exit_) is int
+                        and 0 <= enter <= INT64_MAX and 0 <= exit_ <= INT64_MAX):
+                    _refuse(visit, f"sessions[{i}].tasks[{j}].page_visits[{k}]")
+                append(
+                    f'{"," if k else ""}{{"enter_ms":{enter},"exit_ms":{exit_},'
+                    f'"page":{quoted[page]},"steps":['
+                )
+                for n, step in enumerate(visit.steps):
+                    label, start, end = step.step_label, step.start_ms, step.end_ms
+                    count = step.is_count
+                    if not (type(label) is str and type(start) is int and type(end) is int
+                            and type(count) is int and 0 <= start <= INT64_MAX
+                            and 0 <= end <= INT64_MAX and 1 <= count <= INT64_MAX):
+                        _refuse(step, f"sessions[{i}].tasks[{j}].page_visits[{k}].steps[{n}]")
+                    append(
+                        f'{"," if n else ""}{{"end_ms":{end},"is_count":{count},'
+                        f'"start_ms":{start},"step_label":{quoted[label]}}}'
+                    )
+                append("]}")
+            append(f'],"task_id":{quoted[task_id]}}}')
+        append("]}")
+    append("]}\n")
+    return "".join(out)
 
 
-def log_to_dict(log: EventLog) -> dict:
-    return {
-        "sessions": [
-            {
-                "session_id": session.session_id,
-                "tasks": [
-                    {
-                        "task_id": task.task_id,
-                        "concept_name": task.concept_name,
-                        "binding": dict(sorted(task.binding.items())),
-                        "is_count": task.is_count,
-                        "page_visits": [
-                            {
-                                "page": visit.page,
-                                "enter_ms": visit.enter_ms,
-                                "exit_ms": visit.exit_ms,
-                                "steps": [
-                                    {
-                                        "step_label": step.step_label,
-                                        "start_ms": step.start_ms,
-                                        "end_ms": step.end_ms,
-                                        "is_count": step.is_count,
-                                    }
-                                    for step in visit.steps
-                                ],
-                            }
-                            for visit in task.page_visits
-                        ],
-                    }
-                    for task in session.tasks
-                ],
-            }
-            for session in log.sessions
-        ]
-    }
+class _Quoted(dict):
+    """JSON string literals by string, each encoded on first use."""
+
+    def __missing__(self, text: str) -> str:
+        literal = self[text] = json.dumps(text)
+        return literal
+
+
+def _refuse(record, where: str) -> None:
+    """Raise the fault load_log finds in the first of the record's own
+    fields that it refuses, located at where."""
+    try:
+        if type(record) is Task:
+            _check_binding(record.binding)
+        _scalars(lambda key: getattr(record, key), _FIELDS[type(record)])
+    except _Fault as fault:
+        raise LogFormatError(fault.message, where) from None
 
 
 def _decoded(data: bytes | str) -> dict:
@@ -189,10 +233,70 @@ def _decoded(data: bytes | str) -> dict:
 
 
 def _log_from(parsed: dict) -> EventLog:
+    """The log built by _checked_inline, or when that finds a record it does
+    not accept, by the field-by-field builders, which raise its fault."""
+    log = _checked_inline(parsed["sessions"])
+    if log is not None:
+        return log
     try:
         return EventLog(_records(parsed, "sessions", _session_from))
     except _Fault as fault:
         raise fault.located() from None
+
+
+def _checked_inline(raw_sessions) -> EventLog | None:
+    """The log, with each record checked by one conjunction, or None.
+
+    Each conjunction holds the rules of the field-by-field builders below
+    for its record, intervals included, and may only be stricter than they
+    are; so None sends the document to them, and their messages are the
+    only ones.
+    """
+    if type(raw_sessions) is not list:
+        return None
+    sessions = []
+    for raw_session in raw_sessions:
+        if not (type(raw_session) is dict
+                and type(session_id := raw_session.get("session_id")) is str
+                and type(raw_tasks := raw_session.get("tasks")) is list):
+            return None
+        tasks = []
+        for raw_task in raw_tasks:
+            if not (type(raw_task) is dict
+                    and type(binding := raw_task.get("binding", {})) is dict
+                    and all(type(value) is int and 0 <= value <= INT64_MAX
+                            for value in binding.values())
+                    and type(task_id := raw_task.get("task_id")) is str
+                    and type(concept_name := raw_task.get("concept_name")) is str
+                    and type(is_count := raw_task.get("is_count")) is int
+                    and 0 <= is_count <= INT64_MAX
+                    and type(raw_visits := raw_task.get("page_visits")) is list):
+                return None
+            visits = []
+            previous_exit = 0
+            for raw_visit in raw_visits:
+                if not (type(raw_visit) is dict
+                        and type(page := raw_visit.get("page")) is str
+                        and type(enter := raw_visit.get("enter_ms")) is int
+                        and type(exit_ := raw_visit.get("exit_ms")) is int
+                        and previous_exit <= enter <= exit_ <= INT64_MAX
+                        and type(raw_steps := raw_visit.get("steps")) is list):
+                    return None
+                steps = []
+                for raw_step in raw_steps:
+                    if not (type(raw_step) is dict
+                            and type(label := raw_step.get("step_label")) is str
+                            and type(start := raw_step.get("start_ms")) is int
+                            and type(end := raw_step.get("end_ms")) is int
+                            and type(count := raw_step.get("is_count")) is int
+                            and enter <= start <= end <= exit_ and 1 <= count <= INT64_MAX):
+                        return None
+                    steps.append(StepRecord(label, start, end, count))
+                visits.append(PageVisit(page, enter, exit_, tuple(steps)))
+                previous_exit = exit_
+            tasks.append(Task(task_id, concept_name, binding, is_count, tuple(visits)))
+        sessions.append(Session(session_id, tuple(tasks)))
+    return EventLog(tuple(sessions))
 
 
 class _Fault(Exception):
@@ -226,28 +330,48 @@ def _records(raw: dict, key: str, build: Callable[[object], object]) -> tuple:
     return tuple(built)
 
 
-def _str(raw: dict, key: str) -> str:
-    value = raw.get(key)
-    if not isinstance(value, str):
-        raise _Fault(f"{key!r} must be a string")
-    return value
+# Each record kind's own scalar fields in the order they are checked: str
+# for a string, or an integer's least value.
+_FIELDS = {
+    Session: (("session_id", str),),
+    Task: (("task_id", str), ("concept_name", str), ("is_count", 0)),
+    PageVisit: (("page", str), ("enter_ms", 0), ("exit_ms", 0)),
+    StepRecord: (("step_label", str), ("start_ms", 0), ("end_ms", 0), ("is_count", 1)),
+}
 
 
-def _int(raw: dict, key: str, minimum: int = 0) -> int:
-    value = raw.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _Fault(f"{key!r} must be an integer")
-    if value < minimum:
-        raise _Fault(f"{key!r} must be >= {minimum}, got {value}")
-    if value > INT64_MAX:
-        raise _Fault(f"{key!r} is outside the signed 64-bit range")
-    return value
+def _scalars(get: Callable[[str], object], fields) -> list:
+    """The fields' values, read through get and checked one by one."""
+    values = []
+    for key, rule in fields:
+        value = get(key)
+        if rule is str:
+            if type(value) is not str:
+                raise _Fault(f"{key!r} must be a string")
+        elif type(value) is not int:
+            raise _Fault(f"{key!r} must be an integer")
+        elif value < rule:
+            raise _Fault(f"{key!r} must be >= {rule}, got {value}")
+        elif value > INT64_MAX:
+            raise _Fault(f"{key!r} is outside the signed 64-bit range")
+        values.append(value)
+    return values
+
+
+def _check_binding(binding: Mapping) -> None:
+    for name, value in binding.items():
+        if type(name) is not str:
+            raise _Fault(f"binding name {name!r} must be a string")
+        if type(value) is not int or value < 0:
+            raise _Fault(f"binding value for {name!r} must be a nonnegative integer")
+        if value > INT64_MAX:
+            raise _Fault(f"binding value for {name!r} is outside the signed 64-bit range")
 
 
 def _session_from(raw) -> Session:
     if not isinstance(raw, dict):
         raise _Fault("session must be an object")
-    return Session(_str(raw, "session_id"), _records(raw, "tasks", _task_from))
+    return Session(*_scalars(raw.get, _FIELDS[Session]), _records(raw, "tasks", _task_from))
 
 
 def _task_from(raw) -> Task:
@@ -256,14 +380,8 @@ def _task_from(raw) -> Task:
     binding = raw.get("binding", {})
     if not isinstance(binding, dict):
         raise _Fault("'binding' must be an object")
-    for name, value in binding.items():
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise _Fault(f"binding value for {name!r} must be a nonnegative integer")
-        if value > INT64_MAX:
-            raise _Fault(f"binding value for {name!r} is outside the signed 64-bit range")
-    task_id = _str(raw, "task_id")
-    concept_name = _str(raw, "concept_name")
-    is_count = _int(raw, "is_count")
+    _check_binding(binding)
+    task_id, concept_name, is_count = _scalars(raw.get, _FIELDS[Task])
     visits = _records(raw, "page_visits", _visit_from)
     _check_intervals(visits)
     return Task(task_id, concept_name, binding, is_count, visits)
@@ -272,23 +390,13 @@ def _task_from(raw) -> Task:
 def _visit_from(raw) -> PageVisit:
     if not isinstance(raw, dict):
         raise _Fault("page visit must be an object")
-    return PageVisit(
-        _str(raw, "page"),
-        _int(raw, "enter_ms"),
-        _int(raw, "exit_ms"),
-        _records(raw, "steps", _step_from),
-    )
+    return PageVisit(*_scalars(raw.get, _FIELDS[PageVisit]), _records(raw, "steps", _step_from))
 
 
 def _step_from(raw) -> StepRecord:
     if not isinstance(raw, dict):
         raise _Fault("step record must be an object")
-    return StepRecord(
-        _str(raw, "step_label"),
-        _int(raw, "start_ms"),
-        _int(raw, "end_ms"),
-        _int(raw, "is_count", minimum=1),
-    )
+    return StepRecord(*_scalars(raw.get, _FIELDS[StepRecord]))
 
 
 def _check_intervals(visits: Sequence[PageVisit]) -> None:

@@ -9,12 +9,14 @@ more than shrinking.
 from __future__ import annotations
 
 import random
+import re
 from pathlib import Path
 
 from hypothesis import strategies as st
 
 from ixcomplex.concept import ActionKind, ConceptVariable, InteractionConcept, UserStep
-from ixcomplex.expr import Expression, parse_expr
+from ixcomplex.expr import INT64_MAX, Expression, parse_expr
+from ixcomplex.logs import EventLog, PageVisit, Session, StepRecord, Task
 
 CONCEPTS_DIR = Path(__file__).resolve().parent.parent / "concepts"
 
@@ -101,6 +103,63 @@ def _restricted(draw, pool):
     return Expression(
         tuple((tuple(sorted((name, 1) for name in names)), coeff) for names, coeff in terms)
     )
+
+
+# Characters a JSON writer must escape or may mangle: quotes, backslashes,
+# control characters, line separators, non-ASCII and lone surrogates.
+_HOSTILE_CHARS = ('"', "\\", "\x00", "\x1f", "\n", "\x7f", "\u2028", "é", "€", "\U0001f600",
+                  "\ud800", "\udfff")
+
+
+# A high surrogate followed by a low one is a pair, which JSON's escapes
+# join into one character on reading; hostile_texts keeps surrogates lone.
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
+def hostile_texts():
+    return (
+        st.lists(st.one_of(st.sampled_from(_HOSTILE_CHARS), st.characters()), max_size=8)
+        .map("".join)
+        .filter(lambda text: not _SURROGATE_PAIR.search(text))
+    )
+
+
+def log_ints(lo=0, hi=INT64_MAX):
+    """Integers in [lo, hi], drawing each end often."""
+    return st.one_of(st.just(lo), st.just(hi), st.integers(lo, hi))
+
+
+@st.composite
+def _visits(draw):
+    """Page visits of one task that obey the interval rules."""
+    visits = []
+    previous_exit = draw(log_ints())
+    for _ in range(draw(st.integers(0, 3))):
+        enter = draw(log_ints(previous_exit))
+        exit_ = draw(log_ints(enter))
+        steps = []
+        for _ in range(draw(st.integers(0, 3))):
+            start = draw(log_ints(enter, exit_))
+            end = draw(log_ints(start, exit_))
+            steps.append(StepRecord(draw(hostile_texts()), start, end, draw(log_ints(1))))
+        visits.append(PageVisit(draw(hostile_texts()), enter, exit_, tuple(steps)))
+        previous_exit = exit_
+    return tuple(visits)
+
+
+def event_logs():
+    """Valid logs: hostile strings, bindings in arbitrary insertion order,
+    integers at both ends of their range and empty tuples at every level."""
+    tasks = st.builds(
+        Task,
+        hostile_texts(),
+        hostile_texts(),
+        st.dictionaries(hostile_texts(), log_ints(), max_size=4),
+        log_ints(),
+        _visits(),
+    )
+    sessions = st.builds(Session, hostile_texts(), st.lists(tasks, max_size=3).map(tuple))
+    return st.builds(EventLog, st.lists(sessions, max_size=3).map(tuple))
 
 
 # --- seeded bulk generator ---------------------------------------------------

@@ -1,5 +1,8 @@
+import gc
 import json
 from pathlib import Path
+
+import pytest
 
 from ixcomplex.cli import main
 
@@ -199,6 +202,32 @@ class TestSynthAndLogs:
         assert run(capsys, *args, "--out", str(first))[0] == 0
         assert run(capsys, *args, "--out", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_synth_runs_no_full_collection_on_a_repeat(self, capsys, tmp_path):
+        # One pause covers generating and dumping, so the log is garbage
+        # before it ends.  The full collection that generate_log's own pause
+        # runs on exit for 1000 sessions (see test_logs) is then not needed.
+        # The first command in a process allocates more that stays alive, so
+        # the second is checked.
+        argv = [
+            "synth", V2, *V2_SET,
+            "--sessions", "1000", "--speed-mean", "1.0", "--out", str(tmp_path / "x.json"),
+        ]
+        assert run(capsys, *argv)[0] == 0
+        generations = []
+
+        def record(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            code = run(capsys, *argv)[0]
+        finally:
+            gc.callbacks.remove(record)
+        assert code == 0
+        assert 2 not in generations
 
     def test_sessions_zero_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(
@@ -555,3 +584,32 @@ class TestIntegerFlags:
         code, _, err = run(capsys, "klm", "--formula", "1*T", "--is", "many")
         assert code == 2
         assert "expected an integer, got 'many'" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--set", "m=" + "9" * 5000),
+        ("--sessions", "9" * 5000),
+        ("--seed", "9" * 5000),
+    ])
+    def test_integer_of_5000_digits_is_a_short_usage_error(self, capsys, tmp_path, flag, value):
+        code, out, err = run(
+            capsys, "synth", V2, *V2_SET,
+            "--sessions", "1", "--speed-mean", "1.0", "--out", str(tmp_path / "x.json"),
+            flag, value,
+        )
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err and "_binding_pair" not in err
+        assert len(err.encode()) < 1024
+        assert err.endswith(
+            f"error: argument {flag}: expected an integer of at most 19 digits, "
+            f"got '{'9' * 40}'... (5000 characters)\n"
+        )
+        assert not (tmp_path / "x.json").exists()
+
+    def test_seed_must_be_nonnegative(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "synth", V2, *V2_SET,
+            "--sessions", "1", "--speed-mean", "1.0", "--seed", "-1",
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert "argument --seed: expected a nonnegative integer, got -1" in err

@@ -1,7 +1,10 @@
+import dataclasses
 import gc
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
 
 from ixcomplex.errors import DomainError, LogFormatError
 from ixcomplex.logs import (
@@ -25,7 +28,7 @@ from ixcomplex.logs import (
 )
 from ixcomplex.synth import SynthConfig, generate_log
 
-from helpers import V2_BINDING
+from helpers import V2_BINDING, event_logs
 
 MINIMAL = {
     "sessions": [
@@ -181,6 +184,137 @@ ACCEPTED_EDGES = [
 ]
 
 
+def log_to_dict(log):
+    """The tree the log's JSON text encodes, for json.dumps as a reference."""
+    return {
+        "sessions": [
+            {
+                "session_id": session.session_id,
+                "tasks": [
+                    {
+                        "task_id": task.task_id,
+                        "concept_name": task.concept_name,
+                        "binding": dict(task.binding),
+                        "is_count": task.is_count,
+                        "page_visits": [
+                            {
+                                "page": visit.page,
+                                "enter_ms": visit.enter_ms,
+                                "exit_ms": visit.exit_ms,
+                                "steps": [dataclasses.asdict(step) for step in visit.steps],
+                            }
+                            for visit in task.page_visits
+                        ],
+                    }
+                    for task in session.tasks
+                ],
+            }
+            for session in log.sessions
+        ]
+    }
+
+
+W_S = "sessions[1]"
+W_T = W_S + ".tasks[0]"
+W_V = W_T + ".page_visits[0]"
+W_R = W_V + ".steps[0]"
+
+# One field dump_log must refuse per case, as load_log would refuse it; the
+# record sits in the second session, so the path's indices are checked too.
+WRITER_REFUSALS = [
+    ("step", "end_ms", 0.5, f"{W_R}: 'end_ms' must be an integer"),
+    ("step", "end_ms", True, f"{W_R}: 'end_ms' must be an integer"),
+    ("step", "end_ms", math.nan, f"{W_R}: 'end_ms' must be an integer"),
+    ("step", "end_ms", 2**64, f"{W_R}: 'end_ms' is outside the signed 64-bit range"),
+    ("step", "start_ms", -1, f"{W_R}: 'start_ms' must be >= 0, got -1"),
+    ("step", "is_count", 0, f"{W_R}: 'is_count' must be >= 1, got 0"),
+    ("step", "step_label", None, f"{W_R}: 'step_label' must be a string"),
+    ("visit", "page", b"p0", f"{W_V}: 'page' must be a string"),
+    ("visit", "enter_ms", 1.0, f"{W_V}: 'enter_ms' must be an integer"),
+    ("visit", "exit_ms", 2**63, f"{W_V}: 'exit_ms' is outside the signed 64-bit range"),
+    ("task", "task_id", 5, f"{W_T}: 'task_id' must be a string"),
+    ("task", "concept_name", None, f"{W_T}: 'concept_name' must be a string"),
+    ("task", "is_count", False, f"{W_T}: 'is_count' must be an integer"),
+    ("task", "is_count", -1, f"{W_T}: 'is_count' must be >= 0, got -1"),
+    ("task", "binding", {3: 1}, f"{W_T}: binding name 3 must be a string"),
+    ("task", "binding", {"m": -1},
+     f"{W_T}: binding value for 'm' must be a nonnegative integer"),
+    ("task", "binding", {"m": 1.5},
+     f"{W_T}: binding value for 'm' must be a nonnegative integer"),
+    ("task", "binding", {"m": 2**63},
+     f"{W_T}: binding value for 'm' is outside the signed 64-bit range"),
+    ("session", "session_id", 0, f"{W_S}: 'session_id' must be a string"),
+]
+
+
+def two_sessions(level=None, key=None, value=None):
+    """Two copies of MINIMAL's session, with one field of the second
+    session's record at level (session, task, visit or step) replaced."""
+    first = load_log(json.dumps(MINIMAL)).sessions[0]
+    changes = {"session": {}, "task": {}, "visit": {}, "step": {}}
+    if level:
+        changes[level][key] = value
+    task = first.tasks[0]
+    visit = task.page_visits[0]
+    step = dataclasses.replace(visit.steps[0], **changes["step"])
+    visit = dataclasses.replace(visit, steps=(step,), **changes["visit"])
+    task = dataclasses.replace(task, page_visits=(visit,), **changes["task"])
+    second = dataclasses.replace(first, tasks=(task,), **changes["session"])
+    return EventLog((first, second))
+
+
+# For the loader agreement test: a replacement per kind of fault, and each
+# field of each record level in a valid log of two sessions, with the path
+# to its record and the rule its check applies.
+POOL = [True, 1.0, "1", None, -1, 2**63, DELETE]
+L_S = ("sessions", 1)
+L_T = L_S + ("tasks", 0)
+L_V = L_T + ("page_visits", 2)
+L_R = L_V + ("steps", 0)
+FIELD_RULES = [
+    (L_S, "session_id", str),
+    (L_S, "tasks", list),
+    (L_T, "task_id", str),
+    (L_T, "concept_name", str),
+    (L_T, "is_count", 0),
+    (L_T, "binding", dict),
+    (L_T, "m", "binding value"),
+    (L_T, "page_visits", list),
+    (L_V, "page", str),
+    (L_V, "enter_ms", 0),
+    (L_V, "exit_ms", 0),
+    (L_V, "steps", list),
+    (L_R, "step_label", str),
+    (L_R, "start_ms", 0),
+    (L_R, "end_ms", 0),
+    (L_R, "is_count", 1),
+]
+
+
+def expected_fault(key, rule, value):
+    """The message the check of a field under rule gives for value, or None
+    when it passes: str, list, dict (the binding), "binding value", or an
+    integer's least value."""
+    if rule == "binding value":
+        if value is DELETE:
+            return None
+        if type(value) is not int or value < 0:
+            return f"binding value for {key!r} must be a nonnegative integer"
+        if value > 2**63 - 1:
+            return f"binding value for {key!r} is outside the signed 64-bit range"
+        return None
+    if rule is dict:
+        return None if value is DELETE or type(value) is dict else "'binding' must be an object"
+    if rule in (str, list):
+        kind = "a string" if rule is str else "a list"
+        return None if type(value) is rule else f"{key!r} must be {kind}"
+    if type(value) is not int:
+        return f"{key!r} must be an integer"
+    if value < rule:
+        return f"{key!r} must be >= {rule}, got {value}"
+    return f"{key!r} is outside the signed 64-bit range" if value > 2**63 - 1 else None
+
+
 def make_log(durations_s, is_count=10, task_id="t", label="step"):
     """One session per duration, one task each, one page visit and step."""
     sessions = []
@@ -298,6 +432,58 @@ class TestLoad:
     def test_interval_edges_accepted(self, path, value):
         log = load_log(json.dumps(with_fault(path, value)))
         assert load_log(dump_log(log)) == log
+
+
+class TestDump:
+    @settings(max_examples=60)
+    @given(event_logs())
+    def test_writer_matches_the_sorted_compact_encoder(self, log):
+        text = dump_log(log)
+        assert text == json.dumps(log_to_dict(log), sort_keys=True, separators=(",", ":")) + "\n"
+        assert load_log(text) == log
+
+    @pytest.mark.parametrize("level, key, value, message", WRITER_REFUSALS)
+    def test_writer_refuses_what_the_loader_refuses(self, level, key, value, message):
+        log = two_sessions(level, key, value)
+        with pytest.raises(LogFormatError) as exc:
+            dump_log(log)
+        assert str(exc.value) == message
+
+    def test_unchanged_copy_is_written(self):
+        log = two_sessions()
+        assert load_log(dump_log(log)) == log
+
+
+class TestLoaderAgreement:
+    """The check of one field, replaced in a valid log, gives load_log's
+    outcome: its message at the path of the field's record, or the log."""
+
+    @pytest.fixture(scope="class")
+    def document(self, v2_concept):
+        return json.loads(dump_log(generate_log(SynthConfig(v2_concept, V2_BINDING, 2, 1.0))))
+
+    @pytest.mark.parametrize("value", POOL, ids=repr)
+    @pytest.mark.parametrize("path, key, rule", FIELD_RULES, ids=[key for _, key, _ in FIELD_RULES])
+    def test_replaced_field(self, document, path, key, rule, value):
+        data = json.loads(json.dumps(document))
+        record = data
+        for step in path:
+            record = record[step]
+        holder = record["binding"] if rule == "binding value" else record
+        if value is DELETE:
+            del holder[key]
+        else:
+            holder[key] = value
+        message = expected_fault(key, rule, value)
+        if message is None:
+            if rule is dict:
+                record["binding"] = {}
+            assert log_to_dict(load_log(json.dumps(data))) == data
+            return
+        with pytest.raises(LogFormatError) as exc:
+            load_log(json.dumps(data))
+        where = ".".join(f"{name}[{index}]" for name, index in zip(path[::2], path[1::2]))
+        assert str(exc.value) == f"{where}: {message}"
 
 
 class TestGcState:
