@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .concept import ActionKind, InteractionConcept, UserStep
+from .errors import DomainError
 from .expr import (
     Binding,
     Expression,
+    Sum,
     ZERO,
     evaluate,
     format_expr,
@@ -33,15 +36,21 @@ def class_label(degree: int) -> str:
 
 
 _KIND_SLOT = {kind: slot for slot, kind in enumerate(ActionKind)}
+_WIDTH = len(_KIND_SLOT)
 
 
 @dataclass(frozen=True)
 class ActionVector:
     """Count polynomials in fixed slots, one per ActionKind in its order, ZERO
     in empty ones: + adds slot by slot, and per_kind views the nonzero slots.
-    ActionVector() is the zero vector."""
+    ActionVector() is the zero vector; counts of any other length raise
+    DomainError."""
 
-    counts: tuple[Expression, ...] = (ZERO,) * len(ActionKind)
+    counts: tuple[Expression, ...] = (ZERO,) * _WIDTH
+
+    def __post_init__(self):
+        if len(self.counts) != _WIDTH:
+            raise DomainError(f"an ActionVector holds {_WIDTH} counts, got {len(self.counts)}")
 
     @property
     def per_kind(self) -> dict[ActionKind, Expression]:
@@ -51,10 +60,7 @@ class ActionVector:
         return self.counts[_KIND_SLOT[kind]]
 
     def total(self) -> Expression:
-        result = ZERO
-        for count in self.counts:
-            result = result + count
-        return result
+        return Sum(self.counts).value()
 
     def __add__(self, other: "ActionVector") -> "ActionVector":
         return ActionVector(tuple(a + b for a, b in zip(self.counts, other.counts)))
@@ -93,14 +99,24 @@ class ComplexityReport(Assessment):
 
 def step_function(step: UserStep) -> ActionVector:
     """Per-kind count of one step: repeat times the per-execution count."""
-    counts = [ZERO] * len(ActionKind)
+    counts = [ZERO] * _WIDTH
     for kind, expr in step.actions.items():
         counts[_KIND_SLOT[kind]] = step.repeat * expr
     return ActionVector(tuple(counts))
 
 
 def sum_steps(concept: InteractionConcept) -> ActionVector:
-    return sum(map(step_function, concept.steps), ActionVector())
+    return _vector_sum(map(step_function, concept.steps))
+
+
+def _vector_sum(vectors: Iterable[ActionVector]) -> ActionVector:
+    """Slot-by-slot sum of the vectors, each partial sum checked in the
+    order the fold v1 + v2 + ... checks it."""
+    sums = [Sum() for _ in range(_WIDTH)]
+    for vector in vectors:
+        for total, count in zip(sums, vector.counts):
+            total.add(count)
+    return ActionVector(tuple(total.value() for total in sums))
 
 
 def normalize(vector: ActionVector) -> NormalizedComplexity:
@@ -127,13 +143,9 @@ def simplify(normalized: NormalizedComplexity) -> SimplifiedComplexity:
         for mono, _ in function.terms
         if sum(exp for _, exp in mono) == degree
     ]
-    retained = Expression(
-        tuple(
-            (mono, coeff)
-            for mono, coeff in function.terms
-            if frozenset(name for name, _ in mono)
-            and any(frozenset(name for name, _ in mono) <= dom for dom in dominant)
-        )
+    retained = function.select(
+        lambda mono: bool(mono)
+        and any(frozenset(name for name, _ in mono) <= dom for dom in dominant)
     )
     return SimplifiedComplexity(retained, class_label(degree))
 
@@ -157,7 +169,7 @@ def analyze(
     concept: InteractionConcept, binding: Binding | None = None
 ) -> ComplexityReport:
     per_step = tuple((step.label, step_function(step)) for step in concept.steps)
-    summed = sum((vector for _, vector in per_step), ActionVector())
+    summed = _vector_sum(vector for _, vector in per_step)
     view = assess(summed.total(), binding)
     return ComplexityReport(**vars(view), per_step=per_step, summed=summed)
 

@@ -10,7 +10,8 @@ monomial is a sorted tuple of (variable, exponent) pairs and the empty
 monomial is the constant term.  Canonical by construction: equal monomials
 merged, zero coefficients dropped, terms ordered by descending total degree
 and then lexicographic variable order.  Expression(terms) is the one
-constructor; it builds this form from terms in any order, repeated or zero.
+constructor; it builds this form from terms in any order, repeated or zero,
+and from monomials in any order, with repeated variables or zero exponents.
 Structural equality therefore coincides with mathematical equality, and the
 zero polynomial has no terms.
 
@@ -28,8 +29,23 @@ so that the formatted form of any polynomial parses back to it.
 
 Each term's sort key, (-total degree, expanded variable sequence), is
 computed once, when its monomial first enters a canonical expression, and
-travels with it: sums merge two sorted term tuples in one pass, scaling
-keeps the order, and a general product collects into a dict and sorts once.
+travels with it.  Sum adds any number of expressions: it gathers their
+terms into one dict by key, range-checks each coefficient as it changes, so
+the first error is the one the pairwise fold a + b + c + ... raises, and
+sorts once; + and - are two-term Sums.  Scaling keeps the order, a general
+product collects into a dict and sorts once, and a one-term factor times an
+expression keeps that expression's order (the order on sorted variable
+sequences is multiplicative).
+
+The parser scans the text once, with the token pattern's findall, and
+folds the tokens in one pass.  A parenthesis-free term becomes a
+coefficient and a sorted variable sequence as its factors arrive, and the
+terms of a sum are gathered into a Sum; only a parenthesised factor, and
+what follows it in its term, goes through Expression.__mul__.  Every
+partial product and partial sum is range-checked in text order.  The fold
+keeps no offsets: when it fails, a re-scan of the text finds them, and a
+lexical error anywhere in the text (an unknown character or an
+out-of-range literal) is reported ahead of any syntax or range error.
 
 Coefficients and evaluated values must stay inside the signed 64-bit range;
 leaving it raises OverflowLimitError rather than silently continuing.  An
@@ -37,15 +53,15 @@ integer literal of more than 19 significant digits is rejected unread, and
 an out-of-range literal carries its offset.  A product whose operands have
 n and m terms raises TermLimitError when n*m exceeds MAX_TERMS, before
 forming any of them, so a short text cannot expand without bound.
-Parentheses nest at most MAX_NESTING deep, so the recursive-descent parser
-stays well inside the interpreter's recursion limit.
+Parentheses nest at most MAX_NESTING deep; the fold recurses once per open
+parenthesis, so it stays well inside the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     DomainError,
@@ -59,6 +75,7 @@ from .errors import (
 
 Monomial = tuple[tuple[str, int], ...]
 Binding = Mapping[str, int]
+_Key = tuple[int, tuple[str, ...]]
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -71,6 +88,10 @@ _VARIABLE_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _TOKEN = r"\s*(?:([0-9]+)|({name})|([-+*()])|(.)|\Z)"
 _LOWER_TOKEN = re.compile(_TOKEN.format(name="[a-z][a-z0-9_]*"))
 _MIXED_TOKEN = re.compile(_TOKEN.format(name="[A-Za-z][A-Za-z0-9_]*"))
+# The sort key of the constant monomial.
+_CONSTANT_KEY = (0, ())
+# findall's groups for the empty match at the end of the text.
+_END = ("", "", "", "")
 # INT64_MAX has 19 digits, so a longer literal is out of range unread.
 _MAX_DIGITS = len(str(INT64_MAX))
 
@@ -100,18 +121,36 @@ def _check_range(value: int, what: str, offset: int | None = None) -> int:
     return value
 
 
-def _mono_key(mono: Monomial) -> tuple[int, tuple[str, ...]]:
+def _mono_key(mono: Monomial) -> _Key:
     # Expanded variable sequence, e.g. a^2*r -> ("a", "a", "r"); its length
     # is the total degree and its lexicographic order breaks degree ties.
     expanded = tuple(name for name, exp in mono for _ in range(exp))
     return (-len(expanded), expanded)
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    powers = dict(a)
-    for name, exp in b:
+def _canonical_mono(mono: Monomial) -> Monomial:
+    """Pairs sorted by name, a repeated name's exponents summed and zero
+    exponents dropped; a negative exponent raises DomainError."""
+    powers: dict[str, int] = {}
+    for name, exp in mono:
+        if exp < 0:
+            raise DomainError(f"exponent {exp} of {name!r} is negative")
         powers[name] = powers.get(name, 0) + exp
-    return tuple(sorted(powers.items()))
+    return tuple(sorted((name, exp) for name, exp in powers.items() if exp))
+
+
+def _grouped(expanded: tuple[str, ...]) -> Monomial:
+    """The monomial of a sorted variable sequence: ("a", "a", "r") gives
+    (("a", 2), ("r", 1))."""
+    if len(expanded) < 2:
+        return ((expanded[0], 1),) if expanded else ()
+    mono: list[tuple[str, int]] = []
+    for name in expanded:
+        if mono and mono[-1][0] == name:
+            mono[-1] = (name, mono[-1][1] + 1)
+        else:
+            mono.append((name, 1))
+    return tuple(mono)
 
 
 @dataclass(frozen=True)
@@ -125,6 +164,7 @@ class Expression:
     def __post_init__(self):
         merged: dict[Monomial, int] = {}
         for mono, coeff in self.terms:
+            mono = _canonical_mono(mono)
             merged[mono] = merged.get(mono, 0) + coeff
         keys = {mono: _mono_key(mono) for mono, coeff in merged.items() if coeff != 0}
         order = sorted(keys, key=keys.__getitem__)
@@ -138,17 +178,27 @@ class Expression:
     def variables(self) -> frozenset[str]:
         return frozenset(name for mono, _ in self.terms for name, _ in mono)
 
+    def select(self, keep: Callable[[Monomial], bool]) -> "Expression":
+        """The terms whose monomials keep accepts, in order, keys and all."""
+        kept = [index for index, (mono, _) in enumerate(self.terms) if keep(mono)]
+        return _canonical(
+            tuple(self.terms[index] for index in kept),
+            tuple(self._keys[index] for index in kept),
+        )
+
     def __add__(self, other: "Expression") -> "Expression":
         if not other.terms:
             return self
         if not self.terms:
             return other
-        return _merge(self, other, negate=False)
+        return Sum((self, other)).value()
 
     def __sub__(self, other: "Expression") -> "Expression":
         if not other.terms:
             return self
-        return _merge(self, other, negate=True)
+        difference = Sum((self,))
+        difference.add(other, -1)
+        return difference.value()
 
     def __neg__(self) -> "Expression":
         return _scale(self, -1)
@@ -162,25 +212,27 @@ class Expression:
             )
         if not a or not b:
             return ZERO
-        if len(a) == 1 and not a[0][0]:
-            return _scale(other, a[0][1])
-        if len(b) == 1 and not b[0][0]:
-            return _scale(self, b[0][1])
+        if len(a) == 1:
+            if not a[0][0]:
+                return _scale(other, a[0][1])
+            return _term_times(a[0][1], self._keys[0], other)
+        if len(b) == 1:
+            if not b[0][0]:
+                return _scale(self, b[0][1])
+            return _term_times(b[0][1], other._keys[0], self)
         # Keys double as dict keys: the expanded sequence of a product is
         # the sorted concatenation of its factors' sequences.
-        coeffs: dict[tuple[int, tuple[str, ...]], int] = {}
-        monos: dict[tuple[int, tuple[str, ...]], Monomial] = {}
-        for (mono_a, coeff_a), (degree_a, expanded_a) in zip(a, self._keys):
-            for (mono_b, coeff_b), (degree_b, expanded_b) in zip(b, other._keys):
+        coeffs: dict[_Key, int] = {}
+        for (_, coeff_a), (degree_a, expanded_a) in zip(a, self._keys):
+            for (_, coeff_b), (degree_b, expanded_b) in zip(b, other._keys):
                 key = (degree_a + degree_b, tuple(sorted(expanded_a + expanded_b)))
                 if key in coeffs:
                     coeffs[key] += coeff_a * coeff_b
                 else:
                     coeffs[key] = coeff_a * coeff_b
-                    monos[key] = _mono_mul(mono_a, mono_b)
         order = sorted(key for key, coeff in coeffs.items() if coeff != 0)
         return _canonical(
-            tuple((monos[key], _check_range(coeffs[key], "coefficient")) for key in order),
+            tuple((_grouped(key[1]), _check_range(coeffs[key], "coefficient")) for key in order),
             tuple(order),
         )
 
@@ -197,7 +249,7 @@ def _canonical(terms, keys) -> Expression:
 
 
 def _constant(value: int) -> Expression:
-    return _canonical((((), value),), ((0, ()),)) if value else ZERO
+    return _canonical((((), value),), (_CONSTANT_KEY,)) if value else ZERO
 
 
 def _variable(name: str) -> Expression:
@@ -214,42 +266,81 @@ def _scale(expression: Expression, factor: int) -> Expression:
     return _canonical(terms, expression._keys)
 
 
-def _merge(a: Expression, b: Expression, negate: bool) -> Expression:
-    """a + b, or a - b, in one pass over the two sorted term tuples.
+def _term_times(coeff: int, key: _Key, expression: Expression) -> Expression:
+    """One nonconstant term, given by its coefficient and key, times a
+    canonical expression.  Multiplying by a monomial keeps the order of
+    sorted variable sequences and maps distinct monomials to distinct ones,
+    so the products come out in order, each checked there, with no dict and
+    no sort."""
+    degree, expanded = key
+    terms = []
+    keys = []
+    for (_, coeff_b), (degree_b, expanded_b) in zip(expression.terms, expression._keys):
+        product = tuple(sorted(expanded + expanded_b))
+        terms.append((_grouped(product), _check_range(coeff * coeff_b, "coefficient")))
+        keys.append((degree + degree_b, product))
+    return _canonical(tuple(terms), tuple(keys))
 
-    Only a sum of two coefficients, or a negated one, can leave the range;
-    a - b checks every coefficient afterwards, in order, as the constructor
-    does.
-    """
-    a_terms, a_keys, b_keys = a.terms, a._keys, b._keys
-    b_terms = tuple((mono, -coeff) for mono, coeff in b.terms) if negate else b.terms
-    terms: list[tuple[Monomial, int]] = []
-    keys: list[tuple[int, tuple[str, ...]]] = []
-    i = j = 0
-    while i < len(a_terms) and j < len(b_terms):
-        key_a, key_b = a_keys[i], b_keys[j]
-        if key_a < key_b:
-            terms.append(a_terms[i])
-            keys.append(key_a)
-            i += 1
-        elif key_b < key_a:
-            terms.append(b_terms[j])
-            keys.append(key_b)
-            j += 1
+
+class Sum:
+    """An n-ary sum of canonical expressions: add() gathers terms by their
+    carried keys and range-checks each coefficient it changes at once, so
+    the first error is the one the pairwise fold a + b + ... raises (or,
+    with sign -1, a - b); value() sorts once.  A sum of one nonzero
+    expression is that expression, as with +."""
+
+    __slots__ = ("_coeffs", "_monos", "_lone")
+
+    def __init__(self, expressions: Iterable[Expression] = ()):
+        self._coeffs: dict[_Key, int] = {}
+        self._monos: dict[_Key, Monomial] = {}
+        self._lone: Expression | None = None
+        for expression in expressions:
+            self.add(expression)
+
+    def add(self, expression: Expression, sign: int = 1) -> None:
+        if expression.terms:
+            self._lone = expression if sign > 0 and not self._coeffs else None
+            _gather(self._coeffs, self._monos, expression, sign)
+
+    def value(self) -> Expression:
+        if self._lone is not None:
+            return self._lone
+        return _gathered(self._coeffs, self._monos)
+
+
+def _gather(coeffs: dict[_Key, int], monos: dict[_Key, Monomial], expression: Expression,
+            sign: int) -> None:
+    """Add sign times the expression's terms, checking each coefficient as
+    it changes."""
+    for (mono, coeff), key in zip(expression.terms, expression._keys):
+        if sign < 0:
+            coeff = -coeff
+        if key in coeffs:
+            coeff += coeffs[key]
         else:
-            coeff = a_terms[i][1] + b_terms[j][1]
-            if coeff != 0:
-                if not negate:
-                    _check_range(coeff, "coefficient")
-                terms.append((a_terms[i][0], coeff))
-                keys.append(key_a)
-            i += 1
-            j += 1
-    result = tuple(terms) + a_terms[i:] + b_terms[j:]
-    if negate:
-        for _, coeff in result:
+            monos[key] = mono
+        if coeff > INT64_MAX or coeff < INT64_MIN:
             _check_range(coeff, "coefficient")
-    return _canonical(result, tuple(keys) + a_keys[i:] + b_keys[j:])
+        coeffs[key] = coeff
+
+
+def _gathered(coeffs: dict[_Key, int], monos: dict[_Key, Monomial]) -> Expression:
+    """The gathered terms as an expression: zero coefficients dropped and
+    the keys sorted once."""
+    if not coeffs:
+        return ZERO
+    if len(coeffs) == 1:
+        ((key, coeff),) = coeffs.items()
+        return _canonical(((monos[key], coeff),), (key,)) if coeff else ZERO
+    terms = []
+    keys = []
+    for key in sorted(coeffs):
+        coeff = coeffs[key]
+        if coeff:
+            terms.append((monos[key], coeff))
+            keys.append(key)
+    return _canonical(tuple(terms), tuple(keys))
 
 
 ZERO = Expression()
@@ -331,29 +422,140 @@ def parse_operator_expr(text: str) -> Expression:
     return _parse(text, _MIXED_TOKEN)
 
 
+class _SyntaxAt(Exception):
+    """A syntax error at a token index of the fold; the re-scan supplies
+    the offset, and the message where none is given."""
+
+    def __init__(self, index: int, message: str | None = None):
+        super().__init__(index, message)
+        self.index = index
+        self.message = message
+
+    def located(self, text: str, tokens: list[tuple[object, int]]) -> ExpressionSyntaxError:
+        if self.index < len(tokens):
+            value, offset = tokens[self.index]
+            return ExpressionSyntaxError(self.message or f"unexpected {value!r}", offset)
+        return ExpressionSyntaxError(self.message or "unexpected end of expression", len(text))
+
+
 def _parse(text: str, token_pattern: re.Pattern[str]) -> Expression:
-    tokens = _tokenize(text, token_pattern)
-    if not tokens:
+    tokens = token_pattern.findall(text)
+    if tokens[0] == _END:
         raise ExpressionSyntaxError("empty expression", 0)
-    parser = _Parser(text, tokens)
-    result = parser.parse_expression()
-    trailing = parser.peek()
-    if trailing is not None:
-        raise ExpressionSyntaxError(f"unexpected {trailing[1]!r}", trailing[2])
-    return result
+    try:
+        value, index = _fold_sum(tokens, 0, 0)
+        if tokens[index] != _END:
+            raise _SyntaxAt(index)
+        return value
+    except (_SyntaxAt, OverflowLimitError, TermLimitError) as exc:
+        fault = exc
+    located = _scan(text, token_pattern)  # raises the text's first lexical error
+    if isinstance(fault, _SyntaxAt):
+        raise fault.located(text, located)
+    raise fault
 
 
-def _tokenize(
-    text: str, token_pattern: re.Pattern[str]
-) -> list[tuple[str, object, int]]:
-    tokens: list[tuple[str, object, int]] = []
-    pos = 0
+def _fold_sum(tokens: list[tuple[str, str, str, str]], index: int, depth: int):
+    """Fold the sum that starts at tokens[index], at nesting depth depth;
+    return it and the index of the first token after it."""
+    coeffs: dict[_Key, int] = {}
+    monos: dict[_Key, Monomial] = {}
+    sign = 1
+    if tokens[index][2] == "-":
+        sign = -1
+        index += 1
     while True:
-        match = token_pattern.match(text, pos)
-        pos = match.end()
+        # One term: a coefficient and variable names until a parenthesised
+        # factor turns it into an expression.
+        start = index
+        coeff = 1
+        names: list[str] = []
+        value = None
+        while True:
+            number, name, op, _ = tokens[index]
+            if number:
+                factor = int(number) if len(number) <= _MAX_DIGITS else _long_literal(number)
+                if factor > INT64_MAX:
+                    raise _SyntaxAt(index)  # the re-scan reports the literal
+                if value is None:
+                    coeff *= factor
+                    if coeff > INT64_MAX:
+                        _check_range(coeff, "coefficient")
+                else:
+                    value = value * _constant(factor)
+            elif name:
+                if value is None:
+                    names.append(name)
+                else:
+                    value = value * _variable(name)
+            elif op == "(":
+                if depth == MAX_NESTING:
+                    raise _SyntaxAt(index, f"parentheses nested more than {MAX_NESTING} deep")
+                if value is None and index != start:
+                    value = _term(coeff, names)
+                inner, index = _fold_sum(tokens, index + 1, depth + 1)
+                if tokens[index][2] != ")":
+                    raise _SyntaxAt(index, "missing closing parenthesis")
+                value = inner if value is None else value * inner
+            else:
+                raise _SyntaxAt(index)
+            index += 1
+            if tokens[index][2] != "*":
+                break
+            index += 1
+        if value is not None:
+            _gather(coeffs, monos, value, sign)
+        elif coeff:
+            # A coefficient in 1..INT64_MAX: only a merged sum can leave the range.
+            if names:
+                names.sort()
+                expanded = tuple(names)
+                key = (-len(expanded), expanded)
+            else:
+                expanded, key = (), _CONSTANT_KEY
+            if sign < 0:
+                coeff = -coeff
+            if key in coeffs:
+                coeff += coeffs[key]
+                if coeff > INT64_MAX or coeff < INT64_MIN:
+                    _check_range(coeff, "coefficient")
+            else:
+                monos[key] = _grouped(expanded)
+            coeffs[key] = coeff
+        op = tokens[index][2]
+        if op == "+":
+            sign = 1
+        elif op == "-":
+            sign = -1
+        else:
+            return _gathered(coeffs, monos), index
+        index += 1
+
+
+def _long_literal(digits: str) -> int:
+    """The value of a digit string longer than _MAX_DIGITS, read only when
+    its significant digits fit; INT64_MAX + 1 stands for any larger one."""
+    digits = digits.lstrip("0")
+    return int(digits or "0") if len(digits) <= _MAX_DIGITS else INT64_MAX + 1
+
+
+def _term(coeff: int, names: list[str]) -> Expression:
+    """The parenthesis-free part of a term as an expression."""
+    if not coeff:
+        return ZERO
+    expanded = tuple(sorted(names))
+    return _canonical(((_grouped(expanded), coeff),), ((-len(expanded), expanded),))
+
+
+def _scan(text: str, token_pattern: re.Pattern[str]) -> list[tuple[object, int]]:
+    """Each token's value and offset, in the fold's order; raises the first
+    lexical error in the text: an unknown character or an integer literal
+    outside the signed 64-bit range."""
+    tokens: list[tuple[object, int]] = []
+    for match in token_pattern.finditer(text):
         group = match.lastindex
         if group is None:
-            return tokens
+            break
         start, lexeme = match.start(group), match.group(group)
         if group == 1:
             digits = lexeme.lstrip("0") or "0"
@@ -363,76 +565,9 @@ def _tokenize(
                     "is outside the signed 64-bit range",
                     start,
                 )
-            tokens.append(("int", _check_range(int(digits), "integer literal", start), start))
+            tokens.append((_check_range(int(digits), "integer literal", start), start))
         elif group == 4:
             raise ExpressionSyntaxError(f"unknown character {lexeme!r}", start)
         else:
-            tokens.append(("name" if group == 2 else lexeme, lexeme, start))
-
-
-class _Parser:
-    def __init__(self, text: str, tokens: list[tuple[str, object, int]]):
-        self.text = text
-        self.tokens = tokens
-        self.index = 0
-        self.depth = 0
-
-    def peek(self) -> tuple[str, object, int] | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
-
-    def parse_expression(self) -> Expression:
-        token = self.peek()
-        negate = token is not None and token[0] == "-"
-        if negate:
-            self.index += 1
-        value = self.parse_term()
-        if negate:
-            value = -value
-        while True:
-            token = self.peek()
-            if token is None or token[0] not in "+-":
-                return value
-            self.index += 1
-            rhs = self.parse_term()
-            value = value + rhs if token[0] == "+" else value - rhs
-
-    def parse_term(self) -> Expression:
-        value = self.parse_factor()
-        while True:
-            token = self.peek()
-            if token is None or token[0] != "*":
-                return value
-            self.index += 1
-            value = value * self.parse_factor()
-
-    def parse_factor(self) -> Expression:
-        token = self.peek()
-        if token is None:
-            raise ExpressionSyntaxError("unexpected end of expression", len(self.text))
-        kind, value, pos = token
-        if kind == "int":
-            self.index += 1
-            return _constant(value)  # type: ignore[arg-type]
-        if kind == "name":
-            self.index += 1
-            return _variable(value)  # type: ignore[arg-type]
-        if kind == "(":
-            if self.depth == MAX_NESTING:
-                raise ExpressionSyntaxError(
-                    f"parentheses nested more than {MAX_NESTING} deep", pos
-                )
-            self.index += 1
-            self.depth += 1
-            inner = self.parse_expression()
-            self.depth -= 1
-            closing = self.peek()
-            if closing is None or closing[0] != ")":
-                raise ExpressionSyntaxError(
-                    "missing closing parenthesis",
-                    closing[2] if closing else len(self.text),
-                )
-            self.index += 1
-            return inner
-        raise ExpressionSyntaxError(f"unexpected {value!r}", pos)
+            tokens.append((lexeme, start))
+    return tokens

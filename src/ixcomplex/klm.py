@@ -29,6 +29,7 @@ from .errors import (
 from .expr import (
     Binding,
     Expression,
+    Sum,
     ZERO,
     evaluate,
     format_expr,
@@ -174,15 +175,21 @@ def mapping_from_dict(data: Mapping[str, Sequence[str]]) -> ActionMapping:
 
 
 _OPERATOR_SLOT = {operator: slot for slot, operator in enumerate(KlmOperator)}
+_WIDTH = len(_OPERATOR_SLOT)
 
 
 @dataclass(frozen=True)
 class KlmExpression:
     """Count polynomials in fixed slots, one per KlmOperator in its order, ZERO
     in empty ones: + adds slot by slot, and per_operator views the nonzero
-    slots.  KlmExpression() is the zero vector."""
+    slots.  KlmExpression() is the zero vector; counts of any other length
+    raise DomainError."""
 
-    counts: tuple[Expression, ...] = (ZERO,) * len(KlmOperator)
+    counts: tuple[Expression, ...] = (ZERO,) * _WIDTH
+
+    def __post_init__(self):
+        if len(self.counts) != _WIDTH:
+            raise DomainError(f"a KlmExpression holds {_WIDTH} counts, got {len(self.counts)}")
 
     @property
     def per_operator(self) -> dict[KlmOperator, Expression]:
@@ -218,12 +225,11 @@ def _check_mapped(step: UserStep, mapping: ActionMapping) -> None:
 
 
 def _operator_counts(vector: ActionVector, mapping: ActionMapping) -> KlmExpression:
-    counts = [ZERO] * len(KlmOperator)
+    sums = [Sum() for _ in range(_WIDTH)]
     for kind, count in vector.per_kind.items():
         for operator in mapping.per_kind[kind]:
-            slot = _OPERATOR_SLOT[operator]
-            counts[slot] = counts[slot] + count
-    return KlmExpression(tuple(counts))
+            sums[_OPERATOR_SLOT[operator]].add(count)
+    return KlmExpression(tuple(total.value() for total in sums))
 
 
 def klm_parse(text: str) -> KlmExpression:

@@ -33,6 +33,7 @@ import gc
 import io
 import json
 import math
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
@@ -153,9 +154,25 @@ def dump_log(log: EventLog) -> str:
     record, for any field load_log would refuse: an integer field holding
     anything but an int (a bool too), a negative value, a value above
     2**63 - 1 or a step is_count below 1, and an id, concept name, label,
-    page or binding name that is not a str.  The interval rules are checked
-    by validate_log, not here.
+    page or binding name that is not a str, and any of these strings that
+    holds a high surrogate directly followed by a low one, since JSON reads
+    that pair back as one character.  The interval rules are checked by
+    validate_log, not here.
     """
+    try:
+        return _json_text(log)
+    except _SurrogatePair as pair:
+        where, field = next(
+            (where, field) for where, field, text in _strings(log) if text == pair.args[0]
+        )
+        raise LogFormatError(
+            f"{field} holds a high surrogate followed by a low one, "
+            "which would load back as one character",
+            where,
+        ) from None
+
+
+def _json_text(log: EventLog) -> str:
     quoted = _Quoted()
     out = ['{"sessions":[']
     append = out.append
@@ -204,11 +221,38 @@ def dump_log(log: EventLog) -> str:
 
 
 class _Quoted(dict):
-    """JSON string literals by string, each encoded on first use."""
+    """JSON string literals by string, each encoded and checked on first
+    use."""
 
     def __missing__(self, text: str) -> str:
+        if not text.isascii() and _SURROGATE_PAIR.search(text):
+            raise _SurrogatePair(text)
         literal = self[text] = json.dumps(text)
         return literal
+
+
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
+class _SurrogatePair(Exception):
+    """Raised by _Quoted with the string that holds the pair."""
+
+
+def _strings(log: EventLog) -> Iterator[tuple[str, str, str]]:
+    """Every string dump_log writes, in writing order, with the path to its
+    record and the name of its field."""
+    for i, session in enumerate(log.sessions):
+        yield f"sessions[{i}]", "'session_id'", session.session_id
+        for j, task in enumerate(session.tasks):
+            where = f"sessions[{i}].tasks[{j}]"
+            for name in sorted(task.binding):
+                yield where, f"binding name {name!r}", name
+            yield where, "'concept_name'", task.concept_name
+            for k, visit in enumerate(task.page_visits):
+                yield f"{where}.page_visits[{k}]", "'page'", visit.page
+                for n, step in enumerate(visit.steps):
+                    yield f"{where}.page_visits[{k}].steps[{n}]", "'step_label'", step.step_label
+            yield where, "'task_id'", task.task_id
 
 
 def _refuse(record, where: str) -> None:

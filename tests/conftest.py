@@ -1,8 +1,17 @@
+import os
+
 import pytest
+from hypothesis import settings
 
-from ixcomplex.concept import parse_concept
+# HYPOTHESIS_PROFILE=ci (set by the CI workflow) draws five times the
+# default number of examples wherever a test does not fix its own count,
+# the parser and sum properties among them.  Without it the default holds.
+settings.register_profile("ci", max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
-from helpers import CONCEPTS_DIR
+from ixcomplex.concept import parse_concept  # noqa: E402
+
+from helpers import CONCEPTS_DIR  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,8 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from ixcomplex.concept import ActionKind, ConceptVariable, InteractionConcept, UserStep
-from ixcomplex.expr import INT64_MAX, Expression, parse_expr
+from ixcomplex.errors import ExpressionSyntaxError, OverflowLimitError
+from ixcomplex.expr import INT64_MAX, INT64_MIN, MAX_NESTING, Expression, parse_expr
 from ixcomplex.logs import EventLog, PageVisit, Session, StepRecord, Task
 
 CONCEPTS_DIR = Path(__file__).resolve().parent.parent / "concepts"
@@ -112,7 +113,8 @@ _HOSTILE_CHARS = ('"', "\\", "\x00", "\x1f", "\n", "\x7f", "\u2028", "é", "€"
 
 
 # A high surrogate followed by a low one is a pair, which JSON's escapes
-# join into one character on reading; hostile_texts keeps surrogates lone.
+# join into one character on reading, so dump_log refuses it (a test in
+# test_logs.py checks that); hostile_texts keeps surrogates lone.
 _SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 
@@ -160,6 +162,198 @@ def event_logs():
     )
     sessions = st.builds(Session, hostile_texts(), st.lists(tasks, max_size=3).map(tuple))
     return st.builds(EventLog, st.lists(sessions, max_size=3).map(tuple))
+
+
+# --- reference expression parser ----------------------------------------------
+#
+# A tokenizer and a recursive-descent parser over the same grammar and token
+# pattern as ixcomplex.expr, built from Expression's own arithmetic: the whole
+# text is tokenized first, so a lexical error anywhere comes before any other,
+# and each + - * is applied as soon as its right operand is parsed.  The
+# differential test holds the one-scan parser to the same values, keys,
+# messages and offsets.
+
+_REFERENCE_MAX_DIGITS = len(str(INT64_MAX))
+
+
+def _reference_range(value, what, offset=None):
+    if value < INT64_MIN or value > INT64_MAX:
+        raise OverflowLimitError(f"{what} {value} is outside the signed 64-bit range", offset)
+    return value
+
+
+def reference_parse(text, token_pattern):
+    tokens = _reference_tokenize(text, token_pattern)
+    if not tokens:
+        raise ExpressionSyntaxError("empty expression", 0)
+    parser = _ReferenceParser(text, tokens)
+    result = parser.parse_expression()
+    trailing = parser.peek()
+    if trailing is not None:
+        raise ExpressionSyntaxError(f"unexpected {trailing[1]!r}", trailing[2])
+    return result
+
+
+def _reference_tokenize(text, token_pattern):
+    tokens = []
+    pos = 0
+    while True:
+        match = token_pattern.match(text, pos)
+        pos = match.end()
+        group = match.lastindex
+        if group is None:
+            return tokens
+        start, lexeme = match.start(group), match.group(group)
+        if group == 1:
+            digits = lexeme.lstrip("0") or "0"
+            if len(digits) > _REFERENCE_MAX_DIGITS:
+                raise OverflowLimitError(
+                    f"integer literal {digits[:_REFERENCE_MAX_DIGITS]}... ({len(digits)} digits) "
+                    "is outside the signed 64-bit range",
+                    start,
+                )
+            tokens.append(("int", _reference_range(int(digits), "integer literal", start), start))
+        elif group == 4:
+            raise ExpressionSyntaxError(f"unknown character {lexeme!r}", start)
+        else:
+            tokens.append(("name" if group == 2 else lexeme, lexeme, start))
+
+
+class _ReferenceParser:
+    def __init__(self, text, tokens):
+        self.text = text
+        self.tokens = tokens
+        self.index = 0
+        self.depth = 0
+
+    def peek(self):
+        if self.index < len(self.tokens):
+            return self.tokens[self.index]
+        return None
+
+    def parse_expression(self):
+        token = self.peek()
+        negate = token is not None and token[0] == "-"
+        if negate:
+            self.index += 1
+        value = self.parse_term()
+        if negate:
+            value = -value
+        while True:
+            token = self.peek()
+            if token is None or token[0] not in "+-":
+                return value
+            self.index += 1
+            rhs = self.parse_term()
+            value = value + rhs if token[0] == "+" else value - rhs
+
+    def parse_term(self):
+        value = self.parse_factor()
+        while True:
+            token = self.peek()
+            if token is None or token[0] != "*":
+                return value
+            self.index += 1
+            value = value * self.parse_factor()
+
+    def parse_factor(self):
+        token = self.peek()
+        if token is None:
+            raise ExpressionSyntaxError("unexpected end of expression", len(self.text))
+        kind, value, pos = token
+        if kind == "int":
+            self.index += 1
+            return Expression((((), value),))
+        if kind == "name":
+            self.index += 1
+            return Expression(((((value, 1),), 1),))
+        if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ExpressionSyntaxError(
+                    f"parentheses nested more than {MAX_NESTING} deep", pos
+                )
+            self.index += 1
+            self.depth += 1
+            inner = self.parse_expression()
+            self.depth -= 1
+            closing = self.peek()
+            if closing is None or closing[0] != ")":
+                raise ExpressionSyntaxError(
+                    "missing closing parenthesis",
+                    closing[2] if closing else len(self.text),
+                )
+            self.index += 1
+            return inner
+        raise ExpressionSyntaxError(f"unexpected {value!r}", pos)
+
+
+_LOWER_NAMES = ("a", "b", "x", "r2", "ab_1")
+_MIXED_NAMES = _LOWER_NAMES + ("Q", "Tz", "M_x")
+# Literals near the 64-bit edge: 2**62, 2**63 - 1, isqrt(2**63) and its
+# successor, 2**31, and leading zeros.  The grammar texts draw only these
+# and small ones; literals past the range come in with the junk.
+_EDGE_LITERALS = (
+    "4611686018427387904", "9223372036854775807", "3037000499", "3037000500",
+    "2147483648", "0" * 20 + "7", "007",
+)
+_JUNK_TEXTS = (
+    "9223372036854775808", "9999999999999999999", "10000000000000000000", "1" * 20,
+    "$", "é", "٣", "１", "²", ".", "/", "^", "\u200b", "_", "[", "Q",
+)
+_GAPS = ("", "", " ", "  ", "\t", "\n", "\u3000")
+
+
+def _literals():
+    return st.one_of(st.integers(0, 12).map(str), st.sampled_from(_EDGE_LITERALS))
+
+
+def _sums(factors):
+    terms = st.lists(factors, min_size=1, max_size=3).map("*".join)
+    return st.builds(
+        _sum_text,
+        st.sampled_from(("", "-")),
+        terms,
+        st.lists(st.tuples(st.sampled_from("+-"), terms), max_size=3),
+        st.sampled_from(_GAPS),
+    )
+
+
+def _sum_text(sign, first, rest, gap):
+    return sign + first + "".join(f"{gap}{op}{gap}{term}" for op, term in rest)
+
+
+def grammar_texts(names=_LOWER_NAMES):
+    """Texts of the expression grammar: signed sums of products of
+    literals, names and parenthesised sums."""
+    atoms = st.one_of(_literals(), st.sampled_from(names))
+    return st.recursive(
+        atoms, lambda inner: _sums(st.one_of(atoms, inner.map(lambda t: f"({t})"))), max_leaves=14
+    )
+
+
+@st.composite
+def parser_texts(draw):
+    """Grammar texts, over lowercase or mixed-case names; some with junk,
+    literals past the range or an operator spliced in, or cut short; token
+    soups; and parentheses nested up to and past MAX_NESTING."""
+    kind = draw(st.sampled_from(("grammar", "spliced", "soup", "nested")))
+    if kind == "soup":
+        vocabulary = st.one_of(
+            _literals(), st.sampled_from(_MIXED_NAMES + _JUNK_TEXTS + tuple("+-*()"))
+        )
+        parts = draw(st.lists(st.tuples(st.sampled_from(_GAPS), vocabulary), max_size=10))
+        return "".join(gap + token for gap, token in parts)
+    text = draw(grammar_texts(draw(st.sampled_from((_LOWER_NAMES, _MIXED_NAMES)))))
+    if kind == "spliced":
+        at = draw(st.integers(0, len(text)))
+        insert = draw(st.sampled_from(_JUNK_TEXTS + tuple("+-*()") + ("",)))
+        end = draw(st.integers(at, len(text)))
+        text = text[:at] + insert + text[end:]
+    elif kind == "nested":
+        depth = draw(st.sampled_from((MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1)))
+        closing = depth + draw(st.integers(-1, 1))
+        text = "(" * depth + text + ")" * closing
+    return text
 
 
 # --- seeded bulk generator ---------------------------------------------------

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ixcomplex.bigi import (
@@ -22,8 +22,9 @@ from ixcomplex.bigi import (
     vector_to_dict,
 )
 from ixcomplex.concept import ActionKind, InteractionConcept, UserStep, parse_concept
-from ixcomplex.errors import NegativeCountError, UnboundVariableError
-from ixcomplex.expr import ZERO, evaluate, parse_expr
+from ixcomplex.bigi import _vector_sum
+from ixcomplex.errors import DomainError, NegativeCountError, UnboundVariableError
+from ixcomplex.expr import INT64_MAX, INT64_MIN, ZERO, Expression, evaluate, parse_expr
 from ixcomplex.synth import count_actions
 
 from helpers import (
@@ -126,6 +127,25 @@ def folded(*dicts):
     return {kind: merged[kind] for kind in ActionKind if not merged.get(kind, ZERO).is_zero()}
 
 
+def _edge(coeff):
+    return Expression((((("a", 1),), coeff),))
+
+
+def _wide_counts():
+    """Counts in a and b whose coefficients reach the ends of the range."""
+    coeffs = st.one_of(st.integers(-9, 9), st.sampled_from((INT64_MIN, INT64_MAX)))
+    return st.dictionaries(st.sampled_from(("a", "b")), coeffs, max_size=2).map(
+        lambda terms: Expression(tuple((((name, 1),), c) for name, c in terms.items()))
+    )
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
 class TestActionVector:
     @given(kind_counts(), kind_counts())
     def test_sum_matches_a_dict_fold(self, a, b):
@@ -144,6 +164,22 @@ class TestActionVector:
               for step in concept.steps)
         )
         assert list(sum_steps(concept).per_kind.items()) == list(expected.items())
+
+    @given(st.lists(st.lists(_wide_counts(), min_size=5, max_size=5), max_size=5))
+    @example([[ZERO, ZERO, _edge(INT64_MAX), ZERO, ZERO], [ZERO, ZERO, _edge(1), ZERO, ZERO],
+              [_edge(INT64_MAX), ZERO, ZERO, ZERO, ZERO], [_edge(7), ZERO, ZERO, ZERO, ZERO]])
+    def test_vector_sum_matches_the_pairwise_fold(self, rows):
+        # Same value, or the same first error: steps in order, slots in
+        # order within a step.
+        vectors = [ActionVector(tuple(row)) for row in rows]
+        assert _outcome(lambda: _vector_sum(vectors)) == _outcome(
+            lambda: sum(vectors, ActionVector())
+        )
+
+    @pytest.mark.parametrize("width", [0, 1, 4, 6])
+    def test_slot_count_is_fixed(self, width):
+        with pytest.raises(DomainError, match=f"^an ActionVector holds 5 counts, got {width}$"):
+            ActionVector((parse_expr("a"),) * width)
 
     def test_per_kind_keeps_kind_order_and_drops_zeros(self):
         a, two, b = parse_expr("a"), parse_expr("2"), parse_expr("b")

@@ -19,12 +19,14 @@ from ixcomplex.errors import (
 )
 from ixcomplex.expr import (
     _LOWER_TOKEN,
+    _MIXED_TOKEN,
     INT64_MAX,
     INT64_MIN,
     MAX_NESTING,
     MAX_TERMS,
     ONE,
     Expression,
+    Sum,
     ZERO,
     binding_from_dict,
     evaluate,
@@ -34,7 +36,7 @@ from ixcomplex.expr import (
     total_degree,
 )
 
-from helpers import expressions, monomials, nonneg_expressions
+from helpers import expressions, monomials, nonneg_expressions, parser_texts, reference_parse
 
 
 def mono(*pairs):
@@ -146,6 +148,61 @@ class TestTokens:
         assert parse_expr(f"{gap}a{gap}+{gap}1{gap}") == parse_expr("a + 1")
         with pytest.raises(ExpressionSyntaxError):
             parse_expr("a\u200b")
+
+
+# Partial products and partial sums are checked where the text forms them,
+# even when a later factor or term would bring the value back into range.
+OVERFLOW_TEXTS = [
+    ("4611686018427387904*4*0", 2**64),
+    ("9223372036854775807 + 1 - 1", 2**63),
+    ("a*0 + 9223372036854775807*a + a - a", 2**63),
+    ("x - (-9223372036854775807 - 1)", 2**63),
+]
+_SIDE = "(" + " + ".join(f"v{i}" for i in range(100)) + ")"
+# A sum of 20,000 terms: multiplying it even by a constant is past MAX_TERMS.
+_WIDE_SUM = f"({_SIDE}*{_SIDE.replace('v', 'w')} + {_SIDE}*{_SIDE.replace('v', 'u')})"
+
+
+def _outcome(compute):
+    try:
+        result = compute()
+    except Exception as exc:  # the type, message and offset are compared
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return result.terms, result._keys
+
+
+class TestOneScanParser:
+    @pytest.mark.parametrize("text, value", OVERFLOW_TEXTS)
+    def test_partial_results_are_range_checked(self, text, value):
+        with pytest.raises(OverflowLimitError) as exc:
+            parse_expr(text)
+        assert str(exc.value) == f"coefficient {value} is outside the signed 64-bit range"
+        assert exc.value.offset is None
+
+    @given(parser_texts())
+    @example(OVERFLOW_TEXTS[0][0])
+    @example(OVERFLOW_TEXTS[1][0])
+    @example(OVERFLOW_TEXTS[2][0])
+    @example(OVERFLOW_TEXTS[3][0])
+    @example("(3*a)*4611686018427387904*2")
+    @example("-(a + b) - 9223372036854775807*a - 2*a")
+    @example("0*(a)*9223372036854775808")
+    @example("4611686018427387904*4 + $")
+    @example("a 007")
+    def test_matches_the_reference_parser(self, text):
+        for parse, pattern in ((parse_expr, _LOWER_TOKEN), (parse_operator_expr, _MIXED_TOKEN)):
+            assert _outcome(lambda: parse(text)) == _outcome(lambda: reference_parse(text, pattern))
+
+    # Too slow for a hypothesis example's deadline: each builds 20,000 terms.
+    @pytest.mark.parametrize(
+        "text",
+        [_WIDE_SUM, f"1*{_WIDE_SUM}", f"-{_WIDE_SUM}*0"],
+        ids=["sum", "one-times-sum", "minus-sum-times-zero"],
+    )
+    def test_wide_sums_match_the_reference_parser(self, text):
+        assert _outcome(lambda: parse_expr(text)) == _outcome(
+            lambda: reference_parse(text, _LOWER_TOKEN)
+        )
 
 
 class TestTermBound:
@@ -402,6 +459,25 @@ class TestConstructor:
         a = (("a", 1),)
         assert Expression(((a, 2**63), (a, -1))) == Expression(((a, INT64_MAX),))
 
+    def test_monomial_pairs_are_sorted(self):
+        built = Expression((((("b", 1), ("a", 1)), 1),))
+        assert built == parse_expr("a*b") and built._keys == parse_expr("a*b")._keys
+        assert format_expr(built) == "a*b"
+        assert built - parse_expr("a*b") == ZERO
+
+    def test_repeated_variables_are_merged(self):
+        built = Expression((((("a", 1), ("a", 1)), 1), ((("a", 2),), 1)))
+        assert built == parse_expr("2*a*a") and built._keys == parse_expr("a*a")._keys
+
+    def test_zero_exponents_are_dropped(self):
+        assert Expression((((("a", 0),), 1),)) == ONE
+        built = Expression((((("a", 0), ("b", 1)), 3), ((("b", 1),), -3)))
+        assert built == ZERO and built._keys == ()
+
+    def test_negative_exponent_is_refused(self):
+        with pytest.raises(DomainError, match="^exponent -1 of 'a' is negative$"):
+            Expression((((("a", -1),), 1),))
+
 
 class TestFastPath:
     @given(wide_expressions(), wide_expressions(), _WIDE_INTEGERS)
@@ -434,6 +510,31 @@ class TestFastPath:
             assert result.terms == expected
             assert result._keys == tuple(_expanded_key(mono) for mono, _ in expected)
 
+    @given(monomials(), _WIDE_INTEGERS.filter(bool), wide_expressions())
+    def test_one_term_times_an_expression_keeps_its_order(self, mono, coeff, b):
+        term = Expression(((mono, coeff),))
+        raw = [(_product_mono(mono, mb), coeff * cb) for mb, cb in b.terms]
+        expected = _reference_terms(raw)
+        outside = [c for _, c in expected if not INT64_MIN <= c <= INT64_MAX]
+        for compute in (lambda: term * b, lambda: b * term):
+            if outside:
+                with pytest.raises(OverflowLimitError) as exc:
+                    compute()
+                assert str(exc.value) == (
+                    f"coefficient {outside[0]} is outside the signed 64-bit range"
+                )
+            else:
+                result = compute()
+                assert result.terms == expected
+                assert result._keys == tuple(_expanded_key(m) for m, _ in expected)
+
+    @given(wide_expressions(), st.sets(st.sampled_from(("a", "b", "c", "m"))))
+    def test_select_keeps_order_and_keys(self, e, names):
+        kept = e.select(lambda mono: any(name in names for name, _ in mono))
+        expected = [(m, c) for m, c in e.terms if any(name in names for name, _ in m)]
+        assert kept == Expression(tuple(expected))
+        assert kept._keys == tuple(_expanded_key(m) for m, _ in expected)
+
     @given(expressions())
     def test_parsed_keys_match_recomputed(self, e):
         parsed = parse_expr(format_expr(e))
@@ -447,6 +548,39 @@ class TestFastPath:
         assert rebuilt == e and hash(rebuilt) == hash(e)
         assert rebuilt._keys == e._keys == ((-2, ("a", "b")), (0, ()))
         assert ONE._keys == ((0, ()),) and ZERO._keys == ()
+
+
+class TestSum:
+    @given(st.lists(st.tuples(st.sampled_from((1, -1)), wide_expressions()), max_size=6))
+    @example([(1, Expression((((), INT64_MAX),))), (1, ONE), (-1, ONE)])
+    @example([(1, parse_expr("x")), (-1, Expression((((("x", 1),), INT64_MIN),)))])
+    @example([(-1, Expression((((), INT64_MIN), ((("x", 1),), INT64_MIN))))])
+    def test_matches_the_pairwise_fold(self, signed):
+        def folded():
+            result = ZERO
+            for sign, expression in signed:
+                result = result + expression if sign > 0 else result - expression
+            return result
+
+        def summed():
+            total = Sum()
+            for sign, expression in signed:
+                total.add(expression, sign)
+            return total.value()
+
+        assert _outcome(summed) == _outcome(folded)
+
+    @given(st.lists(expressions(), max_size=6))
+    def test_constructor_sums_its_arguments(self, summands):
+        expected = ZERO
+        for expression in summands:
+            expected = expected + expression
+        result = Sum(summands).value()
+        assert result == expected and result._keys == expected._keys
+
+    def test_empty_sum_is_zero(self):
+        assert Sum().value() == ZERO
+        assert Sum([parse_expr("a"), parse_expr("-a")]).value() == ZERO
 
 
 def _raw(e, binding):

@@ -225,6 +225,19 @@ class TestKlmExpression:
             assert total.get(operator) == expected.get(operator, ZERO)
         assert total == klm_of(expected)
 
+    @pytest.mark.parametrize("width", [0, 1, 8, 10])
+    def test_slot_count_is_fixed(self, width):
+        with pytest.raises(DomainError, match=f"^a KlmExpression holds 9 counts, got {width}$"):
+            KlmExpression((parse_expr("a"),) * width)
+
+    def test_operator_listed_twice_counts_twice(self):
+        concept = parse_concept('concept "x"\nvar m\nstep "s" repeat m { T: 2; C: 1 }')
+        mapping = mapping_from_dict({"Think": ["M", "M"], "Click": ["M", "C_click"]})
+        assert klm_from_concept(concept, mapping).per_operator == {
+            KlmOperator.POINT: parse_expr("5*m"),
+            KlmOperator.CLICK: parse_expr("m"),
+        }
+
     def test_per_operator_keeps_operator_order_and_drops_zeros(self):
         m, nine = parse_expr("m"), parse_expr("9")
         expression = klm_parse("9*T + m*Q + 0*K")

@@ -246,6 +246,19 @@ WRITER_REFUSALS = [
     ("session", "session_id", 0, f"{W_S}: 'session_id' must be a string"),
 ]
 
+# A high surrogate directly followed by a low one: JSON writes the pair as
+# two escapes and reads them back as the one character U+103FF.
+PAIR = "\ud800\udfff"
+PAIRED = "holds a high surrogate followed by a low one, which would load back as one character"
+SURROGATE_REFUSALS = [
+    ("session", "session_id", f"s{PAIR}", f"{W_S}: 'session_id' {PAIRED}"),
+    ("task", "task_id", PAIR, f"{W_T}: 'task_id' {PAIRED}"),
+    ("task", "concept_name", f"{PAIR}!", f"{W_T}: 'concept_name' {PAIRED}"),
+    ("task", "binding", {"m": 1, f"n{PAIR}": 2}, f"{W_T}: binding name 'n\\ud800\\udfff' {PAIRED}"),
+    ("visit", "page", f"p{PAIR}", f"{W_V}: 'page' {PAIRED}"),
+    ("step", "step_label", f"x{PAIR}y", f"{W_R}: 'step_label' {PAIRED}"),
+]
+
 
 def two_sessions(level=None, key=None, value=None):
     """Two copies of MINIMAL's session, with one field of the second
@@ -451,6 +464,29 @@ class TestDump:
 
     def test_unchanged_copy_is_written(self):
         log = two_sessions()
+        assert load_log(dump_log(log)) == log
+
+    @pytest.mark.parametrize("level, key, value, message", SURROGATE_REFUSALS)
+    def test_writer_refuses_a_surrogate_pair(self, level, key, value, message):
+        with pytest.raises(LogFormatError) as exc:
+            dump_log(two_sessions(level, key, value))
+        assert str(exc.value) == message
+
+    def test_first_record_holding_the_pair_is_named(self):
+        # The label is written before the task_id that holds the same text.
+        log = two_sessions("step", "step_label", PAIR)
+        session = log.sessions[1]
+        task = dataclasses.replace(session.tasks[0], task_id=PAIR)
+        log = EventLog((log.sessions[0], dataclasses.replace(session, tasks=(task,))))
+        with pytest.raises(LogFormatError) as exc:
+            dump_log(log)
+        assert str(exc.value) == f"{W_R}: 'step_label' {PAIRED}"
+
+    @pytest.mark.parametrize(
+        "text", ["\ud800", "\udfff", "\udfff\ud800", "\ud800 \udfff", "\U000103ff"]
+    )
+    def test_lone_and_reversed_surrogates_round_trip(self, text):
+        log = two_sessions("session", "session_id", text)
         assert load_log(dump_log(log)) == log
 
 
