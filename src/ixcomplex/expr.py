@@ -130,9 +130,12 @@ def _mono_key(mono: Monomial) -> _Key:
 
 def _canonical_mono(mono: Monomial) -> Monomial:
     """Pairs sorted by name, a repeated name's exponents summed and zero
-    exponents dropped; a negative exponent raises DomainError."""
+    exponents dropped; an exponent that is not an int (a bool neither) or
+    is negative raises DomainError."""
     powers: dict[str, int] = {}
     for name, exp in mono:
+        if type(exp) is not int:
+            raise DomainError(f"exponent {exp!r} of {name!r} must be an integer")
         if exp < 0:
             raise DomainError(f"exponent {exp} of {name!r} is negative")
         powers[name] = powers.get(name, 0) + exp
@@ -156,14 +159,18 @@ def _grouped(expanded: tuple[str, ...]) -> Monomial:
 @dataclass(frozen=True)
 class Expression:
     """Canonical integer polynomial over named variables, built from terms
-    in any order, each merged coefficient range-checked.  The sort keys of
-    the terms (_keys) are not a field: ==, hash and repr see terms alone."""
+    in any order, each merged coefficient range-checked; a coefficient or
+    exponent that is not an int (a bool neither) raises DomainError.  The
+    sort keys of the terms (_keys) are not a field: ==, hash and repr see
+    terms alone."""
 
     terms: tuple[tuple[Monomial, int], ...] = ()
 
     def __post_init__(self):
         merged: dict[Monomial, int] = {}
         for mono, coeff in self.terms:
+            if type(coeff) is not int:
+                raise DomainError(f"coefficient {coeff!r} must be an integer")
             mono = _canonical_mono(mono)
             merged[mono] = merged.get(mono, 0) + coeff
         keys = {mono: _mono_key(mono) for mono, coeff in merged.items() if coeff != 0}

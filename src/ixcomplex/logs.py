@@ -14,7 +14,14 @@ newline, so identical logs (and so one synth seed) give identical bytes.  It
 writes the text straight from the records and refuses any field that
 load_log would refuse; validate_log checks the interval rules of a log built
 in memory.  load_log accepts any JSON layout, including the indented files
-written by earlier versions.  load_log and synth.generate_log pause the
+written by earlier versions.
+
+load_log refuses the first faulty record in document order, checking a
+record's own fields, then its intervals, then its children (see load_log).
+Page visits run forwards and in chronological order within their task, and
+each step runs forwards inside its visit.  The field rules' messages come
+from one function that load_log and dump_log share, and the interval rules
+from two that load_log and validate_log share.  load_log and synth.generate_log pause the
 cyclic garbage collector while they build, and the CLI's synth command
 pauses it around generating and dumping; dump_log allocates only strings
 and needs no pause (see gc_paused).
@@ -35,9 +42,10 @@ import json
 import math
 import re
 import warnings
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from functools import partial
 
 from .bigi import instantiate, normalize, sum_steps
 from .concept import InteractionConcept
@@ -137,11 +145,17 @@ def gc_paused() -> Iterator[None]:
 
 def load_log(data: bytes | str) -> EventLog:
     """Parse and validate a log file; raises LogFormatError with the path
-    to the first offending record."""
+    to the first offending record in document order.
+
+    A record's own fields come before its intervals, and both before its
+    children: it must be an object, then a task's binding is checked, then
+    each scalar field in declaration order, then the type of its child
+    list, then the interval rules of a page visit or a step.
+    """
     with gc_paused():
         # The decoded tree is gone once _log_from returns, before the
         # collector resumes.
-        return _log_from(_decoded(data))
+        return _log_from(_decoded(data)["sessions"])
 
 
 def dump_log(log: EventLog) -> str:
@@ -178,7 +192,7 @@ def _json_text(log: EventLog) -> str:
     append = out.append
     for i, session in enumerate(log.sessions):
         if type(session.session_id) is not str:
-            _refuse(session, f"sessions[{i}]")
+            raise _write_fault(session, i)
         append(f'{"," if i else ""}{{"session_id":{quoted[session.session_id]},"tasks":[')
         for j, task in enumerate(session.tasks):
             task_id, concept_name, is_count = task.task_id, task.concept_name, task.is_count
@@ -187,7 +201,7 @@ def _json_text(log: EventLog) -> str:
                     and type(is_count) is int and 0 <= is_count <= INT64_MAX
                     and all(type(name) is str and type(value) is int and 0 <= value <= INT64_MAX
                             for name, value in items)):
-                _refuse(task, f"sessions[{i}].tasks[{j}]")
+                raise _write_fault(task, i, j)
             binding = ",".join([f"{quoted[name]}:{value}" for name, value in sorted(items)])
             append(
                 f'{"," if j else ""}{{"binding":{{{binding}}},"concept_name":'
@@ -197,7 +211,7 @@ def _json_text(log: EventLog) -> str:
                 page, enter, exit_ = visit.page, visit.enter_ms, visit.exit_ms
                 if not (type(page) is str and type(enter) is int and type(exit_) is int
                         and 0 <= enter <= INT64_MAX and 0 <= exit_ <= INT64_MAX):
-                    _refuse(visit, f"sessions[{i}].tasks[{j}].page_visits[{k}]")
+                    raise _write_fault(visit, i, j, k)
                 append(
                     f'{"," if k else ""}{{"enter_ms":{enter},"exit_ms":{exit_},'
                     f'"page":{quoted[page]},"steps":['
@@ -208,7 +222,7 @@ def _json_text(log: EventLog) -> str:
                     if not (type(label) is str and type(start) is int and type(end) is int
                             and type(count) is int and 0 <= start <= INT64_MAX
                             and 0 <= end <= INT64_MAX and 1 <= count <= INT64_MAX):
-                        _refuse(step, f"sessions[{i}].tasks[{j}].page_visits[{k}].steps[{n}]")
+                        raise _write_fault(step, i, j, k, n)
                     append(
                         f'{"," if n else ""}{{"end_ms":{end},"is_count":{count},'
                         f'"start_ms":{start},"step_label":{quoted[label]}}}'
@@ -242,28 +256,31 @@ def _strings(log: EventLog) -> Iterator[tuple[str, str, str]]:
     """Every string dump_log writes, in writing order, with the path to its
     record and the name of its field."""
     for i, session in enumerate(log.sessions):
-        yield f"sessions[{i}]", "'session_id'", session.session_id
+        yield _where(i), "'session_id'", session.session_id
         for j, task in enumerate(session.tasks):
-            where = f"sessions[{i}].tasks[{j}]"
             for name in sorted(task.binding):
-                yield where, f"binding name {name!r}", name
-            yield where, "'concept_name'", task.concept_name
+                yield _where(i, j), f"binding name {name!r}", name
+            yield _where(i, j), "'concept_name'", task.concept_name
             for k, visit in enumerate(task.page_visits):
-                yield f"{where}.page_visits[{k}]", "'page'", visit.page
+                yield _where(i, j, k), "'page'", visit.page
                 for n, step in enumerate(visit.steps):
-                    yield f"{where}.page_visits[{k}].steps[{n}]", "'step_label'", step.step_label
-            yield where, "'task_id'", task.task_id
+                    yield _where(i, j, k, n), "'step_label'", step.step_label
+            yield _where(i, j), "'task_id'", task.task_id
 
 
-def _refuse(record, where: str) -> None:
-    """Raise the fault load_log finds in the first of the record's own
-    fields that it refuses, located at where."""
-    try:
-        if type(record) is Task:
-            _check_binding(record.binding)
-        _scalars(lambda key: getattr(record, key), _FIELDS[type(record)])
-    except _Fault as fault:
-        raise LogFormatError(fault.message, where) from None
+def _write_fault(record, *indices: int) -> LogFormatError:
+    """The fault load_log would find in the first of the record's own
+    fields that it refuses, at the path the indices give."""
+    return LogFormatError(_field_fault(type(record), partial(getattr, record)), _where(*indices))
+
+
+_LEVELS = ("sessions", "tasks", "page_visits", "steps")
+
+
+def _where(*indices: int) -> str:
+    """The path to a record from its index at each level, outermost first:
+    _where(1, 0) is "sessions[1].tasks[0]"."""
+    return ".".join([f"{level}[{index}]" for level, index in zip(_LEVELS, indices)])
 
 
 def _decoded(data: bytes | str) -> dict:
@@ -276,34 +293,18 @@ def _decoded(data: bytes | str) -> dict:
     return parsed
 
 
-def _log_from(parsed: dict) -> EventLog:
-    """The log built by _checked_inline, or when that finds a record it does
-    not accept, by the field-by-field builders, which raise its fault."""
-    log = _checked_inline(parsed["sessions"])
-    if log is not None:
-        return log
-    try:
-        return EventLog(_records(parsed, "sessions", _session_from))
-    except _Fault as fault:
-        raise fault.located() from None
-
-
-def _checked_inline(raw_sessions) -> EventLog | None:
-    """The log, with each record checked by one conjunction, or None.
-
-    Each conjunction holds the rules of the field-by-field builders below
-    for its record, intervals included, and may only be stricter than they
-    are; so None sends the document to them, and their messages are the
-    only ones.
-    """
+def _log_from(raw_sessions) -> EventLog:
+    """The log, each record checked by one conjunction.  A record that
+    fails it is refused at once, with the message of _load_fault; the index
+    of a record is the number of its siblings built before it."""
     if type(raw_sessions) is not list:
-        return None
+        raise LogFormatError("'sessions' must be a list")
     sessions = []
     for raw_session in raw_sessions:
         if not (type(raw_session) is dict
                 and type(session_id := raw_session.get("session_id")) is str
                 and type(raw_tasks := raw_session.get("tasks")) is list):
-            return None
+            raise _load_fault(Session, raw_session, _where(len(sessions)))
         tasks = []
         for raw_task in raw_tasks:
             if not (type(raw_task) is dict
@@ -315,7 +316,7 @@ def _checked_inline(raw_sessions) -> EventLog | None:
                     and type(is_count := raw_task.get("is_count")) is int
                     and 0 <= is_count <= INT64_MAX
                     and type(raw_visits := raw_task.get("page_visits")) is list):
-                return None
+                raise _load_fault(Task, raw_task, _where(len(sessions), len(tasks)))
             visits = []
             previous_exit = 0
             for raw_visit in raw_visits:
@@ -325,7 +326,10 @@ def _checked_inline(raw_sessions) -> EventLog | None:
                         and type(exit_ := raw_visit.get("exit_ms")) is int
                         and previous_exit <= enter <= exit_ <= INT64_MAX
                         and type(raw_steps := raw_visit.get("steps")) is list):
-                    return None
+                    raise _load_fault(
+                        PageVisit, raw_visit, _where(len(sessions), len(tasks), len(visits)),
+                        previous_exit,
+                    )
                 steps = []
                 for raw_step in raw_steps:
                     if not (type(raw_step) is dict
@@ -334,7 +338,11 @@ def _checked_inline(raw_sessions) -> EventLog | None:
                             and type(end := raw_step.get("end_ms")) is int
                             and type(count := raw_step.get("is_count")) is int
                             and enter <= start <= end <= exit_ and 1 <= count <= INT64_MAX):
-                        return None
+                        raise _load_fault(
+                            StepRecord, raw_step,
+                            _where(len(sessions), len(tasks), len(visits), len(steps)),
+                            enter, exit_,
+                        )
                     steps.append(StepRecord(label, start, end, count))
                 visits.append(PageVisit(page, enter, exit_, tuple(steps)))
                 previous_exit = exit_
@@ -343,137 +351,109 @@ def _checked_inline(raw_sessions) -> EventLog | None:
     return EventLog(tuple(sessions))
 
 
-class _Fault(Exception):
-    """A failed check, raised below the record that catches it.
-
-    path names the way down to the offending record, innermost step first;
-    each level appends its own step while the fault passes through it, so no
-    path text is built unless a check fails.
-    """
-
-    def __init__(self, message: str, *path: str):
-        super().__init__(message)
-        self.message = message
-        self.path = list(path)
-
-    def located(self) -> LogFormatError:
-        return LogFormatError(self.message, ".".join(reversed(self.path)))
-
-
-def _records(raw: dict, key: str, build: Callable[[object], object]) -> tuple:
-    items = raw.get(key)
-    if not isinstance(items, list):
-        raise _Fault(f"{key!r} must be a list")
-    built = []
-    for index, item in enumerate(items):
-        try:
-            built.append(build(item))
-        except _Fault as fault:
-            fault.path.append(f"{key}[{index}]")
-            raise
-    return tuple(built)
-
-
-# Each record kind's own scalar fields in the order they are checked: str
-# for a string, or an integer's least value.
-_FIELDS = {
-    Session: (("session_id", str),),
-    Task: (("task_id", str), ("concept_name", str), ("is_count", 0)),
-    PageVisit: (("page", str), ("enter_ms", 0), ("exit_ms", 0)),
-    StepRecord: (("step_label", str), ("start_ms", 0), ("end_ms", 0), ("is_count", 1)),
+# Each record kind's name in messages, its own scalar fields in the order
+# they are checked (str for a string, or an integer's least value), and the
+# key of its child list.
+_RULES = {
+    Session: ("session", (("session_id", str),), "tasks"),
+    Task: ("task", (("task_id", str), ("concept_name", str), ("is_count", 0)), "page_visits"),
+    PageVisit: ("page visit", (("page", str), ("enter_ms", 0), ("exit_ms", 0)), "steps"),
+    StepRecord: ("step record", (("step_label", str), ("start_ms", 0), ("end_ms", 0),
+                                 ("is_count", 1)), None),
 }
 
 
-def _scalars(get: Callable[[str], object], fields) -> list:
-    """The fields' values, read through get and checked one by one."""
-    values = []
-    for key, rule in fields:
+def _load_fault(kind: type, raw, where: str, *bounds: int) -> LogFormatError:
+    """The fault of a decoded record of this kind that failed its
+    conjunction, located at where.  bounds are the previous visit's exit
+    (0 for the first) for a page visit, and its visit's enter and exit for
+    a step."""
+    name, _, children = _RULES[kind]
+    if type(raw) is not dict:
+        message = f"{name} must be an object"
+    elif not (message := _field_fault(kind, raw.get)):
+        if children and type(raw.get(children)) is not list:
+            message = f"{children!r} must be a list"
+        elif kind is PageVisit:
+            message = _visit_fault(raw["enter_ms"], raw["exit_ms"], *bounds)
+        elif kind is StepRecord:
+            message = _step_fault(raw["start_ms"], raw["end_ms"], *bounds)
+    return LogFormatError(message, where)
+
+
+def _field_fault(kind: type, get: Callable) -> str | None:
+    """The first of a record's own fields that load_log refuses, as a
+    message, or None: a task's binding first, then the scalar fields in
+    _RULES order, each read as get(key), the binding as get("binding", {})."""
+    if kind is Task:
+        binding = get("binding", {})
+        if not isinstance(binding, Mapping):
+            return "'binding' must be an object"
+        for name, value in binding.items():
+            if type(name) is not str:
+                return f"binding name {name!r} must be a string"
+            if type(value) is not int or value < 0:
+                return f"binding value for {name!r} must be a nonnegative integer"
+            if value > INT64_MAX:
+                return f"binding value for {name!r} is outside the signed 64-bit range"
+    for key, rule in _RULES[kind][1]:
         value = get(key)
         if rule is str:
             if type(value) is not str:
-                raise _Fault(f"{key!r} must be a string")
+                return f"{key!r} must be a string"
         elif type(value) is not int:
-            raise _Fault(f"{key!r} must be an integer")
+            return f"{key!r} must be an integer"
         elif value < rule:
-            raise _Fault(f"{key!r} must be >= {rule}, got {value}")
+            return f"{key!r} must be >= {rule}, got {value}"
         elif value > INT64_MAX:
-            raise _Fault(f"{key!r} is outside the signed 64-bit range")
-        values.append(value)
-    return values
+            return f"{key!r} is outside the signed 64-bit range"
+    return None
 
 
-def _check_binding(binding: Mapping) -> None:
-    for name, value in binding.items():
-        if type(name) is not str:
-            raise _Fault(f"binding name {name!r} must be a string")
-        if type(value) is not int or value < 0:
-            raise _Fault(f"binding value for {name!r} must be a nonnegative integer")
-        if value > INT64_MAX:
-            raise _Fault(f"binding value for {name!r} is outside the signed 64-bit range")
+def _visit_fault(enter: int, exit_: int, previous_exit: int | None) -> str | None:
+    """The interval rule a page visit breaks, or None: it runs forwards and
+    is not entered before the previous visit of its task exits (None for
+    the first visit)."""
+    if exit_ < enter:
+        return "page visit exits before it is entered"
+    if previous_exit is not None and enter < previous_exit:
+        return "page visits are not in chronological order"
+    return None
 
 
-def _session_from(raw) -> Session:
-    if not isinstance(raw, dict):
-        raise _Fault("session must be an object")
-    return Session(*_scalars(raw.get, _FIELDS[Session]), _records(raw, "tasks", _task_from))
-
-
-def _task_from(raw) -> Task:
-    if not isinstance(raw, dict):
-        raise _Fault("task must be an object")
-    binding = raw.get("binding", {})
-    if not isinstance(binding, dict):
-        raise _Fault("'binding' must be an object")
-    _check_binding(binding)
-    task_id, concept_name, is_count = _scalars(raw.get, _FIELDS[Task])
-    visits = _records(raw, "page_visits", _visit_from)
-    _check_intervals(visits)
-    return Task(task_id, concept_name, binding, is_count, visits)
-
-
-def _visit_from(raw) -> PageVisit:
-    if not isinstance(raw, dict):
-        raise _Fault("page visit must be an object")
-    return PageVisit(*_scalars(raw.get, _FIELDS[PageVisit]), _records(raw, "steps", _step_from))
-
-
-def _step_from(raw) -> StepRecord:
-    if not isinstance(raw, dict):
-        raise _Fault("step record must be an object")
-    return StepRecord(*_scalars(raw.get, _FIELDS[StepRecord]))
-
-
-def _check_intervals(visits: Sequence[PageVisit]) -> None:
-    """The interval rules of one task: page visits run forwards and in
-    chronological order, and each step runs forwards inside its visit."""
-    previous_exit: int | None = None
-    for k, visit in enumerate(visits):
-        if visit.exit_ms < visit.enter_ms:
-            raise _Fault("page visit exits before it is entered", f"page_visits[{k}]")
-        if previous_exit is not None and visit.enter_ms < previous_exit:
-            raise _Fault("page visits are not in chronological order", f"page_visits[{k}]")
-        previous_exit = visit.exit_ms
-        for index, step in enumerate(visit.steps):
-            if step.end_ms < step.start_ms:
-                raise _Fault("step ends before it starts", f"steps[{index}]", f"page_visits[{k}]")
-            if step.start_ms < visit.enter_ms or step.end_ms > visit.exit_ms:
-                raise _Fault(
-                    "step interval leaves its page visit", f"steps[{index}]", f"page_visits[{k}]"
-                )
+def _step_fault(start: int, end: int, enter: int, exit_: int) -> str | None:
+    """The interval rule a step breaks, or None: it runs forwards inside
+    its page visit, entered at enter and left at exit_."""
+    if end < start:
+        return "step ends before it starts"
+    if start < enter or end > exit_:
+        return "step interval leaves its page visit"
+    return None
 
 
 def validate_log(log: EventLog) -> None:
     """Enforce interval nesting and ordering across the hierarchy.
 
-    load_log already applies these rules; this checks logs built in memory.
+    load_log already applies these rules; this checks logs built in memory
+    and raises LogFormatError with the path to the first record that
+    breaks one.
     """
     for i, session in enumerate(log.sessions):
         for j, task in enumerate(session.tasks):
-            try:
-                _check_intervals(task.page_visits)
-            except _Fault as fault:
-                fault.path += [f"tasks[{j}]", f"sessions[{i}]"]
-                raise fault.located() from None
+            previous_exit = None
+            for k, visit in enumerate(task.page_visits):
+                enter, exit_ = visit.enter_ms, visit.exit_ms
+                if not (enter <= exit_ and (previous_exit is None or previous_exit <= enter)) and (
+                    message := _visit_fault(enter, exit_, previous_exit)
+                ):
+                    raise LogFormatError(message, _where(i, j, k))
+                for n, step in enumerate(visit.steps):
+                    start, end = step.start_ms, step.end_ms
+                    if not (enter <= start <= end <= exit_) and (
+                        message := _step_fault(start, end, enter, exit_)
+                    ):
+                        raise LogFormatError(message, _where(i, j, k, n))
+                previous_exit = exit_
 
 
 def cross_check(log: EventLog, concept: InteractionConcept) -> list[str]:

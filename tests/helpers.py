@@ -132,35 +132,40 @@ def log_ints(lo=0, hi=INT64_MAX):
 
 
 @st.composite
-def _visits(draw):
-    """Page visits of one task that obey the interval rules."""
+def _visits(draw, texts, free=False):
+    """Page visits of one task that obey the interval rules, or with free,
+    whose timestamps are drawn each on its own, so that any rule may break."""
     visits = []
     previous_exit = draw(log_ints())
     for _ in range(draw(st.integers(0, 3))):
-        enter = draw(log_ints(previous_exit))
-        exit_ = draw(log_ints(enter))
+        enter = draw(log_ints() if free else log_ints(previous_exit))
+        exit_ = draw(log_ints() if free else log_ints(enter))
         steps = []
         for _ in range(draw(st.integers(0, 3))):
-            start = draw(log_ints(enter, exit_))
-            end = draw(log_ints(start, exit_))
-            steps.append(StepRecord(draw(hostile_texts()), start, end, draw(log_ints(1))))
-        visits.append(PageVisit(draw(hostile_texts()), enter, exit_, tuple(steps)))
+            start = draw(log_ints() if free else log_ints(enter, exit_))
+            end = draw(log_ints() if free else log_ints(start, exit_))
+            steps.append(StepRecord(draw(texts), start, end, draw(log_ints(1))))
+        visits.append(PageVisit(draw(texts), enter, exit_, tuple(steps)))
         previous_exit = exit_
     return tuple(visits)
 
 
-def event_logs():
+def event_logs(free_intervals=False):
     """Valid logs: hostile strings, bindings in arbitrary insertion order,
-    integers at both ends of their range and empty tuples at every level."""
+    integers at both ends of their range and empty tuples at every level.
+    With free_intervals, every field is still valid but the timestamps are
+    drawn freely, so the interval rules may break anywhere, and the strings
+    are plain ones, which cost less to draw."""
+    texts = st.sampled_from(("", "p", "é")) if free_intervals else hostile_texts()
     tasks = st.builds(
         Task,
-        hostile_texts(),
-        hostile_texts(),
-        st.dictionaries(hostile_texts(), log_ints(), max_size=4),
+        texts,
+        texts,
+        st.dictionaries(texts, log_ints(), max_size=4),
         log_ints(),
-        _visits(),
+        _visits(texts, free_intervals),
     )
-    sessions = st.builds(Session, hostile_texts(), st.lists(tasks, max_size=3).map(tuple))
+    sessions = st.builds(Session, texts, st.lists(tasks, max_size=3).map(tuple))
     return st.builds(EventLog, st.lists(sessions, max_size=3).map(tuple))
 
 

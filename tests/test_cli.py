@@ -1,12 +1,23 @@
+import contextlib
+import copy
 import gc
+import io
 import json
+import math
+import re
+import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ixcomplex.cli import main
+from ixcomplex.logs import dump_log
+from ixcomplex.synth import SynthConfig, generate_log
 
-from helpers import CONCEPTS_DIR
+from helpers import CONCEPTS_DIR, V2_BINDING
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 V1 = str(CONCEPTS_DIR / "v1.concept")
@@ -613,3 +624,100 @@ class TestIntegerFlags:
         )
         assert code == 2
         assert "argument --seed: expected a nonnegative integer, got -1" in err
+
+
+# Every case of the logs fuzz must finish within this many seconds.
+FUZZ_SECONDS = 5.0
+# A number rendered as NaN or infinity, in any spelling Python or JSON uses.
+NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
+DELETE = object()
+# Replacement values: each kind of JSON value, integers at and past the
+# ends of the 64-bit range, and floats JSON writes as NaN and Infinity.
+# The strings spell no number, as logs prints labels as they are.
+FUZZ_VALUES = [DELETE, None, True, 0, 1, -1, 2**63 - 1, 2**63, 10**400, 0.5, math.nan,
+               math.inf, "", "1", "x", [], [1], {}, {"m": 1}]
+
+
+def json_slots(value, path=()):
+    """The path to every value inside a decoded JSON document."""
+    children = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in children:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from json_slots(child, path + (key,))
+
+
+class TestLogsFuzz:
+    """logs on damaged log bytes exits 0 or 1, never with a traceback, a
+    non-finite number in its output or a hang."""
+
+    @pytest.fixture(scope="class")
+    def log_bytes(self, v2_concept):
+        return dump_log(generate_log(SynthConfig(v2_concept, V2_BINDING, 3, 1.0, 0.3, 5))).encode()
+
+    @pytest.fixture(scope="class")
+    def log_file(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "log.json"
+
+    def check(self, log_file, data):
+        log_file.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        started = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["logs", str(log_file)])
+        assert time.perf_counter() - started < FUZZ_SECONDS
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
+        assert not NON_FINITE.search(out.getvalue())
+        if code == 1:
+            assert out.getvalue() == "" and "error: " in err.getvalue()
+        return code
+
+    def test_intact_log(self, log_bytes, log_file):
+        assert self.check(log_file, log_bytes) == 0
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_truncated(self, log_bytes, log_file, data):
+        text = log_bytes.rstrip()
+        assert self.check(log_file, text[: data.draw(st.integers(0, len(text) - 1))]) == 1
+
+    @settings(deadline=None)
+    @given(st.data(), st.sampled_from([b"\xff", b"\xc3", b"\xc0\xaf", b"\xed\xa0\x80"]))
+    def test_not_utf8(self, log_bytes, log_file, data, bad):
+        # json reads a UTF-8-encoded surrogate (ED A0 80) as a lone
+        # surrogate, so that case may load; the others never do.
+        at = data.draw(st.integers(0, len(log_bytes)))
+        code = self.check(log_file, log_bytes[:at] + bad + log_bytes[at:])
+        assert code == 1 or bad == b"\xed\xa0\x80"
+
+    @pytest.mark.parametrize("depth", [sys.getrecursionlimit() + 1, 100_000])
+    @pytest.mark.parametrize("where", ["top", "sessions", "field"])
+    def test_nested_past_the_recursion_limit(self, log_bytes, log_file, depth, where):
+        nested = b"[" * depth + b"]" * depth
+        if where == "top":
+            data = nested
+        elif where == "sessions":
+            data = b'{"sessions": ' + nested + b"}"
+        else:
+            data = log_bytes.replace(b'"is_count":', b'"is_count":' + nested + b',"x":', 1)
+        assert self.check(log_file, data) == 1
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_replaced_fields(self, log_bytes, log_file, data):
+        document = json.loads(log_bytes)
+        for _ in range(data.draw(st.integers(1, 3))):
+            slots = list(json_slots(document))
+            if not slots:
+                break
+            path = data.draw(st.sampled_from(slots))
+            value = data.draw(st.sampled_from(FUZZ_VALUES))
+            holder = document
+            for key in path[:-1]:
+                holder = holder[key]
+            if value is DELETE:
+                del holder[path[-1]]
+            else:
+                holder[path[-1]] = copy.deepcopy(value)
+        self.check(log_file, json.dumps(document).encode())

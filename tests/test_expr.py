@@ -478,6 +478,31 @@ class TestConstructor:
         with pytest.raises(DomainError, match="^exponent -1 of 'a' is negative$"):
             Expression((((("a", -1),), 1),))
 
+    @pytest.mark.parametrize(
+        "coeff, message",
+        [(2.5, "coefficient 2.5 must be an integer"),
+         (2.0, "coefficient 2.0 must be an integer"),
+         (True, "coefficient True must be an integer"),
+         ("1", "coefficient '1' must be an integer")],
+    )
+    def test_non_integer_coefficient_is_refused(self, coeff, message):
+        for mono in ((), (("a", 1),)):
+            with pytest.raises(DomainError) as exc:
+                Expression(((mono, coeff),))
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "exp, message",
+        [(1.5, "exponent 1.5 of 'a' must be an integer"),
+         (1.0, "exponent 1.0 of 'a' must be an integer"),
+         (True, "exponent True of 'a' must be an integer"),
+         (None, "exponent None of 'a' must be an integer")],
+    )
+    def test_non_integer_exponent_is_refused(self, exp, message):
+        with pytest.raises(DomainError) as exc:
+            Expression((((("a", exp),), 1),))
+        assert str(exc.value) == message
+
 
 class TestFastPath:
     @given(wide_expressions(), wide_expressions(), _WIDE_INTEGERS)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ixcomplex.errors import DomainError, LogFormatError
 from ixcomplex.logs import (
@@ -154,6 +155,27 @@ SINGLE_FAULTS = [
      f"{T}.page_visits[1]: page visits are not in chronological order"),
     (TASK + ("page_visits",), late_visit(9000, 8000),
      f"{T}.page_visits[1]: page visit exits before it is entered"),
+]
+
+# Two faults in one task: load_log names the first faulty record in
+# document order, checking a record's own fields, then its intervals, then
+# its children.
+BACKWARDS_VISIT = {"page": "p0", "enter_ms": 7000, "exit_ms": 0, "steps": []}
+MULTI_FAULTS = [
+    (TASK + ("page_visits",),
+     [BACKWARDS_VISIT, {"page": 5, "enter_ms": 8000, "exit_ms": 9000, "steps": []}],
+     f"{V}: page visit exits before it is entered"),
+    (VISIT + ("steps",),
+     [{"step_label": "pick", "start_ms": 5000, "end_ms": 4000, "is_count": 7},
+      {"step_label": "drop", "start_ms": "x", "end_ms": 7000, "is_count": 1}],
+     f"{R}: step ends before it starts"),
+    (TASK + ("page_visits",),
+     [dict(BACKWARDS_VISIT, steps=[{"step_label": 1, "start_ms": 0, "end_ms": 0, "is_count": 1}])],
+     f"{V}: page visit exits before it is entered"),
+    # within one record: fields, then the child list, then the intervals
+    (VISIT, dict(BACKWARDS_VISIT, steps="pick"), f"{V}: 'steps' must be a list"),
+    (STEP, {"step_label": "pick", "start_ms": 5000, "end_ms": 4000, "is_count": 0},
+     f"{R}: 'is_count' must be >= 1, got 0"),
 ]
 
 # Every integer of a log must fit in a signed 64-bit integer.
@@ -337,6 +359,15 @@ def expected_fault(key, rule, value):
     return f"{key!r} is outside the signed 64-bit range" if value > 2**63 - 1 else None
 
 
+def check_rank(index):
+    """Where FIELD_RULES[index] comes in load_log's order of checks: record
+    by record down the path, and within a record the binding, its value,
+    the scalar fields (listed in checking order) and then the child list."""
+    path, _, rule = FIELD_RULES[index]
+    within = {dict: 0, "binding value": 1, list: 3}.get(rule, 2)
+    return len(path), within, index
+
+
 def make_log(durations_s, is_count=10, task_id="t", label="step"):
     """One session per duration, one task each, one page visit and step."""
     sessions = []
@@ -421,6 +452,12 @@ class TestLoad:
 
     @pytest.mark.parametrize("path, value, message", SINGLE_FAULTS)
     def test_single_fault_message(self, path, value, message):
+        with pytest.raises(LogFormatError) as exc:
+            load_log(json.dumps(with_fault(path, value)))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("path, value, message", MULTI_FAULTS)
+    def test_first_fault_in_document_order(self, path, value, message):
         with pytest.raises(LogFormatError) as exc:
             load_log(json.dumps(with_fault(path, value)))
         assert str(exc.value) == message
@@ -529,6 +566,58 @@ class TestLoaderAgreement:
             load_log(json.dumps(data))
         where = ".".join(f"{name}[{index}]" for name, index in zip(path[::2], path[1::2]))
         assert str(exc.value) == f"{where}: {message}"
+
+
+    @given(st.lists(st.tuples(st.integers(0, len(FIELD_RULES) - 1), st.sampled_from(POOL)),
+                    min_size=1, max_size=3, unique_by=lambda change: change[0]))
+    def test_first_replaced_field_in_document_order(self, document, changes):
+        data = json.loads(json.dumps(document))
+        # Innermost first, and a binding value before its binding, so each
+        # replacement still finds its holder.
+        for index, value in sorted(changes, key=lambda change: check_rank(change[0]), reverse=True):
+            path, key, rule = FIELD_RULES[index]
+            record = data
+            for step in path:
+                record = record[step]
+            holder = record["binding"] if rule == "binding value" else record
+            if value is DELETE:
+                del holder[key]
+            else:
+                holder[key] = value
+        replaced = {FIELD_RULES[index][2] for index, _ in changes}
+        expected = None
+        for index, value in sorted(changes, key=lambda change: check_rank(change[0])):
+            path, key, rule = FIELD_RULES[index]
+            if rule == "binding value" and dict in replaced:
+                continue  # the binding it sat in was replaced as a whole
+            if message := expected_fault(key, rule, value):
+                where = ".".join(f"{name}[{i}]" for name, i in zip(path[::2], path[1::2]))
+                expected = f"{where}: {message}"
+                break
+        if expected is None:
+            if dict in replaced:
+                data["sessions"][1]["tasks"][0]["binding"] = {}
+            assert log_to_dict(load_log(json.dumps(data))) == data
+            return
+        with pytest.raises(LogFormatError) as exc:
+            load_log(json.dumps(data))
+        assert str(exc.value) == expected
+
+    @given(event_logs(free_intervals=True))
+    def test_validate_log_agrees_with_the_loader(self, log):
+        try:
+            validate_log(log)
+        except LogFormatError as exc:
+            validated = str(exc)
+        else:
+            validated = None
+        try:
+            load_log(dump_log(log))
+        except LogFormatError as exc:
+            loaded = str(exc)
+        else:
+            loaded = None
+        assert validated == loaded
 
 
 class TestGcState:
