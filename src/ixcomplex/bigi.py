@@ -12,6 +12,7 @@ so "as-defined" and "as-published" values never get silently merged.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -35,35 +36,59 @@ def class_label(degree: int) -> str:
     return _CLASS_NAMES.get(degree, f"degree-{degree}")
 
 
-_KIND_SLOT = {kind: slot for slot, kind in enumerate(ActionKind)}
-_WIDTH = len(_KIND_SLOT)
+@dataclass(frozen=True, slots=True)
+class SlotVector:
+    """Count polynomials in fixed slots, one per member of an enum in its
+    order, ZERO in empty ones: + adds slot by slot, and nonzero views the
+    nonzero slots.  A subclass names its enum in its class line and
+    declares empty __slots__.  V() is the zero vector; counts of any other
+    length raise DomainError."""
 
+    counts: tuple[Expression, ...] | None = None
 
-@dataclass(frozen=True)
-class ActionVector:
-    """Count polynomials in fixed slots, one per ActionKind in its order, ZERO
-    in empty ones: + adds slot by slot, and per_kind views the nonzero slots.
-    ActionVector() is the zero vector; counts of any other length raise
-    DomainError."""
-
-    counts: tuple[Expression, ...] = (ZERO,) * _WIDTH
+    def __init_subclass__(cls, members: type[enum.Enum]):
+        cls.members = tuple(members)
+        cls.slot = {member: slot for slot, member in enumerate(cls.members)}
 
     def __post_init__(self):
-        if len(self.counts) != _WIDTH:
-            raise DomainError(f"an ActionVector holds {_WIDTH} counts, got {len(self.counts)}")
+        width = len(self.members)
+        if self.counts is None:
+            object.__setattr__(self, "counts", (ZERO,) * width)
+        elif len(self.counts) != width:
+            name = type(self).__name__
+            article = "an" if name[0] in "AEIOU" else "a"
+            raise DomainError(f"{article} {name} holds {width} counts, got {len(self.counts)}")
 
     @property
-    def per_kind(self) -> dict[ActionKind, Expression]:
-        return {kind: count for kind, count in zip(ActionKind, self.counts) if count.terms}
+    def nonzero(self) -> dict[enum.Enum, Expression]:
+        return {member: count for member, count in zip(self.members, self.counts) if count.terms}
 
-    def get(self, kind: ActionKind) -> Expression:
-        return self.counts[_KIND_SLOT[kind]]
+    def get(self, member: enum.Enum) -> Expression:
+        return self.counts[self.slot[member]]
+
+    def __add__(self, other: SlotVector) -> SlotVector:
+        return type(self)(tuple(a + b for a, b in zip(self.counts, other.counts)))
+
+    @classmethod
+    def gather(cls, pairs: Iterable[tuple[int, Expression]]) -> SlotVector:
+        """The vector whose count in each slot (V.slot[member]) is the sum
+        of the counts paired with that slot; each partial sum is checked in
+        the order that adding the pairs one at a time with + would check it."""
+        sums = [Sum() for _ in cls.members]
+        for slot, count in pairs:
+            sums[slot].add(count)
+        return cls(tuple(total.value() for total in sums))
+
+
+class ActionVector(SlotVector, members=ActionKind):
+    """The count polynomial of each ActionKind (T, E, C, S, X); per_kind
+    views the nonzero ones."""
+
+    __slots__ = ()
+    per_kind = SlotVector.nonzero
 
     def total(self) -> Expression:
         return Sum(self.counts).value()
-
-    def __add__(self, other: "ActionVector") -> "ActionVector":
-        return ActionVector(tuple(a + b for a, b in zip(self.counts, other.counts)))
 
 
 @dataclass(frozen=True)
@@ -99,9 +124,10 @@ class ComplexityReport(Assessment):
 
 def step_function(step: UserStep) -> ActionVector:
     """Per-kind count of one step: repeat times the per-execution count."""
-    counts = [ZERO] * _WIDTH
+    slot = ActionVector.slot
+    counts = [ZERO] * len(slot)
     for kind, expr in step.actions.items():
-        counts[_KIND_SLOT[kind]] = step.repeat * expr
+        counts[slot[kind]] = step.repeat * expr
     return ActionVector(tuple(counts))
 
 
@@ -112,11 +138,7 @@ def sum_steps(concept: InteractionConcept) -> ActionVector:
 def _vector_sum(vectors: Iterable[ActionVector]) -> ActionVector:
     """Slot-by-slot sum of the vectors, each partial sum checked in the
     order the fold v1 + v2 + ... checks it."""
-    sums = [Sum() for _ in range(_WIDTH)]
-    for vector in vectors:
-        for total, count in zip(sums, vector.counts):
-            total.add(count)
-    return ActionVector(tuple(total.value() for total in sums))
+    return ActionVector.gather(pair for vector in vectors for pair in enumerate(vector.counts))
 
 
 def normalize(vector: ActionVector) -> NormalizedComplexity:

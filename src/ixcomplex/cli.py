@@ -86,7 +86,12 @@ def _binding_pair(text: str) -> tuple[str, int]:
         )
     if not is_variable_name(name):
         raise argparse.ArgumentTypeError(f"invalid variable name {_echo(name)}")
-    return name, _int_at_least(0, value)
+    number = _int_at_least(0, value)
+    if number > INT64_MAX:
+        raise argparse.ArgumentTypeError(
+            f"binding {name} = {number} is outside the signed 64-bit range"
+        )
+    return name, number
 
 
 def _int_at_least(minimum: int, text: str) -> int:

@@ -102,9 +102,6 @@ class InteractionConcept:
     variables: tuple[ConceptVariable, ...] = ()
     steps: tuple[UserStep, ...] = ()
 
-    def variable_names(self) -> list[str]:
-        return [variable.name for variable in self.variables]
-
 
 @dataclass(frozen=True)
 class Diagnostic:

@@ -102,7 +102,7 @@ def is_variable_name(name: str) -> bool:
 
 def binding_from_dict(data: object) -> dict[str, int]:
     """Read a JSON bindings file: an object mapping variable names to
-    nonnegative integers (bools are not integers)."""
+    nonnegative integers of at most INT64_MAX (bools are not integers)."""
     if not isinstance(data, Mapping):
         raise DomainError("bindings file must hold a JSON object")
     for name, value in data.items():
@@ -112,6 +112,8 @@ def binding_from_dict(data: object) -> dict[str, int]:
                 f"bindings file entry {name!r} must map a variable "
                 "to a nonnegative integer"
             )
+        if value > INT64_MAX:
+            raise DomainError(f"bindings file entry {name!r} is outside the signed 64-bit range")
     return dict(data)
 
 

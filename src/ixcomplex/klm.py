@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from types import MappingProxyType
 
-from .bigi import ActionVector, step_function, sum_steps
+from .bigi import ActionVector, SlotVector, step_function, sum_steps
 from .concept import ActionKind, InteractionConcept, UserStep
 from .errors import (
     DomainError,
@@ -29,8 +30,6 @@ from .errors import (
 from .expr import (
     Binding,
     Expression,
-    Sum,
-    ZERO,
     evaluate,
     format_expr,
     is_variable_name,
@@ -136,14 +135,11 @@ def model_from_dict(data: Mapping[str, float]) -> KlmModel:
     return KlmModel(**kwargs)
 
 
-@dataclass(frozen=True)
-class ActionMapping:
-    """Operators performed for each occurrence of an abstract action."""
+# The operators performed for each occurrence of an abstract action; a
+# kind with no entry, or an empty one, is unmapped.
+ActionMapping = Mapping[ActionKind, tuple[KlmOperator, ...]]
 
-    per_kind: Mapping[ActionKind, tuple[KlmOperator, ...]]
-
-
-DEFAULT_MAPPING = ActionMapping(
+DEFAULT_MAPPING: ActionMapping = MappingProxyType(
     {
         ActionKind.THINK: (KlmOperator.GLANCE,),
         ActionKind.ENTER: (KlmOperator.POINT_CLICK,),
@@ -153,7 +149,8 @@ DEFAULT_MAPPING = ActionMapping(
 
 
 def mapping_from_dict(data: Mapping[str, Sequence[str]]) -> ActionMapping:
-    """Build a mapping from a JSON-style object: action word to operator names."""
+    """Build a read-only mapping from a JSON-style object: action word to
+    operator names."""
     if not isinstance(data, Mapping):
         raise DomainError("action mapping must be a JSON object")
     per_kind: dict[ActionKind, tuple[KlmOperator, ...]] = {}
@@ -171,35 +168,15 @@ def mapping_from_dict(data: Mapping[str, Sequence[str]]) -> ActionMapping:
                 raise UnknownOperatorError(name)
             operators.append(operator)
         per_kind[kind] = tuple(operators)
-    return ActionMapping(per_kind)
+    return MappingProxyType(per_kind)
 
 
-_OPERATOR_SLOT = {operator: slot for slot, operator in enumerate(KlmOperator)}
-_WIDTH = len(_OPERATOR_SLOT)
+class KlmExpression(SlotVector, members=KlmOperator):
+    """The count polynomial of each KlmOperator; per_operator views the
+    nonzero ones."""
 
-
-@dataclass(frozen=True)
-class KlmExpression:
-    """Count polynomials in fixed slots, one per KlmOperator in its order, ZERO
-    in empty ones: + adds slot by slot, and per_operator views the nonzero
-    slots.  KlmExpression() is the zero vector; counts of any other length
-    raise DomainError."""
-
-    counts: tuple[Expression, ...] = (ZERO,) * _WIDTH
-
-    def __post_init__(self):
-        if len(self.counts) != _WIDTH:
-            raise DomainError(f"a KlmExpression holds {_WIDTH} counts, got {len(self.counts)}")
-
-    @property
-    def per_operator(self) -> dict[KlmOperator, Expression]:
-        return {op: count for op, count in zip(KlmOperator, self.counts) if count.terms}
-
-    def get(self, operator: KlmOperator) -> Expression:
-        return self.counts[_OPERATOR_SLOT[operator]]
-
-    def __add__(self, other: "KlmExpression") -> "KlmExpression":
-        return KlmExpression(tuple(a + b for a, b in zip(self.counts, other.counts)))
+    __slots__ = ()
+    per_operator = SlotVector.nonzero
 
 
 def klm_step(step: UserStep, mapping: ActionMapping = DEFAULT_MAPPING) -> KlmExpression:
@@ -220,16 +197,17 @@ def klm_from_concept(
 
 def _check_mapped(step: UserStep, mapping: ActionMapping) -> None:
     for kind in step.actions:
-        if not mapping.per_kind.get(kind):
+        if not mapping.get(kind):
             raise UnmappedActionError(kind.word, step.label)
 
 
 def _operator_counts(vector: ActionVector, mapping: ActionMapping) -> KlmExpression:
-    sums = [Sum() for _ in range(_WIDTH)]
-    for kind, count in vector.per_kind.items():
-        for operator in mapping.per_kind[kind]:
-            sums[_OPERATOR_SLOT[operator]].add(count)
-    return KlmExpression(tuple(total.value() for total in sums))
+    slot = KlmExpression.slot
+    return KlmExpression.gather(
+        (slot[operator], count)
+        for kind, count in vector.per_kind.items()
+        for operator in mapping[kind]
+    )
 
 
 def klm_parse(text: str) -> KlmExpression:
@@ -239,7 +217,7 @@ def klm_parse(text: str) -> KlmExpression:
     variables.  Every term must be linear in exactly one operator.
     """
     mixed = parse_operator_expr(text)
-    collected: list[list] = [[] for _ in KlmOperator]
+    collected: list[list] = [[] for _ in KlmExpression.members]
     for mono, coeff in mixed.terms:
         operator_parts = [(name, exp) for name, exp in mono if name[0].isupper()]
         variable_parts = [(name, exp) for name, exp in mono if not name[0].isupper()]
@@ -255,7 +233,7 @@ def klm_parse(text: str) -> KlmExpression:
         for name, _ in variable_parts:
             if not is_variable_name(name):
                 raise KlmFormulaError(f"invalid variable name {name!r} in formula")
-        collected[_OPERATOR_SLOT[operator]].append((tuple(variable_parts), coeff))
+        collected[KlmExpression.slot[operator]].append((tuple(variable_parts), coeff))
     return KlmExpression(tuple(Expression(tuple(terms)) for terms in collected))
 
 

@@ -52,7 +52,7 @@ from .concept import InteractionConcept
 from .errors import DomainError, LogFormatError
 from .expr import INT64_MAX
 from .rounding import format_fixed
-from .speed import speed_stats
+from .speed import SpeedStats, speed_stats
 
 
 class AnalyticsWarning(UserWarning):
@@ -144,8 +144,9 @@ def gc_paused() -> Iterator[None]:
 
 
 def load_log(data: bytes | str) -> EventLog:
-    """Parse and validate a log file; raises LogFormatError with the path
-    to the first offending record in document order.
+    """Parse and validate a log file, given as text or as UTF-8 bytes;
+    raises LogFormatError with the path to the first offending record in
+    document order.
 
     A record's own fields come before its intervals, and both before its
     children: it must be an object, then a task's binding is checked, then
@@ -285,7 +286,7 @@ def _where(*indices: int) -> str:
 
 def _decoded(data: bytes | str) -> dict:
     try:
-        parsed = json.loads(data)
+        parsed = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as exc:
         raise LogFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(parsed, dict) or "sessions" not in parsed:
@@ -528,22 +529,7 @@ TABLE_COLUMNS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class TableRow:
-    """One table line; the renderers rely on the fields being in TABLE_COLUMNS order."""
-
-    group: str
-    n: int
-    is_count: int
-    min_s: float
-    max_s: float
-    mean_s: float
-    max_is_per_s: float
-    min_is_per_s: float
-    mean_is_per_s: float
-
-
-def task_table(log: EventLog, group_by: str = "task_id") -> list[TableRow]:
+def task_table(log: EventLog, group_by: str = "task_id") -> list[SpeedStats]:
     """Per-group task durations and speeds, outliers removed per group.
 
     group_by is "task_id" or "concept_name".  Tasks in a group must share
@@ -577,7 +563,7 @@ def task_table(log: EventLog, group_by: str = "task_id") -> list[TableRow]:
     return _rows_from_groups(groups)
 
 
-def step_table(log: EventLog) -> list[TableRow]:
+def step_table(log: EventLog) -> list[SpeedStats]:
     """Per-step-label durations and speeds across the whole log."""
     groups: dict[str, list[tuple[int, float]]] = {}
     for session in log.sessions:
@@ -599,8 +585,8 @@ def step_table(log: EventLog) -> list[TableRow]:
     return _rows_from_groups(groups)
 
 
-def _rows_from_groups(groups: dict[str, list[tuple[int, float]]]) -> list[TableRow]:
-    rows: list[TableRow] = []
+def _rows_from_groups(groups: dict[str, list[tuple[int, float]]]) -> list[SpeedStats]:
+    rows: list[SpeedStats] = []
     for key in sorted(groups):
         samples = groups[key]
         counts = {is_count for is_count, _ in samples}
@@ -615,32 +601,19 @@ def _rows_from_groups(groups: dict[str, list[tuple[int, float]]]) -> list[TableR
                 stacklevel=3,
             )
             continue
-        stats = speed_stats([(is_count, duration) for duration in retained])
-        rows.append(
-            TableRow(
-                group=key,
-                n=stats.n,
-                is_count=is_count,
-                min_s=stats.min_time,
-                max_s=stats.max_time,
-                mean_s=stats.mean_time,
-                max_is_per_s=stats.max_speed,
-                min_is_per_s=stats.min_speed,
-                mean_is_per_s=stats.mean_speed,
-            )
-        )
+        rows.append(speed_stats([(is_count, duration) for duration in retained], key))
     return rows
 
 
 # --- rendering -------------------------------------------------------------
 
 
-def _row_cells(row: TableRow) -> list[str]:
+def _row_cells(row: SpeedStats) -> list[str]:
     group, n, is_count, *seconds_and_speeds = astuple(row)
     return [group, str(n), str(is_count), *map(format_fixed, seconds_and_speeds)]
 
 
-def table_to_text(rows: Sequence[TableRow]) -> str:
+def table_to_text(rows: Sequence[SpeedStats]) -> str:
     """Aligned text table with the canonical column set."""
     cells = [list(TABLE_COLUMNS)] + [_row_cells(row) for row in rows]
     widths = [max(len(line[i]) for line in cells) for i in range(len(TABLE_COLUMNS))]
@@ -651,7 +624,7 @@ def table_to_text(rows: Sequence[TableRow]) -> str:
     return "\n".join(lines)
 
 
-def table_to_csv(rows: Sequence[TableRow]) -> str:
+def table_to_csv(rows: Sequence[SpeedStats]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(TABLE_COLUMNS)
@@ -660,5 +633,5 @@ def table_to_csv(rows: Sequence[TableRow]) -> str:
     return buffer.getvalue()
 
 
-def table_to_dicts(rows: Sequence[TableRow]) -> list[dict]:
+def table_to_dicts(rows: Sequence[SpeedStats]) -> list[dict]:
     return [dict(zip(TABLE_COLUMNS, astuple(row))) for row in rows]

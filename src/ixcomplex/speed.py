@@ -7,9 +7,9 @@ observed extremes 0.18 and 8.15; the per-version models carry means only
 (1.20 and 0.66), so range estimates with them are refused rather than
 invented.
 
-A group's mean speed is defined as is_count / mean_time, not as the mean of
+A group's mean speed is defined as is_count / mean_s, not as the mean of
 per-sample speeds; this is the definition that keeps the table identity
-mean_speed * mean_time = is_count exact.
+mean_is_per_s * mean_s = is_count exact.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ class SpeedModel:
             raise DomainError(f"min speed must satisfy 0 < min <= mean, got {self.min}")
         if self.max is not None and self.max < self.mean:
             raise DomainError(f"max speed must be >= mean, got {self.max}")
-
-    @property
-    def has_range(self) -> bool:
-        return self.min is not None and self.max is not None
 
 
 BUILTIN_SPEED_MODELS: dict[str, SpeedModel] = {
@@ -112,8 +108,6 @@ def estimate_time(is_count: int, model: SpeedModel) -> TimeEstimate:
     DomainError."""
     if is_count < 0:
         raise DomainError(f"IS count cannot be negative, got {is_count}")
-    if is_count == 0:
-        return TimeEstimate(0.0, 0.0, 0.0)
     return TimeEstimate(
         expected=is_count / model.mean,
         fastest=is_count / model.max if model.max is not None else None,
@@ -121,20 +115,26 @@ def estimate_time(is_count: int, model: SpeedModel) -> TimeEstimate:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpeedStats:
-    is_count: int
+    """One row of a speed table: a group's sample count and IS count, its
+    durations in seconds and the speeds they give in IS/sec.  The fields
+    are in logs.TABLE_COLUMNS order, which the renderers rely on."""
+
+    group: str
     n: int
-    mean_time: float
-    min_time: float
-    max_time: float
-    mean_speed: float
-    max_speed: float
-    min_speed: float
+    is_count: int
+    min_s: float
+    max_s: float
+    mean_s: float
+    max_is_per_s: float
+    min_is_per_s: float
+    mean_is_per_s: float
 
 
-def speed_stats(samples: Sequence[tuple[int, float]]) -> SpeedStats:
-    """Duration statistics and derived speeds for one task or step group.
+def speed_stats(samples: Sequence[tuple[int, float]], group: str = "") -> SpeedStats:
+    """The table row of one task or step group, named group: its duration
+    statistics and derived speeds.
 
     All samples must share one IS count and have positive durations; the
     fastest duration gives the max speed and vice versa.
@@ -150,18 +150,19 @@ def speed_stats(samples: Sequence[tuple[int, float]]) -> SpeedStats:
     durations = [duration for _, duration in samples]
     if min(durations) <= 0:
         raise DomainError("durations must be positive")
-    mean_time = sum(durations) / len(durations)
-    min_time = min(durations)
-    max_time = max(durations)
+    mean_s = sum(durations) / len(durations)
+    min_s = min(durations)
+    max_s = max(durations)
     return SpeedStats(
-        is_count=is_count,
+        group=group,
         n=len(durations),
-        mean_time=mean_time,
-        min_time=min_time,
-        max_time=max_time,
-        mean_speed=is_count / mean_time,
-        max_speed=is_count / min_time,
-        min_speed=is_count / max_time,
+        is_count=is_count,
+        min_s=min_s,
+        max_s=max_s,
+        mean_s=mean_s,
+        max_is_per_s=is_count / min_s,
+        min_is_per_s=is_count / max_s,
+        mean_is_per_s=is_count / mean_s,
     )
 
 

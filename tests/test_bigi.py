@@ -25,6 +25,7 @@ from ixcomplex.concept import ActionKind, InteractionConcept, UserStep, parse_co
 from ixcomplex.bigi import _vector_sum
 from ixcomplex.errors import DomainError, NegativeCountError, UnboundVariableError
 from ixcomplex.expr import INT64_MAX, INT64_MIN, ZERO, Expression, evaluate, parse_expr
+from ixcomplex.klm import KlmExpression, KlmOperator
 from ixcomplex.synth import count_actions
 
 from helpers import (
@@ -191,6 +192,38 @@ class TestActionVector:
         ]
         assert vector.get(ActionKind.ENTER) == ZERO
         assert vector.total() == parse_expr("a + b + 2")
+
+    @pytest.mark.parametrize("vector_type, members, view, noun", [
+        (ActionVector, ActionKind, "per_kind", "an ActionVector"),
+        (KlmExpression, KlmOperator, "per_operator", "a KlmExpression"),
+    ])
+    def test_both_count_vectors_behave_alike(self, vector_type, members, view, noun):
+        members = list(members)
+        width = len(members)
+        zero = vector_type()
+        assert zero.counts == (ZERO,) * width
+        assert getattr(zero, view) == {}
+        assert ActionVector() != KlmExpression()
+        for bad in (0, width - 1, width + 1):
+            with pytest.raises(DomainError, match=f"^{noun} holds {width} counts, got {bad}$"):
+                vector_type((ZERO,) * bad)
+        with pytest.raises(AttributeError):
+            zero.counts = ()
+
+        a, b, two = parse_expr("a"), parse_expr("b"), parse_expr("2")
+        left = vector_type((a, ZERO, two) + (ZERO,) * (width - 3))
+        right = vector_type((b,) + (ZERO,) * (width - 2) + (a,))
+        total = left + right
+        assert total.counts == (parse_expr("a + b"), ZERO, two) + (ZERO,) * (width - 4) + (a,)
+        assert list(getattr(total, view).items()) == [
+            (members[0], parse_expr("a + b")), (members[2], two), (members[-1], a),
+        ]
+        assert [total.get(member) for member in members] == list(total.counts)
+        slot = vector_type.slot
+        assert vector_type.gather(
+            [(slot[members[-1]], a), (slot[members[0]], a), (slot[members[2]], two),
+             (slot[members[0]], b)]
+        ) == total
 
     def test_repeat_zero_step_is_the_zero_vector(self):
         concept = parse_concept('concept "x"\nvar m\nstep "skip" repeat 0 { T: m; C: 2 }')

@@ -256,6 +256,14 @@ class TestBindingFromDict:
         )
 
 
+    def test_values_up_to_the_64_bit_limit(self):
+        assert binding_from_dict({"m": 2**63 - 1}) == {"m": 2**63 - 1}
+        for value in (2**63, 10**30):
+            with pytest.raises(DomainError) as exc:
+                binding_from_dict({"m": 1, "a": value})
+            assert str(exc.value) == "bindings file entry 'a' is outside the signed 64-bit range"
+
+
 class TestCombine:
     def test_add(self):
         assert parse_expr("4*a + 2") + parse_expr("7*a") == parse_expr("11*a + 2")

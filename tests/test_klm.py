@@ -16,7 +16,6 @@ from ixcomplex.errors import (
 from ixcomplex.expr import ZERO, parse_expr
 from ixcomplex.klm import (
     DEFAULT_MAPPING,
-    ActionMapping,
     KlmExpression,
     KlmModel,
     KlmOperator,
@@ -174,10 +173,16 @@ class TestMappingFromConcept:
         mapping = mapping_from_dict(
             {"Think": ["Glance"], "Enter": ["PointClick"], "Scroll": ["M", "C_click"]}
         )
-        assert mapping.per_kind[ActionKind.SCROLL] == (
-            KlmOperator.POINT,
-            KlmOperator.CLICK,
-        )
+        assert dict(mapping) == {
+            ActionKind.THINK: (KlmOperator.GLANCE,),
+            ActionKind.ENTER: (KlmOperator.POINT_CLICK,),
+            ActionKind.SCROLL: (KlmOperator.POINT, KlmOperator.CLICK),
+        }
+
+    @pytest.mark.parametrize("mapping", [DEFAULT_MAPPING, mapping_from_dict({"Think": ["M"]})])
+    def test_mappings_are_read_only(self, mapping):
+        with pytest.raises(TypeError):
+            mapping[ActionKind.SCROLL] = (KlmOperator.POINT,)
 
     @pytest.mark.parametrize(
         "data", [["Glance"], {"Think": "Glance"}, {"Think": [["Glance"]]}, {"Think": [1]}]
@@ -354,15 +359,13 @@ class TestProperties:
     @given(concepts(), st.integers(0, 6))
     @settings(max_examples=40)
     def test_time_is_linear_over_steps(self, concept, value):
-        mapping = ActionMapping(
-            {
-                ActionKind.THINK: (KlmOperator.GLANCE,),
-                ActionKind.ENTER: (KlmOperator.POINT_CLICK,),
-                ActionKind.CLICK: (KlmOperator.POINT_CLICK,),
-                ActionKind.SCROLL: (KlmOperator.SACCADE,),
-                ActionKind.EXTERNAL: (KlmOperator.RETRIEVE,),
-            }
-        )
+        mapping = {
+            ActionKind.THINK: (KlmOperator.GLANCE,),
+            ActionKind.ENTER: (KlmOperator.POINT_CLICK,),
+            ActionKind.CLICK: (KlmOperator.POINT_CLICK,),
+            ActionKind.SCROLL: (KlmOperator.SACCADE,),
+            ActionKind.EXTERNAL: (KlmOperator.RETRIEVE,),
+        }
         binding = {name: value for name in ("a", "b", "c", "m", "r", "t", "d", "s", "g", "o")}
         model = KlmModel()
         try:

@@ -27,6 +27,7 @@ from ixcomplex.logs import (
     task_table,
     validate_log,
 )
+from ixcomplex.speed import SpeedStats, speed_stats
 from ixcomplex.synth import SynthConfig, generate_log
 
 from helpers import V2_BINDING, event_logs
@@ -389,6 +390,11 @@ class TestLoad:
 
     def test_accepts_bytes(self):
         assert load_log(json.dumps(MINIMAL).encode()) == load_log(json.dumps(MINIMAL))
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+    def test_bytes_in_another_encoding_refused(self, encoding):
+        with pytest.raises(LogFormatError, match="^not valid JSON: "):
+            load_log(json.dumps(MINIMAL).encode(encoding))
 
     def test_round_trip(self):
         log = load_log(json.dumps(MINIMAL))
@@ -765,6 +771,20 @@ class TestTaskTable:
         log = EventLog((Session("s0", (Task("t", "demo", {}, 4, visits),)),))
         rows = task_table(log)
         assert rows[0].mean_s == pytest.approx(4.0)
+
+
+class TestTableRows:
+    def test_rows_are_speed_stats_in_column_order(self):
+        # 1000 s is an outlier in both tables and is dropped before the row forms.
+        log = make_log([4.7, 4.8, 5.0, 1000.0], is_count=7, label="pick")
+        for rows in (task_table(log), step_table(log)):
+            (row,) = rows
+            assert type(row) is SpeedStats
+            assert row == speed_stats([(7, 4.7), (7, 4.8), (7, 5.0)], row.group)
+            assert [field.name for field in dataclasses.fields(row)] == [
+                "is_count" if column == "is" else column for column in TABLE_COLUMNS
+            ]
+        assert [rows[0].group for rows in (task_table(log), step_table(log))] == ["t", "pick"]
 
 
 class TestStepTable:

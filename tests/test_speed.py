@@ -34,7 +34,8 @@ class TestModels:
         assert (overall.mean, overall.min, overall.max) == (1.05, 0.18, 8.15)
         assert get_speed_model("v1").mean == 1.20
         assert get_speed_model("v2").mean == 0.66
-        assert not get_speed_model("v1").has_range
+        v1 = get_speed_model("v1")
+        assert v1.min is None and v1.max is None
 
     def test_unknown_model(self):
         with pytest.raises(DomainError):
@@ -95,8 +96,12 @@ class TestEstimateTime:
         assert format_fixed(estimate.slowest) == "950.00"
 
     def test_zero_is(self):
-        estimate = estimate_time(0, get_speed_model("v1"))
+        estimate = estimate_time(0, get_speed_model("overall"))
         assert (estimate.expected, estimate.fastest, estimate.slowest) == (0.0, 0.0, 0.0)
+
+    def test_zero_is_with_a_mean_only_model_has_no_range(self):
+        estimate = estimate_time(0, get_speed_model("v1"))
+        assert (estimate.expected, estimate.fastest, estimate.slowest) == (0.0, None, None)
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
@@ -123,14 +128,15 @@ class TestSpeedStats:
     def test_reference_rows_reproduced(self):
         for label, _, is_count, min_s, max_s, mean_s, max_v, min_v, mean_v in REFERENCE_TASK_ROWS:
             stats = speed_stats([(is_count, min_s), (is_count, max_s)])
-            assert round_half_up(stats.max_speed) == max_v, label
-            assert round_half_up(stats.min_speed) == min_v, label
+            assert round_half_up(stats.max_is_per_s) == max_v, label
+            assert round_half_up(stats.min_is_per_s) == min_v, label
             # the mean cell follows from the published mean time directly
             assert round_half_up(is_count / mean_s) == mean_v, label
 
     def test_single_sample(self):
         stats = speed_stats([(10, 10.0)])
-        assert (stats.mean_speed, stats.max_speed, stats.min_speed) == (1.0, 1.0, 1.0)
+        assert (stats.mean_is_per_s, stats.max_is_per_s, stats.min_is_per_s) == (1.0, 1.0, 1.0)
+        assert (stats.group, stats.n, stats.is_count) == ("", 1, 10)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -151,9 +157,9 @@ class TestSpeedStats:
     @settings(max_examples=60)
     def test_column_identities(self, is_count, durations):
         stats = speed_stats([(is_count, d) for d in durations])
-        assert stats.max_speed * stats.min_time == pytest.approx(is_count, rel=1e-9)
-        assert stats.min_speed * stats.max_time == pytest.approx(is_count, rel=1e-9)
-        assert stats.mean_speed * stats.mean_time == pytest.approx(is_count, rel=1e-9)
+        assert stats.max_is_per_s * stats.min_s == pytest.approx(is_count, rel=1e-9)
+        assert stats.min_is_per_s * stats.max_s == pytest.approx(is_count, rel=1e-9)
+        assert stats.mean_is_per_s * stats.mean_s == pytest.approx(is_count, rel=1e-9)
 
 
 class TestAggregate:
