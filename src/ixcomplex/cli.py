@@ -26,7 +26,7 @@ import sys
 import warnings
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bigi import (
     analyze,
@@ -248,18 +248,26 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _views(defined, formula: str | None, published: Callable[[str], object]) -> list:
+    """(label, view) pairs: the as-defined view unless it is None, then the
+    as-published one that published reads from --formula, whenever the flag
+    is given, even empty."""
+    views = [] if defined is None else [("as-defined", defined)]
+    if formula is not None:
+        views.append(("as-published", published(formula)))
+    return views
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     concept = _read_concept(args.concept)
     binding = _collect_bindings(args) or None
     report = analyze(concept, binding)
-    views = [("as-defined", report)]
-    if args.formula:
-        views.append(("as-published", assess(parse_expr(args.formula), binding)))
+    views = _views(report, args.formula, lambda text: assess(parse_expr(text), binding))
 
     if args.format == "json":
         payload = report_to_dict(report)
-        if args.formula:
-            payload["as_published"] = assessment_to_dict(views[1][1])
+        for _, view in views[1:]:
+            payload["as_published"] = assessment_to_dict(view)
         _print_json(payload)
         return 0
 
@@ -291,7 +299,7 @@ def _vector_text(vector) -> str:
 
 
 def cmd_klm(args: argparse.Namespace) -> int:
-    if not args.concept and not args.formula:
+    if not args.concept and args.formula is None:
         print("error: provide a concept file, a --formula, or both", file=sys.stderr)
         return 2
     model = KlmModel()
@@ -302,12 +310,11 @@ def cmd_klm(args: argparse.Namespace) -> int:
         mapping = mapping_from_dict(_read_json(args.mapping_file))
     binding = _collect_bindings(args)
 
-    times: list[tuple[str, float]] = []
+    defined = None
     if args.concept:
         concept = _read_concept(args.concept)
-        times.append(("as-defined", klm_time(klm_from_concept(concept, mapping), model, binding)))
-    if args.formula:
-        times.append(("as-published", klm_time(klm_parse(args.formula), model, binding)))
+        defined = klm_time(klm_from_concept(concept, mapping), model, binding)
+    times = _views(defined, args.formula, lambda text: klm_time(klm_parse(text), model, binding))
     results = [
         (
             label,
@@ -354,9 +361,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     binding = _collect_bindings(args)
     model = _resolve_speed_model(args)
 
-    views = [("as-defined", analyze(concept, binding))]
-    if args.formula:
-        views.append(("as-published", assess(parse_expr(args.formula), binding)))
+    views = _views(
+        analyze(concept, binding), args.formula, lambda text: assess(parse_expr(text), binding)
+    )
     results = [
         (label, view.instantiated[1], estimate_time(view.instantiated[1], model))
         for label, view in views

@@ -20,6 +20,10 @@ closing brace is kept as the step's note; all other comments are ignored.
 of an external application).  Every variable referenced by a step must be
 declared with a var line somewhere in the file.
 
+The reader matches compiled patterns, not single characters.  A line's code
+runs up to the first '#' outside double quotes, and a quote left open is
+reported at its own column.
+
 There is also a JSON form mirroring the model fields (see concept_to_dict),
 with expressions rendered as canonical text.
 """
@@ -27,6 +31,7 @@ with expressions rendered as canonical text.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import Collection, Mapping
 
@@ -174,32 +179,32 @@ def parse_concept(text: str) -> InteractionConcept:
     concept_name: str | None = None
     variables: list[ConceptVariable] = []
     declared: set[str] = set()
-    step_lines: list[tuple[int, str, str | None]] = []
+    step_lines: list[tuple[int, str, int, str | None]] = []
 
     for number, raw_line in enumerate(text.splitlines(), start=1):
         code, comment = _split_comment(raw_line, number)
-        stripped = code.strip()
-        if not stripped:
+        head = _KEYWORD.match(code)
+        if head is None:
             continue
-        keyword = stripped.split(None, 1)[0]
+        keyword, pos = head[1], head.end()
         if keyword == "concept":
             if concept_name is not None:
                 raise ConceptSyntaxError("duplicate concept line", number)
-            concept_name = _parse_concept_line(code, number)
+            concept_name = _parse_concept_line(code, pos, number)
         elif concept_name is None:
             raise ConceptSyntaxError(
                 "the concept line must come before anything else", number
             )
         elif keyword == "var":
-            variables.append(_parse_var_line(code, comment, declared, number))
+            variables.append(_parse_var_line(code[pos:].rstrip(), comment, declared, number))
             declared.add(variables[-1].name)
         elif keyword == "step":
-            step_lines.append((number, code, comment))
+            step_lines.append((number, code, pos, comment))
         else:
             raise ConceptSyntaxError(
                 f"expected 'concept', 'var' or 'step', found {keyword!r}",
                 number,
-                code.index(keyword) + 1,
+                head.start(1) + 1,
             )
 
     if concept_name is None:
@@ -207,8 +212,8 @@ def parse_concept(text: str) -> InteractionConcept:
 
     steps: list[UserStep] = []
     labels: set[str] = set()
-    for number, code, comment in step_lines:
-        step = _parse_step_line(code, comment, number)
+    for number, code, pos, comment in step_lines:
+        step = _parse_step_line(code, pos, comment, number)
         errors = _step_errors(step, labels, declared)
         if errors:
             raise ConceptSyntaxError(errors[0], number)
@@ -218,16 +223,21 @@ def parse_concept(text: str) -> InteractionConcept:
     return InteractionConcept(concept_name, tuple(variables), tuple(steps))
 
 
+# Code and comment; a match that ends before the line does ends at a quote
+# left open.
+_CODE_AND_COMMENT = re.compile(r'((?:[^"#]+|"[^"]*")*)(?:#(.*))?')
+# The keyword that opens a line of code, and the spaces after it (\s is
+# exactly str.isspace, which str.split splits at).
+_KEYWORD = re.compile(r"\s*(\S+)\s*")
+_SPACES = re.compile(r"\s*")
+_REPEAT = re.compile(r"repeat(?!\w)")
+
+
 def _split_comment(line: str, number: int) -> tuple[str, str | None]:
-    in_quotes = False
-    for i, ch in enumerate(line):
-        if ch == '"':
-            in_quotes = not in_quotes
-        elif ch == "#" and not in_quotes:
-            return line[:i], line[i + 1 :].strip() or None
-    if in_quotes:
-        raise ConceptSyntaxError("unterminated quote", number, line.index('"') + 1)
-    return line, None
+    match = _CODE_AND_COMMENT.match(line)
+    if match.end() < len(line):
+        raise ConceptSyntaxError("unterminated quote", number, match.end() + 1)
+    return match[1], match[2]
 
 
 def _parse_quoted(code: str, start: int, number: int) -> tuple[str, int]:
@@ -239,14 +249,7 @@ def _parse_quoted(code: str, start: int, number: int) -> tuple[str, int]:
     return code[start + 1 : end], end + 1
 
 
-def _skip_spaces(code: str, pos: int) -> int:
-    while pos < len(code) and code[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _parse_concept_line(code: str, number: int) -> str:
-    pos = _skip_spaces(code, code.index("concept") + len("concept"))
+def _parse_concept_line(code: str, pos: int, number: int) -> str:
     name, pos = _parse_quoted(code, pos, number)
     if code[pos:].strip():
         raise ConceptSyntaxError("unexpected text after the concept name", number, pos + 1)
@@ -256,9 +259,8 @@ def _parse_concept_line(code: str, number: int) -> str:
 
 
 def _parse_var_line(
-    code: str, comment: str | None, declared: Collection[str], number: int
+    rest: str, comment: str | None, declared: Collection[str], number: int
 ) -> ConceptVariable:
-    rest = code.strip()[len("var") :].strip()
     if not rest:
         raise ConceptSyntaxError("missing variable name", number)
     errors = _variable_errors(rest, declared)
@@ -267,18 +269,14 @@ def _parse_var_line(
     return ConceptVariable(rest, comment or "")
 
 
-def _parse_step_line(code: str, comment: str | None, number: int) -> UserStep:
-    pos = _skip_spaces(code, code.index("step") + len("step"))
+def _parse_step_line(code: str, pos: int, comment: str | None, number: int) -> UserStep:
     label, pos = _parse_quoted(code, pos, number)
     if not label:
         raise ConceptSyntaxError("empty step label", number)
-    pos = _skip_spaces(code, pos)
+    pos = _SPACES.match(code, pos).end()
 
     repeat = ONE
-    boundary = pos + len("repeat")
-    if code.startswith("repeat", pos) and (
-        boundary >= len(code) or not (code[boundary].isalnum() or code[boundary] == "_")
-    ):
+    if _REPEAT.match(code, pos):
         brace = code.find("{", pos)
         if brace < 0:
             raise ConceptSyntaxError("missing '{' after repeat expression", number, pos + 1)

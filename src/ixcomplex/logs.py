@@ -610,6 +610,9 @@ def _rows_from_groups(groups: dict[str, list[tuple[int, float]]]) -> list[SpeedS
 
 def _row_cells(row: SpeedStats) -> list[str]:
     group, n, is_count, *seconds_and_speeds = astuple(row)
+    # A log's JSON escapes can name a lone surrogate, which UTF-8 cannot
+    # encode; the cell shows its escape instead, as \ud800.
+    group = group.encode("utf-8", "backslashreplace").decode("utf-8")
     return [group, str(n), str(is_count), *map(format_fixed, seconds_and_speeds)]
 
 

@@ -63,7 +63,8 @@ def json_number(value: object, what: str) -> float:
 
 def speed_model_from_dict(data: object) -> SpeedModel:
     """Build a model from a JSON speed file: an object with a numeric "mean",
-    optional numeric "min" and "max", and optional "name" and "source"."""
+    optional numeric "min" and "max", and optional string "name" and
+    "source"."""
     if not isinstance(data, Mapping) or data.get("mean") is None:
         raise DomainError("speed model must be a JSON object with a 'mean'")
     limits = {
@@ -71,9 +72,11 @@ def speed_model_from_dict(data: object) -> SpeedModel:
         for key in ("mean", "min", "max")
         if data.get(key) is not None
     }
-    return SpeedModel(
-        name=str(data.get("name", "custom")), source=str(data.get("source", "")), **limits
-    )
+    name, source = data.get("name", "custom"), data.get("source", "")
+    for key, value in (("name", name), ("source", source)):
+        if not isinstance(value, str):
+            raise DomainError(f"speed model {key!r} must be a string, got {value!r}")
+    return SpeedModel(name=name, source=source, **limits)
 
 
 def get_speed_model(name: str) -> SpeedModel:

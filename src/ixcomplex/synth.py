@@ -4,9 +4,10 @@ count_actions is the reference the symbolic pipeline is checked against:
 it walks a concept step by step, multiplies each step's evaluated repeat
 by its evaluated per-execution action counts, and adds up the products, in
 time linear in the number of steps.  No polynomial algebra is involved; leaf
-expressions are evaluated by the small recursive interpreter below, which
-parses expression text on its own instead of reusing the polynomial
-engine's parser or evaluator.  The only engine facility used here is
+expressions are evaluated by the small interpreter below, which reads
+expression text with a compiled token pattern of its own and evaluates the
+tokens by recursive descent, instead of reusing the polynomial engine's
+pattern, parser or evaluator.  The only engine facility used here is
 canonical text rendering, to obtain a textual form of stored expressions.
 
 generate_log produces deterministic synthetic event logs: per-step speeds
@@ -22,6 +23,7 @@ does not load numpy.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -90,103 +92,71 @@ def _leaf_value(expr, binding: Mapping[str, int]) -> int:
     return value
 
 
+# The oracle's own token pattern: an ASCII integer, a name, an operator,
+# or any other character but a space, which is refused.  findall skips the
+# spaces between matches.
+_TOKEN = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*()])|(\S)")
+_STRAY = ("+", "-", "*", ")")
+
+
 def eval_source(text: str, binding: Mapping[str, int]) -> int:
     """Evaluate expression text by direct recursion over its parse tree.
 
-    Deliberately self-contained: own tokenizer, own recursive descent, own
-    arithmetic, so agreement with the polynomial engine is meaningful.
+    Deliberately self-contained: own token pattern, own recursive descent,
+    own arithmetic, so agreement with the polynomial engine is meaningful.
     """
-    cursor = _Cursor(_tokens(text))
-    value = _eval_expr(cursor, binding)
-    if cursor.peek() is not None:
-        raise DomainError(f"unexpected {cursor.peek()!r} in expression {text!r}")
+    tokens: list[object] = []
+    for number, name, operator, other in _TOKEN.findall(text):
+        if other:
+            raise DomainError(f"unexpected character {other!r} in expression")
+        tokens.append(int(number) if number else name or operator)
+    # Reversed, so the next token is tokens[-1], above the end marker None.
+    tokens = [None, *reversed(tokens)]
+    value = _sum(tokens, binding)
+    if tokens[-1] is not None:
+        raise DomainError(f"unexpected {tokens[-1]!r} in expression {text!r}")
     return value
 
 
-def _tokens(text: str) -> list[object]:
-    out: list[object] = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-        elif ch.isdigit():
-            end = pos
-            while end < len(text) and text[end].isdigit():
-                end += 1
-            out.append(int(text[pos:end]))
-            pos = end
-        elif ch.isalpha() or ch == "_":
-            end = pos
-            while end < len(text) and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            out.append(text[pos:end])
-            pos = end
-        elif ch in "+-*()":
-            out.append(ch)
-            pos += 1
-        else:
-            raise DomainError(f"unexpected character {ch!r} in expression")
-    return out
-
-
-class _Cursor:
-    def __init__(self, tokens: list[object]):
-        self.tokens = tokens
-        self.index = 0
-
-    def peek(self) -> object | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
-
-    def take(self) -> object:
-        token = self.peek()
-        if token is None:
-            raise DomainError("unexpected end of expression")
-        self.index += 1
-        return token
-
-
-def _eval_expr(cursor: _Cursor, binding: Mapping[str, int]) -> int:
-    negate = cursor.peek() == "-"
-    if negate:
-        cursor.take()
-    value = _eval_term(cursor, binding)
-    if negate:
-        value = -value
-    while cursor.peek() in ("+", "-"):
-        op = cursor.take()
-        rhs = _eval_term(cursor, binding)
-        value = value + rhs if op == "+" else value - rhs
+def _sum(tokens: list[object], binding: Mapping[str, int]) -> int:
+    if tokens[-1] != "-":
+        tokens.append("+")  # the sign of a first term without one
+    value = 0
+    while tokens[-1] in ("+", "-"):
+        sign = 1 if tokens.pop() == "+" else -1
+        value += sign * _product(tokens, binding)
     return value
 
 
-def _eval_term(cursor: _Cursor, binding: Mapping[str, int]) -> int:
-    value = _eval_factor(cursor, binding)
-    while cursor.peek() == "*":
-        cursor.take()
-        value = value * _eval_factor(cursor, binding)
+def _product(tokens: list[object], binding: Mapping[str, int]) -> int:
+    value = _factor(tokens, binding)
+    while tokens[-1] == "*":
+        tokens.pop()
+        value *= _factor(tokens, binding)
     return value
 
 
-def _eval_factor(cursor: _Cursor, binding: Mapping[str, int]) -> int:
-    token = cursor.take()
+def _factor(tokens: list[object], binding: Mapping[str, int]) -> int:
+    token = tokens.pop()
     if isinstance(token, int):
         return token
     if token == "(":
-        value = _eval_expr(cursor, binding)
-        if cursor.take() != ")":
+        value = _sum(tokens, binding)
+        token = tokens.pop()
+        if token == ")":
+            return value
+        if token is not None:
             raise DomainError("missing closing parenthesis")
-        return value
-    if isinstance(token, str) and token not in "+-*()":
-        if token not in binding:
-            raise UnboundVariableError(token)
-        value = binding[token]
-        if value < 0:
-            raise InvalidBindingError(token, value)
-        return value
-    raise DomainError(f"unexpected {token!r} in expression")
+    if token is None:  # the end marker, taken for a factor or for ')'
+        raise DomainError("unexpected end of expression")
+    if token in _STRAY:
+        raise DomainError(f"unexpected {token!r} in expression")
+    if token not in binding:
+        raise UnboundVariableError(token)
+    value = binding[token]
+    if value < 0:
+        raise InvalidBindingError(token, value)
+    return value
 
 
 # --- synthetic logs --------------------------------------------------------

@@ -292,6 +292,22 @@ class _ReferenceParser:
         raise ExpressionSyntaxError(f"unexpected {value!r}", pos)
 
 
+# --- reference comment split for concept lines ----------------------------------
+
+
+def reference_split_comment(line):
+    """A concept line read one character at a time, toggling at each double
+    quote: (code, comment, None) split at the first '#' outside quotes, or
+    (line, None, index) when the quote at index is left open."""
+    open_at = None
+    for i, ch in enumerate(line):
+        if ch == '"':
+            open_at = i if open_at is None else None
+        elif ch == "#" and open_at is None:
+            return line[:i], line[i + 1 :], None
+    return line, None, open_at
+
+
 _LOWER_NAMES = ("a", "b", "x", "r2", "ab_1")
 _MIXED_NAMES = _LOWER_NAMES + ("Q", "Tz", "M_x")
 # Literals near the 64-bit edge: 2**62, 2**63 - 1, isqrt(2**63) and its

@@ -4,7 +4,9 @@ import gc
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -14,12 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ixcomplex.cli import main
+from ixcomplex.concept import serialize_concept
 from ixcomplex.logs import dump_log
 from ixcomplex.synth import SynthConfig, generate_log
 
-from helpers import CONCEPTS_DIR, V2_BINDING
+from helpers import (
+    CONCEPTS_DIR,
+    V1_PUBLISHED_IS,
+    V1_PUBLISHED_KLM,
+    V2_BINDING,
+    concepts,
+    grammar_texts,
+    parser_texts,
+)
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 V1 = str(CONCEPTS_DIR / "v1.concept")
 V2 = str(CONCEPTS_DIR / "v2.concept")
 
@@ -32,6 +44,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_strict(argv):
+    """main(argv) with stdout encoded as strict UTF-8, as a real stdout is;
+    io.StringIO would take any code point, a lone surrogate among them."""
+    err = io.StringIO()
+    with io.TextIOWrapper(io.BytesIO(), encoding="utf-8") as out:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out.flush()
+        printed = out.buffer.getvalue().decode("utf-8")
+    return code, printed, err.getvalue()
 
 
 class TestAnalyze:
@@ -78,6 +102,11 @@ class TestAnalyze:
     def test_negative_binding_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "analyze", V1, "--set", "a=-1")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_empty_formula_is_parsed(self, capsys, fmt):
+        code, out, err = run(capsys, "analyze", V1, *V1_SET, "--formula", "", "--format", fmt)
+        assert (code, out, err) == (1, "", "error: empty expression (offset 0)\n")
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "analyze", V1, "--frobnicate")
@@ -132,6 +161,11 @@ class TestKlm:
         code, _, err = run(capsys, "klm")
         assert code == 2
         assert "formula" in err
+
+    @pytest.mark.parametrize("concept", [[], [V1]])
+    def test_empty_formula_is_parsed(self, capsys, concept):
+        code, out, err = run(capsys, "klm", *concept, *KLM_V1_SET, "--formula", "")
+        assert (code, out, err) == (1, "", "error: empty expression (offset 0)\n")
 
     def test_unmapped_action(self, capsys, tmp_path):
         concept = tmp_path / "scroll.concept"
@@ -195,6 +229,10 @@ class TestEstimate:
             "as-published: expected: 0.00 sec\n"
             "as-published: speed range unavailable for model 'v1'\n"
         )
+
+    def test_empty_formula_is_parsed(self, capsys):
+        code, out, err = run(capsys, "estimate", V2, *V2_SET, "--formula", "")
+        assert (code, out, err) == (1, "", "error: empty expression (offset 0)\n")
 
     def test_unknown_model(self, capsys):
         code, _, err = run(capsys, "estimate", V2, *V2_SET, "--speed", "v9")
@@ -318,6 +356,26 @@ class TestSynthAndLogs:
         golden = (DATA_DIR / "golden_logs_output.txt").read_text()
         assert out == golden
 
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_lone_surrogate_in_a_group_name(self, tmp_path, fmt):
+        # The JSON escape reads as the lone code point U+D800, which a UTF-8
+        # stdout cannot encode; the table shows the escape instead.
+        step = {"step_label": "s", "start_ms": 0, "end_ms": 1000, "is_count": 3}
+        visit = {"page": "p", "enter_ms": 0, "exit_ms": 1000, "steps": [step]}
+        task = {"task_id": "t\ud800", "concept_name": "c", "binding": {}, "is_count": 3,
+                "page_visits": [visit]}
+        log = tmp_path / "log.json"
+        log.write_text(json.dumps({"sessions": [{"session_id": "s", "tasks": [task]}]}))
+        env = dict(os.environ, PYTHONIOENCODING="utf-8")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "ixcomplex", "logs", str(log), "--format", fmt],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert b"Traceback" not in done.stderr
+        assert b"t\\ud800" in done.stdout
+
     def test_concept_cross_check_warns_on_mismatch(self, capsys, tmp_path):
         out_file = tmp_path / "log.json"
         run(
@@ -391,6 +449,13 @@ class TestNoTraceback:
         speed = tmp_path / "speed.json"
         speed.write_text("[1.05, 0.18, 8.15]")
         self.run_failing(capsys, "estimate", V2, *V2_SET, "--speed-file", str(speed))
+
+    def test_speed_file_naming_the_model_nan(self, capsys, tmp_path):
+        # The name was rendered with str(), so NaN printed as a model "nan".
+        speed_file = tmp_path / "speed.json"
+        speed_file.write_text('{"mean": 1.0, "name": NaN}')
+        err = self.run_failing(capsys, "estimate", V2, *V2_SET, "--speed-file", str(speed_file))
+        assert err == "error: speed model 'name' must be a string, got nan\n"
 
     def test_speed_file_holding_nan(self, capsys, tmp_path):
         speed = tmp_path / "speed.json"
@@ -697,16 +762,14 @@ class TestLogsFuzz:
 
     def check(self, log_file, data):
         log_file.write_bytes(data)
-        out, err = io.StringIO(), io.StringIO()
         started = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["logs", str(log_file)])
+        code, out, err = run_strict(["logs", str(log_file)])
         assert time.perf_counter() - started < FUZZ_SECONDS
         assert code in (0, 1)
-        assert "Traceback" not in err.getvalue()
-        assert not NON_FINITE.search(out.getvalue())
+        assert "Traceback" not in err
+        assert not NON_FINITE.search(out)
         if code == 1:
-            assert out.getvalue() == "" and "error: " in err.getvalue()
+            assert out == "" and "error: " in err
         return code
 
     def test_intact_log(self, log_bytes, log_file):
@@ -755,3 +818,137 @@ class TestLogsFuzz:
             else:
                 holder[path[-1]] = copy.deepcopy(value)
         self.check(log_file, json.dumps(document).encode())
+
+
+# Variable names: those the expression fuzz draws, then the other ones of
+# the bundled concepts.
+FUZZ_NAMES = ("a", "b", "x", "r2", "ab_1", "m", "r", "t", "d", "s", "g", "o")
+# Integer and float flag values: in range, at and past the 64-bit ends,
+# negative, non-finite and not numbers at all.
+FUZZ_INTS = ("0", "1", "7", "3037000500", "9223372036854775807", "9223372036854775808",
+             "-1", "", "x")
+FUZZ_FLOATS = ("1", "1.05", "0", "-1", "0.01", "1e-300", "1e308", "nan", "inf", "-inf", "x")
+# Concept text as tokens, which spell no number when joined.
+CONCEPT_TOKENS = ("concept", "var", "step", "repeat", '"c"', '"s"', '"', " ", "\n", "{", "}",
+                  "#", ";", ":", "T", "E", "C", "S", "X", "1", "a", "b")
+OPERATORS = ("K", "M", "C", "S", "P", "R", "E", "T", "Q")
+KIND_WORDS = ("Think", "Enter", "Click", "Scroll", "External", "Wait")
+JSON_LEAVES = (None, True, 0, 1, -1, 0.5, 2**63 - 1, 2**63, 10**400, math.nan, math.inf,
+               "", "x", "K", [])
+JSON_NUMBERS = (0, 0.2, 1, 1.05, 7, 1e-300, 1e308, -1, 2**63, 10**400, math.nan, math.inf)
+
+
+def json_documents(shaped):
+    """Any JSON document, or one in the shape a side-file reader expects,
+    with values drawn near and past its edges."""
+    keys = st.sampled_from(FUZZ_NAMES + OPERATORS + KIND_WORDS + ("mean", "min", "max", "name"))
+    anything = st.recursive(
+        st.sampled_from(JSON_LEAVES),
+        lambda kids: st.lists(kids, max_size=3) | st.dictionaries(keys, kids, max_size=4),
+        max_leaves=8,
+    )
+    return st.one_of(anything, shaped)
+
+
+SIDE_FILES = {
+    "--bindings": st.dictionaries(
+        st.sampled_from(FUZZ_NAMES), st.sampled_from((0, 1, 2, 7, 3037000500, 2**63 - 1)),
+        min_size=len(FUZZ_NAMES) - 2,
+    ),
+    "--map": st.dictionaries(
+        st.sampled_from(KIND_WORDS), st.lists(st.sampled_from(OPERATORS), max_size=3)
+    ),
+    "--model": st.dictionaries(st.sampled_from(OPERATORS), st.sampled_from(JSON_NUMBERS)),
+    "--speed-file": st.fixed_dictionaries(
+        {"mean": st.sampled_from(JSON_NUMBERS)},
+        optional={"min": st.sampled_from(JSON_NUMBERS), "max": st.sampled_from(JSON_NUMBERS),
+                  "name": st.sampled_from(JSON_LEAVES)},
+    ),
+}
+# The flags of each command, beyond its concept file.
+COMMAND_FLAGS = {
+    "analyze": ("--set", "--bindings", "--formula", "--format"),
+    "klm": ("--set", "--bindings", "--formula", "--map", "--model", "--is", "--format"),
+    "estimate": ("--set", "--bindings", "--formula", "--speed", "--speed-file", "--speed-mean",
+                 "--speed-min", "--speed-max", "--format"),
+    "oracle": ("--set", "--bindings", "--format"),
+    "synth": ("--set", "--bindings", "--sessions", "--speed-mean", "--speed-sd", "--seed"),
+}
+FLAG_VALUES = {
+    "--set": st.builds("{}={}".format, st.sampled_from(FUZZ_NAMES + ("A",)),
+                       st.sampled_from(FUZZ_INTS)),
+    "--formula": st.one_of(st.just(""), grammar_texts(), parser_texts(),
+                           st.sampled_from([V1_PUBLISHED_IS, V1_PUBLISHED_KLM])),
+    "--format": st.sampled_from(("text", "json", "csv")),
+    "--is": st.sampled_from(FUZZ_INTS),
+    "--speed": st.sampled_from(("overall", "v1", "v2", "v3")),
+    "--sessions": st.sampled_from(("1", "2", "3", "0", "-1", "x")),
+    "--seed": st.sampled_from(FUZZ_INTS),
+}
+
+
+@st.composite
+def concept_texts(draw):
+    """The bundled concepts, valid generated ones, ones whose expressions
+    come from the expression fuzz, and token soups."""
+    kind = draw(st.sampled_from(("bundled", "generated", "built", "soup")))
+    if kind == "bundled":
+        return draw(st.sampled_from([Path(V1).read_text(), Path(V2).read_text()]))
+    if kind == "generated":
+        # A label may be printed, and must not read as a number.
+        return draw(concepts().map(serialize_concept).filter(lambda t: not NON_FINITE.search(t)))
+    if kind == "soup":
+        return "".join(draw(st.lists(st.sampled_from(CONCEPT_TOKENS), max_size=30)))
+    lines = ['concept "c"', *(f"var {name}" for name in FUZZ_NAMES[:5])]
+    expressions = st.one_of(grammar_texts(), parser_texts()).map(
+        lambda text: text.replace("\n", " ")
+    )
+    for index in range(draw(st.integers(1, 3))):
+        repeat = draw(st.one_of(st.just(""), expressions.map(" repeat {}".format)))
+        kinds = draw(st.lists(st.sampled_from("TECSX"), unique=True, max_size=3))
+        body = "; ".join(f"{kind}: {draw(expressions)}" for kind in kinds)
+        lines.append(f'step "s{index}"{repeat} {{ {body} }}')
+    return "\n".join(lines) + "\n"
+
+
+class TestCommandFuzz:
+    """analyze, klm, estimate, oracle and synth on random argv, concept text
+    and side files exit 0, 1 or 2, never with a traceback, a non-finite
+    number in their output or a hang."""
+
+    @pytest.fixture(scope="class")
+    def directory(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("command-fuzz")
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_random_argv(self, directory, command, data):
+        argv = [command]
+        if command != "klm" or data.draw(st.booleans()):
+            concept = directory / data.draw(st.sampled_from(("input",) * 4 + ("missing",)))
+            if concept.name == "input":
+                concept.write_text(data.draw(concept_texts()), encoding="utf-8")
+            argv.append(str(concept))
+        if command == "synth":
+            # Drawn flags come later and override these; none asks for
+            # more than 3 sessions.
+            argv += ["--sessions", "3", "--speed-mean", "1.05", "--out", "-"]
+        flags = ["--bindings"] if data.draw(st.booleans()) else []
+        flags += data.draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), max_size=4))
+        for flag in flags:
+            if flag in SIDE_FILES:
+                side_file = directory / flag.lstrip("-")
+                side_file.write_text(json.dumps(data.draw(json_documents(SIDE_FILES[flag]))))
+                value = str(side_file)
+            else:
+                value = data.draw(FLAG_VALUES.get(flag, st.sampled_from(FUZZ_FLOATS)))
+            argv += [flag, value]
+        started = time.perf_counter()
+        code, out, err = run_strict(argv)
+        assert time.perf_counter() - started < FUZZ_SECONDS
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert not NON_FINITE.search(out)
+        if code:
+            assert out == ""

@@ -16,7 +16,7 @@ from ixcomplex.concept import (
 from ixcomplex.errors import ConceptSyntaxError, IxComplexError
 from ixcomplex.expr import MAX_NESTING, ONE, parse_expr
 
-from helpers import concepts
+from helpers import concepts, reference_split_comment
 
 
 class TestParse:
@@ -104,6 +104,20 @@ class TestParse:
     def test_zero_action_step_parses(self):
         concept = parse_concept('concept "x"\nstep "placeholder" { }')
         assert concept.steps[0].actions == {}
+
+    @pytest.mark.parametrize(
+        "line, column",
+        [
+            # The quote at column 6 is closed; the one at column 19 is not.
+            ('step "a" { T: 1 } "', 19),
+            ('step "a" { T: 1 } "x # y', 19),
+            ('step "a { T: 1 }', 6),
+        ],
+    )
+    def test_unterminated_quote_at_the_quote_left_open(self, line, column):
+        with pytest.raises(ConceptSyntaxError) as exc:
+            parse_concept(f'concept "x"\nvar m\n{line}')
+        assert str(exc.value) == f"line 3, column {column}: unterminated quote"
 
 
     @pytest.mark.parametrize(
@@ -226,6 +240,23 @@ class TestProperties:
             parse_concept(text)
         except IxComplexError:
             pass
+
+    @given(st.text(alphabet='"# ab', max_size=24))
+    @settings(max_examples=150)
+    def test_comment_split_matches_the_quote_toggle(self, tail):
+        head = 'step "s" { T: 1 }'
+        code, comment, open_at = reference_split_comment(head + tail)
+        text = f'concept "x"\nvar m\n{head}{tail}'
+        if open_at is not None:
+            expected = f"line 3, column {open_at + 1}: unterminated quote"
+        elif code[len(head) :].strip():
+            expected = f"line 3, column {len(head) + 1}: unexpected text after '}}'"
+        else:
+            assert parse_concept(text).steps[0].note == ((comment or "").strip() or None)
+            return
+        with pytest.raises(ConceptSyntaxError) as exc:
+            parse_concept(text)
+        assert str(exc.value) == expected
 
     @given(st.text(alphabet='concept "varstep{}#;:TECSX1a\n', max_size=120))
     @settings(max_examples=150)

@@ -75,6 +75,9 @@ class TestSpeedModelFromDict:
             {"mean": 1.0, "min": "0.5"},
             {"mean": float("nan")},
             {"mean": 10**400},
+            {"mean": 1.0, "name": float("nan")},
+            {"mean": 1.0, "name": None},
+            {"mean": 1.0, "source": 7},
         ],
     )
     def test_malformed_rejected(self, data):

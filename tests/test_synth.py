@@ -164,6 +164,32 @@ class TestEvalSource:
         with pytest.raises(InvalidBindingError):
             eval_source("a", {"a": -2})
 
+    def test_nested_parentheses_with_unary_minus(self):
+        assert eval_source(" -((a + 2) * (3 - (b)))\t- 1 ", {"a": 1, "b": 5}) == 5
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 $", "unexpected character '$' in expression"),
+            # An unknown character is refused before any syntax is read.
+            (") $", "unexpected character '$' in expression"),
+            ("1 +", "unexpected end of expression"),
+            ("(1", "unexpected end of expression"),
+            ("", "unexpected end of expression"),
+            ("(1 2)", "missing closing parenthesis"),
+            ("1 )", "unexpected ')' in expression '1 )'"),
+            ("1 2", "unexpected 2 in expression '1 2'"),
+            ("*", "unexpected '*' in expression"),
+            ("--1", "unexpected '-' in expression"),
+            ("()", "unexpected ')' in expression"),
+        ],
+    )
+    def test_syntax_error_messages(self, text, message):
+        with pytest.raises(DomainError) as exc:
+            eval_source(text, {})
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == message
+
     @given(expressions(), st.data())
     @settings(max_examples=80)
     def test_agrees_with_polynomial_engine(self, e, data):
