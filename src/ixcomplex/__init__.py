@@ -26,8 +26,6 @@ from .concept import (
     Diagnostic,
     InteractionConcept,
     UserStep,
-    concept_from_dict,
-    concept_to_dict,
     parse_concept,
     serialize_concept,
     validate,
@@ -101,8 +99,6 @@ __all__ = [
     "aggregate_speed",
     "analyze",
     "assess",
-    "concept_from_dict",
-    "concept_to_dict",
     "count_actions",
     "cross_check",
     "dump_log",

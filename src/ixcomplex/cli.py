@@ -25,7 +25,6 @@ import os
 import sys
 import warnings
 from functools import partial
-from pathlib import Path
 from typing import Callable, Sequence
 
 from .bigi import (
@@ -213,8 +212,11 @@ def _styled(text: str) -> str:
 
 
 def _read_text(path: str) -> str:
+    # Every file is opened by its path as given, so an empty path is a
+    # missing file, not the current directory that Path("") names.
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise IxComplexError(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -238,7 +240,7 @@ def _read_concept(path: str) -> InteractionConcept:
 
 def _collect_bindings(args: argparse.Namespace) -> dict[str, int]:
     binding: dict[str, int] = {}
-    if getattr(args, "bindings_file", None):
+    if args.bindings_file is not None:
         binding = binding_from_dict(_read_json(args.bindings_file))
     binding.update(args.bindings)
     return binding
@@ -299,19 +301,19 @@ def _vector_text(vector) -> str:
 
 
 def cmd_klm(args: argparse.Namespace) -> int:
-    if not args.concept and args.formula is None:
+    if args.concept is None and args.formula is None:
         print("error: provide a concept file, a --formula, or both", file=sys.stderr)
         return 2
     model = KlmModel()
-    if args.model_file:
+    if args.model_file is not None:
         model = model_from_dict(_read_json(args.model_file))
     mapping = DEFAULT_MAPPING
-    if args.mapping_file:
+    if args.mapping_file is not None:
         mapping = mapping_from_dict(_read_json(args.mapping_file))
     binding = _collect_bindings(args)
 
     defined = None
-    if args.concept:
+    if args.concept is not None:
         concept = _read_concept(args.concept)
         defined = klm_time(klm_from_concept(concept, mapping), model, binding)
     times = _views(defined, args.formula, lambda text: klm_time(klm_parse(text), model, binding))
@@ -347,7 +349,7 @@ def cmd_klm(args: argparse.Namespace) -> int:
 
 
 def _resolve_speed_model(args: argparse.Namespace) -> SpeedModel:
-    if args.speed_file:
+    if args.speed_file is not None:
         return speed_model_from_dict(_read_json(args.speed_file))
     if args.speed_mean is not None:
         return SpeedModel("custom", args.speed_mean, args.speed_min, args.speed_max)
@@ -400,12 +402,13 @@ def cmd_logs(args: argparse.Namespace) -> int:
     if args.log == "-":
         raw: bytes | str = sys.stdin.buffer.read()
     else:
-        raw = Path(args.log).read_bytes()
+        with open(args.log, "rb") as file:
+            raw = file.read()
     log = load_log(raw)
     if not any(session.tasks for session in log.sessions):
         print("warning: log contains no tasks", file=sys.stderr)
 
-    if args.concept:
+    if args.concept is not None:
         for message in cross_check(log, _read_concept(args.concept)):
             print(f"warning: {message}", file=sys.stderr)
 
@@ -449,7 +452,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.out == "-":
         sys.stdout.write(payload)
     else:
-        Path(args.out).write_text(payload, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as file:
+            file.write(payload)
         print(f"wrote {args.out}: {args.sessions} sessions", file=sys.stderr)
     return 0
 

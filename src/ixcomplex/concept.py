@@ -22,10 +22,11 @@ declared with a var line somewhere in the file.
 
 The reader matches compiled patterns, not single characters.  A line's code
 runs up to the first '#' outside double quotes, and a quote left open is
-reported at its own column.
+reported at its own column.  Lines end wherever str.splitlines ends them.
 
-There is also a JSON form mirroring the model fields (see concept_to_dict),
-with expressions rendered as canonical text.
+The file is the concept's only serialized form.  The writer refuses exactly
+what the reader refuses: serialize_concept raises DomainError for a concept
+whose text parse_concept could not read back as the same concept.
 """
 
 from __future__ import annotations
@@ -337,8 +338,11 @@ def _parse_embedded(text: str, base: int, number: int) -> Expression:
 def serialize_concept(concept: InteractionConcept) -> str:
     """Render the canonical file form; reparsing it reproduces the concept.
 
-    Labels and the concept name must not contain double quotes or newlines;
-    descriptions and notes must be single-line.  A repeat of 1 is elided.
+    Raises DomainError, and writes nothing, for any concept parse_concept
+    could not read back: one with a validate error (the first is raised),
+    or whose name or a label holds a double quote, or whose name, a label, a
+    description or a note holds a line boundary of str.splitlines.  A
+    repeat of 1 is elided.
     """
     _require_serializable(concept)
     lines = [f'concept "{concept.name}"']
@@ -363,8 +367,12 @@ def serialize_concept(concept: InteractionConcept) -> str:
 
 
 def _require_serializable(concept: InteractionConcept) -> None:
+    errors = [d.message for d in validate(concept) if d.severity == "error"]
+    if errors:
+        raise DomainError(errors[0])
+
     def check(text: str, what: str, allow_quote: bool = True) -> None:
-        if "\n" in text or "\r" in text:
+        if text.splitlines() not in ([], [text]):
             raise DomainError(f"{what} must be single-line: {text!r}")
         if not allow_quote and '"' in text:
             raise DomainError(f"{what} must not contain a double quote: {text!r}")
@@ -376,55 +384,3 @@ def _require_serializable(concept: InteractionConcept) -> None:
         check(step.label, "step label", allow_quote=False)
         if step.note:
             check(step.note, "step note")
-
-
-# --- JSON form -------------------------------------------------------------
-
-
-def concept_to_dict(concept: InteractionConcept) -> dict:
-    return {
-        "name": concept.name,
-        "variables": [
-            {"name": variable.name, "description": variable.description}
-            for variable in concept.variables
-        ],
-        "steps": [
-            {
-                "label": step.label,
-                "repeat": format_expr(step.repeat),
-                "actions": {
-                    kind.value: format_expr(expr)
-                    for kind, expr in step.ordered_actions()
-                },
-                "note": step.note,
-            }
-            for step in concept.steps
-        ],
-    }
-
-
-def concept_from_dict(data: Mapping) -> InteractionConcept:
-    try:
-        variables = tuple(
-            ConceptVariable(v["name"], v.get("description", ""))
-            for v in data.get("variables", ())
-        )
-        steps = tuple(
-            UserStep(
-                s["label"],
-                {
-                    ActionKind.from_letter(letter): parse_expr(text)
-                    for letter, text in s.get("actions", {}).items()
-                },
-                parse_expr(s.get("repeat", "1")),
-                s.get("note"),
-            )
-            for s in data.get("steps", ())
-        )
-        concept = InteractionConcept(str(data["name"]), variables, steps)
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed concept data: {exc}") from None
-    problems = [d for d in validate(concept) if d.severity == "error"]
-    if problems:
-        raise DomainError(problems[0].message)
-    return concept

@@ -396,6 +396,8 @@ def format_expr(expression: Expression) -> str:
     parts: list[str] = []
     for i, (mono, coeff) in enumerate(expression.terms):
         magnitude = _render_magnitude(mono, abs(coeff))
+        if coeff == INT64_MIN:  # -2**63 has no literal: two terms, which parse_expr adds up
+            magnitude = f"{_render_magnitude(mono, INT64_MAX)} - {_render_magnitude(mono, 1)}"
         if i == 0:
             parts.append(magnitude if coeff > 0 else f"-{magnitude}")
         else:

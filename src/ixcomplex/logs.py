@@ -10,21 +10,23 @@ File format: JSON, UTF-8, top level {"sessions": [...]} with snake_case
 keys mirroring the model fields and integer millisecond timestamps.  Every
 integer (timestamp, IS count, binding value) lies in the signed 64-bit range.
 dump_log writes it compact: one line, keys sorted, no spaces, and a trailing
-newline, so identical logs (and so one synth seed) give identical bytes.  It
-writes the text straight from the records and refuses any field that
-load_log would refuse; validate_log checks the interval rules of a log built
-in memory.  load_log accepts any JSON layout, including the indented files
-written by earlier versions.
+newline, so identical logs (and so one synth seed) give identical bytes.
+load_log accepts any JSON layout, including the indented files written by
+earlier versions.
 
-load_log refuses the first faulty record in document order, checking a
-record's own fields, then its intervals, then its children (see load_log).
-Page visits run forwards and in chronological order within their task, and
-each step runs forwards inside its visit.  The field rules' messages come
-from one function that load_log and dump_log share, and the interval rules
-from two that load_log and validate_log share.  load_log and synth.generate_log pause the
-cyclic garbage collector while they build, and the CLI's synth command
-pauses it around generating and dumping; dump_log allocates only strings
-and needs no pause (see gc_paused).
+The writer refuses exactly what the reader would refuse in its output, and
+a surrogate pair, which the reader would take for one character.  load_log
+checks a file and validate_log a log built in memory, each refusing the
+first faulty record in document order: a record's own fields, then its
+intervals, then its children (see load_log).  Page visits run forwards and
+in chronological order within their task, and each step runs forwards
+inside its visit.  Both report a fault through one function, _fault, so
+they give the same message at the same path.  dump_log is validate_log
+followed by a writer that checks nothing more but the surrogate pairs.
+load_log and synth.generate_log pause the cyclic garbage collector while
+they build, and the CLI's synth command pauses it around generating and
+dumping; dump_log allocates only strings and needs no pause (see
+gc_paused).
 
 Outlier removal uses the interquartile range method: per group, durations
 outside [Q1 - 1.5*IQR, Q3 + 1.5*IQR] are dropped before speeds are
@@ -49,7 +51,7 @@ from functools import partial
 
 from .bigi import instantiate, normalize, sum_steps
 from .concept import InteractionConcept
-from .errors import DomainError, LogFormatError
+from .errors import DomainError, IxComplexError, LogFormatError
 from .expr import INT64_MAX
 from .rounding import format_fixed
 from .speed import SpeedStats, speed_stats
@@ -165,15 +167,13 @@ def dump_log(log: EventLog) -> str:
     The text is json.dumps(tree, sort_keys=True, separators=(",", ":"))
     plus a newline, where tree is the log as nested dicts and lists keyed by
     field name; it is written straight from the records, encoding each
-    distinct string once.  Raises LogFormatError, with the path to the
-    record, for any field load_log would refuse: an integer field holding
-    anything but an int (a bool too), a negative value, a value above
-    2**63 - 1 or a step is_count below 1, and an id, concept name, label,
-    page or binding name that is not a str, and any of these strings that
-    holds a high surrogate directly followed by a low one, since JSON reads
-    that pair back as one character.  The interval rules are checked by
-    validate_log, not here.
+    distinct string once.  The log is first checked by validate_log, so
+    dump_log raises the LogFormatError that load_log would raise on that
+    tree.  It also refuses an id, concept name, label, page or binding name
+    that holds a high surrogate directly followed by a low one, since JSON
+    reads that pair back as one character.
     """
+    validate_log(log)
     try:
         return _json_text(log)
     except _SurrogatePair as pair:
@@ -188,48 +188,32 @@ def dump_log(log: EventLog) -> str:
 
 
 def _json_text(log: EventLog) -> str:
+    """The text of a log that validate_log accepts."""
     quoted = _Quoted()
     out = ['{"sessions":[']
     append = out.append
     for i, session in enumerate(log.sessions):
-        if type(session.session_id) is not str:
-            raise _write_fault(session, i)
         append(f'{"," if i else ""}{{"session_id":{quoted[session.session_id]},"tasks":[')
         for j, task in enumerate(session.tasks):
-            task_id, concept_name, is_count = task.task_id, task.concept_name, task.is_count
-            items = task.binding.items()
-            if not (type(task_id) is str and type(concept_name) is str
-                    and type(is_count) is int and 0 <= is_count <= INT64_MAX
-                    and all(type(name) is str and type(value) is int and 0 <= value <= INT64_MAX
-                            for name, value in items)):
-                raise _write_fault(task, i, j)
-            binding = ",".join([f"{quoted[name]}:{value}" for name, value in sorted(items)])
+            binding = ",".join(
+                [f"{quoted[name]}:{value}" for name, value in sorted(task.binding.items())]
+            )
             append(
                 f'{"," if j else ""}{{"binding":{{{binding}}},"concept_name":'
-                f'{quoted[concept_name]},"is_count":{is_count},"page_visits":['
+                f'{quoted[task.concept_name]},"is_count":{task.is_count},"page_visits":['
             )
             for k, visit in enumerate(task.page_visits):
-                page, enter, exit_ = visit.page, visit.enter_ms, visit.exit_ms
-                if not (type(page) is str and type(enter) is int and type(exit_) is int
-                        and 0 <= enter <= INT64_MAX and 0 <= exit_ <= INT64_MAX):
-                    raise _write_fault(visit, i, j, k)
                 append(
-                    f'{"," if k else ""}{{"enter_ms":{enter},"exit_ms":{exit_},'
-                    f'"page":{quoted[page]},"steps":['
+                    f'{"," if k else ""}{{"enter_ms":{visit.enter_ms},"exit_ms":{visit.exit_ms},'
+                    f'"page":{quoted[visit.page]},"steps":['
                 )
                 for n, step in enumerate(visit.steps):
-                    label, start, end = step.step_label, step.start_ms, step.end_ms
-                    count = step.is_count
-                    if not (type(label) is str and type(start) is int and type(end) is int
-                            and type(count) is int and 0 <= start <= INT64_MAX
-                            and 0 <= end <= INT64_MAX and 1 <= count <= INT64_MAX):
-                        raise _write_fault(step, i, j, k, n)
                     append(
-                        f'{"," if n else ""}{{"end_ms":{end},"is_count":{count},'
-                        f'"start_ms":{start},"step_label":{quoted[label]}}}'
+                        f'{"," if n else ""}{{"end_ms":{step.end_ms},"is_count":{step.is_count},'
+                        f'"start_ms":{step.start_ms},"step_label":{quoted[step.step_label]}}}'
                     )
                 append("]}")
-            append(f'],"task_id":{quoted[task_id]}}}')
+            append(f'],"task_id":{quoted[task.task_id]}}}')
         append("]}")
     append("]}\n")
     return "".join(out)
@@ -269,12 +253,6 @@ def _strings(log: EventLog) -> Iterator[tuple[str, str, str]]:
             yield _where(i, j), "'task_id'", task.task_id
 
 
-def _write_fault(record, *indices: int) -> LogFormatError:
-    """The fault load_log would find in the first of the record's own
-    fields that it refuses, at the path the indices give."""
-    return LogFormatError(_field_fault(type(record), partial(getattr, record)), _where(*indices))
-
-
 _LEVELS = ("sessions", "tasks", "page_visits", "steps")
 
 
@@ -296,8 +274,8 @@ def _decoded(data: bytes | str) -> dict:
 
 def _log_from(raw_sessions) -> EventLog:
     """The log, each record checked by one conjunction.  A record that
-    fails it is refused at once, with the message of _load_fault; the index
-    of a record is the number of its siblings built before it."""
+    fails it is refused at once, with the message of _fault; the index of a
+    record is the number of its siblings built before it."""
     if type(raw_sessions) is not list:
         raise LogFormatError("'sessions' must be a list")
     sessions = []
@@ -305,7 +283,9 @@ def _log_from(raw_sessions) -> EventLog:
         if not (type(raw_session) is dict
                 and type(session_id := raw_session.get("session_id")) is str
                 and type(raw_tasks := raw_session.get("tasks")) is list):
-            raise _load_fault(Session, raw_session, _where(len(sessions)))
+            raise _fault(
+                Session, type(raw_session) is dict and raw_session.get, _where(len(sessions))
+            )
         tasks = []
         for raw_task in raw_tasks:
             if not (type(raw_task) is dict
@@ -317,7 +297,9 @@ def _log_from(raw_sessions) -> EventLog:
                     and type(is_count := raw_task.get("is_count")) is int
                     and 0 <= is_count <= INT64_MAX
                     and type(raw_visits := raw_task.get("page_visits")) is list):
-                raise _load_fault(Task, raw_task, _where(len(sessions), len(tasks)))
+                raise _fault(
+                    Task, type(raw_task) is dict and raw_task.get, _where(len(sessions), len(tasks))
+                )
             visits = []
             previous_exit = 0
             for raw_visit in raw_visits:
@@ -327,9 +309,9 @@ def _log_from(raw_sessions) -> EventLog:
                         and type(exit_ := raw_visit.get("exit_ms")) is int
                         and previous_exit <= enter <= exit_ <= INT64_MAX
                         and type(raw_steps := raw_visit.get("steps")) is list):
-                    raise _load_fault(
-                        PageVisit, raw_visit, _where(len(sessions), len(tasks), len(visits)),
-                        previous_exit,
+                    raise _fault(
+                        PageVisit, type(raw_visit) is dict and raw_visit.get,
+                        _where(len(sessions), len(tasks), len(visits)), previous_exit,
                     )
                 steps = []
                 for raw_step in raw_steps:
@@ -339,8 +321,8 @@ def _log_from(raw_sessions) -> EventLog:
                             and type(end := raw_step.get("end_ms")) is int
                             and type(count := raw_step.get("is_count")) is int
                             and enter <= start <= end <= exit_ and 1 <= count <= INT64_MAX):
-                        raise _load_fault(
-                            StepRecord, raw_step,
+                        raise _fault(
+                            StepRecord, type(raw_step) is dict and raw_step.get,
                             _where(len(sessions), len(tasks), len(visits), len(steps)),
                             enter, exit_,
                         )
@@ -364,21 +346,27 @@ _RULES = {
 }
 
 
-def _load_fault(kind: type, raw, where: str, *bounds: int) -> LogFormatError:
-    """The fault of a decoded record of this kind that failed its
-    conjunction, located at where.  bounds are the previous visit's exit
-    (0 for the first) for a page visit, and its visit's enter and exit for
-    a step."""
+# A list in a decoded log; a list or a tuple in a log built in memory.
+_LISTS = (list, tuple)
+
+
+def _fault(kind: type, get: Callable | bool, where: str, *bounds: int) -> LogFormatError:
+    """The fault of a record of this kind that failed its conjunction,
+    located at where.  get reads the record's fields as get(key), or is
+    False when the value in the record's place is no record: not a decoded
+    JSON object for load_log, not an instance of kind for validate_log.
+    bounds are the previous visit's exit (0 for the first) for a page
+    visit, and its visit's enter and exit for a step."""
     name, _, children = _RULES[kind]
-    if type(raw) is not dict:
+    if get is False:
         message = f"{name} must be an object"
-    elif not (message := _field_fault(kind, raw.get)):
-        if children and type(raw.get(children)) is not list:
+    elif not (message := _field_fault(kind, get)):
+        if children and type(get(children)) not in _LISTS:
             message = f"{children!r} must be a list"
         elif kind is PageVisit:
-            message = _visit_fault(raw["enter_ms"], raw["exit_ms"], *bounds)
+            message = _visit_fault(get("enter_ms"), get("exit_ms"), *bounds)
         elif kind is StepRecord:
-            message = _step_fault(raw["start_ms"], raw["end_ms"], *bounds)
+            message = _step_fault(get("start_ms"), get("end_ms"), *bounds)
     return LogFormatError(message, where)
 
 
@@ -411,13 +399,13 @@ def _field_fault(kind: type, get: Callable) -> str | None:
     return None
 
 
-def _visit_fault(enter: int, exit_: int, previous_exit: int | None) -> str | None:
+def _visit_fault(enter: int, exit_: int, previous_exit: int) -> str | None:
     """The interval rule a page visit breaks, or None: it runs forwards and
-    is not entered before the previous visit of its task exits (None for
-    the first visit)."""
+    is not entered before the previous visit of its task exits (0 for the
+    first visit)."""
     if exit_ < enter:
         return "page visit exits before it is entered"
-    if previous_exit is not None and enter < previous_exit:
+    if enter < previous_exit:
         return "page visits are not in chronological order"
     return None
 
@@ -433,35 +421,61 @@ def _step_fault(start: int, end: int, enter: int, exit_: int) -> str | None:
 
 
 def validate_log(log: EventLog) -> None:
-    """Enforce interval nesting and ordering across the hierarchy.
+    """Check a log built in memory by the rules load_log applies to a file.
 
-    load_log already applies these rules; this checks logs built in memory
-    and raises LogFormatError with the path to the first record that
-    breaks one.
+    Raises the LogFormatError that load_log would raise on the log's JSON
+    tree, with the path to the first faulty record in document order: each
+    record's own fields, then the type of its child list, then its
+    intervals, then its children.  A child list may be a tuple or a list, a
+    binding any Mapping, and a binding name must be a str; a value in a
+    record's place that is not a record of that level "must be an object".
     """
-    for i, session in enumerate(log.sessions):
-        for j, task in enumerate(session.tasks):
-            previous_exit = None
-            for k, visit in enumerate(task.page_visits):
-                enter, exit_ = visit.enter_ms, visit.exit_ms
-                if not (enter <= exit_ and (previous_exit is None or previous_exit <= enter)) and (
-                    message := _visit_fault(enter, exit_, previous_exit)
-                ):
-                    raise LogFormatError(message, _where(i, j, k))
-                for n, step in enumerate(visit.steps):
-                    start, end = step.start_ms, step.end_ms
-                    if not (enter <= start <= end <= exit_) and (
-                        message := _step_fault(start, end, enter, exit_)
-                    ):
-                        raise LogFormatError(message, _where(i, j, k, n))
+    sessions = log.sessions
+    if type(sessions) not in _LISTS:
+        raise LogFormatError("'sessions' must be a list")
+    for i, session in enumerate(sessions):
+        if not (type(session) is Session and type(session.session_id) is str
+                and type(tasks := session.tasks) in _LISTS):
+            raise _fault(Session, type(session) is Session and partial(getattr, session),
+                         _where(i))
+        for j, task in enumerate(tasks):
+            if not (type(task) is Task
+                    and isinstance(binding := task.binding, Mapping)
+                    and all(type(name) is str and type(value) is int and 0 <= value <= INT64_MAX
+                            for name, value in binding.items())
+                    and type(task.task_id) is str and type(task.concept_name) is str
+                    and type(is_count := task.is_count) is int and 0 <= is_count <= INT64_MAX
+                    and type(visits := task.page_visits) in _LISTS):
+                raise _fault(Task, type(task) is Task and partial(getattr, task), _where(i, j))
+            previous_exit = 0
+            for k, visit in enumerate(visits):
+                if not (type(visit) is PageVisit and type(visit.page) is str
+                        and type(enter := visit.enter_ms) is int
+                        and type(exit_ := visit.exit_ms) is int
+                        and previous_exit <= enter <= exit_ <= INT64_MAX
+                        and type(steps := visit.steps) in _LISTS):
+                    raise _fault(PageVisit, type(visit) is PageVisit and partial(getattr, visit),
+                                 _where(i, j, k), previous_exit)
+                for n, step in enumerate(steps):
+                    if not (type(step) is StepRecord and type(step.step_label) is str
+                            and type(start := step.start_ms) is int
+                            and type(end := step.end_ms) is int
+                            and type(count := step.is_count) is int
+                            and enter <= start <= end <= exit_ and 1 <= count <= INT64_MAX):
+                        raise _fault(
+                            StepRecord, type(step) is StepRecord and partial(getattr, step),
+                            _where(i, j, k, n), enter, exit_,
+                        )
                 previous_exit = exit_
 
 
 def cross_check(log: EventLog, concept: InteractionConcept) -> list[str]:
     """Messages for the tasks of this concept, with a binding, whose recorded
-    IS count differs from what the concept yields at that binding."""
+    IS count differs from what the concept yields at that binding, or at
+    whose binding the concept yields no count: a variable is unbound, a
+    count is negative or a value leaves the signed 64-bit range."""
     normalized = normalize(sum_steps(concept))
-    expected: dict[tuple, int] = {}
+    expected: dict[tuple, int | IxComplexError] = {}
     messages = []
     for session in log.sessions:
         for task in session.tasks:
@@ -469,11 +483,19 @@ def cross_check(log: EventLog, concept: InteractionConcept) -> list[str]:
                 continue
             key = tuple(sorted(task.binding.items()))
             if key not in expected:
-                expected[key] = instantiate(normalized, task.binding)
-            if expected[key] != task.is_count:
+                try:
+                    expected[key] = instantiate(normalized, task.binding)
+                except IxComplexError as exc:
+                    expected[key] = exc
+            yielded = expected[key]
+            where = f"task {task.task_id!r} in session {session.session_id!r}"
+            if isinstance(yielded, IxComplexError):
                 messages.append(
-                    f"task {task.task_id!r} in session {session.session_id!r} "
-                    f"records {task.is_count} IS but the concept yields {expected[key]}"
+                    f"{where}: the concept yields no IS count at its binding: {yielded}"
+                )
+            elif yielded != task.is_count:
+                messages.append(
+                    f"{where} records {task.is_count} IS but the concept yields {yielded}"
                 )
     return messages
 

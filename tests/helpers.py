@@ -68,22 +68,39 @@ def side_texts():
     return st.text(alphabet=_TEXT_ALPHABET, max_size=24).map(str.strip)
 
 
+# Every line boundary of str.splitlines ("\r\n" is one too).
+LINE_BOUNDARIES = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                   "\u2029")
+
+
 @st.composite
-def concepts(draw):
-    name = draw(labels())
+def unicode_texts(draw):
+    """Texts of any characters but surrogates; one in eight has a line
+    boundary, a double quote or a '#' put in."""
+    text = draw(st.text(st.characters(exclude_categories=("Cs",)), max_size=10))
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(LINE_BOUNDARIES + ('"', "#"))) + text[at:]
+    return text
+
+
+@st.composite
+def concepts(draw, texts=None):
+    """Valid concepts; with texts, the name, labels, descriptions and notes
+    are all drawn from texts instead, and labels may repeat, so the name or
+    a label may also be empty or a label repeated."""
+    names, sides = (labels(), side_texts()) if texts is None else (texts, texts)
+    name = draw(names)
     pool = draw(st.lists(st.sampled_from(VARIABLE_NAMES), unique=True, max_size=6))
-    variables = tuple(ConceptVariable(v, draw(side_texts())) for v in pool)
+    variables = tuple(ConceptVariable(v, draw(sides)) for v in pool)
 
-    def pool_expression():
-        return expressions() if pool else expressions(max_terms=2)
-
-    step_labels = draw(st.lists(labels(), unique=True, max_size=6))
+    step_labels = draw(st.lists(names, unique=texts is None, max_size=6))
     steps = []
     for label in step_labels:
         kinds = draw(st.lists(st.sampled_from(list(ActionKind)), unique=True, max_size=4))
         actions = {kind: draw(_restricted(pool)) for kind in kinds}
         repeat = draw(st.one_of(st.just(parse_expr("1")), _restricted(pool)))
-        note = draw(st.one_of(st.none(), side_texts().filter(bool)))
+        note = draw(st.one_of(st.none(), sides.filter(bool)))
         steps.append(UserStep(label, actions, repeat, note))
     return InteractionConcept(name, variables, tuple(steps))
 

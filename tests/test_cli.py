@@ -376,6 +376,23 @@ class TestSynthAndLogs:
         assert b"Traceback" not in done.stderr
         assert b"t\\ud800" in done.stdout
 
+    def test_cross_check_names_a_task_its_binding_cannot_count(self, capsys, tmp_path):
+        out_file = tmp_path / "log.json"
+        run(
+            capsys, "synth", V2, *V2_SET,
+            "--sessions", "3", "--speed-mean", "1.0", "--out", str(out_file),
+        )
+        data = json.loads(out_file.read_text())
+        del data["sessions"][0]["tasks"][0]["binding"]["g"]
+        out_file.write_text(json.dumps(data))
+        code, out, err = run(capsys, "logs", str(out_file), "--concept", V2)
+        assert code == 0
+        assert "task table:" in out
+        assert err == (
+            "warning: task 'v2-single-page' in session 's0000': the concept yields no IS count "
+            "at its binding: unbound variable 'g'\n"
+        )
+
     def test_concept_cross_check_warns_on_mismatch(self, capsys, tmp_path):
         out_file = tmp_path / "log.json"
         run(
@@ -438,6 +455,35 @@ class TestNoTraceback:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
         return err
+
+    # Every path argument, given as the empty path; LOG stands for a valid
+    # log file, so that the command gets as far as the empty path.
+    EMPTY_PATHS = [
+        ["analyze", ""],
+        ["analyze", V2, "--bindings", ""],
+        ["klm", "", "--formula", "K"],
+        ["klm", "--formula", "K", "--map", ""],
+        ["klm", "--formula", "K", "--model", ""],
+        ["estimate", "", *V2_SET],
+        ["estimate", V2, *V2_SET, "--speed-file", ""],
+        ["logs", ""],
+        ["logs", "LOG", "--concept", ""],
+        ["synth", "", "--sessions", "1", "--speed-mean", "1"],
+        ["synth", V2, *V2_SET, "--sessions", "1", "--speed-mean", "1", "--out", ""],
+        ["oracle", ""],
+    ]
+
+    @pytest.mark.parametrize("argv", EMPTY_PATHS, ids=" ".join)
+    def test_empty_path_is_a_missing_file(self, capsys, tmp_path, argv):
+        log = tmp_path / "log.json"
+        visit = {"page": "p", "enter_ms": 0, "exit_ms": 1, "steps": []}
+        task = {"task_id": "t", "concept_name": "c", "is_count": 1, "page_visits": [visit]}
+        log.write_text(json.dumps({"sessions": [{"session_id": "s", "tasks": [task]}]}))
+        argv = [str(log) if arg == "LOG" else arg for arg in argv]
+        if argv[0] == "synth" and "--out" not in argv:
+            argv += ["--out", str(tmp_path / "out.json")]
+        err = self.run_failing(capsys, *argv)
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
 
     def test_speed_file_without_mean(self, capsys, tmp_path):
         speed = tmp_path / "speed.json"

@@ -7,16 +7,61 @@ from ixcomplex.concept import (
     ConceptVariable,
     InteractionConcept,
     UserStep,
-    concept_from_dict,
-    concept_to_dict,
     parse_concept,
     serialize_concept,
     validate,
 )
-from ixcomplex.errors import ConceptSyntaxError, IxComplexError
-from ixcomplex.expr import MAX_NESTING, ONE, parse_expr
+from ixcomplex.errors import ConceptSyntaxError, DomainError, IxComplexError
+from ixcomplex.expr import MAX_NESTING, ONE, format_expr, parse_expr
 
-from helpers import concepts, reference_split_comment
+from helpers import LINE_BOUNDARIES, concepts, reference_split_comment, unicode_texts
+
+
+def unchecked_text(concept):
+    """The text serialize_concept writes for a concept, rendered without its
+    checks, as the reference for what the reader can read back."""
+    lines = [f'concept "{concept.name}"']
+    for variable in concept.variables:
+        comment = f"  # {variable.description}" if variable.description else ""
+        lines.append(f"var {variable.name}{comment}")
+    for step in concept.steps:
+        repeat = "" if step.repeat == ONE else f" repeat {format_expr(step.repeat)}"
+        actions = "; ".join(f"{kind.value}: {format_expr(e)}" for kind, e in step.ordered_actions())
+        body = f"{{ {actions} }}" if actions else "{ }"
+        note = f"  # {step.note}" if step.note else ""
+        lines.append(f'step "{step.label}"{repeat} {body}{note}')
+    return "\n".join(lines) + "\n"
+
+
+def reads_back(concept):
+    try:
+        return parse_concept(unchecked_text(concept)) == concept
+    except ConceptSyntaxError:
+        return False
+
+
+def sample_concept(field=None, text=None):
+    """A valid concept of one variable and one step, with one of its texts
+    (name, label, description or note) replaced."""
+    texts = {"name": "x", "label": "s", "description": "d", "note": "n"}
+    if field:
+        texts[field] = text
+    step = UserStep(texts["label"], {ActionKind.THINK: parse_expr("m")}, ONE, texts["note"])
+    return InteractionConcept(texts["name"], (ConceptVariable("m", texts["description"]),), (step,))
+
+
+STEP_M = UserStep("s", {ActionKind.THINK: parse_expr("m")})
+# One concept per validate error, with the message serialize_concept raises.
+VALIDATE_ERRORS = [
+    (InteractionConcept(""), "concept name is empty"),
+    (InteractionConcept("x", (ConceptVariable("M"),)), "invalid variable name 'M'"),
+    (InteractionConcept("x", (ConceptVariable("m"), ConceptVariable("m"))),
+     "duplicate variable 'm'"),
+    (InteractionConcept("x", (), (UserStep(""),)), "empty step label"),
+    (InteractionConcept("x", (ConceptVariable("m"),), (STEP_M, STEP_M)),
+     "duplicate step label 's'"),
+    (InteractionConcept("x", (), (STEP_M,)), "undeclared variable 'm'"),
+]
 
 
 class TestParse:
@@ -157,19 +202,42 @@ class TestSerialize:
         text = serialize_concept(v1_concept)
         assert 'step "return to theater selection" repeat a - 1 { C: 3 }' in text
 
-    def test_json_round_trip(self, v1_concept):
-        assert concept_from_dict(concept_to_dict(v1_concept)) == v1_concept
-
-    def test_json_keys(self, v2_concept):
-        data = concept_to_dict(v2_concept)
-        assert set(data) == {"name", "variables", "steps"}
-        assert set(data["steps"][0]) == {"label", "repeat", "actions", "note"}
-        assert data["steps"][0]["repeat"] == "1"
-
     def test_unserializable_label_rejected(self):
         concept = InteractionConcept("x", (), (UserStep('bad "label"', {}),))
         with pytest.raises(IxComplexError):
             serialize_concept(concept)
+
+    def test_sample_concept_round_trips(self):
+        concept = sample_concept()
+        assert parse_concept(serialize_concept(concept)) == concept
+
+    @pytest.mark.parametrize("boundary", LINE_BOUNDARIES, ids=repr)
+    @pytest.mark.parametrize("field", ["name", "label", "description", "note"])
+    def test_line_boundary_refused(self, field, boundary):
+        concept = sample_concept(field, f"a{boundary}b")
+        assert not reads_back(concept)
+        what = {"name": "concept name", "label": "step label",
+                "description": "variable description", "note": "step note"}[field]
+        with pytest.raises(DomainError) as exc:
+            serialize_concept(concept)
+        assert str(exc.value) == f"{what} must be single-line: {f'a{boundary}b'!r}"
+
+    @pytest.mark.parametrize("concept, message", VALIDATE_ERRORS,
+                             ids=[message for _, message in VALIDATE_ERRORS])
+    def test_validate_error_refused(self, concept, message):
+        assert not reads_back(concept)
+        with pytest.raises(DomainError) as exc:
+            serialize_concept(concept)
+        assert str(exc.value) == message
+
+    def test_most_negative_coefficient_round_trips(self):
+        # -2**63 has no literal; its term is written as two.
+        low = parse_expr("-9223372036854775807*m - m - 9223372036854775807 - 1")
+        assert [coeff for _, coeff in low.terms] == [-(2**63), -(2**63)]
+        concept = InteractionConcept(
+            "x", (ConceptVariable("m"),), (UserStep("s", {ActionKind.THINK: low}, low),)
+        )
+        assert parse_concept(serialize_concept(concept)) == concept
 
 
 class TestValidate:
@@ -227,11 +295,16 @@ class TestProperties:
     def test_round_trip_identity(self, concept):
         assert parse_concept(serialize_concept(concept)) == concept
 
-    @given(concepts())
-    @settings(max_examples=40)
-    def test_json_round_trip_identity(self, concept):
-        # JSON keeps only error-free concepts; generated ones are valid.
-        assert concept_from_dict(concept_to_dict(concept)) == concept
+    @given(concepts(unicode_texts()))
+    @settings(max_examples=300)
+    def test_writer_refuses_exactly_what_the_reader_cannot_read_back(self, concept):
+        try:
+            text = serialize_concept(concept)
+        except DomainError:
+            assert not reads_back(concept)
+        else:
+            assert text == unchecked_text(concept)
+            assert parse_concept(text) == concept
 
     @given(st.text(max_size=200))
     @settings(max_examples=150)

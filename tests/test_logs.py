@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import math
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -208,33 +209,78 @@ ACCEPTED_EDGES = [
 
 
 def log_to_dict(log):
-    """The tree the log's JSON text encodes, for json.dumps as a reference."""
-    return {
-        "sessions": [
-            {
-                "session_id": session.session_id,
-                "tasks": [
-                    {
-                        "task_id": task.task_id,
-                        "concept_name": task.concept_name,
-                        "binding": dict(task.binding),
-                        "is_count": task.is_count,
-                        "page_visits": [
-                            {
-                                "page": visit.page,
-                                "enter_ms": visit.enter_ms,
-                                "exit_ms": visit.exit_ms,
-                                "steps": [dataclasses.asdict(step) for step in visit.steps],
-                            }
-                            for visit in task.page_visits
-                        ],
-                    }
-                    for task in session.tasks
-                ],
-            }
-            for session in log.sessions
-        ]
-    }
+    """The tree the log's JSON text encodes, for json.dumps as a reference.
+    A child list that is not a tuple or a list, and a binding that is not a
+    Mapping, stand in the tree as they are."""
+
+    def listed(children, build):
+        if type(children) in (tuple, list):
+            return [build(child) for child in children]
+        return children
+
+    def step(record):
+        return dataclasses.asdict(record)
+
+    def visit(record):
+        return {"page": record.page, "enter_ms": record.enter_ms, "exit_ms": record.exit_ms,
+                "steps": listed(record.steps, step)}
+
+    def task(record):
+        binding = record.binding
+        return {"task_id": record.task_id, "concept_name": record.concept_name,
+                "binding": dict(binding) if isinstance(binding, Mapping) else binding,
+                "is_count": record.is_count, "page_visits": listed(record.page_visits, visit)}
+
+    def session(record):
+        return {"session_id": record.session_id, "tasks": listed(record.tasks, task)}
+
+    return {"sessions": listed(log.sessions, session)}
+
+
+def outcome(function, *args):
+    """The message of the LogFormatError that function raises, or None."""
+    try:
+        function(*args)
+    except LogFormatError as exc:
+        return str(exc)
+    return None
+
+
+def assert_agrees_with_the_loader(log):
+    """validate_log and dump_log refuse the log with the message load_log
+    gives on its reference text, or accept it as load_log does, and then
+    dump_log writes the sorted compact form of that text."""
+    expected = outcome(load_log, json.dumps(log_to_dict(log)))
+    assert outcome(validate_log, log) == expected
+    assert outcome(dump_log, log) == expected
+    if expected is None:
+        compact = json.dumps(log_to_dict(log), sort_keys=True, separators=(",", ":"))
+        assert dump_log(log) == compact + "\n"
+
+
+def field_slots(record, path=()):
+    """Every field of a record and of the records below it, as (path, name):
+    path holds the (child list name, index) pairs that lead to the record."""
+    for field in dataclasses.fields(record):
+        yield path, field.name
+        value = getattr(record, field.name)
+        if type(value) is tuple:
+            for index, child in enumerate(value):
+                yield from field_slots(child, path + ((field.name, index),))
+
+
+def with_field(record, path, name, value):
+    """A copy of record with the field at path replaced by value."""
+    if not path:
+        return dataclasses.replace(record, **{name: value})
+    (children, index), rest = path[0], path[1:]
+    items = list(getattr(record, children))
+    items[index] = with_field(items[index], rest, name, value)
+    return dataclasses.replace(record, **{children: tuple(items)})
+
+
+# Values put in place of a field or a child list of a valid log.
+REPLACEMENTS = [None, "x", 1.5, -1, True, [], {}]
 
 
 W_S = "sessions[1]"
@@ -267,6 +313,11 @@ WRITER_REFUSALS = [
     ("task", "binding", {"m": 2**63},
      f"{W_T}: binding value for 'm' is outside the signed 64-bit range"),
     ("session", "session_id", 0, f"{W_S}: 'session_id' must be a string"),
+    # interval rules
+    ("step", "start_ms", 7001, f"{W_R}: step ends before it starts"),
+    ("step", "end_ms", 8000, f"{W_R}: step interval leaves its page visit"),
+    ("visit", "exit_ms", 6000, f"{W_R}: step interval leaves its page visit"),
+    ("visit", "enter_ms", 8000, f"{W_V}: page visit exits before it is entered"),
 ]
 
 # A high surrogate directly followed by a low one: JSON writes the pair as
@@ -611,19 +662,29 @@ class TestLoaderAgreement:
 
     @given(event_logs(free_intervals=True))
     def test_validate_log_agrees_with_the_loader(self, log):
-        try:
+        assert_agrees_with_the_loader(log)
+
+    @given(event_logs(), st.data())
+    def test_replaced_field_or_child_list_in_memory(self, log, data):
+        path, name = data.draw(st.sampled_from(list(field_slots(log))))
+        value = data.draw(st.sampled_from(REPLACEMENTS))
+        assert_agrees_with_the_loader(with_field(log, path, name, value))
+
+    @pytest.mark.parametrize("value", REPLACEMENTS, ids=repr)
+    @pytest.mark.parametrize("path, name", list(field_slots(two_sessions())))
+    def test_each_field_replaced_in_memory(self, path, name, value):
+        assert_agrees_with_the_loader(with_field(two_sessions(), path, name, value))
+
+    def test_wrong_typed_timestamp_before_the_intervals(self):
+        visit = PageVisit("p", "1", 2)
+        log = EventLog((Session("s", (Task("t", "c", {}, 1, (visit,)),)),))
+        with pytest.raises(LogFormatError) as exc:
             validate_log(log)
-        except LogFormatError as exc:
-            validated = str(exc)
-        else:
-            validated = None
-        try:
-            load_log(dump_log(log))
-        except LogFormatError as exc:
-            loaded = str(exc)
-        else:
-            loaded = None
-        assert validated == loaded
+        assert str(exc.value) == "sessions[0].tasks[0].page_visits[0]: 'enter_ms' must be an integer"
+
+    def test_a_value_that_is_not_a_record(self):
+        log = EventLog((Session("s", ({"task_id": "t"},)),))
+        assert outcome(validate_log, log) == "sessions[0].tasks[0]: task must be an object"
 
 
 class TestGcState:
