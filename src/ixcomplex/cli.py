@@ -404,6 +404,27 @@ def cmd_logs(args: argparse.Namespace) -> int:
     else:
         with open(args.log, "rb") as file:
             raw = file.read()
+    # One pause covers loading, the tables and rendering.  The log is
+    # garbage once _log_tables returns, before the pause ends, so no
+    # collection visits it.
+    with gc_paused():
+        tables = _log_tables(raw, args)
+        if args.format == "json":
+            _print_json({f"{name}_table": table_to_dicts(rows) for name, rows in tables.items()})
+            return 0
+        if args.format == "csv":
+            print("\n".join(table_to_csv(rows).rstrip("\n") for rows in tables.values()))
+            return 0
+        blocks = []
+        for name, rows in tables.items():
+            blocks.append(_styled(f"{name} table:") + "\n" + table_to_text(rows))
+        print("\n\n".join(blocks))
+    return 0
+
+
+def _log_tables(raw: bytes | str, args: argparse.Namespace) -> dict[str, list]:
+    """The tables asked for, by name, from the log in raw; warnings go to
+    stderr as they arise."""
     log = load_log(raw)
     if not any(session.tasks for session in log.sessions):
         print("warning: log contains no tasks", file=sys.stderr)
@@ -421,18 +442,7 @@ def cmd_logs(args: argparse.Namespace) -> int:
             tables["step"] = step_table(log)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-
-    if args.format == "json":
-        _print_json({f"{name}_table": table_to_dicts(rows) for name, rows in tables.items()})
-        return 0
-    if args.format == "csv":
-        print("\n".join(table_to_csv(rows).rstrip("\n") for rows in tables.values()))
-        return 0
-    blocks = []
-    for name, rows in tables.items():
-        blocks.append(_styled(f"{name} table:") + "\n" + table_to_text(rows))
-    print("\n\n".join(blocks))
-    return 0
+    return tables
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

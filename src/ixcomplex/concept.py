@@ -73,6 +73,8 @@ class ConceptVariable:
     description: str = ""
 
     def __post_init__(self):
+        if type(self.description) is not str:
+            raise DomainError(f"variable description must be a string, got {self.description!r}")
         object.__setattr__(self, "description", self.description.strip())
 
 
@@ -372,6 +374,8 @@ def _require_serializable(concept: InteractionConcept) -> None:
         raise DomainError(errors[0])
 
     def check(text: str, what: str, allow_quote: bool = True) -> None:
+        if type(text) is not str:
+            raise DomainError(f"{what} must be a string, got {text!r}")
         if text.splitlines() not in ([], [text]):
             raise DomainError(f"{what} must be single-line: {text!r}")
         if not allow_quote and '"' in text:

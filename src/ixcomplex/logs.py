@@ -4,7 +4,9 @@ Logs are hierarchical timing records on four levels: session, task, page
 visit, interaction step.  Only tasks and steps carry the analytics of
 interest; page visits give steps their containing interval and tasks their
 end-to-end duration (last page exit minus first page enter, so gaps between
-pages count as task time).
+pages count as task time).  The records, like IqrBounds and the table rows,
+are named tuples: immutable, cheap to build, and compared and hashed as
+tuples, so StepRecord("a", 0, 1, 1) == ("a", 0, 1, 1).
 
 File format: JSON, UTF-8, top level {"sessions": [...]} with snake_case
 keys mirroring the model fields and integer millisecond timestamps.  Every
@@ -23,10 +25,13 @@ in chronological order within their task, and each step runs forwards
 inside its visit.  Both report a fault through one function, _fault, so
 they give the same message at the same path.  dump_log is validate_log
 followed by a writer that checks nothing more but the surrogate pairs.
+Tasks that share one binding object, as generate_log's do, have it checked
+and encoded once per call.
+
 load_log and synth.generate_log pause the cyclic garbage collector while
-they build, and the CLI's synth command pauses it around generating and
-dumping; dump_log allocates only strings and needs no pause (see
-gc_paused).
+they build.  The CLI's synth and logs commands each hold one pause around
+the whole command, so the log they build is garbage before it ends; dump_log
+allocates only strings and needs no pause (see gc_paused).
 
 Outlier removal uses the interquartile range method: per group, durations
 outside [Q1 - 1.5*IQR, Q3 + 1.5*IQR] are dropped before speeds are
@@ -46,8 +51,8 @@ import re
 import warnings
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .bigi import instantiate, normalize, sum_steps
 from .concept import InteractionConcept
@@ -61,24 +66,21 @@ class AnalyticsWarning(UserWarning):
     """Degenerate but tolerable data: empty groups, zero durations."""
 
 
-@dataclass(frozen=True, slots=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     step_label: str
     start_ms: int
     end_ms: int
     is_count: int
 
 
-@dataclass(frozen=True, slots=True)
-class PageVisit:
+class PageVisit(NamedTuple):
     page: str
     enter_ms: int
     exit_ms: int
     steps: tuple[StepRecord, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Task:
+class Task(NamedTuple):
     task_id: str
     concept_name: str
     binding: Mapping[str, int]
@@ -98,14 +100,12 @@ class Task:
         return (self.end_ms - self.start_ms) / 1000.0
 
 
-@dataclass(frozen=True, slots=True)
-class Session:
+class Session(NamedTuple):
     session_id: str
     tasks: tuple[Task, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class EventLog:
+class EventLog(NamedTuple):
     sessions: tuple[Session, ...] = ()
 
 
@@ -122,10 +122,12 @@ def gc_paused() -> Iterator[None]:
     cycles, so reference counting frees them without the collector.  The
     pause is process-wide; the collector's previous state is restored on
     exit, also when the build raises.  load_log and synth.generate_log
-    pause it, and the CLI's synth command holds one pause around generating
-    and dumping, so the log is garbage before that pause ends.  dump_log
-    takes none: it allocates only strings, which the collector does not
-    track.
+    pause it.  The CLI holds one pause around a whole command that builds a
+    log: synth around generating and dumping, logs around loading, the
+    tables and rendering.  The log is then garbage before that pause ends,
+    so the collection below does not run on it, and the inner pauses, which
+    find the collector already off, run none either.  dump_log takes none:
+    it allocates only strings, which the collector does not track.
 
     What the build leaves alive sits in the youngest generation, where the
     next few collections would traverse it again, in whatever code runs
@@ -192,12 +194,18 @@ def _json_text(log: EventLog) -> str:
     quoted = _Quoted()
     out = ['{"sessions":[']
     append = out.append
+    # The last binding written and its text, reused by tasks that share
+    # the binding object; no task holds the empty dict it starts as.
+    last: Mapping = {}
+    binding = ""
     for i, session in enumerate(log.sessions):
         append(f'{"," if i else ""}{{"session_id":{quoted[session.session_id]},"tasks":[')
         for j, task in enumerate(session.tasks):
-            binding = ",".join(
-                [f"{quoted[name]}:{value}" for name, value in sorted(task.binding.items())]
-            )
+            if task.binding is not last:
+                last = task.binding
+                binding = ",".join(
+                    [f"{quoted[name]}:{value}" for name, value in sorted(last.items())]
+                )
             append(
                 f'{"," if j else ""}{{"binding":{{{binding}}},"concept_name":'
                 f'{quoted[task.concept_name]},"is_count":{task.is_count},"page_visits":['
@@ -275,11 +283,17 @@ def _decoded(data: bytes | str) -> dict:
 def _log_from(raw_sessions) -> EventLog:
     """The log, each record checked by one conjunction.  A record that
     fails it is refused at once, with the message of _fault; the index of a
-    record is the number of its siblings built before it."""
+    record is the number of its siblings built before it.
+
+    raw_sessions is emptied: each decoded session is popped from it and
+    freed once its records are built, so the decoded tree and the records
+    are never both alive whole."""
     if type(raw_sessions) is not list:
         raise LogFormatError("'sessions' must be a list")
     sessions = []
-    for raw_session in raw_sessions:
+    raw_sessions.reverse()
+    while raw_sessions:
+        raw_session = raw_sessions.pop()
         if not (type(raw_session) is dict
                 and type(session_id := raw_session.get("session_id")) is str
                 and type(raw_tasks := raw_session.get("tasks")) is list):
@@ -433,6 +447,10 @@ def validate_log(log: EventLog) -> None:
     sessions = log.sessions
     if type(sessions) not in _LISTS:
         raise LogFormatError("'sessions' must be a list")
+    # The binding of the last accepted task, so that tasks sharing one
+    # binding object, as generate_log's do, have it checked once; no task
+    # holds the empty dict it starts as.
+    accepted: Mapping = {}
     for i, session in enumerate(sessions):
         if not (type(session) is Session and type(session.session_id) is str
                 and type(tasks := session.tasks) in _LISTS):
@@ -440,13 +458,16 @@ def validate_log(log: EventLog) -> None:
                          _where(i))
         for j, task in enumerate(tasks):
             if not (type(task) is Task
-                    and isinstance(binding := task.binding, Mapping)
-                    and all(type(name) is str and type(value) is int and 0 <= value <= INT64_MAX
-                            for name, value in binding.items())
+                    and ((binding := task.binding) is accepted
+                         or (isinstance(binding, Mapping)
+                             and all(type(name) is str and type(value) is int
+                                     and 0 <= value <= INT64_MAX
+                                     for name, value in binding.items())))
                     and type(task.task_id) is str and type(task.concept_name) is str
                     and type(is_count := task.is_count) is int and 0 <= is_count <= INT64_MAX
                     and type(visits := task.page_visits) in _LISTS):
                 raise _fault(Task, type(task) is Task and partial(getattr, task), _where(i, j))
+            accepted = binding
             previous_exit = 0
             for k, visit in enumerate(visits):
                 if not (type(visit) is PageVisit and type(visit.page) is str
@@ -503,8 +524,7 @@ def cross_check(log: EventLog, concept: InteractionConcept) -> list[str]:
 # --- outlier removal -------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class IqrBounds:
+class IqrBounds(NamedTuple):
     q1: float
     q3: float
     lower: float
@@ -631,7 +651,7 @@ def _rows_from_groups(groups: dict[str, list[tuple[int, float]]]) -> list[SpeedS
 
 
 def _row_cells(row: SpeedStats) -> list[str]:
-    group, n, is_count, *seconds_and_speeds = astuple(row)
+    group, n, is_count, *seconds_and_speeds = row
     # A log's JSON escapes can name a lone surrogate, which UTF-8 cannot
     # encode; the cell shows its escape instead, as \ud800.
     group = group.encode("utf-8", "backslashreplace").decode("utf-8")
@@ -659,4 +679,4 @@ def table_to_csv(rows: Sequence[SpeedStats]) -> str:
 
 
 def table_to_dicts(rows: Sequence[SpeedStats]) -> list[dict]:
-    return [dict(zip(TABLE_COLUMNS, astuple(row))) for row in rows]
+    return [dict(zip(TABLE_COLUMNS, row)) for row in rows]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DomainError
 
@@ -118,8 +118,7 @@ def estimate_time(is_count: int, model: SpeedModel) -> TimeEstimate:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class SpeedStats:
+class SpeedStats(NamedTuple):
     """One row of a speed table: a group's sample count and IS count, its
     durations in seconds and the speeds they give in IS/sec.  The fields
     are in logs.TABLE_COLUMNS order, which the renderers rely on."""

@@ -190,7 +190,8 @@ def generate_log(config: SynthConfig) -> EventLog:
     skipped.  Timestamps are cumulative and rounded once per boundary, so a
     task's duration equals the rounded sum of its step durations.  Sessions
     are generated sequentially for reproducibility: a fixed seed yields a
-    byte-identical log.
+    byte-identical log.  Every task holds the same binding object, one copy
+    of config.binding.
     """
     import numpy as np
 
@@ -208,6 +209,7 @@ def generate_log(config: SynthConfig) -> EventLog:
         _MIN_SPEED,
     ).tolist()
     name = config.concept.name
+    binding = dict(config.binding)
     sessions = []
     with gc_paused():
         for index, session_speeds in enumerate(speeds):
@@ -224,7 +226,7 @@ def generate_log(config: SynthConfig) -> EventLog:
             task = Task(
                 task_id=name,
                 concept_name=name,
-                binding=dict(config.binding),
+                binding=binding,
                 is_count=total_is,
                 page_visits=tuple(visits),
             )

@@ -250,6 +250,24 @@ class TestEstimate:
         assert "slowest: 90.00 sec" in out
 
 
+@contextlib.contextmanager
+def collections_started():
+    """The generations of the collections that start inside the block,
+    after a full collection before it."""
+    generations = []
+
+    def record(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        yield generations
+    finally:
+        gc.callbacks.remove(record)
+
+
 class TestSynthAndLogs:
     def test_deterministic_files(self, capsys, tmp_path):
         args = [
@@ -274,20 +292,40 @@ class TestSynthAndLogs:
             "--sessions", "1000", "--speed-mean", "1.0", "--out", str(tmp_path / "x.json"),
         ]
         assert run(capsys, *argv)[0] == 0
-        generations = []
-
-        def record(phase, info):
-            if phase == "start":
-                generations.append(info["generation"])
-
-        gc.collect()
-        gc.callbacks.append(record)
-        try:
+        with collections_started() as generations:
             code = run(capsys, *argv)[0]
-        finally:
-            gc.callbacks.remove(record)
         assert code == 0
         assert 2 not in generations
+
+    def test_logs_runs_no_full_collection_on_a_repeat(self, capsys, tmp_path):
+        # As for synth: one pause covers loading, the tables and rendering,
+        # so the log is garbage before it ends, and the full collection that
+        # load_log's own pause runs on exit for 1000 sessions is not needed.
+        log_file = tmp_path / "x.json"
+        synth = [
+            "synth", V2, *V2_SET,
+            "--sessions", "1000", "--speed-mean", "1.0", "--out", str(log_file),
+        ]
+        assert run(capsys, *synth)[0] == 0
+        assert run(capsys, "logs", str(log_file))[0] == 0
+        with collections_started() as generations:
+            code = run(capsys, "logs", str(log_file))[0]
+        assert code == 0
+        assert 2 not in generations
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_logs_restores_the_collector_on_a_bad_log(self, capsys, tmp_path, enabled):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"sessions": [{"session_id": "s0", "tasks": 5}]}', encoding="utf-8")
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code, out, err = run(capsys, "logs", str(bad))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert (code, out) == (1, "")
+        assert err == "error: sessions[0]: 'tasks' must be a list\n"
 
     def test_sessions_zero_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(

@@ -222,6 +222,16 @@ class TestSerialize:
             serialize_concept(concept)
         assert str(exc.value) == f"{what} must be single-line: {f'a{boundary}b'!r}"
 
+    def test_name_that_is_no_string_refused(self):
+        with pytest.raises(DomainError) as exc:
+            serialize_concept(InteractionConcept(5))
+        assert str(exc.value) == "concept name must be a string, got 5"
+
+    def test_description_that_is_no_string_refused(self):
+        with pytest.raises(DomainError) as exc:
+            ConceptVariable("m", None)
+        assert str(exc.value) == "variable description must be a string, got None"
+
     @pytest.mark.parametrize("concept, message", VALIDATE_ERRORS,
                              ids=[message for _, message in VALIDATE_ERRORS])
     def test_validate_error_refused(self, concept, message):

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import math
@@ -12,6 +11,7 @@ from ixcomplex.errors import DomainError, LogFormatError
 from ixcomplex.logs import (
     AnalyticsWarning,
     EventLog,
+    IqrBounds,
     cross_check,
     PageVisit,
     Session,
@@ -219,7 +219,7 @@ def log_to_dict(log):
         return children
 
     def step(record):
-        return dataclasses.asdict(record)
+        return record._asdict()
 
     def visit(record):
         return {"page": record.page, "enter_ms": record.enter_ms, "exit_ms": record.exit_ms,
@@ -261,22 +261,22 @@ def assert_agrees_with_the_loader(log):
 def field_slots(record, path=()):
     """Every field of a record and of the records below it, as (path, name):
     path holds the (child list name, index) pairs that lead to the record."""
-    for field in dataclasses.fields(record):
-        yield path, field.name
-        value = getattr(record, field.name)
+    for name in record._fields:
+        yield path, name
+        value = getattr(record, name)
         if type(value) is tuple:
             for index, child in enumerate(value):
-                yield from field_slots(child, path + ((field.name, index),))
+                yield from field_slots(child, path + ((name, index),))
 
 
 def with_field(record, path, name, value):
     """A copy of record with the field at path replaced by value."""
     if not path:
-        return dataclasses.replace(record, **{name: value})
+        return record._replace(**{name: value})
     (children, index), rest = path[0], path[1:]
     items = list(getattr(record, children))
     items[index] = with_field(items[index], rest, name, value)
-    return dataclasses.replace(record, **{children: tuple(items)})
+    return record._replace(**{children: tuple(items)})
 
 
 # Values put in place of a field or a child list of a valid log.
@@ -343,10 +343,10 @@ def two_sessions(level=None, key=None, value=None):
         changes[level][key] = value
     task = first.tasks[0]
     visit = task.page_visits[0]
-    step = dataclasses.replace(visit.steps[0], **changes["step"])
-    visit = dataclasses.replace(visit, steps=(step,), **changes["visit"])
-    task = dataclasses.replace(task, page_visits=(visit,), **changes["task"])
-    second = dataclasses.replace(first, tasks=(task,), **changes["session"])
+    step = visit.steps[0]._replace(**changes["step"])
+    visit = visit._replace(steps=(step,), **changes["visit"])
+    task = task._replace(page_visits=(visit,), **changes["task"])
+    second = first._replace(tasks=(task,), **changes["session"])
     return EventLog((first, second))
 
 
@@ -579,8 +579,8 @@ class TestDump:
         # The label is written before the task_id that holds the same text.
         log = two_sessions("step", "step_label", PAIR)
         session = log.sessions[1]
-        task = dataclasses.replace(session.tasks[0], task_id=PAIR)
-        log = EventLog((log.sessions[0], dataclasses.replace(session, tasks=(task,))))
+        task = session.tasks[0]._replace(task_id=PAIR)
+        log = EventLog((log.sessions[0], session._replace(tasks=(task,))))
         with pytest.raises(LogFormatError) as exc:
             dump_log(log)
         assert str(exc.value) == f"{W_R}: 'step_label' {PAIRED}"
@@ -744,6 +744,93 @@ class TestGcState:
         assert gc.isenabled() is collector
 
 
+class TestRecordTuples:
+    """The records are named tuples: built by position or by keyword,
+    immutable, and compared and hashed as tuples."""
+
+    def test_positional_and_keyword_construction(self):
+        record = StepRecord("a", 0, 1, 1)
+        assert type(record) is StepRecord
+        assert record == StepRecord(step_label="a", start_ms=0, end_ms=1, is_count=1)
+        assert (record.step_label, record.start_ms, record.end_ms, record.is_count) == (
+            "a", 0, 1, 1,
+        )
+        assert PageVisit("p", 0, 1) == PageVisit(page="p", enter_ms=0, exit_ms=1, steps=())
+
+    def test_setting_a_field_raises(self):
+        record = StepRecord("a", 0, 1, 1)
+        with pytest.raises(AttributeError):
+            record.end_ms = 2
+        assert record.end_ms == 1
+
+    def test_hash(self):
+        visit = PageVisit("p", 0, 1, (StepRecord("a", 0, 1, 1),))
+        assert hash(visit) == hash(PageVisit("p", 0, 1, (StepRecord("a", 0, 1, 1),)))
+        assert len({visit, PageVisit("p", 0, 1, (StepRecord("a", 0, 1, 1),))}) == 1
+        with pytest.raises(TypeError):
+            hash(Task("t", "c", {"m": 1}, 1, (visit,)))
+
+    def test_tuple_equality(self):
+        assert StepRecord("a", 0, 1, 1) == ("a", 0, 1, 1)
+        assert IqrBounds(1.0, 2.0, -0.5, 3.5) == (1.0, 2.0, -0.5, 3.5)
+
+    def test_an_equal_plain_tuple_is_no_record(self):
+        # Equality is the tuple's, but each check asks for the record's type.
+        visit = PageVisit("p", 0, 1, (("a", 0, 1, 1),))
+        log = EventLog((Session("s", (Task("t", "c", {}, 1, (visit,)),)),))
+        assert outcome(validate_log, log) == (
+            "sessions[0].tasks[0].page_visits[0].steps[0]: step record must be an object"
+        )
+
+
+def sharing(*bindings):
+    """A log of one session per binding given, each with one task holding
+    that binding object as it is."""
+    visit = PageVisit("p0", 0, 7000, (StepRecord("pick", 0, 7000, 7),))
+    return EventLog(tuple(
+        Session(f"s{index}", (Task("t0", "demo", binding, 7, (visit,)),))
+        for index, binding in enumerate(bindings)
+    ))
+
+
+class TestSharedBinding:
+    """Tasks that share one binding object, as generate_log's do, are
+    checked and written as if each held its own copy."""
+
+    def test_generated_tasks_share_one_binding(self, v2_concept):
+        log = generate_log(SynthConfig(v2_concept, V2_BINDING, 3, 1.05, 0.2))
+        bindings = {id(task.binding) for session in log.sessions for task in session.tasks}
+        assert len(bindings) == 1
+        assert log.sessions[0].tasks[0].binding == V2_BINDING
+        assert log.sessions[0].tasks[0].binding is not V2_BINDING
+
+    def test_bad_shared_binding_refused_at_the_first_task(self):
+        log = sharing(*[{"m": 3, "n": -1}] * 4)
+        message = "sessions[0].tasks[0]: binding value for 'n' must be a nonnegative integer"
+        assert outcome(validate_log, log) == message
+        assert outcome(dump_log, log) == message
+
+    def test_later_task_with_its_own_bad_binding_refused_there(self):
+        shared = {"m": 3}
+        log = sharing(shared, shared, {"m": -1}, shared)
+        message = "sessions[2].tasks[0]: binding value for 'm' must be a nonnegative integer"
+        assert outcome(validate_log, log) == message
+        assert outcome(dump_log, log) == message
+
+    def test_written_as_per_task_copies(self, v2_concept):
+        generated = generate_log(SynthConfig(v2_concept, V2_BINDING, 4, 1.05, 0.2))
+        first, second = {"m": 3}, {"m": 4, "n": 0}
+        for log in (generated, sharing(first, first, second, first, second, second)):
+            copies = EventLog(tuple(
+                session._replace(tasks=tuple(
+                    task._replace(binding=dict(task.binding)) for task in session.tasks
+                ))
+                for session in log.sessions
+            ))
+            assert dump_log(log) == dump_log(copies)
+            assert load_log(dump_log(log)) == log
+
+
 class TestIqrFilter:
     def test_documented_example(self):
         retained, bounds = iqr_filter([1, 2, 3, 4, 100])
@@ -842,7 +929,7 @@ class TestTableRows:
             (row,) = rows
             assert type(row) is SpeedStats
             assert row == speed_stats([(7, 4.7), (7, 4.8), (7, 5.0)], row.group)
-            assert [field.name for field in dataclasses.fields(row)] == [
+            assert list(row._fields) == [
                 "is_count" if column == "is" else column for column in TABLE_COLUMNS
             ]
         assert [rows[0].group for rows in (task_table(log), step_table(log))] == ["t", "pick"]
