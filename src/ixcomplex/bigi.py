@@ -8,6 +8,14 @@ label, and finally instantiation at a concrete variable binding.
 Everything is computed from the step definitions.  A separately published
 formula gets the same view through assess and is reported side by side,
 so "as-defined" and "as-published" values never get silently merged.
+
+Each step's vector (step_function) and each concept's summed vector
+(sum_steps) is derived once per object, on first use, and kept on it
+outside its fields, so analyze, sum_steps, klm.klm_from_concept,
+klm.klm_step and logs.cross_check on one concept share them.  A kept vector
+cannot go stale: UserStep.actions is read-only and a concept holds its
+steps as a tuple.  A derivation that raises keeps nothing, so every call
+raises again.
 """
 
 from __future__ import annotations
@@ -123,16 +131,28 @@ class ComplexityReport(Assessment):
 
 
 def step_function(step: UserStep) -> ActionVector:
-    """Per-kind count of one step: repeat times the per-execution count."""
-    slot = ActionVector.slot
-    counts = [ZERO] * len(slot)
-    for kind, expr in step.actions.items():
-        counts[slot[kind]] = step.repeat * expr
-    return ActionVector(tuple(counts))
+    """Per-kind count of one step: repeat times the per-execution count.
+    Derived on the first call and kept on the step object (not a field); a
+    call that raises keeps nothing."""
+    vector = getattr(step, "_vector", None)
+    if vector is None:
+        slot = ActionVector.slot
+        counts = [ZERO] * len(slot)
+        for kind, expr in step.actions.items():
+            counts[slot[kind]] = step.repeat * expr
+        vector = ActionVector(tuple(counts))
+        object.__setattr__(step, "_vector", vector)
+    return vector
 
 
 def sum_steps(concept: InteractionConcept) -> ActionVector:
-    return _vector_sum(map(step_function, concept.steps))
+    """The steps' vectors added up.  Derived on the first call and kept on
+    the concept object (not a field); a call that raises keeps nothing."""
+    summed = getattr(concept, "_summed", None)
+    if summed is None:
+        summed = _vector_sum(map(step_function, concept.steps))
+        object.__setattr__(concept, "_summed", summed)
+    return summed
 
 
 def _vector_sum(vectors: Iterable[ActionVector]) -> ActionVector:
@@ -191,7 +211,7 @@ def analyze(
     concept: InteractionConcept, binding: Binding | None = None
 ) -> ComplexityReport:
     per_step = tuple((step.label, step_function(step)) for step in concept.steps)
-    summed = _vector_sum(vector for _, vector in per_step)
+    summed = sum_steps(concept)
     view = assess(summed.total(), binding)
     return ComplexityReport(**vars(view), per_step=per_step, summed=summed)
 

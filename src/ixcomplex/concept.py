@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import enum
 import re
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Collection, Mapping
+from types import MappingProxyType
 
 from .errors import ConceptSyntaxError, DomainError, ExpressionSyntaxError, OverflowLimitError
 from .expr import ONE, Expression, format_expr, is_variable_name, parse_expr
@@ -74,7 +75,7 @@ class ConceptVariable:
 
     def __post_init__(self):
         if type(self.description) is not str:
-            raise DomainError(f"variable description must be a string, got {self.description!r}")
+            raise _ill_typed("variable description", "a string", self.description)
         object.__setattr__(self, "description", self.description.strip())
 
 
@@ -83,8 +84,9 @@ class UserStep:
     """One task-level stage, e.g. "select a movie".
 
     actions maps each action kind to the count of actions per execution of
-    the step; kinds with a zero count are dropped.  repeat scales the whole
-    step (default 1).
+    the step; kinds with a zero count are dropped, and the step holds the
+    rest as a read-only mapping.  repeat scales the whole step (default 1).
+    A field of the wrong type raises DomainError naming the field.
     """
 
     label: str
@@ -93,12 +95,25 @@ class UserStep:
     note: str | None = None
 
     def __post_init__(self):
-        cleaned = {
-            kind: expr for kind, expr in self.actions.items() if not expr.is_zero()
-        }
-        object.__setattr__(self, "actions", cleaned)
-        note = self.note.strip() if self.note is not None else None
-        object.__setattr__(self, "note", note or None)
+        if type(self.label) is not str:
+            raise _ill_typed("step label", "a string", self.label)
+        if not isinstance(self.actions, Mapping):
+            raise _ill_typed("step actions", "a mapping", self.actions)
+        cleaned = {}
+        for kind, expr in self.actions.items():
+            if type(kind) is not ActionKind:
+                raise _ill_typed("step actions key", "an ActionKind", kind)
+            if not isinstance(expr, Expression):
+                raise _ill_typed(f"step actions value for {kind.word}", "an Expression", expr)
+            if not expr.is_zero():
+                cleaned[kind] = expr
+        object.__setattr__(self, "actions", MappingProxyType(cleaned))
+        if not isinstance(self.repeat, Expression):
+            raise _ill_typed("step repeat", "an Expression", self.repeat)
+        if self.note is not None:
+            if type(self.note) is not str:
+                raise _ill_typed("step note", "a string or None", self.note)
+            object.__setattr__(self, "note", self.note.strip() or None)
 
     def ordered_actions(self) -> list[tuple[ActionKind, Expression]]:
         return [(kind, self.actions[kind]) for kind in ActionKind if kind in self.actions]
@@ -106,9 +121,29 @@ class UserStep:
 
 @dataclass(frozen=True)
 class InteractionConcept:
+    """A named task: its variables and its steps, each held as a tuple.  A
+    field of the wrong type raises DomainError naming the field."""
+
     name: str
     variables: tuple[ConceptVariable, ...] = ()
     steps: tuple[UserStep, ...] = ()
+
+    def __post_init__(self):
+        if type(self.name) is not str:
+            raise _ill_typed("concept name", "a string", self.name)
+        for field_name, kind in (("variables", ConceptVariable), ("steps", UserStep)):
+            items = getattr(self, field_name)
+            if type(items) is not tuple:
+                if not isinstance(items, Sequence) or type(items) is str:
+                    raise _ill_typed(f"concept {field_name}", "a sequence", items)
+                object.__setattr__(self, field_name, items := tuple(items))
+            for item in items:
+                if not isinstance(item, kind):
+                    raise _ill_typed(f"concept {field_name[:-1]}", f"a {kind.__name__}", item)
+
+
+def _ill_typed(what: str, wanted: str, value) -> DomainError:
+    return DomainError(f"{what} must be {wanted}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -374,8 +409,6 @@ def _require_serializable(concept: InteractionConcept) -> None:
         raise DomainError(errors[0])
 
     def check(text: str, what: str, allow_quote: bool = True) -> None:
-        if type(text) is not str:
-            raise DomainError(f"{what} must be a string, got {text!r}")
         if text.splitlines() not in ([], [text]):
             raise DomainError(f"{what} must be single-line: {text!r}")
         if not allow_quote and '"' in text:

@@ -25,8 +25,9 @@ in chronological order within their task, and each step runs forwards
 inside its visit.  Both report a fault through one function, _fault, so
 they give the same message at the same path.  dump_log is validate_log
 followed by a writer that checks nothing more but the surrogate pairs.
-Tasks that share one binding object, as generate_log's do, have it checked
-and encoded once per call.
+Tasks that share one binding object, as generate_log's do and as
+consecutive equal bindings of a loaded log do, have it checked and encoded
+once per call.
 
 load_log and synth.generate_log pause the cyclic garbage collector while
 they build.  The CLI's synth and logs commands each hold one pause around
@@ -287,10 +288,15 @@ def _log_from(raw_sessions) -> EventLog:
 
     raw_sessions is emptied: each decoded session is popped from it and
     freed once its records are built, so the decoded tree and the records
-    are never both alive whole."""
+    are never both alive whole.  A task whose binding equals the previous
+    task's gets that binding object, so consecutive equal bindings are one
+    object, as generate_log's are."""
     if type(raw_sessions) is not list:
         raise LogFormatError("'sessions' must be a list")
     sessions = []
+    # Compared only once checked: str names and int values, never a bool,
+    # so an equal binding is the same binding.
+    shared = None
     raw_sessions.reverse()
     while raw_sessions:
         raw_session = raw_sessions.pop()
@@ -314,6 +320,10 @@ def _log_from(raw_sessions) -> EventLog:
                 raise _fault(
                     Task, type(raw_task) is dict and raw_task.get, _where(len(sessions), len(tasks))
                 )
+            if binding == shared:
+                binding = shared
+            else:
+                shared = binding
             visits = []
             previous_exit = 0
             for raw_visit in raw_visits:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -21,11 +22,32 @@ from ixcomplex.bigi import (
     sum_steps,
     vector_to_dict,
 )
-from ixcomplex.concept import ActionKind, InteractionConcept, UserStep, parse_concept
+from ixcomplex.concept import (
+    ActionKind,
+    InteractionConcept,
+    UserStep,
+    parse_concept,
+    serialize_concept,
+)
 from ixcomplex.bigi import _vector_sum
-from ixcomplex.errors import DomainError, NegativeCountError, UnboundVariableError
+from ixcomplex.errors import (
+    DomainError,
+    NegativeCountError,
+    OverflowLimitError,
+    TermLimitError,
+    UnboundVariableError,
+    UnmappedActionError,
+)
 from ixcomplex.expr import INT64_MAX, INT64_MIN, ZERO, Expression, evaluate, parse_expr
-from ixcomplex.klm import KlmExpression, KlmOperator
+from ixcomplex.klm import (
+    DEFAULT_MAPPING,
+    KlmExpression,
+    KlmOperator,
+    klm_from_concept,
+    klm_step,
+    mapping_from_dict,
+)
+from ixcomplex.logs import EventLog, Session, Task, cross_check
 from ixcomplex.synth import count_actions
 
 from helpers import (
@@ -390,3 +412,106 @@ class TestProperties:
                 binding = random_binding(rng, concept)
                 symbolic = instantiate(normalize(sum_steps(concept)), binding)
                 assert symbolic == count_actions(concept, binding).total
+
+
+# Every action kind mapped, so klm_from_concept and klm_step yield a value.
+# (Which unmapped kind DEFAULT_MAPPING reports first follows the order a
+# step lists its kinds in, which a serialized copy does not keep.)
+_FULL_MAPPING = mapping_from_dict(
+    {"Think": ["Glance"], "Enter": ["PointClick"], "Click": ["PointClick"],
+     "Scroll": ["M", "C_click"], "External": ["R", "PointClick"]}
+)
+
+
+def _derivations(concept, binding, mapping):
+    """Every caller of the shared vectors, each a function of one concept
+    object: its name and a thunk giving its outcome (value or error)."""
+    log = EventLog((Session("s", (Task("t", concept.name, binding, 0),)),))
+    return {
+        "analyze": lambda: _outcome(lambda: analyze(concept, binding)),
+        "sum_steps": lambda: _outcome(lambda: sum_steps(concept)),
+        "klm_from_concept": lambda: _outcome(lambda: klm_from_concept(concept, mapping)),
+        "klm_step": lambda: tuple(_outcome(lambda: klm_step(step, mapping))
+                                  for step in concept.steps),
+        "cross_check": lambda: _outcome(lambda: cross_check(log, concept)),
+    }
+
+
+def _fresh(concept):
+    return parse_concept(serialize_concept(concept))
+
+
+class TestSharedDerivation:
+    @given(concepts(), st.randoms(use_true_random=False), st.data())
+    @settings(max_examples=60)
+    def test_calls_in_any_order_agree_with_a_fresh_copy(self, concept, rng, data):
+        binding = {v.name: data.draw(st.integers(0, 4)) for v in concept.variables}
+        calls = list(_derivations(concept, binding, _FULL_MAPPING).items()) * 2
+        rng.shuffle(calls)
+        for name, outcome in calls:
+            expected = _derivations(_fresh(concept), binding, _FULL_MAPPING)[name]()
+            assert outcome() == expected, name
+
+    @given(concepts())
+    @settings(max_examples=30)
+    def test_every_caller_reads_the_same_vectors(self, concept):
+        summed = sum_steps(concept)
+        report = analyze(concept)
+        assert report.summed is summed is sum_steps(concept)
+        for step, (_, vector) in zip(concept.steps, report.per_step):
+            assert vector is step_function(step)
+
+    @pytest.mark.parametrize("steps, error", [
+        # One step's product leaves the range.
+        ((UserStep("s", {ActionKind.THINK: parse_expr(str(INT64_MAX))}, parse_expr("2")),),
+         OverflowLimitError),
+        # Each step fits, their sum does not.
+        ((UserStep("s", {ActionKind.THINK: parse_expr(str(INT64_MAX))}),
+          UserStep("u", {ActionKind.THINK: parse_expr("1")})), OverflowLimitError),
+        # A product of 101 by 100 terms forms more than MAX_TERMS monomials.
+        ((UserStep("s", {ActionKind.THINK: Expression(tuple(
+            (((f"a{i}", 1),), 1) for i in range(100)))},
+            Expression(tuple((((f"b{i}", 1),), 1) for i in range(101)))),), TermLimitError),
+    ])
+    def test_an_error_is_raised_again_on_every_call(self, steps, error):
+        concept = InteractionConcept("x", (), steps)
+        calls = _derivations(concept, {}, DEFAULT_MAPPING)
+        first = {name: outcome() for name, outcome in calls.items()}
+        assert first["sum_steps"][0] is error
+        for name in ("analyze", "klm_from_concept", "cross_check"):
+            assert first[name] == first["sum_steps"], name
+        for _ in range(2):
+            assert {name: outcome() for name, outcome in calls.items()} == first
+
+    def test_an_unmapped_kind_is_raised_before_any_sum(self):
+        concept = InteractionConcept("x", (), (
+            UserStep("s", {ActionKind.THINK: parse_expr(str(INT64_MAX))}, parse_expr("2")),
+            UserStep("u", {ActionKind.SCROLL: parse_expr("1")}),
+        ))
+        for _ in range(2):
+            with pytest.raises(OverflowLimitError):
+                sum_steps(concept)
+            with pytest.raises(UnmappedActionError, match="'Scroll' used by step 'u'"):
+                klm_from_concept(concept)
+
+    def test_a_replaced_step_is_derived_afresh(self):
+        step = UserStep("s", {ActionKind.THINK: parse_expr("m")}, parse_expr("a"))
+        assert step_function(step) == ActionVector((parse_expr("a*m"),) + (ZERO,) * 4)
+        twice = dataclasses.replace(step, repeat=parse_expr("2*a"))
+        assert step_function(twice) == ActionVector((parse_expr("2*a*m"),) + (ZERO,) * 4)
+        assert step_function(dataclasses.replace(step)) is not step_function(step)
+
+    def test_a_replaced_concept_is_summed_afresh(self, v1_concept):
+        whole = sum_steps(v1_concept)
+        first = dataclasses.replace(v1_concept, steps=v1_concept.steps[:1])
+        assert sum_steps(first) == step_function(v1_concept.steps[0]) != whole
+        assert sum_steps(v1_concept) is whole
+
+    def test_the_kept_vectors_are_no_fields(self, v1_concept):
+        before = repr(v1_concept)
+        analyze(v1_concept)
+        assert repr(v1_concept) == before
+        assert [f.name for f in dataclasses.fields(v1_concept.steps[0])] == [
+            "label", "actions", "repeat", "note"
+        ]
+        assert v1_concept == _fresh(v1_concept)

@@ -62,6 +62,24 @@ VALIDATE_ERRORS = [
      "duplicate step label 's'"),
     (InteractionConcept("x", (), (STEP_M,)), "undeclared variable 'm'"),
 ]
+# One constructor call per ill-typed field, with the message it raises.
+ILL_TYPED_FIELDS = [
+    (lambda: UserStep(5), "step label must be a string, got 5"),
+    (lambda: UserStep("x", note=5), "step note must be a string or None, got 5"),
+    (lambda: UserStep("x", actions=[1]), "step actions must be a mapping, got [1]"),
+    (lambda: UserStep("x", actions={"T": parse_expr("1")}),
+     "step actions key must be an ActionKind, got 'T'"),
+    (lambda: UserStep("x", actions={ActionKind.THINK: 3}),
+     "step actions value for Think must be an Expression, got 3"),
+    (lambda: UserStep("x", repeat=2), "step repeat must be an Expression, got 2"),
+    (lambda: InteractionConcept("x", variables="m"),
+     "concept variables must be a sequence, got 'm'"),
+    (lambda: InteractionConcept("x", variables=("m",)),
+     "concept variable must be a ConceptVariable, got 'm'"),
+    (lambda: InteractionConcept("x", steps=5), "concept steps must be a sequence, got 5"),
+    (lambda: InteractionConcept("x", steps=[STEP_M, "s"]),
+     "concept step must be a UserStep, got 's'"),
+]
 
 
 class TestParse:
@@ -184,6 +202,28 @@ class TestParse:
         assert str(exc.value) == f"line {line}, column 1: {message}"
 
 
+class TestModel:
+    def test_step_actions_are_read_only(self):
+        with pytest.raises(TypeError):
+            STEP_M.actions[ActionKind.CLICK] = ONE
+        assert STEP_M.actions == {ActionKind.THINK: parse_expr("m")}
+
+    def test_step_keeps_no_reference_to_the_mapping_it_was_given(self):
+        actions = {ActionKind.THINK: parse_expr("m"), ActionKind.CLICK: parse_expr("0")}
+        step = UserStep("s", actions)
+        actions[ActionKind.ENTER] = ONE
+        assert step.actions == {ActionKind.THINK: parse_expr("m")}
+
+    def test_sequences_are_held_as_tuples(self):
+        variables = [ConceptVariable("m")]
+        concept = InteractionConcept("x", variables, [STEP_M])
+        assert concept.variables == (ConceptVariable("m"),)
+        assert concept.steps == (STEP_M,)
+        variables.append(ConceptVariable("a"))
+        assert len(concept.variables) == 1
+        assert concept == InteractionConcept("x", (ConceptVariable("m"),), (STEP_M,))
+
+
 class TestSerialize:
     def test_empty(self):
         assert serialize_concept(InteractionConcept("empty")) == 'concept "empty"\n'
@@ -231,6 +271,13 @@ class TestSerialize:
         with pytest.raises(DomainError) as exc:
             ConceptVariable("m", None)
         assert str(exc.value) == "variable description must be a string, got None"
+
+    @pytest.mark.parametrize("build, message", ILL_TYPED_FIELDS,
+                             ids=[message for _, message in ILL_TYPED_FIELDS])
+    def test_ill_typed_field_refused(self, build, message):
+        with pytest.raises(DomainError) as exc:
+            build()
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("concept, message", VALIDATE_ERRORS,
                              ids=[message for _, message in VALIDATE_ERRORS])

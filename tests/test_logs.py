@@ -830,6 +830,22 @@ class TestSharedBinding:
             assert dump_log(log) == dump_log(copies)
             assert load_log(dump_log(log)) == log
 
+    def test_loaded_consecutive_equal_bindings_are_one_object(self):
+        first, second = {"m": 3, "n": 0}, {"m": 4}
+        text = json.dumps(log_to_dict(sharing(first, dict(first), {}, {}, second, first)))
+        tasks = [session.tasks[0] for session in load_log(text).sessions]
+        assert [task.binding for task in tasks] == [first, first, {}, {}, second, first]
+        assert tasks[0].binding is tasks[1].binding
+        assert tasks[2].binding is tasks[3].binding
+        assert tasks[5].binding is not tasks[0].binding
+
+    def test_equal_binding_of_a_bool_refused_at_its_own_task(self):
+        # {"a": 1} == {"a": True}: the binding is checked before it is shared.
+        text = json.dumps(log_to_dict(sharing({"a": 1}, {"a": True}, {"a": 1})))
+        assert outcome(load_log, text) == (
+            "sessions[1].tasks[0]: binding value for 'a' must be a nonnegative integer"
+        )
+
 
 class TestIqrFilter:
     def test_documented_example(self):
