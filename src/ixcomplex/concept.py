@@ -66,6 +66,9 @@ class ActionKind(enum.Enum):
 
 _KIND_BY_LETTER = {kind.value: kind for kind in ActionKind}
 _KIND_BY_WORD = {kind.word: kind for kind in ActionKind}
+# Each kind's position in ActionKind by the member's id: an int hashes in C,
+# while an enum member's hash runs Python code.
+_SLOT = {id(kind): slot for slot, kind in enumerate(ActionKind)}
 
 
 @dataclass(frozen=True)
@@ -85,8 +88,11 @@ class UserStep:
 
     actions maps each action kind to the count of actions per execution of
     the step; kinds with a zero count are dropped, and the step holds the
-    rest as a read-only mapping.  repeat scales the whole step (default 1).
-    A field of the wrong type raises DomainError naming the field.
+    rest as a read-only mapping in ActionKind order, so equal steps list
+    their kinds alike.  repeat scales the whole step (default 1).  A field
+    of the wrong type raises DomainError naming the field, the actions
+    checked in the order given.  A copy or a pickle is rebuilt from the
+    fields, so it keeps no vector derived from the original.
     """
 
     label: str
@@ -100,6 +106,9 @@ class UserStep:
         if not isinstance(self.actions, Mapping):
             raise _ill_typed("step actions", "a mapping", self.actions)
         cleaned = {}
+        # Kinds given in ActionKind order are kept as they come; only others
+        # are sorted.
+        last_slot, in_order = -1, True
         for kind, expr in self.actions.items():
             if type(kind) is not ActionKind:
                 raise _ill_typed("step actions key", "an ActionKind", kind)
@@ -107,6 +116,9 @@ class UserStep:
                 raise _ill_typed(f"step actions value for {kind.word}", "an Expression", expr)
             if not expr.is_zero():
                 cleaned[kind] = expr
+                in_order = last_slot < (last_slot := _SLOT[id(kind)]) and in_order
+        if not in_order:
+            cleaned = {kind: cleaned[kind] for kind in ActionKind if kind in cleaned}
         object.__setattr__(self, "actions", MappingProxyType(cleaned))
         if not isinstance(self.repeat, Expression):
             raise _ill_typed("step repeat", "an Expression", self.repeat)
@@ -115,8 +127,8 @@ class UserStep:
                 raise _ill_typed("step note", "a string or None", self.note)
             object.__setattr__(self, "note", self.note.strip() or None)
 
-    def ordered_actions(self) -> list[tuple[ActionKind, Expression]]:
-        return [(kind, self.actions[kind]) for kind in ActionKind if kind in self.actions]
+    def __reduce__(self):
+        return UserStep, (self.label, dict(self.actions), self.repeat, self.note)
 
 
 @dataclass(frozen=True)
@@ -393,7 +405,7 @@ def serialize_concept(concept: InteractionConcept) -> str:
         if step.repeat != ONE:
             parts.append(f"repeat {format_expr(step.repeat)}")
         body = "; ".join(
-            f"{kind.value}: {format_expr(expr)}" for kind, expr in step.ordered_actions()
+            f"{kind.value}: {format_expr(expr)}" for kind, expr in step.actions.items()
         )
         parts.append("{ " + body + " }" if body else "{ }")
         line = " ".join(parts)

@@ -8,13 +8,19 @@ pages count as task time).  The records, like IqrBounds and the table rows,
 are named tuples: immutable, cheap to build, and compared and hashed as
 tuples, so StepRecord("a", 0, 1, 1) == ("a", 0, 1, 1).
 
-File format: JSON, UTF-8, top level {"sessions": [...]} with snake_case
-keys mirroring the model fields and integer millisecond timestamps.  Every
+File format 2: JSON, UTF-8, top level {"format": 2, "sessions": [...]}, and
+every record a JSON array of its named tuple's fields in declaration order:
+a session [session_id, tasks], a task [task_id, concept_name, binding,
+is_count, page_visits] with the binding an object of names to values, a
+page visit [page, enter_ms, exit_ms, steps] and a step [step_label,
+start_ms, end_ms, is_count].  Timestamps are integer milliseconds, and every
 integer (timestamp, IS count, binding value) lies in the signed 64-bit range.
-dump_log writes it compact: one line, keys sorted, no spaces, and a trailing
-newline, so identical logs (and so one synth seed) give identical bytes.
-load_log accepts any JSON layout, including the indented files written by
-earlier versions.
+dump_log writes json.dumps of the records themselves, compact and with keys
+sorted: one line, no spaces, a trailing newline, so identical logs (and so
+one synth seed) give identical bytes.  load_log takes any whitespace between
+tokens, and refuses a file of another format with a LogFormatError naming
+it: format 1, which earlier versions wrote, held records as objects keyed by
+field name and no "format" key.
 
 The writer refuses exactly what the reader would refuse in its output, and
 a surrogate pair, which the reader would take for one character.  load_log
@@ -50,9 +56,8 @@ import json
 import math
 import re
 import warnings
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from functools import partial
 from typing import NamedTuple
 
 from .bigi import instantiate, normalize, sum_steps
@@ -149,14 +154,15 @@ def gc_paused() -> Iterator[None]:
 
 
 def load_log(data: bytes | str) -> EventLog:
-    """Parse and validate a log file, given as text or as UTF-8 bytes;
-    raises LogFormatError with the path to the first offending record in
-    document order.
+    """Parse and validate a log file of format 2, given as text or as UTF-8
+    bytes; raises LogFormatError with the path to the first offending record
+    in document order, or naming the format of a file in another one.
 
     A record's own fields come before its intervals, and both before its
-    children: it must be an object, then a task's binding is checked, then
-    each scalar field in declaration order, then the type of its child
-    list, then the interval rules of a page visit or a step.
+    children: it must be an array of its kind's fields, then a task's
+    binding is checked, then each scalar field in declaration order, then
+    the type of its child list, then the interval rules of a page visit or
+    a step.
     """
     with gc_paused():
         # The decoded tree is gone once _log_from returns, before the
@@ -165,14 +171,16 @@ def load_log(data: bytes | str) -> EventLog:
 
 
 def dump_log(log: EventLog) -> str:
-    """Deterministic compact JSON text; identical logs yield identical bytes.
+    """Deterministic compact JSON text of format 2; identical logs yield
+    identical bytes.
 
-    The text is json.dumps(tree, sort_keys=True, separators=(",", ":"))
-    plus a newline, where tree is the log as nested dicts and lists keyed by
-    field name; it is written straight from the records, encoding each
+    The text is json.dumps({"format": 2, "sessions": log.sessions},
+    sort_keys=True, separators=(",", ":")) plus a newline: each record is
+    the array its named tuple encodes as, and each binding an object with
+    sorted keys.  It is written straight from the records, encoding each
     distinct string once.  The log is first checked by validate_log, so
     dump_log raises the LogFormatError that load_log would raise on that
-    tree.  It also refuses an id, concept name, label, page or binding name
+    text.  It also refuses an id, concept name, binding name, page or label
     that holds a high surrogate directly followed by a low one, since JSON
     reads that pair back as one character.
     """
@@ -190,40 +198,40 @@ def dump_log(log: EventLog) -> str:
         ) from None
 
 
+# The version of the file layout that dump_log writes and load_log reads; a
+# file without the "format" key is of format 1.
+_FORMAT = 2
+
+
 def _json_text(log: EventLog) -> str:
     """The text of a log that validate_log accepts."""
     quoted = _Quoted()
-    out = ['{"sessions":[']
+    out = [f'{{"format":{_FORMAT},"sessions":[']
     append = out.append
     # The last binding written and its text, reused by tasks that share
     # the binding object; no task holds the empty dict it starts as.
     last: Mapping = {}
     binding = ""
-    for i, session in enumerate(log.sessions):
-        append(f'{"," if i else ""}{{"session_id":{quoted[session.session_id]},"tasks":[')
-        for j, task in enumerate(session.tasks):
-            if task.binding is not last:
-                last = task.binding
+    for i, (session_id, tasks) in enumerate(log.sessions):
+        append(f'{"," if i else ""}[{quoted[session_id]},[')
+        for j, (task_id, concept_name, task_binding, is_count, visits) in enumerate(tasks):
+            if task_binding is not last:
+                last = task_binding
                 binding = ",".join(
                     [f"{quoted[name]}:{value}" for name, value in sorted(last.items())]
                 )
             append(
-                f'{"," if j else ""}{{"binding":{{{binding}}},"concept_name":'
-                f'{quoted[task.concept_name]},"is_count":{task.is_count},"page_visits":['
+                f'{"," if j else ""}[{quoted[task_id]},{quoted[concept_name]},{{{binding}}},'
+                f"{is_count},["
             )
-            for k, visit in enumerate(task.page_visits):
-                append(
-                    f'{"," if k else ""}{{"enter_ms":{visit.enter_ms},"exit_ms":{visit.exit_ms},'
-                    f'"page":{quoted[visit.page]},"steps":['
+            for k, (page, enter, exit_, steps) in enumerate(visits):
+                rows = ",".join(
+                    [f"[{quoted[label]},{start},{end},{count}]"
+                     for label, start, end, count in steps]
                 )
-                for n, step in enumerate(visit.steps):
-                    append(
-                        f'{"," if n else ""}{{"end_ms":{step.end_ms},"is_count":{step.is_count},'
-                        f'"start_ms":{step.start_ms},"step_label":{quoted[step.step_label]}}}'
-                    )
-                append("]}")
-            append(f'],"task_id":{quoted[task.task_id]}}}')
-        append("]}")
+                append(f'{"," if k else ""}[{quoted[page]},{enter},{exit_},[{rows}]]')
+            append("]]")
+        append("]]")
     append("]}\n")
     return "".join(out)
 
@@ -252,14 +260,14 @@ def _strings(log: EventLog) -> Iterator[tuple[str, str, str]]:
     for i, session in enumerate(log.sessions):
         yield _where(i), "'session_id'", session.session_id
         for j, task in enumerate(session.tasks):
+            yield _where(i, j), "'task_id'", task.task_id
+            yield _where(i, j), "'concept_name'", task.concept_name
             for name in sorted(task.binding):
                 yield _where(i, j), f"binding name {name!r}", name
-            yield _where(i, j), "'concept_name'", task.concept_name
             for k, visit in enumerate(task.page_visits):
                 yield _where(i, j, k), "'page'", visit.page
                 for n, step in enumerate(visit.steps):
                     yield _where(i, j, k, n), "'step_label'", step.step_label
-            yield _where(i, j), "'task_id'", task.task_id
 
 
 _LEVELS = ("sessions", "tasks", "page_visits", "steps")
@@ -278,13 +286,20 @@ def _decoded(data: bytes | str) -> dict:
         raise LogFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(parsed, dict) or "sessions" not in parsed:
         raise LogFormatError('top level must be an object with a "sessions" list')
+    held = parsed.get("format", 1)
+    if type(held) is not int or held != _FORMAT:
+        raise LogFormatError(
+            f"log format {held if type(held) is int else 'unknown'} is not read by this "
+            f"version, which reads format {_FORMAT}"
+        )
     return parsed
 
 
 def _log_from(raw_sessions) -> EventLog:
     """The log, each record checked by one conjunction.  A record that
     fails it is refused at once, with the message of _fault; the index of a
-    record is the number of its siblings built before it.
+    record is the number of its siblings built before it.  A row that passes
+    becomes its record as it is: its fields are not read again.
 
     raw_sessions is emptied: each decoded session is popped from it and
     freed once its records are built, so the decoded tree and the records
@@ -293,6 +308,7 @@ def _log_from(raw_sessions) -> EventLog:
     object, as generate_log's are."""
     if type(raw_sessions) is not list:
         raise LogFormatError("'sessions' must be a list")
+    record = tuple.__new__
     sessions = []
     # Compared only once checked: str names and int values, never a bool,
     # so an equal binding is the same binding.
@@ -300,67 +316,69 @@ def _log_from(raw_sessions) -> EventLog:
     raw_sessions.reverse()
     while raw_sessions:
         raw_session = raw_sessions.pop()
-        if not (type(raw_session) is dict
-                and type(session_id := raw_session.get("session_id")) is str
-                and type(raw_tasks := raw_session.get("tasks")) is list):
-            raise _fault(
-                Session, type(raw_session) is dict and raw_session.get, _where(len(sessions))
-            )
+        if not (type(raw_session) is list and len(raw_session) == 2
+                and type(session_id := raw_session[0]) is str
+                and type(raw_tasks := raw_session[1]) is list):
+            raise _fault(Session, _row(Session, raw_session), _where(len(sessions)))
         tasks = []
         for raw_task in raw_tasks:
-            if not (type(raw_task) is dict
-                    and type(binding := raw_task.get("binding", {})) is dict
+            if not (type(raw_task) is list and len(raw_task) == 5
+                    and type(binding := raw_task[2]) is dict
                     and all(type(value) is int and 0 <= value <= INT64_MAX
                             for value in binding.values())
-                    and type(task_id := raw_task.get("task_id")) is str
-                    and type(concept_name := raw_task.get("concept_name")) is str
-                    and type(is_count := raw_task.get("is_count")) is int
-                    and 0 <= is_count <= INT64_MAX
-                    and type(raw_visits := raw_task.get("page_visits")) is list):
-                raise _fault(
-                    Task, type(raw_task) is dict and raw_task.get, _where(len(sessions), len(tasks))
-                )
+                    and type(raw_task[0]) is str and type(raw_task[1]) is str
+                    and type(is_count := raw_task[3]) is int and 0 <= is_count <= INT64_MAX
+                    and type(raw_visits := raw_task[4]) is list):
+                raise _fault(Task, _row(Task, raw_task), _where(len(sessions), len(tasks)))
             if binding == shared:
-                binding = shared
+                raw_task[2] = shared
             else:
                 shared = binding
             visits = []
             previous_exit = 0
             for raw_visit in raw_visits:
-                if not (type(raw_visit) is dict
-                        and type(page := raw_visit.get("page")) is str
-                        and type(enter := raw_visit.get("enter_ms")) is int
-                        and type(exit_ := raw_visit.get("exit_ms")) is int
+                if not (type(raw_visit) is list and len(raw_visit) == 4
+                        and type(raw_visit[0]) is str
+                        and type(enter := raw_visit[1]) is int
+                        and type(exit_ := raw_visit[2]) is int
                         and previous_exit <= enter <= exit_ <= INT64_MAX
-                        and type(raw_steps := raw_visit.get("steps")) is list):
+                        and type(raw_steps := raw_visit[3]) is list):
                     raise _fault(
-                        PageVisit, type(raw_visit) is dict and raw_visit.get,
+                        PageVisit, _row(PageVisit, raw_visit),
                         _where(len(sessions), len(tasks), len(visits)), previous_exit,
                     )
                 steps = []
                 for raw_step in raw_steps:
-                    if not (type(raw_step) is dict
-                            and type(label := raw_step.get("step_label")) is str
-                            and type(start := raw_step.get("start_ms")) is int
-                            and type(end := raw_step.get("end_ms")) is int
-                            and type(count := raw_step.get("is_count")) is int
+                    if not (type(raw_step) is list and len(raw_step) == 4
+                            and type(raw_step[0]) is str
+                            and type(start := raw_step[1]) is int
+                            and type(end := raw_step[2]) is int
+                            and type(count := raw_step[3]) is int
                             and enter <= start <= end <= exit_ and 1 <= count <= INT64_MAX):
                         raise _fault(
-                            StepRecord, type(raw_step) is dict and raw_step.get,
+                            StepRecord, _row(StepRecord, raw_step),
                             _where(len(sessions), len(tasks), len(visits), len(steps)),
                             enter, exit_,
                         )
-                    steps.append(StepRecord(label, start, end, count))
-                visits.append(PageVisit(page, enter, exit_, tuple(steps)))
+                    steps.append(record(StepRecord, raw_step))
+                raw_visit[3] = tuple(steps)
+                visits.append(record(PageVisit, raw_visit))
                 previous_exit = exit_
-            tasks.append(Task(task_id, concept_name, binding, is_count, tuple(visits)))
+            raw_task[4] = tuple(visits)
+            tasks.append(record(Task, raw_task))
         sessions.append(Session(session_id, tuple(tasks)))
     return EventLog(tuple(sessions))
 
 
+def _row(kind: type, value):
+    """value when it is a decoded row of kind: a list of one value per
+    field; else None."""
+    return value if type(value) is list and len(value) == len(kind._fields) else None
+
+
 # Each record kind's name in messages, its own scalar fields in the order
 # they are checked (str for a string, or an integer's least value), and the
-# key of its child list.
+# name of its child list.
 _RULES = {
     Session: ("session", (("session_id", str),), "tasks"),
     Task: ("task", (("task_id", str), ("concept_name", str), ("is_count", 0)), "page_visits"),
@@ -374,32 +392,33 @@ _RULES = {
 _LISTS = (list, tuple)
 
 
-def _fault(kind: type, get: Callable | bool, where: str, *bounds: int) -> LogFormatError:
+def _fault(kind: type, record: Sequence | None, where: str, *bounds: int) -> LogFormatError:
     """The fault of a record of this kind that failed its conjunction,
-    located at where.  get reads the record's fields as get(key), or is
-    False when the value in the record's place is no record: not a decoded
-    JSON object for load_log, not an instance of kind for validate_log.
-    bounds are the previous visit's exit (0 for the first) for a page
-    visit, and its visit's enter and exit for a step."""
+    located at where.  record holds the record's fields in the order of
+    kind._fields, or is None when the value in the record's place is no
+    record: not an array of one value per field for load_log, not an
+    instance of kind for validate_log.  bounds are the previous visit's exit
+    (0 for the first) for a page visit, and its visit's enter and exit for a
+    step."""
     name, _, children = _RULES[kind]
-    if get is False:
-        message = f"{name} must be an object"
-    elif not (message := _field_fault(kind, get)):
-        if children and type(get(children)) not in _LISTS:
+    if record is None:
+        message = f"{name} must be an array [{', '.join(kind._fields)}]"
+    elif not (message := _field_fault(kind, fields := dict(zip(kind._fields, record)))):
+        if children and type(fields[children]) not in _LISTS:
             message = f"{children!r} must be a list"
         elif kind is PageVisit:
-            message = _visit_fault(get("enter_ms"), get("exit_ms"), *bounds)
+            message = _visit_fault(fields["enter_ms"], fields["exit_ms"], *bounds)
         elif kind is StepRecord:
-            message = _step_fault(get("start_ms"), get("end_ms"), *bounds)
+            message = _step_fault(fields["start_ms"], fields["end_ms"], *bounds)
     return LogFormatError(message, where)
 
 
-def _field_fault(kind: type, get: Callable) -> str | None:
+def _field_fault(kind: type, fields: dict) -> str | None:
     """The first of a record's own fields that load_log refuses, as a
     message, or None: a task's binding first, then the scalar fields in
-    _RULES order, each read as get(key), the binding as get("binding", {})."""
+    _RULES order.  fields maps each field's name to its value."""
     if kind is Task:
-        binding = get("binding", {})
+        binding = fields["binding"]
         if not isinstance(binding, Mapping):
             return "'binding' must be an object"
         for name, value in binding.items():
@@ -410,7 +429,7 @@ def _field_fault(kind: type, get: Callable) -> str | None:
             if value > INT64_MAX:
                 return f"binding value for {name!r} is outside the signed 64-bit range"
     for key, rule in _RULES[kind][1]:
-        value = get(key)
+        value = fields[key]
         if rule is str:
             if type(value) is not str:
                 return f"{key!r} must be a string"
@@ -448,11 +467,13 @@ def validate_log(log: EventLog) -> None:
     """Check a log built in memory by the rules load_log applies to a file.
 
     Raises the LogFormatError that load_log would raise on the log's JSON
-    tree, with the path to the first faulty record in document order: each
+    text, with the path to the first faulty record in document order: each
     record's own fields, then the type of its child list, then its
     intervals, then its children.  A child list may be a tuple or a list, a
-    binding any Mapping, and a binding name must be a str; a value in a
-    record's place that is not a record of that level "must be an object".
+    binding any Mapping, and a binding name must be a str.  A value in a
+    record's place that is not a record of that level, an equal plain tuple
+    included, gets the message load_log gives a row of the wrong shape: the
+    record "must be an array" of its fields.
     """
     sessions = log.sessions
     if type(sessions) not in _LISTS:
@@ -464,7 +485,7 @@ def validate_log(log: EventLog) -> None:
     for i, session in enumerate(sessions):
         if not (type(session) is Session and type(session.session_id) is str
                 and type(tasks := session.tasks) in _LISTS):
-            raise _fault(Session, type(session) is Session and partial(getattr, session),
+            raise _fault(Session, session if type(session) is Session else None,
                          _where(i))
         for j, task in enumerate(tasks):
             if not (type(task) is Task
@@ -476,7 +497,7 @@ def validate_log(log: EventLog) -> None:
                     and type(task.task_id) is str and type(task.concept_name) is str
                     and type(is_count := task.is_count) is int and 0 <= is_count <= INT64_MAX
                     and type(visits := task.page_visits) in _LISTS):
-                raise _fault(Task, type(task) is Task and partial(getattr, task), _where(i, j))
+                raise _fault(Task, task if type(task) is Task else None, _where(i, j))
             accepted = binding
             previous_exit = 0
             for k, visit in enumerate(visits):
@@ -485,7 +506,7 @@ def validate_log(log: EventLog) -> None:
                         and type(exit_ := visit.exit_ms) is int
                         and previous_exit <= enter <= exit_ <= INT64_MAX
                         and type(steps := visit.steps) in _LISTS):
-                    raise _fault(PageVisit, type(visit) is PageVisit and partial(getattr, visit),
+                    raise _fault(PageVisit, visit if type(visit) is PageVisit else None,
                                  _where(i, j, k), previous_exit)
                 for n, step in enumerate(steps):
                     if not (type(step) is StepRecord and type(step.step_label) is str
@@ -494,7 +515,7 @@ def validate_log(log: EventLog) -> None:
                             and type(count := step.is_count) is int
                             and enter <= start <= end <= exit_ and 1 <= count <= INT64_MAX):
                         raise _fault(
-                            StepRecord, type(step) is StepRecord and partial(getattr, step),
+                            StepRecord, step if type(step) is StepRecord else None,
                             _where(i, j, k, n), enter, exit_,
                         )
                 previous_exit = exit_
@@ -504,29 +525,35 @@ def cross_check(log: EventLog, concept: InteractionConcept) -> list[str]:
     """Messages for the tasks of this concept, with a binding, whose recorded
     IS count differs from what the concept yields at that binding, or at
     whose binding the concept yields no count: a variable is unbound, a
-    count is negative or a value leaves the signed 64-bit range."""
+    count is negative or a value leaves the signed 64-bit range.  The count
+    is found once per distinct binding, and looked up once per run of tasks
+    that share one binding object, as a generated or loaded log's do."""
     normalized = normalize(sum_steps(concept))
     expected: dict[tuple, int | IxComplexError] = {}
     messages = []
+    last = yielded = None
     for session in log.sessions:
         for task in session.tasks:
             if task.concept_name != concept.name or not task.binding:
                 continue
-            key = tuple(sorted(task.binding.items()))
-            if key not in expected:
-                try:
-                    expected[key] = instantiate(normalized, task.binding)
-                except IxComplexError as exc:
-                    expected[key] = exc
-            yielded = expected[key]
-            where = f"task {task.task_id!r} in session {session.session_id!r}"
+            if task.binding is not last:
+                last = task.binding
+                key = tuple(sorted(last.items()))
+                if key not in expected:
+                    try:
+                        expected[key] = instantiate(normalized, last)
+                    except IxComplexError as exc:
+                        expected[key] = exc
+                yielded = expected[key]
             if isinstance(yielded, IxComplexError):
                 messages.append(
-                    f"{where}: the concept yields no IS count at its binding: {yielded}"
+                    f"task {task.task_id!r} in session {session.session_id!r}: "
+                    f"the concept yields no IS count at its binding: {yielded}"
                 )
             elif yielded != task.is_count:
                 messages.append(
-                    f"{where} records {task.is_count} IS but the concept yields {yielded}"
+                    f"task {task.task_id!r} in session {session.session_id!r} "
+                    f"records {task.is_count} IS but the concept yields {yielded}"
                 )
     return messages
 

@@ -316,7 +316,7 @@ class TestSynthAndLogs:
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     def test_logs_restores_the_collector_on_a_bad_log(self, capsys, tmp_path, enabled):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"sessions": [{"session_id": "s0", "tasks": 5}]}', encoding="utf-8")
+        bad.write_text('{"format": 2, "sessions": [["s0", 5]]}', encoding="utf-8")
         was_enabled = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
@@ -361,7 +361,7 @@ class TestSynthAndLogs:
 
     def test_empty_log_warns(self, capsys, tmp_path):
         log = tmp_path / "empty.json"
-        log.write_text('{"sessions": []}')
+        log.write_text('{"format": 2, "sessions": []}')
         code, out, err = run(capsys, "logs", str(log))
         assert code == 0
         assert "no tasks" in err
@@ -398,12 +398,9 @@ class TestSynthAndLogs:
     def test_lone_surrogate_in_a_group_name(self, tmp_path, fmt):
         # The JSON escape reads as the lone code point U+D800, which a UTF-8
         # stdout cannot encode; the table shows the escape instead.
-        step = {"step_label": "s", "start_ms": 0, "end_ms": 1000, "is_count": 3}
-        visit = {"page": "p", "enter_ms": 0, "exit_ms": 1000, "steps": [step]}
-        task = {"task_id": "t\ud800", "concept_name": "c", "binding": {}, "is_count": 3,
-                "page_visits": [visit]}
+        task = ["t\ud800", "c", {}, 3, [["p", 0, 1000, [["s", 0, 1000, 3]]]]]
         log = tmp_path / "log.json"
-        log.write_text(json.dumps({"sessions": [{"session_id": "s", "tasks": [task]}]}))
+        log.write_text(json.dumps({"format": 2, "sessions": [["s", [task]]]}))
         env = dict(os.environ, PYTHONIOENCODING="utf-8")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
         done = subprocess.run(
@@ -421,7 +418,7 @@ class TestSynthAndLogs:
             "--sessions", "3", "--speed-mean", "1.0", "--out", str(out_file),
         )
         data = json.loads(out_file.read_text())
-        del data["sessions"][0]["tasks"][0]["binding"]["g"]
+        del data["sessions"][0][1][0][2]["g"]  # the first task's binding
         out_file.write_text(json.dumps(data))
         code, out, err = run(capsys, "logs", str(out_file), "--concept", V2)
         assert code == 0
@@ -438,7 +435,7 @@ class TestSynthAndLogs:
             "--sessions", "1", "--speed-mean", "1.0", "--out", str(out_file),
         )
         data = json.loads(out_file.read_text())
-        data["sessions"][0]["tasks"][0]["is_count"] = 999
+        data["sessions"][0][1][0][3] = 999  # the first task's IS count
         out_file.write_text(json.dumps(data))
         code, _, err = run(capsys, "logs", str(out_file), "--concept", V2)
         assert code == 0
@@ -514,9 +511,8 @@ class TestNoTraceback:
     @pytest.mark.parametrize("argv", EMPTY_PATHS, ids=" ".join)
     def test_empty_path_is_a_missing_file(self, capsys, tmp_path, argv):
         log = tmp_path / "log.json"
-        visit = {"page": "p", "enter_ms": 0, "exit_ms": 1, "steps": []}
-        task = {"task_id": "t", "concept_name": "c", "is_count": 1, "page_visits": [visit]}
-        log.write_text(json.dumps({"sessions": [{"session_id": "s", "tasks": [task]}]}))
+        task = ["t", "c", {}, 1, [["p", 0, 1, []]]]
+        log.write_text(json.dumps({"format": 2, "sessions": [["s", [task]]]}))
         argv = [str(log) if arg == "LOG" else arg for arg in argv]
         if argv[0] == "synth" and "--out" not in argv:
             argv += ["--out", str(tmp_path / "out.json")]
@@ -599,6 +595,17 @@ class TestNoTraceback:
         err = self.run_failing(capsys, "logs", str(log))
         assert "not valid JSON" in err
 
+    def test_log_of_format_1(self, capsys, tmp_path):
+        # Records as objects, as earlier versions wrote them.
+        step = {"step_label": "s", "start_ms": 0, "end_ms": 1000, "is_count": 3}
+        visit = {"page": "p", "enter_ms": 0, "exit_ms": 1000, "steps": [step]}
+        task = {"task_id": "t", "concept_name": "c", "binding": {}, "is_count": 3,
+                "page_visits": [visit]}
+        log = tmp_path / "log.json"
+        log.write_text(json.dumps({"sessions": [{"session_id": "s", "tasks": [task]}]}))
+        err = self.run_failing(capsys, "logs", str(log))
+        assert err == "error: log format 1 is not read by this version, which reads format 2\n"
+
     def test_log_nested_too_deeply(self, capsys, tmp_path):
         log = tmp_path / "log.json"
         log.write_text("[" * 100_000)
@@ -643,12 +650,9 @@ class TestNoTraceback:
         assert not (tmp_path / "log.json").exists()
 
     def test_log_integer_past_64_bits(self, capsys, tmp_path):
-        task = {
-            "task_id": "t", "concept_name": "c", "binding": {}, "is_count": 10**400,
-            "page_visits": [{"page": "p", "enter_ms": 0, "exit_ms": 5, "steps": []}],
-        }
+        task = ["t", "c", {}, 10**400, [["p", 0, 5, []]]]
         log = tmp_path / "log.json"
-        log.write_text(json.dumps({"sessions": [{"session_id": "s", "tasks": [task]}]}))
+        log.write_text(json.dumps({"format": 2, "sessions": [["s", [task]]]}))
         err = self.run_failing(capsys, "logs", str(log))
         assert err == (
             "error: sessions[0].tasks[0]: 'is_count' is outside the signed 64-bit range\n"
@@ -881,7 +885,8 @@ class TestLogsFuzz:
         elif where == "sessions":
             data = b'{"sessions": ' + nested + b"}"
         else:
-            data = log_bytes.replace(b'"is_count":', b'"is_count":' + nested + b',"x":', 1)
+            # after the first task's binding, inside its row
+            data = log_bytes.replace(b"},", b"}," + nested + b",", 1)
         assert self.check(log_file, data) == 1
 
     @settings(deadline=None)

@@ -108,8 +108,9 @@ def _make_logs() -> None:
     result = _call([*synth, "--sessions", "12", "--out", LOG])
     assert result["code"] == 0, result
     data = json.loads(Path(LOG).read_text(encoding="utf-8"))
-    data["sessions"][2]["tasks"][0]["is_count"] = 999
-    data["sessions"][7]["tasks"][0]["is_count"] = 50
+    # The IS count of the first task of sessions 2 and 7.
+    data["sessions"][2][1][0][3] = 999
+    data["sessions"][7][1][0][3] = 50
     Path(BAD_LOG).write_text(json.dumps(data), encoding="utf-8")
 
 

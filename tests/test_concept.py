@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +14,20 @@ from ixcomplex.concept import (
     serialize_concept,
     validate,
 )
+from ixcomplex.bigi import analyze
 from ixcomplex.errors import ConceptSyntaxError, DomainError, IxComplexError
 from ixcomplex.expr import MAX_NESTING, ONE, format_expr, parse_expr
+from ixcomplex.klm import DEFAULT_MAPPING, klm_from_concept
+from ixcomplex.synth import count_actions
 
-from helpers import LINE_BOUNDARIES, concepts, reference_split_comment, unicode_texts
+from helpers import (
+    LINE_BOUNDARIES,
+    V1_BINDING,
+    V2_BINDING,
+    concepts,
+    reference_split_comment,
+    unicode_texts,
+)
 
 
 def unchecked_text(concept):
@@ -26,7 +39,7 @@ def unchecked_text(concept):
         lines.append(f"var {variable.name}{comment}")
     for step in concept.steps:
         repeat = "" if step.repeat == ONE else f" repeat {format_expr(step.repeat)}"
-        actions = "; ".join(f"{kind.value}: {format_expr(e)}" for kind, e in step.ordered_actions())
+        actions = "; ".join(f"{kind.value}: {format_expr(e)}" for kind, e in step.actions.items())
         body = f"{{ {actions} }}" if actions else "{ }"
         note = f"  # {step.note}" if step.note else ""
         lines.append(f'step "{step.label}"{repeat} {body}{note}')
@@ -213,6 +226,48 @@ class TestModel:
         step = UserStep("s", actions)
         actions[ActionKind.ENTER] = ONE
         assert step.actions == {ActionKind.THINK: parse_expr("m")}
+
+    def test_actions_are_held_in_kind_order(self):
+        actions = {ActionKind.EXTERNAL: ONE, ActionKind.THINK: ONE, ActionKind.SCROLL: ONE}
+        assert list(UserStep("s", actions).actions) == [
+            ActionKind.THINK, ActionKind.SCROLL, ActionKind.EXTERNAL,
+        ]
+
+    def test_actions_type_checked_in_the_order_given(self):
+        with pytest.raises(DomainError, match="for External"):
+            UserStep("s", {ActionKind.EXTERNAL: "1", ActionKind.SCROLL: 1})
+
+    @pytest.mark.parametrize("actions, binding, call", [
+        ({ActionKind.EXTERNAL: ONE, ActionKind.SCROLL: ONE}, {},
+         lambda concept, binding: klm_from_concept(concept, DEFAULT_MAPPING)),
+        ({ActionKind.EXTERNAL: parse_expr("a - 2"), ActionKind.SCROLL: parse_expr("b - 2")},
+         {"a": 0, "b": 0}, count_actions),
+    ], ids=["klm_from_concept", "count_actions"])
+    def test_equal_steps_raise_the_same_first_error(self, actions, binding, call):
+        variables = tuple(ConceptVariable(name) for name in binding)
+        concept = InteractionConcept("x", variables, (UserStep("skim", actions),))
+        reread = parse_concept(serialize_concept(concept))
+        assert reread == concept
+        messages = []
+        for each in (concept, reread):
+            with pytest.raises(IxComplexError) as exc:
+                call(each, binding)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert "Scroll" in messages[0] or "b - 2" in messages[0]
+
+    @pytest.mark.parametrize("name", ["v1", "v2"])
+    @pytest.mark.parametrize("duplicate", [
+        copy.deepcopy, lambda concept: pickle.loads(pickle.dumps(concept)),
+    ], ids=["deepcopy", "pickle"])
+    def test_copy_and_pickle_round_trip(self, request, name, duplicate):
+        concept = request.getfixturevalue(f"{name}_concept")
+        binding = {"v1": V1_BINDING, "v2": V2_BINDING}[name]
+        report = analyze(concept, binding)
+        copied = duplicate(concept)
+        assert copied == concept
+        assert all("_vector" not in vars(step) for step in copied.steps)
+        assert analyze(copied, binding) == report
 
     def test_sequences_are_held_as_tuples(self):
         variables = [ConceptVariable("m")]

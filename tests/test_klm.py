@@ -154,9 +154,11 @@ class TestMappingFromConcept:
             'concept "x"\nstep "read" { T: 1 }\n'
             'step "skim" repeat 0 { X: 1; S: 2 }\nstep "scroll" { S: 1 }'
         )
+        # A step's kinds are checked in ActionKind order, S before X,
+        # whatever order the file gives them in.
         with pytest.raises(UnmappedActionError) as exc:
             klm_from_concept(concept, DEFAULT_MAPPING)
-        assert (exc.value.kind_word, exc.value.step_label) == ("External", "skim")
+        assert (exc.value.kind_word, exc.value.step_label) == ("Scroll", "skim")
 
     def test_concept_is_the_sum_of_its_steps(self):
         rng = random.Random(6)

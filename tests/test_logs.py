@@ -34,65 +34,85 @@ from ixcomplex.synth import SynthConfig, generate_log
 from helpers import V2_BINDING, event_logs
 
 MINIMAL = {
+    "format": 2,
     "sessions": [
-        {
-            "session_id": "s0",
-            "tasks": [
-                {
-                    "task_id": "t0",
-                    "concept_name": "demo",
-                    "binding": {"m": 3},
-                    "is_count": 7,
-                    "page_visits": [
-                        {
-                            "page": "p0",
-                            "enter_ms": 0,
-                            "exit_ms": 7000,
-                            "steps": [
-                                {
-                                    "step_label": "pick",
-                                    "start_ms": 0,
-                                    "end_ms": 7000,
-                                    "is_count": 7,
-                                }
-                            ],
-                        }
-                    ],
-                }
-            ],
-        }
-    ]
+        ["s0", [
+            ["t0", "demo", {"m": 3}, 7, [
+                ["p0", 0, 7000, [
+                    ["pick", 0, 7000, 7],
+                ]],
+            ]],
+        ]],
+    ],
 }
 
 
+# Paths below name each field as the object form of earlier versions did;
+# row_path turns them into positions in the rows.
 SESSION = ("sessions", 0)
 TASK = SESSION + ("tasks", 0)
 VISIT = TASK + ("page_visits", 0)
 STEP = VISIT + ("steps", 0)
 DELETE = object()
 
+# The record kind of each child list, by its name.
+KINDS = {"sessions": Session, "tasks": Task, "page_visits": PageVisit, "steps": StepRecord}
+
+
+def row_path(path):
+    """path with each name of a record's field replaced by the position of
+    that field in the record's row: ("sessions", 0, "tasks") becomes
+    ("sessions", 0, 1).  The names of the top level and of a binding stay."""
+    result, kind, listed = [], None, None
+    for key in path:
+        if type(key) is int:
+            kind = KINDS[listed]
+        elif kind is not None:
+            listed, kind, key = key, None, kind._fields.index(key)
+        else:
+            listed = key
+        result.append(key)
+    return tuple(result)
+
+
+def at(data, path):
+    """The value at path in a decoded log."""
+    for key in row_path(path):
+        data = data[key]
+    return data
+
+
+def replace(holder, key, value):
+    """Put value at key of holder.  DELETE removes the key of an object; in
+    a row it leaves the field null, since the object form read a missing
+    field as null, and a row whose field is missing is no row at all."""
+    if value is not DELETE:
+        holder[key] = value
+    elif type(holder) is dict:
+        del holder[key]
+    else:
+        holder[key] = None
+
 
 def with_fault(path, value):
     """A deep copy of MINIMAL with the value at path replaced, or removed
-    when value is DELETE; the empty path replaces the whole document."""
+    when value is DELETE (see replace); the empty path replaces the whole
+    document."""
     if not path:
         return value
     data = json.loads(json.dumps(MINIMAL))
-    parent = data
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
+    replace(at(data, path[:-1]), row_path(path)[-1], value)
     return data
 
 
 def late_visit(enter_ms, exit_ms):
-    return [
-        MINIMAL["sessions"][0]["tasks"][0]["page_visits"][0],
-        {"page": "p1", "enter_ms": enter_ms, "exit_ms": exit_ms, "steps": []},
-    ]
+    return [at(MINIMAL, VISIT), ["p1", enter_ms, exit_ms, []]]
+
+
+def reference_text(log, **layout):
+    """json.dumps of the log's records themselves, which encode as arrays,
+    under the format key."""
+    return json.dumps({"format": 2, "sessions": log.sessions}, **layout)
 
 
 S = "sessions[0]"
@@ -100,14 +120,20 @@ T = S + ".tasks[0]"
 V = T + ".page_visits[0]"
 R = V + ".steps[0]"
 
+# The message for a value in a record's place that is no row of its kind.
+NO_SESSION = "must be an array [session_id, tasks]"
+NO_TASK = "must be an array [task_id, concept_name, binding, is_count, page_visits]"
+NO_VISIT = "must be an array [page, enter_ms, exit_ms, steps]"
+NO_STEP = "must be an array [step_label, start_ms, end_ms, is_count]"
+
 # One fault per check load_log makes, each with the full message it raises.
 SINGLE_FAULTS = [
-    # a non-object at each level
+    # a non-row at each level
     ((), [], 'top level must be an object with a "sessions" list'),
-    (SESSION, 5, f"{S}: session must be an object"),
-    (TASK, "t", f"{T}: task must be an object"),
-    (VISIT, None, f"{V}: page visit must be an object"),
-    (STEP, [], f"{R}: step record must be an object"),
+    (SESSION, 5, f"{S}: session {NO_SESSION}"),
+    (TASK, "t", f"{T}: task {NO_TASK}"),
+    (VISIT, None, f"{V}: page visit {NO_VISIT}"),
+    (STEP, [], f"{R}: step record {NO_STEP}"),
     # missing or wrong-typed fields
     (("sessions",), DELETE, 'top level must be an object with a "sessions" list'),
     (("sessions",), {}, "'sessions' must be a list"),
@@ -146,13 +172,11 @@ SINGLE_FAULTS = [
     (TASK + ("binding", "m"), "3", f"{T}: binding value for 'm' must be a nonnegative integer"),
     (TASK + ("binding", "m"), 1.5, f"{T}: binding value for 'm' must be a nonnegative integer"),
     # interval rules
-    (STEP, {"step_label": "pick", "start_ms": 5000, "end_ms": 4000, "is_count": 7},
-     f"{R}: step ends before it starts"),
+    (STEP, ["pick", 5000, 4000, 7], f"{R}: step ends before it starts"),
     (VISIT + ("exit_ms",), 6000, f"{R}: step interval leaves its page visit"),
     (VISIT + ("enter_ms",), 1000, f"{R}: step interval leaves its page visit"),
     (STEP + ("end_ms",), 8000, f"{R}: step interval leaves its page visit"),
-    (TASK + ("page_visits",), [{"page": "p0", "enter_ms": 7000, "exit_ms": 0, "steps": []}],
-     f"{V}: page visit exits before it is entered"),
+    (TASK + ("page_visits",), [["p0", 7000, 0, []]], f"{V}: page visit exits before it is entered"),
     (TASK + ("page_visits",), late_visit(1000, 2000),
      f"{T}.page_visits[1]: page visits are not in chronological order"),
     (TASK + ("page_visits",), late_visit(9000, 8000),
@@ -162,22 +186,17 @@ SINGLE_FAULTS = [
 # Two faults in one task: load_log names the first faulty record in
 # document order, checking a record's own fields, then its intervals, then
 # its children.
-BACKWARDS_VISIT = {"page": "p0", "enter_ms": 7000, "exit_ms": 0, "steps": []}
+BACKWARDS_VISIT = ["p0", 7000, 0, []]
 MULTI_FAULTS = [
-    (TASK + ("page_visits",),
-     [BACKWARDS_VISIT, {"page": 5, "enter_ms": 8000, "exit_ms": 9000, "steps": []}],
+    (TASK + ("page_visits",), [BACKWARDS_VISIT, [5, 8000, 9000, []]],
      f"{V}: page visit exits before it is entered"),
-    (VISIT + ("steps",),
-     [{"step_label": "pick", "start_ms": 5000, "end_ms": 4000, "is_count": 7},
-      {"step_label": "drop", "start_ms": "x", "end_ms": 7000, "is_count": 1}],
+    (VISIT + ("steps",), [["pick", 5000, 4000, 7], ["drop", "x", 7000, 1]],
      f"{R}: step ends before it starts"),
-    (TASK + ("page_visits",),
-     [dict(BACKWARDS_VISIT, steps=[{"step_label": 1, "start_ms": 0, "end_ms": 0, "is_count": 1}])],
+    (TASK + ("page_visits",), [BACKWARDS_VISIT[:3] + [[[1, 0, 0, 1]]]],
      f"{V}: page visit exits before it is entered"),
     # within one record: fields, then the child list, then the intervals
-    (VISIT, dict(BACKWARDS_VISIT, steps="pick"), f"{V}: 'steps' must be a list"),
-    (STEP, {"step_label": "pick", "start_ms": 5000, "end_ms": 4000, "is_count": 0},
-     f"{R}: 'is_count' must be >= 1, got 0"),
+    (VISIT, BACKWARDS_VISIT[:3] + ["pick"], f"{V}: 'steps' must be a list"),
+    (STEP, ["pick", 5000, 4000, 0], f"{R}: 'is_count' must be >= 1, got 0"),
 ]
 
 # Every integer of a log must fit in a signed 64-bit integer.
@@ -200,7 +219,7 @@ ACCEPTED_EDGES = [
     (VISIT + ("steps",), []),
     (TASK + ("page_visits",), []),
     (TASK + ("page_visits",), late_visit(7000, 9000)),
-    (TASK + ("binding",), DELETE),
+    (TASK + ("binding",), {}),
     (TASK + ("is_count",), 0),
     (TASK + ("is_count",), 2**63 - 1),
     (STEP + ("is_count",), 2**63 - 1),
@@ -208,33 +227,40 @@ ACCEPTED_EDGES = [
 ]
 
 
-def log_to_dict(log):
-    """The tree the log's JSON text encodes, for json.dumps as a reference.
-    A child list that is not a tuple or a list, and a binding that is not a
-    Mapping, stand in the tree as they are."""
+# Rows of the wrong shape at each level: an object as format 1 wrote it, a
+# field too few, a field too many.
+NOT_ROWS = [
+    (SESSION, {"session_id": "s0", "tasks": []}, f"{S}: session {NO_SESSION}"),
+    (SESSION, ["s0"], f"{S}: session {NO_SESSION}"),
+    (SESSION, ["s0", [], "extra"], f"{S}: session {NO_SESSION}"),
+    (TASK, at(MINIMAL, TASK)[:4], f"{T}: task {NO_TASK}"),
+    (TASK, at(MINIMAL, TASK) + [[]], f"{T}: task {NO_TASK}"),
+    (TASK, at(MINIMAL, TASK)[:2] + at(MINIMAL, TASK)[3:], f"{T}: task {NO_TASK}"),
+    (VISIT, ["p0", 0, 7000], f"{V}: page visit {NO_VISIT}"),
+    (VISIT, {"page": "p0", "enter_ms": 0, "exit_ms": 7000, "steps": []},
+     f"{V}: page visit {NO_VISIT}"),
+    (STEP, ["pick", 0, 7000], f"{R}: step record {NO_STEP}"),
+    (STEP, ["pick", 0, 7000, 7, 7], f"{R}: step record {NO_STEP}"),
+    (STEP, "pick", f"{R}: step record {NO_STEP}"),
+    # the shape comes before the fields
+    (STEP, [None, None, None], f"{R}: step record {NO_STEP}"),
+]
 
-    def listed(children, build):
-        if type(children) in (tuple, list):
-            return [build(child) for child in children]
-        return children
-
-    def step(record):
-        return record._asdict()
-
-    def visit(record):
-        return {"page": record.page, "enter_ms": record.enter_ms, "exit_ms": record.exit_ms,
-                "steps": listed(record.steps, step)}
-
-    def task(record):
-        binding = record.binding
-        return {"task_id": record.task_id, "concept_name": record.concept_name,
-                "binding": dict(binding) if isinstance(binding, Mapping) else binding,
-                "is_count": record.is_count, "page_visits": listed(record.page_visits, visit)}
-
-    def session(record):
-        return {"session_id": record.session_id, "tasks": listed(record.tasks, task)}
-
-    return {"sessions": listed(log.sessions, session)}
+FORMAT_1 = {"sessions": [{"session_id": "s0", "tasks": []}]}
+# Top levels of a file in another format than 2, with the message each gets.
+OTHER_FORMATS = [
+    (FORMAT_1, "log format 1 is not read by this version, which reads format 2"),
+    (dict(MINIMAL, format=1), "log format 1 is not read by this version, which reads format 2"),
+    (dict(MINIMAL, format=3), "log format 3 is not read by this version, which reads format 2"),
+    (dict(MINIMAL, format="2"),
+     "log format unknown is not read by this version, which reads format 2"),
+    (dict(MINIMAL, format=2.0),
+     "log format unknown is not read by this version, which reads format 2"),
+    (dict(MINIMAL, format=True),
+     "log format unknown is not read by this version, which reads format 2"),
+    (dict(MINIMAL, format=None),
+     "log format unknown is not read by this version, which reads format 2"),
+]
 
 
 def outcome(function, *args):
@@ -250,11 +276,11 @@ def assert_agrees_with_the_loader(log):
     """validate_log and dump_log refuse the log with the message load_log
     gives on its reference text, or accept it as load_log does, and then
     dump_log writes the sorted compact form of that text."""
-    expected = outcome(load_log, json.dumps(log_to_dict(log)))
+    expected = outcome(load_log, reference_text(log))
     assert outcome(validate_log, log) == expected
     assert outcome(dump_log, log) == expected
     if expected is None:
-        compact = json.dumps(log_to_dict(log), sort_keys=True, separators=(",", ":"))
+        compact = reference_text(log, sort_keys=True, separators=(",", ":"))
         assert dump_log(log) == compact + "\n"
 
 
@@ -387,6 +413,17 @@ FIELD_RULES = [
 ]
 
 
+def replace_field(data, path, key, rule, value):
+    """Replace the field of FIELD_RULES at path and key in a decoded log by
+    value (see replace), and return the value its check then reads: a field
+    of a row that DELETE left null reads as None."""
+    if rule == "binding value":
+        replace(at(data, path + ("binding",)), key, value)
+        return value
+    replace(at(data, path), row_path(path + (key,))[-1], value)
+    return None if value is DELETE else value
+
+
 def expected_fault(key, rule, value):
     """The message the check of a field under rule gives for value, or None
     when it passes: str, list, dict (the binding), "binding value", or an
@@ -400,7 +437,7 @@ def expected_fault(key, rule, value):
             return f"binding value for {key!r} is outside the signed 64-bit range"
         return None
     if rule is dict:
-        return None if value is DELETE or type(value) is dict else "'binding' must be an object"
+        return None if type(value) is dict else "'binding' must be an object"
     if rule in (str, list):
         kind = "a string" if rule is str else "a list"
         return None if type(value) is rule else f"{key!r} must be {kind}"
@@ -473,8 +510,7 @@ class TestLoad:
             load_log(b"{}")
 
     def test_step_escaping_page_visit(self):
-        bad = json.loads(json.dumps(MINIMAL))
-        bad["sessions"][0]["tasks"][0]["page_visits"][0]["steps"][0]["end_ms"] = 8000
+        bad = with_fault(STEP + ("end_ms",), 8000)
         with pytest.raises(LogFormatError) as exc:
             load_log(json.dumps(bad))
         assert "sessions[0].tasks[0].page_visits[0].steps[0]" in str(exc.value)
@@ -482,28 +518,24 @@ class TestLoad:
 
     def test_reversed_interval(self):
         bad = json.loads(json.dumps(MINIMAL))
-        visit = bad["sessions"][0]["tasks"][0]["page_visits"][0]
-        visit["enter_ms"], visit["exit_ms"] = 7000, 0
+        visit = at(bad, VISIT)
+        visit[1], visit[2] = 7000, 0
         with pytest.raises(LogFormatError):
             load_log(json.dumps(bad))
 
     def test_unordered_page_visits(self):
-        bad = json.loads(json.dumps(MINIMAL))
-        visits = bad["sessions"][0]["tasks"][0]["page_visits"]
-        visits.append({"page": "p1", "enter_ms": 1000, "exit_ms": 2000, "steps": []})
+        bad = with_fault(TASK + ("page_visits",), late_visit(1000, 2000))
         with pytest.raises(LogFormatError) as exc:
             load_log(json.dumps(bad))
         assert "chronological" in str(exc.value)
 
     def test_zero_step_is_count_rejected(self):
-        bad = json.loads(json.dumps(MINIMAL))
-        bad["sessions"][0]["tasks"][0]["page_visits"][0]["steps"][0]["is_count"] = 0
+        bad = with_fault(STEP + ("is_count",), 0)
         with pytest.raises(LogFormatError):
             load_log(json.dumps(bad))
 
     def test_negative_timestamp_rejected(self):
-        bad = json.loads(json.dumps(MINIMAL))
-        bad["sessions"][0]["tasks"][0]["page_visits"][0]["enter_ms"] = -1
+        bad = with_fault(VISIT + ("enter_ms",), -1)
         with pytest.raises(LogFormatError):
             load_log(json.dumps(bad))
 
@@ -512,6 +544,25 @@ class TestLoad:
         with pytest.raises(LogFormatError) as exc:
             load_log(json.dumps(with_fault(path, value)))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("path, value, message", NOT_ROWS)
+    def test_row_of_the_wrong_shape(self, path, value, message):
+        with pytest.raises(LogFormatError) as exc:
+            load_log(json.dumps(with_fault(path, value)))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("top, message", OTHER_FORMATS)
+    def test_other_format_refused(self, top, message):
+        with pytest.raises(LogFormatError) as exc:
+            load_log(json.dumps(top))
+        assert str(exc.value) == message
+
+    def test_format_checked_before_any_record(self):
+        top = dict(with_fault(STEP, "pick"), format=1)
+        assert outcome(load_log, json.dumps(top)) == OTHER_FORMATS[0][1]
+
+    def test_any_whitespace_between_tokens(self):
+        assert load_log(json.dumps(MINIMAL, indent=4)) == load_log(json.dumps(MINIMAL))
 
     @pytest.mark.parametrize("path, value, message", MULTI_FAULTS)
     def test_first_fault_in_document_order(self, path, value, message):
@@ -527,9 +578,7 @@ class TestLoad:
 
     def test_timestamps_at_the_top_of_the_range(self):
         top = 2**63 - 1
-        visit = {"page": "p", "enter_ms": top, "exit_ms": top, "steps": [
-            {"step_label": "s", "start_ms": top, "end_ms": top, "is_count": 1}
-        ]}
+        visit = ["p", top, top, [["s", top, top, 1]]]
         log = load_log(json.dumps(with_fault(TASK + ("page_visits",), [visit])))
         assert log.sessions[0].tasks[0].page_visits[0].steps[0].end_ms == top
 
@@ -555,7 +604,7 @@ class TestDump:
     @given(event_logs())
     def test_writer_matches_the_sorted_compact_encoder(self, log):
         text = dump_log(log)
-        assert text == json.dumps(log_to_dict(log), sort_keys=True, separators=(",", ":")) + "\n"
+        assert text == reference_text(log, sort_keys=True, separators=(",", ":")) + "\n"
         assert load_log(text) == log
 
     @pytest.mark.parametrize("level, key, value, message", WRITER_REFUSALS)
@@ -576,14 +625,21 @@ class TestDump:
         assert str(exc.value) == message
 
     def test_first_record_holding_the_pair_is_named(self):
-        # The label is written before the task_id that holds the same text.
+        # The task_id is written before the label that holds the same text.
         log = two_sessions("step", "step_label", PAIR)
         session = log.sessions[1]
         task = session.tasks[0]._replace(task_id=PAIR)
         log = EventLog((log.sessions[0], session._replace(tasks=(task,))))
         with pytest.raises(LogFormatError) as exc:
             dump_log(log)
-        assert str(exc.value) == f"{W_R}: 'step_label' {PAIRED}"
+        assert str(exc.value) == f"{W_T}: 'task_id' {PAIRED}"
+
+    def test_the_concept_name_is_written_before_the_binding(self):
+        log = two_sessions("task", "binding", {f"n{PAIR}": 1})
+        session = log.sessions[1]
+        task = session.tasks[0]._replace(concept_name=f"n{PAIR}")
+        log = EventLog((log.sessions[0], session._replace(tasks=(task,))))
+        assert outcome(dump_log, log) == f"{W_T}: 'concept_name' {PAIRED}"
 
     @pytest.mark.parametrize(
         "text", ["\ud800", "\udfff", "\udfff\ud800", "\ud800 \udfff", "\U000103ff"]
@@ -605,19 +661,9 @@ class TestLoaderAgreement:
     @pytest.mark.parametrize("path, key, rule", FIELD_RULES, ids=[key for _, key, _ in FIELD_RULES])
     def test_replaced_field(self, document, path, key, rule, value):
         data = json.loads(json.dumps(document))
-        record = data
-        for step in path:
-            record = record[step]
-        holder = record["binding"] if rule == "binding value" else record
-        if value is DELETE:
-            del holder[key]
-        else:
-            holder[key] = value
-        message = expected_fault(key, rule, value)
+        message = expected_fault(key, rule, replace_field(data, path, key, rule, value))
         if message is None:
-            if rule is dict:
-                record["binding"] = {}
-            assert log_to_dict(load_log(json.dumps(data))) == data
+            assert json.loads(reference_text(load_log(json.dumps(data)))) == data
             return
         with pytest.raises(LogFormatError) as exc:
             load_log(json.dumps(data))
@@ -631,30 +677,21 @@ class TestLoaderAgreement:
         data = json.loads(json.dumps(document))
         # Innermost first, and a binding value before its binding, so each
         # replacement still finds its holder.
+        checked = {}
         for index, value in sorted(changes, key=lambda change: check_rank(change[0]), reverse=True):
-            path, key, rule = FIELD_RULES[index]
-            record = data
-            for step in path:
-                record = record[step]
-            holder = record["binding"] if rule == "binding value" else record
-            if value is DELETE:
-                del holder[key]
-            else:
-                holder[key] = value
+            checked[index] = replace_field(data, *FIELD_RULES[index], value)
         replaced = {FIELD_RULES[index][2] for index, _ in changes}
         expected = None
-        for index, value in sorted(changes, key=lambda change: check_rank(change[0])):
+        for index, _ in sorted(changes, key=lambda change: check_rank(change[0])):
             path, key, rule = FIELD_RULES[index]
             if rule == "binding value" and dict in replaced:
                 continue  # the binding it sat in was replaced as a whole
-            if message := expected_fault(key, rule, value):
+            if message := expected_fault(key, rule, checked[index]):
                 where = ".".join(f"{name}[{i}]" for name, i in zip(path[::2], path[1::2]))
                 expected = f"{where}: {message}"
                 break
         if expected is None:
-            if dict in replaced:
-                data["sessions"][1]["tasks"][0]["binding"] = {}
-            assert log_to_dict(load_log(json.dumps(data))) == data
+            assert json.loads(reference_text(load_log(json.dumps(data)))) == data
             return
         with pytest.raises(LogFormatError) as exc:
             load_log(json.dumps(data))
@@ -684,7 +721,7 @@ class TestLoaderAgreement:
 
     def test_a_value_that_is_not_a_record(self):
         log = EventLog((Session("s", ({"task_id": "t"},)),))
-        assert outcome(validate_log, log) == "sessions[0].tasks[0]: task must be an object"
+        assert outcome(validate_log, log) == f"sessions[0].tasks[0]: task {NO_TASK}"
 
 
 class TestGcState:
@@ -779,7 +816,7 @@ class TestRecordTuples:
         visit = PageVisit("p", 0, 1, (("a", 0, 1, 1),))
         log = EventLog((Session("s", (Task("t", "c", {}, 1, (visit,)),)),))
         assert outcome(validate_log, log) == (
-            "sessions[0].tasks[0].page_visits[0].steps[0]: step record must be an object"
+            f"sessions[0].tasks[0].page_visits[0].steps[0]: step record {NO_STEP}"
         )
 
 
@@ -832,7 +869,7 @@ class TestSharedBinding:
 
     def test_loaded_consecutive_equal_bindings_are_one_object(self):
         first, second = {"m": 3, "n": 0}, {"m": 4}
-        text = json.dumps(log_to_dict(sharing(first, dict(first), {}, {}, second, first)))
+        text = reference_text(sharing(first, dict(first), {}, {}, second, first))
         tasks = [session.tasks[0] for session in load_log(text).sessions]
         assert [task.binding for task in tasks] == [first, first, {}, {}, second, first]
         assert tasks[0].binding is tasks[1].binding
@@ -841,7 +878,7 @@ class TestSharedBinding:
 
     def test_equal_binding_of_a_bool_refused_at_its_own_task(self):
         # {"a": 1} == {"a": True}: the binding is checked before it is shared.
-        text = json.dumps(log_to_dict(sharing({"a": 1}, {"a": True}, {"a": 1})))
+        text = reference_text(sharing({"a": 1}, {"a": True}, {"a": 1}))
         assert outcome(load_log, text) == (
             "sessions[1].tasks[0]: binding value for 'a' must be a nonnegative integer"
         )
@@ -1018,3 +1055,22 @@ class TestCrossCheck:
         assert cross_check(make_log([1.0, 2.0], is_count=999), v2_concept) == []
         log = generate_log(SynthConfig(v2_concept, V2_BINDING, 2, 1.0))
         assert cross_check(log, v2_concept) == []
+
+    def test_each_task_is_checked_at_its_own_binding(self, v2_concept):
+        # Runs of one binding object, an equal copy, another binding and an
+        # unbound one, in turn; the count is found once per binding object.
+        good, other, unbound = dict(V2_BINDING), dict(V2_BINDING, g=10), {"m": 1}
+        tasks = [(good, 45), (good, 46), (other, 46), (dict(good), 45), (unbound, 45),
+                 (unbound, 1), (good, 44)]
+        visit = PageVisit("p0", 0, 1000, ())
+        log = EventLog(tuple(
+            Session(f"s{index}", (Task("t", v2_concept.name, binding, count, (visit,)),))
+            for index, (binding, count) in enumerate(tasks)
+        ))
+        unbound_message = "the concept yields no IS count at its binding: unbound variable 'd'"
+        assert cross_check(log, v2_concept) == [
+            "task 't' in session 's1' records 46 IS but the concept yields 45",
+            f"task 't' in session 's4': {unbound_message}",
+            f"task 't' in session 's5': {unbound_message}",
+            "task 't' in session 's6' records 44 IS but the concept yields 45",
+        ]
