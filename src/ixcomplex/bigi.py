@@ -10,19 +10,23 @@ formula gets the same view through assess and is reported side by side,
 so "as-defined" and "as-published" values never get silently merged.
 
 Each step's vector (step_function) and each concept's summed vector
-(sum_steps) is derived once per object, on first use, and kept on it
-outside its fields, so analyze, sum_steps, klm.klm_from_concept,
-klm.klm_step and logs.cross_check on one concept share them.  A kept vector
-cannot go stale: UserStep.actions is read-only and a concept holds its
-steps as a tuple.  A derivation that raises keeps nothing, so every call
-raises again.
+(sum_steps) is derived once per object, on first use, and kept in a private
+slot of it (UserStep._vector, InteractionConcept._summed), outside its
+fields, so analyze, sum_steps, klm.klm_from_concept, klm.klm_step and
+logs.cross_check on one concept share them.  A kept vector cannot go stale:
+the step and the concept are frozen, UserStep.actions is read-only and a
+concept holds its steps as a tuple; _replace, copy and pickle build a new
+object that derives its own.  A derivation that raises keeps nothing, so
+every call raises again.
+
+The vectors and reports are value classes (value.Value): slotted, frozen,
+equal by class and fields.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .concept import ActionKind, InteractionConcept, UserStep
@@ -36,6 +40,7 @@ from .expr import (
     format_expr,
     total_degree,
 )
+from .value import Value
 
 _CLASS_NAMES = {0: "constant", 1: "linear", 2: "quadratic", 3: "cubic"}
 
@@ -44,28 +49,30 @@ def class_label(degree: int) -> str:
     return _CLASS_NAMES.get(degree, f"degree-{degree}")
 
 
-@dataclass(frozen=True, slots=True)
-class SlotVector:
+class SlotVector(Value):
     """Count polynomials in fixed slots, one per member of an enum in its
     order, ZERO in empty ones: + adds slot by slot, and nonzero views the
     nonzero slots.  A subclass names its enum in its class line and
     declares empty __slots__.  V() is the zero vector; counts of any other
     length raise DomainError."""
 
-    counts: tuple[Expression, ...] | None = None
+    __slots__ = ("counts",)
+    counts: tuple[Expression, ...]
 
-    def __init_subclass__(cls, members: type[enum.Enum]):
+    def __init_subclass__(cls, members: type[enum.Enum], **kwargs):
+        super().__init_subclass__(**kwargs)
         cls.members = tuple(members)
         cls.slot = {member: slot for slot, member in enumerate(cls.members)}
 
-    def __post_init__(self):
+    def __init__(self, counts: tuple[Expression, ...] | None = None):
         width = len(self.members)
-        if self.counts is None:
-            object.__setattr__(self, "counts", (ZERO,) * width)
-        elif len(self.counts) != width:
+        if counts is None:
+            counts = (ZERO,) * width
+        elif len(counts) != width:
             name = type(self).__name__
             article = "an" if name[0] in "AEIOU" else "a"
-            raise DomainError(f"{article} {name} holds {width} counts, got {len(self.counts)}")
+            raise DomainError(f"{article} {name} holds {width} counts, got {len(counts)}")
+        self._store(counts)
 
     @property
     def nonzero(self) -> dict[enum.Enum, Expression]:
@@ -99,35 +106,60 @@ class ActionVector(SlotVector, members=ActionKind):
         return Sum(self.counts).value()
 
 
-@dataclass(frozen=True)
-class NormalizedComplexity:
+class NormalizedComplexity(Value):
     """The IS function: every action kind replaced by one interaction step."""
 
+    __slots__ = ("is_function",)
     is_function: Expression
 
+    def __init__(self, is_function: Expression):
+        self._store(is_function)
 
-@dataclass(frozen=True)
-class SimplifiedComplexity:
+
+class SimplifiedComplexity(Value):
+    __slots__ = ("retained", "class_label")
     retained: Expression
     class_label: str
 
+    def __init__(self, retained: Expression, class_label: str):
+        self._store(retained, class_label)
 
-@dataclass(frozen=True)
-class Assessment:
+
+class Assessment(Value):
     """One IS polynomial seen three ways: whole, simplified, instantiated."""
 
+    __slots__ = ("normalized", "simplified", "instantiated")
     normalized: NormalizedComplexity
     simplified: SimplifiedComplexity
-    instantiated: tuple[dict[str, int], int] | None = None
+    instantiated: tuple[dict[str, int], int] | None
+
+    def __init__(
+        self,
+        normalized: NormalizedComplexity,
+        simplified: SimplifiedComplexity,
+        instantiated: tuple[dict[str, int], int] | None = None,
+    ):
+        self._store(normalized, simplified, instantiated)
 
 
-@dataclass(frozen=True, kw_only=True)
 class ComplexityReport(Assessment):
     """The assessment of a concept's summed IS polynomial, with the
-    per-step vectors it was summed from."""
+    per-step vectors it was summed from (keyword-only fields)."""
 
+    __slots__ = ("per_step", "summed")
     per_step: tuple[tuple[str, ActionVector], ...]
     summed: ActionVector
+
+    def __init__(
+        self,
+        normalized: NormalizedComplexity,
+        simplified: SimplifiedComplexity,
+        instantiated: tuple[dict[str, int], int] | None = None,
+        *,
+        per_step: tuple[tuple[str, ActionVector], ...],
+        summed: ActionVector,
+    ):
+        self._store(normalized, simplified, instantiated, per_step, summed)
 
 
 def step_function(step: UserStep) -> ActionVector:
@@ -213,7 +245,9 @@ def analyze(
     per_step = tuple((step.label, step_function(step)) for step in concept.steps)
     summed = sum_steps(concept)
     view = assess(summed.total(), binding)
-    return ComplexityReport(**vars(view), per_step=per_step, summed=summed)
+    return ComplexityReport(
+        view.normalized, view.simplified, view.instantiated, per_step=per_step, summed=summed
+    )
 
 
 # --- rendering helpers -----------------------------------------------------

@@ -34,11 +34,11 @@ from __future__ import annotations
 import enum
 import re
 from collections.abc import Collection, Mapping, Sequence
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import ConceptSyntaxError, DomainError, ExpressionSyntaxError, OverflowLimitError
 from .expr import ONE, Expression, format_expr, is_variable_name, parse_expr
+from .value import Value
 
 
 class ActionKind(enum.Enum):
@@ -69,100 +69,127 @@ _KIND_BY_WORD = {kind.word: kind for kind in ActionKind}
 # Each kind's position in ActionKind by the member's id: an int hashes in C,
 # while an enum member's hash runs Python code.
 _SLOT = {id(kind): slot for slot, kind in enumerate(ActionKind)}
+_NO_ACTIONS: Mapping[ActionKind, Expression] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class ConceptVariable:
+class ConceptVariable(Value):
+    __slots__ = ("name", "description")
     name: str
-    description: str = ""
+    description: str
 
-    def __post_init__(self):
-        if type(self.description) is not str:
-            raise _ill_typed("variable description", "a string", self.description)
-        object.__setattr__(self, "description", self.description.strip())
+    def __init__(self, name: str, description: str = ""):
+        if type(description) is not str:
+            raise _ill_typed("variable description", "a string", description)
+        self._store(name, description.strip())
 
 
-@dataclass(frozen=True)
-class UserStep:
+class UserStep(Value):
     """One task-level stage, e.g. "select a movie".
 
     actions maps each action kind to the count of actions per execution of
-    the step; kinds with a zero count are dropped, and the step holds the
-    rest as a read-only mapping in ActionKind order, so equal steps list
-    their kinds alike.  repeat scales the whole step (default 1).  A field
-    of the wrong type raises DomainError naming the field, the actions
-    checked in the order given.  A copy or a pickle is rebuilt from the
-    fields, so it keeps no vector derived from the original.
+    the step (default: none); kinds with a zero count are dropped, and the
+    step holds the rest as a read-only mapping of its own in ActionKind
+    order, so equal steps list their kinds alike.  repeat scales the whole
+    step (default 1).  A field of the wrong type raises DomainError naming
+    the field, the actions checked in the order given.  bigi.step_function
+    keeps the step's vector in the private slot _vector; a copy, a pickle
+    or a _replace is rebuilt from the fields, so it keeps no vector derived
+    from the original.
     """
 
+    __slots__ = ("label", "actions", "repeat", "note", "_vector")
     label: str
-    actions: Mapping[ActionKind, Expression] = field(default_factory=dict)
-    repeat: Expression = ONE
-    note: str | None = None
+    actions: Mapping[ActionKind, Expression]
+    repeat: Expression
+    note: str | None
 
-    def __post_init__(self):
-        if type(self.label) is not str:
-            raise _ill_typed("step label", "a string", self.label)
-        if not isinstance(self.actions, Mapping):
-            raise _ill_typed("step actions", "a mapping", self.actions)
-        cleaned = {}
-        # Kinds given in ActionKind order are kept as they come; only others
-        # are sorted.
+    def __init__(
+        self,
+        label: str,
+        actions: Mapping[ActionKind, Expression] = _NO_ACTIONS,
+        repeat: Expression = ONE,
+        note: str | None = None,
+    ):
+        if type(label) is not str:
+            raise _ill_typed("step label", "a string", label)
+        if not isinstance(actions, Mapping):
+            raise _ill_typed("step actions", "a mapping", actions)
+        # The nonzero pairs, sorted by slot only when not given in
+        # ActionKind order; each kind is hashed once, by the final dict.
+        kept = []
         last_slot, in_order = -1, True
-        for kind, expr in self.actions.items():
+        for kind, expr in actions.items():
             if type(kind) is not ActionKind:
                 raise _ill_typed("step actions key", "an ActionKind", kind)
             if not isinstance(expr, Expression):
                 raise _ill_typed(f"step actions value for {kind.word}", "an Expression", expr)
             if not expr.is_zero():
-                cleaned[kind] = expr
+                kept.append((kind, expr))
                 in_order = last_slot < (last_slot := _SLOT[id(kind)]) and in_order
         if not in_order:
-            cleaned = {kind: cleaned[kind] for kind in ActionKind if kind in cleaned}
-        object.__setattr__(self, "actions", MappingProxyType(cleaned))
-        if not isinstance(self.repeat, Expression):
-            raise _ill_typed("step repeat", "an Expression", self.repeat)
-        if self.note is not None:
-            if type(self.note) is not str:
-                raise _ill_typed("step note", "a string or None", self.note)
-            object.__setattr__(self, "note", self.note.strip() or None)
+            kept.sort(key=_slot_of_item)
+        if not isinstance(repeat, Expression):
+            raise _ill_typed("step repeat", "an Expression", repeat)
+        if note is not None:
+            if type(note) is not str:
+                raise _ill_typed("step note", "a string or None", note)
+            note = note.strip() or None
+        self._store(label, MappingProxyType(dict(kept)), repeat, note)
 
     def __reduce__(self):
         return UserStep, (self.label, dict(self.actions), self.repeat, self.note)
 
 
-@dataclass(frozen=True)
-class InteractionConcept:
+def _slot_of_item(item: tuple[ActionKind, Expression]) -> int:
+    return _SLOT[id(item[0])]
+
+
+class InteractionConcept(Value):
     """A named task: its variables and its steps, each held as a tuple.  A
-    field of the wrong type raises DomainError naming the field."""
+    field of the wrong type raises DomainError naming the field.
+    bigi.sum_steps keeps the summed vector in the private slot _summed."""
 
+    __slots__ = ("name", "variables", "steps", "_summed")
     name: str
-    variables: tuple[ConceptVariable, ...] = ()
-    steps: tuple[UserStep, ...] = ()
+    variables: tuple[ConceptVariable, ...]
+    steps: tuple[UserStep, ...]
 
-    def __post_init__(self):
-        if type(self.name) is not str:
-            raise _ill_typed("concept name", "a string", self.name)
-        for field_name, kind in (("variables", ConceptVariable), ("steps", UserStep)):
-            items = getattr(self, field_name)
-            if type(items) is not tuple:
-                if not isinstance(items, Sequence) or type(items) is str:
-                    raise _ill_typed(f"concept {field_name}", "a sequence", items)
-                object.__setattr__(self, field_name, items := tuple(items))
-            for item in items:
-                if not isinstance(item, kind):
-                    raise _ill_typed(f"concept {field_name[:-1]}", f"a {kind.__name__}", item)
+    def __init__(
+        self,
+        name: str,
+        variables: Sequence[ConceptVariable] = (),
+        steps: Sequence[UserStep] = (),
+    ):
+        if type(name) is not str:
+            raise _ill_typed("concept name", "a string", name)
+        variables = _items("variables", variables, ConceptVariable)
+        self._store(name, variables, _items("steps", steps, UserStep))
+
+
+def _items(field_name: str, items: Sequence, kind: type) -> tuple:
+    """A concept's variables or steps as a tuple, each item checked."""
+    if type(items) is not tuple:
+        if not isinstance(items, Sequence) or type(items) is str:
+            raise _ill_typed(f"concept {field_name}", "a sequence", items)
+        items = tuple(items)
+    for item in items:
+        if not isinstance(item, kind):
+            raise _ill_typed(f"concept {field_name[:-1]}", f"a {kind.__name__}", item)
+    return items
 
 
 def _ill_typed(what: str, wanted: str, value) -> DomainError:
     return DomainError(f"{what} must be {wanted}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Value):
+    __slots__ = ("severity", "message", "step")
     severity: str  # "error" or "warning"
     message: str
-    step: str | None = None
+    step: str | None
+
+    def __init__(self, severity: str, message: str, step: str | None = None):
+        self._store(severity, message, step)
 
 
 def validate(concept: InteractionConcept) -> list[Diagnostic]:

@@ -60,7 +60,6 @@ parenthesis, so it stays well inside the interpreter's recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -72,6 +71,7 @@ from .errors import (
     TermLimitError,
     UnboundVariableError,
 )
+from .value import Value
 
 Monomial = tuple[tuple[str, int], ...]
 Binding = Mapping[str, int]
@@ -158,19 +158,19 @@ def _grouped(expanded: tuple[str, ...]) -> Monomial:
     return tuple(mono)
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(Value):
     """Canonical integer polynomial over named variables, built from terms
     in any order, each merged coefficient range-checked; a coefficient or
     exponent that is not an int (a bool neither) raises DomainError.  The
     sort keys of the terms (_keys) are not a field: ==, hash and repr see
     terms alone."""
 
-    terms: tuple[tuple[Monomial, int], ...] = ()
+    __slots__ = ("terms", "_keys")
+    terms: tuple[tuple[Monomial, int], ...]
 
-    def __post_init__(self):
+    def __init__(self, terms: Iterable[tuple[Monomial, int]] = ()):
         merged: dict[Monomial, int] = {}
-        for mono, coeff in self.terms:
+        for mono, coeff in terms:
             if type(coeff) is not int:
                 raise DomainError(f"coefficient {coeff!r} must be an integer")
             mono = _canonical_mono(mono)

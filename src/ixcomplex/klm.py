@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .bigi import ActionVector, SlotVector, step_function, sum_steps
@@ -36,6 +35,7 @@ from .expr import (
     parse_operator_expr,
 )
 from .speed import json_number
+from .value import Value
 
 
 class KlmOperator(enum.Enum):
@@ -84,25 +84,35 @@ _PRIMITIVE_FIELDS: dict[KlmOperator, str] = {
 }
 
 
-@dataclass(frozen=True)
-class KlmModel:
+class KlmModel(Value):
     """Primitive operator unit times in seconds; composites are derived."""
 
-    keystroke: float = 0.23
-    point: float = 1.5
-    click: float = 0.23
-    saccade: float = 0.23
-    perceive: float = 0.1
-    retrieve: float = 1.2
-    mental_step: float = 0.07
+    __slots__ = ("keystroke", "point", "click", "saccade", "perceive", "retrieve", "mental_step")
+    keystroke: float
+    point: float
+    click: float
+    saccade: float
+    perceive: float
+    retrieve: float
+    mental_step: float
 
-    def __post_init__(self):
-        for name in _PRIMITIVE_FIELDS.values():
-            value = getattr(self, name)
+    def __init__(
+        self,
+        keystroke: float = 0.23,
+        point: float = 1.5,
+        click: float = 0.23,
+        saccade: float = 0.23,
+        perceive: float = 0.1,
+        retrieve: float = 1.2,
+        mental_step: float = 0.07,
+    ):
+        values = (keystroke, point, click, saccade, perceive, retrieve, mental_step)
+        for name, value in zip(self._fields, values):
             if not math.isfinite(value):
                 raise DomainError(f"unit time {name} must be finite, got {value}")
             if value <= 0:
                 raise DomainError(f"unit time {name} must be positive, got {value}")
+        self._store(*values)
 
     @property
     def point_click(self) -> float:

@@ -15,31 +15,38 @@ mean_is_per_s * mean_s = is_count exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DomainError
+from .value import Value
 
 
-@dataclass(frozen=True)
-class SpeedModel:
+class SpeedModel(Value):
+    __slots__ = ("name", "mean", "min", "max", "source")
     name: str
     mean: float
-    min: float | None = None
-    max: float | None = None
-    source: str = ""
+    min: float | None
+    max: float | None
+    source: str
 
-    def __post_init__(self):
-        for name in ("mean", "min", "max"):
-            value = getattr(self, name)
+    def __init__(
+        self,
+        name: str,
+        mean: float,
+        min: float | None = None,
+        max: float | None = None,
+        source: str = "",
+    ):
+        for what, value in (("mean", mean), ("min", min), ("max", max)):
             if value is not None and not math.isfinite(value):
-                raise DomainError(f"{name} speed must be finite, got {value}")
-        if self.mean <= 0:
-            raise DomainError(f"mean speed must be positive, got {self.mean}")
-        if self.min is not None and not 0 < self.min <= self.mean:
-            raise DomainError(f"min speed must satisfy 0 < min <= mean, got {self.min}")
-        if self.max is not None and self.max < self.mean:
-            raise DomainError(f"max speed must be >= mean, got {self.max}")
+                raise DomainError(f"{what} speed must be finite, got {value}")
+        if mean <= 0:
+            raise DomainError(f"mean speed must be positive, got {mean}")
+        if min is not None and not 0 < min <= mean:
+            raise DomainError(f"min speed must satisfy 0 < min <= mean, got {min}")
+        if max is not None and max < mean:
+            raise DomainError(f"max speed must be >= mean, got {max}")
+        self._store(name, mean, min, max, source)
 
 
 BUILTIN_SPEED_MODELS: dict[str, SpeedModel] = {
@@ -88,20 +95,20 @@ def get_speed_model(name: str) -> SpeedModel:
     return model
 
 
-@dataclass(frozen=True)
-class TimeEstimate:
+class TimeEstimate(Value):
     """Expected/fastest/slowest seconds; the range is None for mean-only
     models rather than a fabricated value.  Every time present is finite."""
 
+    __slots__ = ("expected", "fastest", "slowest")
     expected: float
     fastest: float | None
     slowest: float | None
 
-    def __post_init__(self):
-        for name in ("expected", "fastest", "slowest"):
-            value = getattr(self, name)
+    def __init__(self, expected: float, fastest: float | None, slowest: float | None):
+        for name, value in zip(self._fields, (expected, fastest, slowest)):
             if value is not None and not math.isfinite(value):
                 raise DomainError(f"{name} time must be finite, got {value}")
+        self._store(expected, fastest, slowest)
 
 
 def estimate_time(is_count: int, model: SpeedModel) -> TimeEstimate:

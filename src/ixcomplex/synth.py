@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Mapping
 
 from .concept import ActionKind, InteractionConcept, UserStep
@@ -37,22 +36,25 @@ from .errors import (
 )
 from .expr import format_expr
 from .logs import EventLog, PageVisit, Session, StepRecord, Task, gc_paused
+from .value import Value
 
 _MIN_SPEED = 0.01
 # The oracle's own copy of the signed 64-bit limit; counts are nonnegative.
 _COUNT_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class ActionCounts:
+class ActionCounts(Value):
     """Concrete action tally at one binding; zero kinds are dropped."""
 
+    __slots__ = ("per_kind", "total")
     per_kind: Mapping[ActionKind, int]
     total: int
 
-    def __post_init__(self):
-        if self.total != sum(self.per_kind.values()):
-            raise ValueError("total does not match the per-kind counts")
+    def __init__(self, per_kind: Mapping[ActionKind, int], total: int):
+        counted = sum(per_kind.values())
+        if total != counted:
+            raise DomainError(f"total {total} does not match the per-kind counts' sum {counted}")
+        self._store(per_kind, total)
 
 
 def count_actions(concept: InteractionConcept, binding: Mapping[str, int]) -> ActionCounts:
@@ -162,25 +164,34 @@ def _factor(tokens: list[object], binding: Mapping[str, int]) -> int:
 # --- synthetic logs --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(Value):
+    __slots__ = ("concept", "binding", "sessions", "speed_mean", "speed_sd", "seed")
     concept: InteractionConcept
     binding: Mapping[str, int]
     sessions: int
     speed_mean: float
-    speed_sd: float = 0.0
-    seed: int = 0
+    speed_sd: float
+    seed: int
 
-    def __post_init__(self):
-        if self.sessions < 1:
-            raise DomainError(f"sessions must be positive, got {self.sessions}")
-        for name in ("speed_mean", "speed_sd"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.speed_mean <= 0:
-            raise DomainError(f"speed_mean must be positive, got {self.speed_mean}")
-        if self.speed_sd < 0:
-            raise DomainError(f"speed_sd must be nonnegative, got {self.speed_sd}")
+    def __init__(
+        self,
+        concept: InteractionConcept,
+        binding: Mapping[str, int],
+        sessions: int,
+        speed_mean: float,
+        speed_sd: float = 0.0,
+        seed: int = 0,
+    ):
+        if sessions < 1:
+            raise DomainError(f"sessions must be positive, got {sessions}")
+        for name, value in (("speed_mean", speed_mean), ("speed_sd", speed_sd)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+        if speed_mean <= 0:
+            raise DomainError(f"speed_mean must be positive, got {speed_mean}")
+        if speed_sd < 0:
+            raise DomainError(f"speed_sd must be nonnegative, got {speed_sd}")
+        self._store(concept, binding, sessions, speed_mean, speed_sd, seed)
 
 
 def generate_log(config: SynthConfig) -> EventLog:

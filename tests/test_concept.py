@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -233,6 +234,19 @@ class TestModel:
             ActionKind.THINK, ActionKind.SCROLL, ActionKind.EXTERNAL,
         ]
 
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+    def test_any_order_gives_the_in_order_step(self, order):
+        given = [
+            (ActionKind.THINK, parse_expr("a")), (ActionKind.CLICK, ONE),
+            (ActionKind.SCROLL, parse_expr("0")), (ActionKind.EXTERNAL, parse_expr("2*b")),
+        ]
+        in_order = UserStep("s", dict(given))
+        shuffled = UserStep("s", dict(given[index] for index in order))
+        assert shuffled == in_order
+        assert list(shuffled.actions.items()) == list(in_order.actions.items()) == [
+            given[0], given[1], given[3],
+        ]
+
     def test_actions_type_checked_in_the_order_given(self):
         with pytest.raises(DomainError, match="for External"):
             UserStep("s", {ActionKind.EXTERNAL: "1", ActionKind.SCROLL: 1})
@@ -266,7 +280,7 @@ class TestModel:
         report = analyze(concept, binding)
         copied = duplicate(concept)
         assert copied == concept
-        assert all("_vector" not in vars(step) for step in copied.steps)
+        assert all(getattr(step, "_vector", None) is None for step in copied.steps)
         assert analyze(copied, binding) == report
 
     def test_sequences_are_held_as_tuples(self):

@@ -1,7 +1,9 @@
-"""numpy is loaded only by synthetic log generation.
+"""What a cold command loads: numpy only for synthetic log generation, and
+neither dataclasses nor inspect (with its ast, dis and tokenize) for any
+command, since the value classes are plain slotted classes.
 
 Each check runs the CLI in a fresh interpreter, because the test process
-itself has numpy loaded already.
+itself has these modules loaded already.
 """
 
 import json
@@ -26,17 +28,21 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 V1 = str(CONCEPTS_DIR / "v1.concept")
 V2 = str(CONCEPTS_DIR / "v2.concept")
 
-# Runs each argv (one JSON list per line of stdin) through cli.main in one
-# interpreter, then reports whether numpy was loaded.
+# Imports the CLI and runs each argv (one JSON list per line of stdin)
+# through cli.main in one interpreter, then reports, for each module named
+# on its command line, whether the import or the commands loaded it.
 CHILD = """
 import json, sys
+before = set(sys.modules)
 from ixcomplex.cli import main
 for line in sys.stdin:
     code = main(json.loads(line))
     if code:
         sys.exit(f"exit {code}: {line}")
-print("numpy loaded:", "numpy" in sys.modules)
+for name in sys.argv[1:]:
+    print(f"{name} loaded:", name in sys.modules and name not in before)
 """
+UNUSED = ("dataclasses", "inspect")
 
 
 def set_flags(binding):
@@ -51,11 +57,11 @@ def synth_argv(out):
     ]
 
 
-def run_child(*argvs):
+def run_child(*argvs, report=("numpy",)):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", CHILD],
+        [sys.executable, "-c", CHILD, *report],
         input="".join(json.dumps(argv) + "\n" for argv in argvs),
         env=env,
         capture_output=True,
@@ -76,11 +82,18 @@ def test_commands_other_than_synth_never_load_numpy(tmp_path, capsys):
         ["estimate", V2, *set_flags(V2_BINDING), "--speed", "overall", "--formula", V2_PUBLISHED_IS],
         ["oracle", V2, *set_flags(V2_BINDING)],
         ["logs", str(log), "--format", "csv"],
+        report=(*UNUSED, "numpy"),
     )
     assert "as-published: IS = 171" in out
     assert "126.52 sec\n1.35 IS/sec" in out
     assert "T:35 E:6 C:4 total:45" in out
-    assert out.endswith("numpy loaded: False\n")
+    assert out.endswith(
+        "dataclasses loaded: False\ninspect loaded: False\nnumpy loaded: False\n"
+    )
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    assert run_child(report=UNUSED) == "dataclasses loaded: False\ninspect loaded: False\n"
 
 
 def test_synth_loads_numpy_and_writes_the_in_process_bytes(tmp_path, capsys):

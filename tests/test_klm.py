@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -67,7 +66,7 @@ class TestModel:
         )
 
     def test_composites_follow_primitives(self):
-        model = dataclasses.replace(KlmModel(), point=2.0)
+        model = KlmModel()._replace(point=2.0)
         assert model.point_click == pytest.approx(2.23)
 
     def test_nonpositive_rejected(self):
@@ -353,8 +352,8 @@ class TestProperties:
     def test_monotonic_in_unit_times(self):
         expr = klm_parse(V1_PUBLISHED_KLM)
         base = klm_time(expr, KlmModel(), KLM_V1_BINDING)
-        bumped_glance = dataclasses.replace(KlmModel(), perceive=0.2)
-        bumped_point = dataclasses.replace(KlmModel(), point=1.6)
+        bumped_glance = KlmModel()._replace(perceive=0.2)
+        bumped_point = KlmModel()._replace(point=1.6)
         assert klm_time(expr, bumped_glance, KLM_V1_BINDING) > base
         assert klm_time(expr, bumped_point, KLM_V1_BINDING) > base
 

@@ -83,7 +83,9 @@ class TestCountActions:
         assert time.perf_counter() - started < 0.5
 
     def test_total_invariant_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            DomainError, match=r"^total 3 does not match the per-kind counts' sum 2$"
+        ):
             ActionCounts({ActionKind.THINK: 2}, 3)
 
 
