@@ -9,37 +9,29 @@ Everything is computed from the step definitions.  A separately published
 formula gets the same view through assess and is reported side by side,
 so "as-defined" and "as-published" values never get silently merged.
 
-Each step's vector (step_function) and each concept's summed vector
-(sum_steps) is derived once per object, on first use, and kept in a private
-slot of it (UserStep._vector, InteractionConcept._summed), outside its
-fields, so analyze, sum_steps, klm.klm_from_concept, klm.klm_step and
-logs.cross_check on one concept share them.  A kept vector cannot go stale:
-the step and the concept are frozen, UserStep.actions is read-only and a
-concept holds its steps as a tuple; _replace, copy and pickle build a new
-object that derives its own.  A derivation that raises keeps nothing, so
-every call raises again.
+A step holds its per-execution counts as an ActionVector already
+(UserStep.actions); step_function scales that vector by the step's repeat.
+Each step's scaled vector and each concept's summed vector (sum_steps) is
+derived once per object, on first use, and kept in a private slot of it
+(UserStep._vector, InteractionConcept._summed), outside its fields, so
+analyze, sum_steps, klm.klm_from_concept, klm.klm_step and logs.cross_check
+on one concept share them.  A kept vector cannot go stale: the step, its
+actions vector and the concept are frozen, and a concept holds its steps as
+a tuple; _replace, copy and pickle build a new object that derives its own.
+A derivation that raises keeps nothing, so every call raises again.
 
-The vectors and reports are value classes (value.Value): slotted, frozen,
-equal by class and fields.
+SlotVector and ActionVector are defined in concept, next to ActionKind,
+and imported from here as well.  The vectors and reports are value classes
+(value.Value): slotted, frozen, equal by class and fields.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Iterable
 
-from .concept import ActionKind, InteractionConcept, UserStep
-from .errors import DomainError
-from .expr import (
-    Binding,
-    Expression,
-    Sum,
-    ZERO,
-    evaluate,
-    format_expr,
-    total_degree,
-)
+from .concept import ActionVector, InteractionConcept, SlotVector, UserStep
+from .expr import Binding, Expression, evaluate, format_expr, total_degree
 from .value import Value
 
 _CLASS_NAMES = {0: "constant", 1: "linear", 2: "quadratic", 3: "cubic"}
@@ -47,63 +39,6 @@ _CLASS_NAMES = {0: "constant", 1: "linear", 2: "quadratic", 3: "cubic"}
 
 def class_label(degree: int) -> str:
     return _CLASS_NAMES.get(degree, f"degree-{degree}")
-
-
-class SlotVector(Value):
-    """Count polynomials in fixed slots, one per member of an enum in its
-    order, ZERO in empty ones: + adds slot by slot, and nonzero views the
-    nonzero slots.  A subclass names its enum in its class line and
-    declares empty __slots__.  V() is the zero vector; counts of any other
-    length raise DomainError."""
-
-    __slots__ = ("counts",)
-    counts: tuple[Expression, ...]
-
-    def __init_subclass__(cls, members: type[enum.Enum], **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls.members = tuple(members)
-        cls.slot = {member: slot for slot, member in enumerate(cls.members)}
-
-    def __init__(self, counts: tuple[Expression, ...] | None = None):
-        width = len(self.members)
-        if counts is None:
-            counts = (ZERO,) * width
-        elif len(counts) != width:
-            name = type(self).__name__
-            article = "an" if name[0] in "AEIOU" else "a"
-            raise DomainError(f"{article} {name} holds {width} counts, got {len(counts)}")
-        self._store(counts)
-
-    @property
-    def nonzero(self) -> dict[enum.Enum, Expression]:
-        return {member: count for member, count in zip(self.members, self.counts) if count.terms}
-
-    def get(self, member: enum.Enum) -> Expression:
-        return self.counts[self.slot[member]]
-
-    def __add__(self, other: SlotVector) -> SlotVector:
-        return type(self)(tuple(a + b for a, b in zip(self.counts, other.counts)))
-
-    @classmethod
-    def gather(cls, pairs: Iterable[tuple[int, Expression]]) -> SlotVector:
-        """The vector whose count in each slot (V.slot[member]) is the sum
-        of the counts paired with that slot; each partial sum is checked in
-        the order that adding the pairs one at a time with + would check it."""
-        sums = [Sum() for _ in cls.members]
-        for slot, count in pairs:
-            sums[slot].add(count)
-        return cls(tuple(total.value() for total in sums))
-
-
-class ActionVector(SlotVector, members=ActionKind):
-    """The count polynomial of each ActionKind (T, E, C, S, X); per_kind
-    views the nonzero ones."""
-
-    __slots__ = ()
-    per_kind = SlotVector.nonzero
-
-    def total(self) -> Expression:
-        return Sum(self.counts).value()
 
 
 class NormalizedComplexity(Value):
@@ -163,16 +98,15 @@ class ComplexityReport(Assessment):
 
 
 def step_function(step: UserStep) -> ActionVector:
-    """Per-kind count of one step: repeat times the per-execution count.
+    """Per-kind count of one step: its actions vector scaled by repeat.
     Derived on the first call and kept on the step object (not a field); a
     call that raises keeps nothing."""
     vector = getattr(step, "_vector", None)
     if vector is None:
-        slot = ActionVector.slot
-        counts = [ZERO] * len(slot)
-        for kind, expr in step.actions.items():
-            counts[slot[kind]] = step.repeat * expr
-        vector = ActionVector(tuple(counts))
+        repeat = step.repeat
+        vector = ActionVector(
+            tuple([repeat * count if count.terms else count for count in step.actions.counts])
+        )
         object.__setattr__(step, "_vector", vector)
     return vector
 

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import enum
 import re
-from collections.abc import Collection, Mapping, Sequence
-from types import MappingProxyType
+from collections.abc import Collection, Iterable, Mapping, Sequence
 
 from .errors import ConceptSyntaxError, DomainError, ExpressionSyntaxError, OverflowLimitError
-from .expr import ONE, Expression, format_expr, is_variable_name, parse_expr
+from .expr import ONE, ZERO, Expression, Sum, format_expr, is_variable_name, parse_expr
 from .value import Value
 
 
@@ -66,10 +65,66 @@ class ActionKind(enum.Enum):
 
 _KIND_BY_LETTER = {kind.value: kind for kind in ActionKind}
 _KIND_BY_WORD = {kind.word: kind for kind in ActionKind}
-# Each kind's position in ActionKind by the member's id: an int hashes in C,
-# while an enum member's hash runs Python code.
-_SLOT = {id(kind): slot for slot, kind in enumerate(ActionKind)}
-_NO_ACTIONS: Mapping[ActionKind, Expression] = MappingProxyType({})
+
+
+class SlotVector(Value):
+    """Count polynomials in fixed slots, one per member of an enum in its
+    order, ZERO in empty ones: + adds two vectors of the same class slot by
+    slot (any other operand raises TypeError), and nonzero views the
+    nonzero slots.  A subclass names its enum in its class line and
+    declares empty __slots__.  V() is the zero vector; counts of any other
+    length raise DomainError."""
+
+    __slots__ = ("counts",)
+    counts: tuple[Expression, ...]
+
+    def __init_subclass__(cls, members: type[enum.Enum], **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.members = tuple(members)
+        cls.slot = {member: slot for slot, member in enumerate(cls.members)}
+
+    def __init__(self, counts: tuple[Expression, ...] | None = None):
+        width = len(self.members)
+        if counts is None:
+            counts = (ZERO,) * width
+        elif len(counts) != width:
+            name = type(self).__name__
+            article = "an" if name[0] in "AEIOU" else "a"
+            raise DomainError(f"{article} {name} holds {width} counts, got {len(counts)}")
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def nonzero(self) -> dict[enum.Enum, Expression]:
+        return {member: count for member, count in zip(self.members, self.counts) if count.terms}
+
+    def get(self, member: enum.Enum) -> Expression:
+        return self.counts[self.slot[member]]
+
+    def __add__(self, other: SlotVector) -> SlotVector:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return type(self)(tuple(a + b for a, b in zip(self.counts, other.counts)))
+
+    @classmethod
+    def gather(cls, pairs: Iterable[tuple[int, Expression]]) -> SlotVector:
+        """The vector whose count in each slot (V.slot[member]) is the sum
+        of the counts paired with that slot; each partial sum is checked in
+        the order that adding the pairs one at a time with + would check it."""
+        sums = [Sum() for _ in cls.members]
+        for slot, count in pairs:
+            sums[slot].add(count)
+        return cls(tuple(total.value() for total in sums))
+
+
+class ActionVector(SlotVector, members=ActionKind):
+    """The count polynomial of each ActionKind (T, E, C, S, X); per_kind
+    views the nonzero ones."""
+
+    __slots__ = ()
+    per_kind = SlotVector.nonzero
+
+    def total(self) -> Expression:
+        return Sum(self.counts).value()
 
 
 class ConceptVariable(Value):
@@ -86,62 +141,54 @@ class ConceptVariable(Value):
 class UserStep(Value):
     """One task-level stage, e.g. "select a movie".
 
-    actions maps each action kind to the count of actions per execution of
-    the step (default: none); kinds with a zero count are dropped, and the
-    step holds the rest as a read-only mapping of its own in ActionKind
-    order, so equal steps list their kinds alike.  repeat scales the whole
+    actions holds the count of each action kind per execution of the step
+    as an ActionVector (ZERO where the step takes none; per_kind views the
+    rest in ActionKind order).  The constructor takes that vector or a
+    mapping from kinds to counts, which it checks in the order given;
+    either way equal steps hold equal vectors.  repeat scales the whole
     step (default 1).  A field of the wrong type raises DomainError naming
-    the field, the actions checked in the order given.  bigi.step_function
-    keeps the step's vector in the private slot _vector; a copy, a pickle
-    or a _replace is rebuilt from the fields, so it keeps no vector derived
-    from the original.
+    the field.  bigi.step_function keeps the step's scaled vector in the
+    private slot _vector; a copy, a pickle or a _replace is rebuilt from
+    the fields, so it keeps no vector derived from the original.
     """
 
     __slots__ = ("label", "actions", "repeat", "note", "_vector")
     label: str
-    actions: Mapping[ActionKind, Expression]
+    actions: ActionVector
     repeat: Expression
     note: str | None
 
     def __init__(
         self,
         label: str,
-        actions: Mapping[ActionKind, Expression] = _NO_ACTIONS,
+        actions: Mapping[ActionKind, Expression] | ActionVector = ActionVector(),
         repeat: Expression = ONE,
         note: str | None = None,
     ):
         if type(label) is not str:
             raise _ill_typed("step label", "a string", label)
-        if not isinstance(actions, Mapping):
+        if type(actions) is ActionVector:
+            given = zip(ActionVector.members, actions.counts)
+        elif isinstance(actions, Mapping):
+            given = actions.items()
+        else:
             raise _ill_typed("step actions", "a mapping", actions)
-        # The nonzero pairs, sorted by slot only when not given in
-        # ActionKind order; each kind is hashed once, by the final dict.
-        kept = []
-        last_slot, in_order = -1, True
-        for kind, expr in actions.items():
+        counts = [ZERO] * len(ActionVector.members)
+        slot_of = ActionVector.members.index
+        for kind, expr in given:
             if type(kind) is not ActionKind:
                 raise _ill_typed("step actions key", "an ActionKind", kind)
             if not isinstance(expr, Expression):
                 raise _ill_typed(f"step actions value for {kind.word}", "an Expression", expr)
-            if not expr.is_zero():
-                kept.append((kind, expr))
-                in_order = last_slot < (last_slot := _SLOT[id(kind)]) and in_order
-        if not in_order:
-            kept.sort(key=_slot_of_item)
+            if expr.terms:
+                counts[slot_of(kind)] = expr
         if not isinstance(repeat, Expression):
             raise _ill_typed("step repeat", "an Expression", repeat)
         if note is not None:
             if type(note) is not str:
                 raise _ill_typed("step note", "a string or None", note)
             note = note.strip() or None
-        self._store(label, MappingProxyType(dict(kept)), repeat, note)
-
-    def __reduce__(self):
-        return UserStep, (self.label, dict(self.actions), self.repeat, self.note)
-
-
-def _slot_of_item(item: tuple[ActionKind, Expression]) -> int:
-    return _SLOT[id(item[0])]
+        self._store(label, ActionVector(tuple(counts)), repeat, note)
 
 
 class InteractionConcept(Value):
@@ -215,7 +262,7 @@ def validate(concept: InteractionConcept) -> list[Diagnostic]:
         for message in _step_errors(step, seen_labels, seen_vars):
             diagnostics.append(Diagnostic("error", message, step.label))
         seen_labels.add(step.label)
-        if not step.actions:
+        if not step.actions.per_kind:
             diagnostics.append(
                 Diagnostic("warning", "step contributes no interaction", step.label)
             )
@@ -238,7 +285,7 @@ def _step_errors(step: UserStep, labels: Collection[str], declared: set[str]) ->
     errors = []
     if step.label in labels:
         errors.append(f"duplicate step label {step.label!r}")
-    used = step.repeat.variables().union(*(e.variables() for e in step.actions.values()))
+    used = step.repeat.variables().union(*(e.variables() for e in step.actions.counts if e.terms))
     errors.extend(f"undeclared variable {name!r}" for name in sorted(used - declared))
     return errors
 
@@ -432,7 +479,7 @@ def serialize_concept(concept: InteractionConcept) -> str:
         if step.repeat != ONE:
             parts.append(f"repeat {format_expr(step.repeat)}")
         body = "; ".join(
-            f"{kind.value}: {format_expr(expr)}" for kind, expr in step.actions.items()
+            f"{kind.value}: {format_expr(expr)}" for kind, expr in step.actions.per_kind.items()
         )
         parts.append("{ " + body + " }" if body else "{ }")
         line = " ".join(parts)

@@ -18,8 +18,8 @@ import math
 from collections.abc import Mapping, Sequence
 from types import MappingProxyType
 
-from .bigi import ActionVector, SlotVector, step_function, sum_steps
-from .concept import ActionKind, InteractionConcept, UserStep
+from .bigi import step_function, sum_steps
+from .concept import ActionKind, ActionVector, InteractionConcept, SlotVector, UserStep
 from .errors import (
     DomainError,
     KlmFormulaError,
@@ -206,8 +206,9 @@ def klm_from_concept(
 
 
 def _check_mapped(step: UserStep, mapping: ActionMapping) -> None:
-    for kind in step.actions:
-        if not mapping.get(kind):
+    # The slots themselves: per_kind would build a dict, hashing each kind.
+    for kind, count in zip(ActionVector.members, step.actions.counts):
+        if count.terms and not mapping.get(kind):
             raise UnmappedActionError(kind.word, step.label)
 
 

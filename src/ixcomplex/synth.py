@@ -77,7 +77,7 @@ def _step_counts(step: UserStep, binding: Mapping[str, int]) -> dict[ActionKind,
     repeat = _leaf_value(step.repeat, binding)
     return {
         kind: _in_range(repeat * _leaf_value(expr, binding), "step count")
-        for kind, expr in step.actions.items()
+        for kind, expr in step.actions.per_kind.items()
     }
 
 

@@ -182,7 +182,7 @@ class TestActionVector:
     @settings(max_examples=40)
     def test_step_sum_matches_a_dict_fold(self, concept):
         expected = folded(
-            *({kind: step.repeat * count for kind, count in step.actions.items()}
+            *({kind: step.repeat * count for kind, count in step.actions.per_kind.items()}
               for step in concept.steps)
         )
         assert list(sum_steps(concept).per_kind.items()) == list(expected.items())
@@ -245,6 +245,14 @@ class TestActionVector:
             [(slot[members[-1]], a), (slot[members[0]], a), (slot[members[2]], two),
              (slot[members[0]], b)]
         ) == total
+
+    def test_only_vectors_of_one_class_add(self):
+        for left, right in [
+            (ActionVector(), KlmExpression()), (KlmExpression(), ActionVector()),
+            (ActionVector(), 1),
+        ]:
+            with pytest.raises(TypeError, match="unsupported operand"):
+                left + right
 
     def test_repeat_zero_step_is_the_zero_vector(self):
         concept = parse_concept('concept "x"\nvar m\nstep "skip" repeat 0 { T: m; C: 2 }')

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from ixcomplex.concept import (
     ActionKind,
+    ActionVector,
     ConceptVariable,
+    Diagnostic,
     InteractionConcept,
     UserStep,
     parse_concept,
@@ -17,7 +19,7 @@ from ixcomplex.concept import (
 )
 from ixcomplex.bigi import analyze
 from ixcomplex.errors import ConceptSyntaxError, DomainError, IxComplexError
-from ixcomplex.expr import MAX_NESTING, ONE, format_expr, parse_expr
+from ixcomplex.expr import MAX_NESTING, ONE, ZERO, format_expr, parse_expr
 from ixcomplex.klm import DEFAULT_MAPPING, klm_from_concept
 from ixcomplex.synth import count_actions
 
@@ -40,7 +42,9 @@ def unchecked_text(concept):
         lines.append(f"var {variable.name}{comment}")
     for step in concept.steps:
         repeat = "" if step.repeat == ONE else f" repeat {format_expr(step.repeat)}"
-        actions = "; ".join(f"{kind.value}: {format_expr(e)}" for kind, e in step.actions.items())
+        actions = "; ".join(
+            f"{kind.value}: {format_expr(e)}" for kind, e in step.actions.per_kind.items()
+        )
         body = f"{{ {actions} }}" if actions else "{ }"
         note = f"  # {step.note}" if step.note else ""
         lines.append(f'step "{step.label}"{repeat} {body}{note}')
@@ -103,7 +107,7 @@ class TestParse:
         assert len(v1_concept.steps) == 9
         retry = v1_concept.steps[6]
         assert retry.repeat == parse_expr("a - 1")
-        assert retry.actions == {ActionKind.CLICK: parse_expr("3")}
+        assert retry.actions.per_kind == {ActionKind.CLICK: parse_expr("3")}
         assert retry.note == "taken only when the seat is unavailable"
         for step in v1_concept.steps[1:6]:
             assert step.repeat == parse_expr("a")
@@ -112,8 +116,8 @@ class TestParse:
         assert len(v2_concept.variables) == 6
         assert len(v2_concept.steps) == 4
         criteria = v2_concept.steps[1]
-        assert criteria.actions[ActionKind.THINK] == parse_expr("r + d + s + g")
-        assert criteria.actions[ActionKind.ENTER] == parse_expr("4")
+        assert criteria.actions.per_kind[ActionKind.THINK] == parse_expr("r + d + s + g")
+        assert criteria.actions.per_kind[ActionKind.ENTER] == parse_expr("4")
 
     def test_minimal_concept(self):
         concept = parse_concept('concept "empty"')
@@ -180,7 +184,7 @@ class TestParse:
 
     def test_zero_action_step_parses(self):
         concept = parse_concept('concept "x"\nstep "placeholder" { }')
-        assert concept.steps[0].actions == {}
+        assert concept.steps[0].actions.per_kind == {}
 
     @pytest.mark.parametrize(
         "line, column",
@@ -220,17 +224,20 @@ class TestModel:
     def test_step_actions_are_read_only(self):
         with pytest.raises(TypeError):
             STEP_M.actions[ActionKind.CLICK] = ONE
-        assert STEP_M.actions == {ActionKind.THINK: parse_expr("m")}
+        with pytest.raises(AttributeError):
+            STEP_M.actions.counts = (ONE,) * 5
+        STEP_M.actions.per_kind[ActionKind.CLICK] = ONE
+        assert STEP_M.actions.per_kind == {ActionKind.THINK: parse_expr("m")}
 
     def test_step_keeps_no_reference_to_the_mapping_it_was_given(self):
         actions = {ActionKind.THINK: parse_expr("m"), ActionKind.CLICK: parse_expr("0")}
         step = UserStep("s", actions)
         actions[ActionKind.ENTER] = ONE
-        assert step.actions == {ActionKind.THINK: parse_expr("m")}
+        assert step.actions.per_kind == {ActionKind.THINK: parse_expr("m")}
 
     def test_actions_are_held_in_kind_order(self):
         actions = {ActionKind.EXTERNAL: ONE, ActionKind.THINK: ONE, ActionKind.SCROLL: ONE}
-        assert list(UserStep("s", actions).actions) == [
+        assert list(UserStep("s", actions).actions.per_kind) == [
             ActionKind.THINK, ActionKind.SCROLL, ActionKind.EXTERNAL,
         ]
 
@@ -243,9 +250,34 @@ class TestModel:
         in_order = UserStep("s", dict(given))
         shuffled = UserStep("s", dict(given[index] for index in order))
         assert shuffled == in_order
-        assert list(shuffled.actions.items()) == list(in_order.actions.items()) == [
+        assert list(shuffled.actions.per_kind.items()) == list(
+            in_order.actions.per_kind.items()
+        ) == [
             given[0], given[1], given[3],
         ]
+
+    def test_an_action_vector_gives_the_step_of_the_equal_mapping(self):
+        a = parse_expr("a")
+        vector = ActionVector((a, ZERO, ONE, parse_expr("0"), ZERO))
+        step = UserStep("s", vector)
+        assert step == UserStep("s", {ActionKind.CLICK: ONE, ActionKind.THINK: a})
+        assert step.actions == vector and step.actions.counts[3] is ZERO
+        assert UserStep("s")._replace(actions=vector) == step
+
+    @pytest.mark.parametrize("counts, mapping", [
+        ((3, ZERO, ZERO, ZERO, ZERO), {ActionKind.THINK: 3}),
+        ((ONE, ZERO, "c", None, ZERO), {ActionKind.THINK: ONE, ActionKind.CLICK: "c"}),
+        ((ZERO, ZERO, ZERO, ZERO, ActionVector()), {ActionKind.EXTERNAL: ActionVector()}),
+    ], ids=["int", "first-of-two", "vector"])
+    def test_an_action_vector_is_type_checked_as_the_equal_mapping(self, counts, mapping):
+        with pytest.raises(DomainError) as expected:
+            UserStep("s", mapping)
+        for build in (lambda: UserStep("s", ActionVector(counts)),
+                      lambda: STEP_M._replace(actions=ActionVector(counts))):
+            with pytest.raises(DomainError) as given:
+                build()
+            assert str(given.value) == str(expected.value)
+        assert str(expected.value).startswith("step actions value for ")
 
     def test_actions_type_checked_in_the_order_given(self):
         with pytest.raises(DomainError, match="for External"):
@@ -376,6 +408,15 @@ class TestValidate:
         diagnostics = validate(concept)
         assert [d.severity for d in diagnostics] == ["warning"]
         assert "contributes no interaction" in diagnostics[0].message
+
+    @pytest.mark.parametrize("step", [
+        UserStep("s", {ActionKind.THINK: parse_expr("0")}),
+        UserStep("s", ActionVector((parse_expr("0"),) + (ZERO,) * 4)),
+        parse_concept('concept "x"\nstep "s" { T: 0 }').steps[0],
+    ], ids=["mapping", "vector", "parsed"])
+    def test_step_of_zero_counts_warns(self, step):
+        diagnostics = validate(InteractionConcept("x", (), (step,)))
+        assert diagnostics == [Diagnostic("warning", "step contributes no interaction", "s")]
 
     def test_duplicate_label_diagnosed(self):
         concept = InteractionConcept(
