@@ -72,8 +72,9 @@ class SlotVector(Value):
     order, ZERO in empty ones: + adds two vectors of the same class slot by
     slot (any other operand raises TypeError), and nonzero views the
     nonzero slots.  A subclass names its enum in its class line and
-    declares empty __slots__.  V() is the zero vector; counts of any other
-    length raise DomainError."""
+    declares empty __slots__.  V() is the zero vector; V(counts) holds the
+    counts as a tuple, and raises DomainError for counts that are not an
+    iterable of one Expression per member."""
 
     __slots__ = ("counts",)
     counts: tuple[Expression, ...]
@@ -83,14 +84,25 @@ class SlotVector(Value):
         cls.members = tuple(members)
         cls.slot = {member: slot for slot, member in enumerate(cls.members)}
 
-    def __init__(self, counts: tuple[Expression, ...] | None = None):
+    def __init__(self, counts: Iterable[Expression] | None = None):
         width = len(self.members)
         if counts is None:
             counts = (ZERO,) * width
-        elif len(counts) != width:
+        else:
             name = type(self).__name__
-            article = "an" if name[0] in "AEIOU" else "a"
-            raise DomainError(f"{article} {name} holds {width} counts, got {len(counts)}")
+            try:
+                counts = tuple(counts)
+            except TypeError:
+                raise _ill_typed(f"{name} counts", "an iterable", counts) from None
+            if len(counts) != width:
+                article = "an" if name[0] in "AEIOU" else "a"
+                raise DomainError(f"{article} {name} holds {width} counts, got {len(counts)}")
+            # One plain pass: the slot of a bad count is looked up only to
+            # name its member.
+            for count in counts:
+                if not isinstance(count, Expression):
+                    member = self.members[next(i for i, c in enumerate(counts) if c is count)]
+                    raise _ill_typed(f"{name} count for {member}", "an Expression", count)
         object.__setattr__(self, "counts", counts)
 
     @property

@@ -29,16 +29,16 @@ first faulty record in document order: a record's own fields, then its
 intervals, then its children (see load_log).  Page visits run forwards and
 in chronological order within their task, and each step runs forwards
 inside its visit.  Both report a fault through one function, _fault, so
-they give the same message at the same path.  dump_log is validate_log
-followed by a writer that checks nothing more but the surrogate pairs.
-Tasks that share one binding object, as generate_log's do and as
-consecutive equal bindings of a loaded log do, have it checked and encoded
-once per call.
+they give the same message at the same path.  dump_log is validate_log,
+then json.dumps of the records, then a search for surrogate pairs that
+runs only when the text holds a surrogate's escape.  Tasks that share one
+binding object, as generate_log's do and as consecutive equal bindings of a
+loaded log do, have it checked once per call.
 
 load_log and synth.generate_log pause the cyclic garbage collector while
 they build.  The CLI's synth and logs commands each hold one pause around
 the whole command, so the log they build is garbage before it ends; dump_log
-allocates only strings and needs no pause (see gc_paused).
+keeps only strings and needs no pause (see gc_paused).
 
 Outlier removal uses the interquartile range method: per group, durations
 outside [Q1 - 1.5*IQR, Q3 + 1.5*IQR] are dropped before speeds are
@@ -133,7 +133,7 @@ def gc_paused() -> Iterator[None]:
     tables and rendering.  The log is then garbage before that pause ends,
     so the collection below does not run on it, and the inner pauses, which
     find the collector already off, run none either.  dump_log takes none:
-    it allocates only strings, which the collector does not track.
+    what it keeps is strings, which the collector does not track.
 
     What the build leaves alive sits in the youngest generation, where the
     next few collections would traverse it again, in whatever code runs
@@ -177,81 +177,43 @@ def dump_log(log: EventLog) -> str:
     The text is json.dumps({"format": 2, "sessions": log.sessions},
     sort_keys=True, separators=(",", ":")) plus a newline: each record is
     the array its named tuple encodes as, and each binding an object with
-    sorted keys.  It is written straight from the records, encoding each
-    distinct string once.  The log is first checked by validate_log, so
-    dump_log raises the LogFormatError that load_log would raise on that
-    text.  It also refuses an id, concept name, binding name, page or label
-    that holds a high surrogate directly followed by a low one, since JSON
-    reads that pair back as one character.
+    sorted keys.  The log is first checked by validate_log, so dump_log
+    raises the LogFormatError that load_log would raise on that text.  It
+    also refuses an id, concept name, binding name, page or label that holds
+    a high surrogate directly followed by a low one, since JSON reads that
+    pair back as one character.
     """
     validate_log(log)
-    try:
-        return _json_text(log)
-    except _SurrogatePair as pair:
-        where, field = next(
-            (where, field) for where, field, text in _strings(log) if text == pair.args[0]
-        )
-        raise LogFormatError(
-            f"{field} holds a high surrogate followed by a low one, "
-            "which would load back as one character",
-            where,
-        ) from None
+    text = json.dumps(
+        {"format": _FORMAT, "sessions": log.sessions},
+        sort_keys=True,
+        separators=(",", ":"),
+        # validate_log has refused every value that is not a record, a list
+        # of records, a str or an int, and a binding that holds anything but
+        # str names and int values, so the log holds no cycle.
+        check_circular=False,
+        # Reached only by a binding that is a Mapping but not a dict; its
+        # names and values are already checked.
+        default=dict,
+    ) + "\n"
+    # ensure_ascii writes every surrogate, paired or not, as an escape
+    # \ud800 to \udfff, so a text without "\ud" holds no pair.
+    if "\\ud" in text:
+        for where, field, string in _strings(log):
+            if _SURROGATE_PAIR.search(string):
+                raise LogFormatError(
+                    f"{field} holds a high surrogate followed by a low one, "
+                    "which would load back as one character",
+                    where,
+                )
+    return text
 
 
 # The version of the file layout that dump_log writes and load_log reads; a
 # file without the "format" key is of format 1.
 _FORMAT = 2
 
-
-def _json_text(log: EventLog) -> str:
-    """The text of a log that validate_log accepts."""
-    quoted = _Quoted()
-    out = [f'{{"format":{_FORMAT},"sessions":[']
-    append = out.append
-    # The last binding written and its text, reused by tasks that share
-    # the binding object; no task holds the empty dict it starts as.
-    last: Mapping = {}
-    binding = ""
-    for i, (session_id, tasks) in enumerate(log.sessions):
-        append(f'{"," if i else ""}[{quoted[session_id]},[')
-        for j, (task_id, concept_name, task_binding, is_count, visits) in enumerate(tasks):
-            if task_binding is not last:
-                last = task_binding
-                binding = ",".join(
-                    [f"{quoted[name]}:{value}" for name, value in sorted(last.items())]
-                )
-            append(
-                f'{"," if j else ""}[{quoted[task_id]},{quoted[concept_name]},{{{binding}}},'
-                f"{is_count},["
-            )
-            for k, (page, enter, exit_, steps) in enumerate(visits):
-                rows = ",".join(
-                    [f"[{quoted[label]},{start},{end},{count}]"
-                     for label, start, end, count in steps]
-                )
-                append(f'{"," if k else ""}[{quoted[page]},{enter},{exit_},[{rows}]]')
-            append("]]")
-        append("]]")
-    append("]}\n")
-    return "".join(out)
-
-
-class _Quoted(dict):
-    """JSON string literals by string, each encoded and checked on first
-    use."""
-
-    def __missing__(self, text: str) -> str:
-        if not text.isascii() and _SURROGATE_PAIR.search(text):
-            raise _SurrogatePair(text)
-        literal = self[text] = json.dumps(text)
-        return literal
-
-
 _SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
-
-
-class _SurrogatePair(Exception):
-    """Raised by _Quoted with the string that holds the pair."""
 
 
 def _strings(log: EventLog) -> Iterator[tuple[str, str, str]]:

@@ -203,6 +203,26 @@ class TestActionVector:
         with pytest.raises(DomainError, match=f"^an ActionVector holds 5 counts, got {width}$"):
             ActionVector((parse_expr("a"),) * width)
 
+    def test_counts_given_as_a_list_are_held_as_a_tuple(self):
+        vector = ActionVector([ZERO] * 5)
+        assert vector.counts == (ZERO,) * 5
+        assert type(vector.counts) is tuple
+        assert vector == ActionVector()
+        assert hash(vector) == hash(ActionVector())
+        assert repr(vector) == repr(ActionVector())
+
+    @pytest.mark.parametrize("counts, message", [
+        ((3, ZERO, ZERO, ZERO, ZERO),
+         "ActionVector count for ActionKind.THINK must be an Expression, got 3"),
+        ([ZERO, ZERO, ZERO, ZERO, "x"],
+         "ActionVector count for ActionKind.EXTERNAL must be an Expression, got 'x'"),
+        (5, "ActionVector counts must be an iterable, got 5"),
+    ])
+    def test_a_count_that_is_no_expression_is_refused(self, counts, message):
+        with pytest.raises(DomainError) as exc:
+            ActionVector(counts)
+        assert str(exc.value) == message
+
     def test_per_kind_keeps_kind_order_and_drops_zeros(self):
         a, two, b = parse_expr("a"), parse_expr("2"), parse_expr("b")
         vector = ActionVector((a, ZERO, two, ZERO, b))

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import gc
+import hashlib
 import io
 import json
 import math
@@ -393,6 +394,21 @@ class TestSynthAndLogs:
         assert code == 0
         golden = (DATA_DIR / "golden_logs_output.txt").read_text()
         assert out == golden
+
+    def test_golden_log_file(self, capsys):
+        # The bytes of the log behind the golden table, pinned by size and
+        # digest rather than by comparison with any JSON encoder.
+        code, out, _ = run(
+            capsys, "synth", V2, *V2_SET,
+            "--sessions", "12", "--speed-mean", "1.05", "--speed-sd", "0.25",
+            "--seed", "2026", "--out", "-",
+        )
+        assert code == 0
+        data = out.encode("utf-8")
+        assert len(data) == 4278
+        assert hashlib.sha256(data).hexdigest() == (
+            "eb27412ccea9dbafb6300156e923d81cd79d9b07dcb055799f2bc36168651a75"
+        )
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_lone_surrogate_in_a_group_name(self, tmp_path, fmt):

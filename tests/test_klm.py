@@ -236,6 +236,13 @@ class TestKlmExpression:
         with pytest.raises(DomainError, match=f"^a KlmExpression holds 9 counts, got {width}$"):
             KlmExpression((parse_expr("a"),) * width)
 
+    def test_a_count_that_is_no_expression_is_refused(self):
+        with pytest.raises(DomainError) as exc:
+            KlmExpression(("a",) + (ZERO,) * 8)
+        assert str(exc.value) == (
+            "KlmExpression count for KlmOperator.KEYSTROKE must be an Expression, got 'a'"
+        )
+
     def test_operator_listed_twice_counts_twice(self):
         concept = parse_concept('concept "x"\nvar m\nstep "s" repeat m { T: 2; C: 1 }')
         mapping = mapping_from_dict({"Think": ["M", "M"], "Click": ["M", "C_click"]})

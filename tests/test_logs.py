@@ -2,11 +2,13 @@ import gc
 import json
 import math
 from collections.abc import Mapping
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ixcomplex import logs
 from ixcomplex.errors import DomainError, LogFormatError
 from ixcomplex.logs import (
     AnalyticsWarning,
@@ -647,6 +649,42 @@ class TestDump:
     def test_lone_and_reversed_surrogates_round_trip(self, text):
         log = two_sessions("session", "session_id", text)
         assert load_log(dump_log(log)) == log
+
+    def test_a_binding_of_any_mapping_type_is_written_as_the_equal_dict(self):
+        binding = {"m": 3, "a": 7}
+        as_proxy = two_sessions("task", "binding", MappingProxyType(binding))
+        assert dump_log(as_proxy) == dump_log(two_sessions("task", "binding", binding))
+
+    def test_a_list_that_holds_itself_is_refused_as_a_record(self):
+        steps = []
+        steps.append(steps)
+        visit = PageVisit("p0", 0, 7000, steps)
+        log = EventLog((Session("s0", (Task("t0", "demo", {}, 7, (visit,)),)),))
+        assert outcome(dump_log, log) == f"{R}: step record {NO_STEP}"
+
+    def test_a_binding_that_holds_itself_is_refused_by_its_value(self):
+        binding = {"m": 1}
+        binding["n"] = binding
+        log = two_sessions("task", "binding", binding)
+        assert outcome(dump_log, log) == (
+            f"{W_T}: binding value for 'n' must be a nonnegative integer"
+        )
+
+    @pytest.mark.parametrize("text, searched", [
+        ("plain", False), ("\u00e9t\u00e9", False), ("\U0001f600", True),
+        # A backslash before "ud" is written as \\ud..., which holds "\ud"
+        # but no surrogate.
+        ("\\ud800", True), ("a\\udfff\\ud800", True), ("\\ud", True),
+    ])
+    def test_only_a_text_with_a_surrogate_escape_is_searched_for_pairs(
+        self, monkeypatch, text, searched
+    ):
+        walks = []
+        walk = logs._strings
+        monkeypatch.setattr(logs, "_strings", lambda log: walks.append(log) or walk(log))
+        log = two_sessions("step", "step_label", text)
+        assert load_log(dump_log(log)) == log
+        assert bool(walks) is searched
 
 
 class TestLoaderAgreement:
