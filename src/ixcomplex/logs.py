@@ -20,7 +20,12 @@ sorted: one line, no spaces, a trailing newline, so identical logs (and so
 one synth seed) give identical bytes.  load_log takes any whitespace between
 tokens, and refuses a file of another format with a LogFormatError naming
 it: format 1, which earlier versions wrote, held records as objects keyed by
-field name and no "format" key.
+field name and no "format" key.  A text in dump_log's layout is decoded one
+session at a time, with json's own scanner, and any other text whole, with
+json.loads; both feed one record builder, and only the whole-text path
+reports a fault, so the outcome does not depend on the layout.  A loaded
+log holds one str object per distinct task id, concept name, page and step
+label, as a generated one does.
 
 The writer refuses exactly what the reader would refuse in its output, and
 a surrogate pair, which the reader would take for one character.  load_log
@@ -56,7 +61,7 @@ import json
 import math
 import re
 import warnings
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from typing import NamedTuple
 
@@ -125,7 +130,8 @@ def gc_paused() -> Iterator[None]:
     Building a large log allocates millions of objects that all stay alive,
     which triggers repeated full collections that traverse every one of
     them and find nothing: log trees and their JSON forms hold no reference
-    cycles, so reference counting frees them without the collector.  The
+    cycles, so reference counting frees them without the collector.  So is
+    each session load_log decodes, as soon as its records are built.  The
     pause is process-wide; the collector's previous state is restored on
     exit, also when the build raises.  load_log and synth.generate_log
     pause it.  The CLI holds one pause around a whole command that builds a
@@ -163,11 +169,28 @@ def load_log(data: bytes | str) -> EventLog:
     binding is checked, then each scalar field in declaration order, then
     the type of its child list, then the interval rules of a page visit or
     a step.
+
+    A text in dump_log's layout is decoded one session at a time, each
+    built into its records before the next is decoded, so the decoded tree
+    of the whole file never exists.  Any other layout, and any fault found
+    on the way, takes the reference path instead: json.loads of the whole
+    text, then the same record builder.  That path alone reports faults, so
+    a file's message, and which of its faults comes first, does not depend
+    on its layout: a syntax error anywhere wins over a faulty record.
     """
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise LogFormatError(f"not valid JSON: {exc}") from None
     with gc_paused():
-        # The decoded tree is gone once _log_from returns, before the
+        # The decoded sessions are gone once _log_from returns, before the
         # collector resumes.
-        return _log_from(_decoded(data)["sessions"])
+        if text.startswith(_HEAD):
+            try:
+                return _log_from(_streamed(text))
+            except LogFormatError:
+                pass
+        return _log_from(_popped(_decoded(text)))
 
 
 def dump_log(log: EventLog) -> str:
@@ -241,9 +264,11 @@ def _where(*indices: int) -> str:
     return ".".join([f"{level}[{index}]" for level, index in zip(_LEVELS, indices)])
 
 
-def _decoded(data: bytes | str) -> dict:
+def _decoded(text: str) -> list:
+    """The sessions list of a log file's text, decoded whole by json.loads,
+    after the checks of the top level and of the format."""
     try:
-        parsed = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        parsed = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise LogFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(parsed, dict) or "sessions" not in parsed:
@@ -254,30 +279,71 @@ def _decoded(data: bytes | str) -> dict:
             f"log format {held if type(held) is int else 'unknown'} is not read by this "
             f"version, which reads format {_FORMAT}"
         )
-    return parsed
+    if type(sessions := parsed["sessions"]) is not list:
+        raise LogFormatError("'sessions' must be a list")
+    return sessions
 
 
-def _log_from(raw_sessions) -> EventLog:
+def _popped(raw_sessions: list) -> Iterator:
+    """The items of raw_sessions in order, each popped from it as it is
+    taken, so the list holds no session that its taker has dropped."""
+    raw_sessions.reverse()
+    while raw_sessions:
+        yield raw_sessions.pop()
+
+
+# What dump_log's text starts with, up to its first session.
+_HEAD = f'{{"format":{_FORMAT},"sessions":['
+# json.loads's own scanner: scan_once(text, index) decodes the value that
+# starts at index and returns it with the index after it.
+_SCAN = json.decoder.JSONDecoder().scan_once
+
+
+def _streamed(text: str) -> Iterator:
+    """The sessions of a text that starts with _HEAD, each decoded only
+    when the one before it has been taken.  A text that leaves dump_log's
+    layout, in JSON or not, raises LogFormatError where it leaves it; the
+    caller then decodes it whole, which finds and reports its fault."""
+    index = len(_HEAD)
+    if text[index : index + 1] != "]":
+        while True:
+            try:
+                session, index = _SCAN(text, index)
+            # StopIteration: no value starts at index.  Caught here, since
+            # raised in a generator it would become a RuntimeError.
+            except (StopIteration, ValueError, RecursionError):
+                raise LogFormatError("not in dump_log's layout") from None
+            yield session
+            if text[index : index + 1] != ",":
+                break
+            index += 1
+    # After the sessions array, only "}" and JSON's whitespace, which is
+    # not str.strip's: that also takes a form feed or a no-break space.
+    if text[index : index + 1] != "]" or text[index + 1 :].strip(" \t\n\r") != "}":
+        raise LogFormatError("not in dump_log's layout")
+
+
+def _log_from(raw_sessions: Iterable) -> EventLog:
     """The log, each record checked by one conjunction.  A record that
     fails it is refused at once, with the message of _fault; the index of a
     record is the number of its siblings built before it.  A row that passes
     becomes its record as it is: its fields are not read again.
 
-    raw_sessions is emptied: each decoded session is popped from it and
-    freed once its records are built, so the decoded tree and the records
-    are never both alive whole.  A task whose binding equals the previous
+    raw_sessions yields the decoded sessions in order, and each is dropped
+    once its records are built, so the decoded tree and the records are
+    never both alive whole.  A task whose binding equals the previous
     task's gets that binding object, so consecutive equal bindings are one
-    object, as generate_log's are."""
-    if type(raw_sessions) is not list:
-        raise LogFormatError("'sessions' must be a list")
+    object, as generate_log's are.  Equal task ids, concept names, pages
+    and step labels are one str object each, as a generated log's are."""
     record = tuple.__new__
     sessions = []
     # Compared only once checked: str names and int values, never a bool,
     # so an equal binding is the same binding.
     shared = None
-    raw_sessions.reverse()
-    while raw_sessions:
-        raw_session = raw_sessions.pop()
+    # The first str object of each text, in any of the four shared fields.
+    strings: dict[str, str] = {}
+    first = strings.setdefault
+    for raw_session in raw_sessions:
         if not (type(raw_session) is list and len(raw_session) == 2
                 and type(session_id := raw_session[0]) is str
                 and type(raw_tasks := raw_session[1]) is list):
@@ -288,10 +354,13 @@ def _log_from(raw_sessions) -> EventLog:
                     and type(binding := raw_task[2]) is dict
                     and all(type(value) is int and 0 <= value <= INT64_MAX
                             for value in binding.values())
-                    and type(raw_task[0]) is str and type(raw_task[1]) is str
+                    and type(task_id := raw_task[0]) is str
+                    and type(concept_name := raw_task[1]) is str
                     and type(is_count := raw_task[3]) is int and 0 <= is_count <= INT64_MAX
                     and type(raw_visits := raw_task[4]) is list):
                 raise _fault(Task, _row(Task, raw_task), _where(len(sessions), len(tasks)))
+            raw_task[0] = first(task_id, task_id)
+            raw_task[1] = first(concept_name, concept_name)
             if binding == shared:
                 raw_task[2] = shared
             else:
@@ -300,7 +369,7 @@ def _log_from(raw_sessions) -> EventLog:
             previous_exit = 0
             for raw_visit in raw_visits:
                 if not (type(raw_visit) is list and len(raw_visit) == 4
-                        and type(raw_visit[0]) is str
+                        and type(page := raw_visit[0]) is str
                         and type(enter := raw_visit[1]) is int
                         and type(exit_ := raw_visit[2]) is int
                         and previous_exit <= enter <= exit_ <= INT64_MAX
@@ -309,10 +378,11 @@ def _log_from(raw_sessions) -> EventLog:
                         PageVisit, _row(PageVisit, raw_visit),
                         _where(len(sessions), len(tasks), len(visits)), previous_exit,
                     )
+                raw_visit[0] = first(page, page)
                 steps = []
                 for raw_step in raw_steps:
                     if not (type(raw_step) is list and len(raw_step) == 4
-                            and type(raw_step[0]) is str
+                            and type(label := raw_step[0]) is str
                             and type(start := raw_step[1]) is int
                             and type(end := raw_step[2]) is int
                             and type(count := raw_step[3]) is int
@@ -322,6 +392,7 @@ def _log_from(raw_sessions) -> EventLog:
                             _where(len(sessions), len(tasks), len(visits), len(steps)),
                             enter, exit_,
                         )
+                    raw_step[0] = first(label, label)
                     steps.append(record(StepRecord, raw_step))
                 raw_visit[3] = tuple(steps)
                 visits.append(record(PageVisit, raw_visit))

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -599,6 +600,153 @@ class TestLoad:
     def test_interval_edges_accepted(self, path, value):
         log = load_log(json.dumps(with_fault(path, value)))
         assert load_log(dump_log(log)) == log
+
+
+def compact(data):
+    """data in dump_log's layout: no spaces, keys in the order given."""
+    return json.dumps(data, separators=(",", ":"))
+
+
+def whole_text_outcome(text):
+    """What load_log gives by decoding all of text with json.loads, then
+    building the records: the log, or the message of its fault."""
+    try:
+        return logs._log_from(logs._decoded(text))
+    except LogFormatError as exc:
+        return str(exc)
+
+
+def decoded_whole(monkeypatch):
+    """A list that gets one entry each time load_log decodes a text whole."""
+    calls = []
+    decoded = logs._decoded
+    monkeypatch.setattr(logs, "_decoded", lambda text: calls.append(text) or decoded(text))
+    return calls
+
+
+SESSION_0 = compact(MINIMAL["sessions"][0])
+SESSION_1 = compact(["s1", []])
+# Texts of another layout than dump_log's, or that leave it part way, each
+# of which load_log decodes whole; compact(MINIMAL) is in dump_log's layout.
+OTHER_LAYOUTS = {
+    "indented": json.dumps(MINIMAL, indent=1),
+    "sessions first": compact({"sessions": MINIMAL["sessions"], "format": 2}),
+    "extra key after": compact(dict(MINIMAL, extra=[1])),
+    "extra key before": compact({"format": 2, "extra": 1, "sessions": MINIMAL["sessions"]}),
+    "duplicate sessions": f'{{"format":2,"sessions":[{SESSION_0}],"sessions":[{SESSION_1}]}}',
+    "faulty then duplicate": f'{{"format":2,"sessions":[5],"sessions":[{SESSION_1}]}}',
+    "format 20": compact(dict(MINIMAL, format=20)),
+    "format 2.0": compact(dict(MINIMAL, format=2.0)),
+    "space after a comma": f'{{"format":2,"sessions":[{SESSION_0}, {SESSION_1}]}}',
+    "trailing comma": f'{{"format":2,"sessions":[{SESSION_0},]}}',
+    "no sessions after the head": '{"format":2,"sessions":[',
+    "unclosed sessions": f'{{"format":2,"sessions":[{SESSION_0}',
+    "byte order mark": "\ufeff" + compact(MINIMAL),
+    "text after the object": compact(MINIMAL) + "x",
+    "second object": compact(MINIMAL) + compact(MINIMAL),
+    "form feed after the object": compact(MINIMAL) + "\f",
+    "no-break space after the object": compact(MINIMAL) + "\u00a0",
+    "faulty record, then a syntax error":
+        f'{{"format":2,"sessions":[{compact(with_fault(STEP, [])["sessions"][0])},[}}',
+    "deep nesting": '{"format":2,"sessions":[' + "[" * 100_000,
+    "long integer": '{"format":2,"sessions":[["s0",[["t0","c",{},' + "1" * 5000,
+}
+
+
+class TestStreamedLoad:
+    """A text in dump_log's layout is decoded one session at a time; any
+    other layout, and any fault, gives what decoding the whole text gives."""
+
+    CASES = SINGLE_FAULTS + NOT_ROWS + MULTI_FAULTS + OUT_OF_RANGE
+
+    @pytest.mark.parametrize("path, value, message", CASES)
+    def test_fault_in_dump_log_layout(self, path, value, message):
+        text = compact(with_fault(path, value))
+        assert outcome(load_log, text) == whole_text_outcome(text) == message
+
+    @pytest.mark.parametrize("top, message", OTHER_FORMATS)
+    def test_other_format_in_dump_log_layout(self, top, message):
+        text = compact(top)
+        assert outcome(load_log, text) == whole_text_outcome(text) == message
+
+    @pytest.mark.parametrize("path, value", ACCEPTED_EDGES)
+    def test_valid_log_is_not_decoded_whole(self, monkeypatch, path, value):
+        expected = load_log(json.dumps(with_fault(path, value)))
+        calls = decoded_whole(monkeypatch)
+        assert load_log(compact(with_fault(path, value))) == expected
+        assert calls == []
+
+    @pytest.mark.parametrize("name", list(OTHER_LAYOUTS))
+    def test_other_layout_decoded_whole(self, monkeypatch, name):
+        text = OTHER_LAYOUTS[name]
+        calls = decoded_whole(monkeypatch)
+        loaded = outcome(load_log, text) or load_log(text)
+        assert calls[0] == text
+        assert loaded == whole_text_outcome(text)
+
+    def test_duplicate_sessions_key_last_wins(self):
+        loaded = load_log(OTHER_LAYOUTS["duplicate sessions"])
+        assert loaded == EventLog((Session("s1", ()),))
+
+    @pytest.mark.parametrize("before, after", [("", "\n"), ("\n", ""), (" \t\r\n", " \t\r\n")])
+    def test_json_whitespace_around_the_closing_brace(self, monkeypatch, before, after):
+        text = f'{{"format":2,"sessions":[{SESSION_0},{SESSION_1}]{before}}}{after}'
+        expected = whole_text_outcome(text)
+        calls = decoded_whole(monkeypatch)
+        assert load_log(text) == expected
+        assert calls == []
+
+    def test_empty_sessions(self, monkeypatch):
+        calls = decoded_whole(monkeypatch)
+        assert load_log('{"format":2,"sessions":[]}\n') == EventLog(())
+        assert calls == []
+
+    def test_generated_log_is_not_decoded_whole(self, monkeypatch, v2_concept):
+        log = generate_log(SynthConfig(v2_concept, V2_BINDING, 20, 1.05, 0.2))
+        calls = decoded_whole(monkeypatch)
+        assert load_log(dump_log(log).encode()) == log
+        assert calls == []
+
+    def test_fault_in_a_later_session(self, v2_concept):
+        log = generate_log(SynthConfig(v2_concept, V2_BINDING, 5, 1.05, 0.2))
+        data = json.loads(dump_log(log))
+        # The end_ms of the first step of session 3's second page visit.
+        data["sessions"][3][1][0][4][1][3][0][2] = 10**9
+        text = compact(data)
+        message = whole_text_outcome(text)
+        assert message == (
+            "sessions[3].tasks[0].page_visits[1].steps[0]: step interval leaves its page visit"
+        )
+        assert outcome(load_log, text) == message
+
+    def test_peak_below_that_of_the_decoded_tree(self, v2_concept):
+        text = dump_log(generate_log(SynthConfig(v2_concept, V2_BINDING, 2000, 1.05, 0.2)))
+
+        def peak(function):
+            tracemalloc.start()
+            try:
+                function(text)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(load_log) < peak(json.loads)
+
+    def test_equal_strings_are_one_object(self):
+        # Decoded text gives each occurrence its own str object.
+        visits = [[f"p{i % 2}", i, i, [[f"a{i % 3}", i, i, 1]]] for i in range(12)]
+        tasks = [[f"t{i % 2}", "c", {}, 0, visits] for i in range(3)]
+        text = compact({"format": 2, "sessions": [["s0", tasks], ["s1", tasks]]})
+        for data in (text, json.dumps(json.loads(text))):
+            log = load_log(data)
+            objects = {}
+            for session in log.sessions:
+                for task in session.tasks:
+                    for visit in task.page_visits:
+                        for string in (task.task_id, task.concept_name, visit.page,
+                                       *(step.step_label for step in visit.steps)):
+                            assert objects.setdefault(string, string) is string
+            assert sorted(objects) == ["a0", "a1", "a2", "c", "p0", "p1", "t0", "t1"]
 
 
 class TestDump:
