@@ -68,7 +68,7 @@ from .speed import (
     get_speed_model,
     speed_stats,
 )
-from .synth import ActionCounts, SynthConfig, count_actions, generate_log
+from .synth import ActionCounts, SynthConfig, count_actions, generate_log, generate_log_text
 
 __version__ = "0.1.0"
 
@@ -106,6 +106,7 @@ __all__ = [
     "evaluate",
     "format_expr",
     "generate_log",
+    "generate_log_text",
     "get_speed_model",
     "instantiate",
     "iqr_filter",

@@ -50,9 +50,9 @@ from .klm import (
 )
 from .logs import (
     AnalyticsWarning,
+    EventLog,
     cross_check,
     load_log,
-    dump_log,
     gc_paused,
     step_table,
     table_to_csv,
@@ -62,7 +62,7 @@ from .logs import (
 )
 from .rounding import format_fixed, round_half_up
 from .speed import SpeedModel, estimate_time, get_speed_model, speed_model_from_dict
-from .synth import SynthConfig, count_actions, generate_log
+from .synth import SynthConfig, count_actions, generate_log_text
 
 
 # An integer flag, like a literal in an expression, has at most as many
@@ -399,16 +399,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_logs(args: argparse.Namespace) -> int:
-    if args.log == "-":
-        raw: bytes | str = sys.stdin.buffer.read()
-    else:
-        with open(args.log, "rb") as file:
-            raw = file.read()
     # One pause covers loading, the tables and rendering.  The log is
     # garbage once _log_tables returns, before the pause ends, so no
-    # collection visits it.
+    # collection visits it.  The file's text is a temporary, freed once
+    # load_log returns, so it is not alive while the tables are built.
     with gc_paused():
-        tables = _log_tables(raw, args)
+        tables = _log_tables(load_log(_read_log(args.log)), args)
         if args.format == "json":
             _print_json({f"{name}_table": table_to_dicts(rows) for name, rows in tables.items()})
             return 0
@@ -422,10 +418,24 @@ def cmd_logs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _log_tables(raw: bytes | str, args: argparse.Namespace) -> dict[str, list]:
-    """The tables asked for, by name, from the log in raw; warnings go to
-    stderr as they arise."""
-    log = load_log(raw)
+def _read_log(path: str) -> bytes | str:
+    """The log file at path, or stdin for "-", decoded from UTF-8 as it is,
+    without the newline translation of a text-mode file; its bytes when they
+    are not UTF-8, for load_log to refuse.  The bytes are freed on return."""
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as file:
+            data = file.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        return data
+
+
+def _log_tables(log: EventLog, args: argparse.Namespace) -> dict[str, list]:
+    """The tables asked for, by name, from the log; warnings go to stderr
+    as they arise."""
     if not any(session.tasks for session in log.sessions):
         print("warning: log contains no tasks", file=sys.stderr)
 
@@ -456,9 +466,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         speed_sd=args.speed_sd,
         seed=args.seed,
     )
-    # The log is garbage before the pause ends, so no collection visits it.
-    with gc_paused():
-        payload = dump_log(generate_log(config))
+    # The text is written straight from the drawn speeds: no log records
+    # are built, so there is nothing for a pause of the collector to spare.
+    payload = generate_log_text(config)
     if args.out == "-":
         sys.stdout.write(payload)
     else:

@@ -41,9 +41,11 @@ binding object, as generate_log's do and as consecutive equal bindings of a
 loaded log do, have it checked once per call.
 
 load_log and synth.generate_log pause the cyclic garbage collector while
-they build.  The CLI's synth and logs commands each hold one pause around
-the whole command, so the log they build is garbage before it ends; dump_log
-keeps only strings and needs no pause (see gc_paused).
+they build.  The CLI's logs command holds one pause around the whole
+command, so the log it builds is garbage before it ends; dump_log keeps
+only strings and needs no pause, and the CLI's synth command builds no log
+at all: it writes synth.generate_log_text, the text of dump_log written
+straight from the drawn speeds (see gc_paused).
 
 Outlier removal uses the interquartile range method: per group, durations
 outside [Q1 - 1.5*IQR, Q3 + 1.5*IQR] are dropped before speeds are
@@ -134,12 +136,13 @@ def gc_paused() -> Iterator[None]:
     each session load_log decodes, as soon as its records are built.  The
     pause is process-wide; the collector's previous state is restored on
     exit, also when the build raises.  load_log and synth.generate_log
-    pause it.  The CLI holds one pause around a whole command that builds a
-    log: synth around generating and dumping, logs around loading, the
+    pause it.  The CLI's logs command holds one pause around loading, the
     tables and rendering.  The log is then garbage before that pause ends,
-    so the collection below does not run on it, and the inner pauses, which
-    find the collector already off, run none either.  dump_log takes none:
-    what it keeps is strings, which the collector does not track.
+    so the collection below does not run on it, and the inner pause, which
+    finds the collector already off, runs none either.  dump_log takes none:
+    what it keeps is strings, which the collector does not track.  Nor does
+    the CLI's synth command, which builds no log: synth.generate_log_text
+    keeps only strings and an array of timestamps.
 
     What the build leaves alive sits in the youngest generation, where the
     next few collections would traverse it again, in whatever code runs

@@ -15,13 +15,18 @@ are drawn from a normal distribution (PCG64-seeded, via numpy's Generator,
 so a seed pins the byte-exact output) and durations follow as IS divided by
 speed.  All speeds come from one draw of shape (sessions, nonzero steps);
 its row-major order is the stream that one draw per step, session by
-session, would consume.  generate_log is the package's only numpy user and
-imports it itself, so importing the package or running any other command
-does not load numpy.
+session, would consume.  generate_log_text returns dump_log of that log
+without building it: every session shares the log's strings, binding and
+counts, so each session's text is one format call on its index and its
+timestamps.  The CLI's synth command writes it.  Both share the draw and
+the timestamp arithmetic, so the records and the text cannot drift apart.
+The draw is the package's only numpy use and imports numpy itself, so
+importing the package or running any other command does not load numpy.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from typing import Mapping
@@ -35,7 +40,7 @@ from .errors import (
     UnboundVariableError,
 )
 from .expr import format_expr
-from .logs import EventLog, PageVisit, Session, StepRecord, Task, gc_paused
+from .logs import _HEAD, EventLog, PageVisit, Session, StepRecord, Task, dump_log, gc_paused
 from .value import Value
 
 _MIN_SPEED = 0.01
@@ -204,6 +209,68 @@ def generate_log(config: SynthConfig) -> EventLog:
     byte-identical log.  Every task holds the same binding object, one copy
     of config.binding.
     """
+    drawn, total_is, speeds = _draw(config)
+    counts = [count for _, count in drawn]
+    name = config.concept.name
+    binding = dict(config.binding)
+    sessions = []
+    with gc_paused():
+        for index, row in enumerate(speeds):
+            stamps = _timestamps(counts, row.tolist())
+            sessions.append(_session(index, name, binding, total_is, drawn, stamps))
+    return EventLog(tuple(sessions))
+
+
+def generate_log_text(config: SynthConfig) -> str:
+    """dump_log(generate_log(config)), written without building the log.
+
+    The result is the same text, or the same exception with the same
+    message and path.  Every session of a generated log holds the same
+    strings, binding and counts; only its index and its timestamps differ.
+    So each string is encoded by json.dumps once, into a template of a
+    session's text, and each session is one format call on its index and
+    its page boundaries.
+
+    First come generate_log's own refusals, the timestamp range among them,
+    checked in every session in order.  Then come dump_log's, by dumping
+    session 0 as a log of its own.  Whatever dump_log refuses in a
+    generated log sits in session 0: a binding name or value, or a string
+    holding a surrogate pair, since every session shares those strings and
+    that binding.  Its other checks cannot fail in a later session either:
+    the page boundaries only grow, so every interval runs forwards in order,
+    the last boundary is inside the range, and every step's IS count is at
+    least 1.  The boundaries wait in a flat array('q') until that check has
+    passed, because only then is the template built: json.dumps can fail on
+    a binding that dump_log refuses, one whose names mix types, say.
+    """
+    # Imported here, as numpy is, so that no other command loads it.
+    from array import array
+
+    drawn, total_is, speeds = _draw(config)
+    counts = [count for _, count in drawn]
+    width = len(counts) + 1
+    stamps = array("q")
+    for row in speeds:
+        stamps.extend(_timestamps(counts, row.tolist()))
+    name = config.concept.name
+    binding = dict(config.binding)
+    dump_log(EventLog((_session(0, name, binding, total_is, drawn, stamps[:width].tolist()),)))
+    template = _session_template(name, binding, total_is, drawn)
+    texts = [
+        template.format(index, *stamps[at : at + width])
+        for index, at in enumerate(range(0, len(stamps), width))
+    ]
+    # The head and the tail join the first and last session, so the whole
+    # text is built by one join and never copied.
+    texts[0] = _HEAD + texts[0]
+    texts[-1] += "]}\n"
+    return ",".join(texts)
+
+
+def _draw(config: SynthConfig):
+    """The steps with nonzero IS as (label, count) pairs, the task's IS
+    count, and the speeds of every session as one numpy draw of shape
+    (sessions, len(drawn))."""
     import numpy as np
 
     for name, value in config.binding.items():
@@ -215,31 +282,52 @@ def generate_log(config: SynthConfig) -> EventLog:
     ]
     total_is = _in_range(sum(count for _, count in step_counts), "total count")
     drawn = [(label, count) for label, count in step_counts if count]
-    speeds = np.maximum(
-        rng.normal(config.speed_mean, config.speed_sd, size=(config.sessions, len(drawn))),
-        _MIN_SPEED,
-    ).tolist()
-    name = config.concept.name
-    binding = dict(config.binding)
-    sessions = []
-    with gc_paused():
-        for index, session_speeds in enumerate(speeds):
-            clock_ms = 0.0
-            visits = []
-            for (label, count), speed in zip(drawn, session_speeds):
-                start = round(clock_ms)
-                clock_ms += count / speed * 1000.0
-                end = round(clock_ms)
-                record = StepRecord(label, start, end, count)
-                visits.append(PageVisit(label, start, end, (record,)))
-            # Timestamps only grow, so the session's last one bounds them all.
-            _in_range(round(clock_ms), "timestamp")
-            task = Task(
-                task_id=name,
-                concept_name=name,
-                binding=binding,
-                is_count=total_is,
-                page_visits=tuple(visits),
-            )
-            sessions.append(Session(f"s{index:04d}", (task,)))
-    return EventLog(tuple(sessions))
+    speeds = rng.normal(config.speed_mean, config.speed_sd, size=(config.sessions, len(drawn)))
+    return drawn, total_is, speeds
+
+
+def _timestamps(counts: list[int], speeds: list[float]) -> list[int]:
+    """A session's page boundaries in milliseconds: 0, then the clock
+    rounded after each drawn step.  A step lasts its IS count over its
+    speed, which is at least _MIN_SPEED; the clock adds up unrounded
+    durations.  The last boundary is the largest, and one past the signed
+    64-bit range raises OverflowLimitError."""
+    clock_ms = 0.0
+    stamps = [0]
+    for count, speed in zip(counts, speeds):
+        if speed < _MIN_SPEED:
+            speed = _MIN_SPEED
+        clock_ms += count / speed * 1000.0
+        stamps.append(round(clock_ms))
+    _in_range(stamps[-1], "timestamp")
+    return stamps
+
+
+def _session(index: int, name: str, binding: dict, total_is: int,
+             drawn: list[tuple[str, int]], stamps: list[int]) -> Session:
+    """Session index of a generated log: one task, with a page visit of one
+    step record per drawn step, between consecutive page boundaries."""
+    visits = []
+    for (label, count), start, end in zip(drawn, stamps, stamps[1:]):
+        visits.append(PageVisit(label, start, end, (StepRecord(label, start, end, count),)))
+    return Session(f"s{index:04d}", (Task(name, name, binding, total_is, tuple(visits)),))
+
+
+def _session_template(name: str, binding: dict, total_is: int,
+                      drawn: list[tuple[str, int]]) -> str:
+    """The text dump_log writes for a session of a generated log, as a
+    str.format template: {0} is the session index and {k} the page
+    boundary before drawn step k, counted from 1.  Each string is the JSON
+    that dump_log writes for it, its braces doubled."""
+
+    def encoded(value, **options) -> str:
+        return json.dumps(value, **options).replace("{", "{{").replace("}", "}}")
+
+    visits = []
+    for k, (label, count) in enumerate(drawn, start=1):
+        text, span = encoded(label), f"{{{k}}},{{{k + 1}}}"
+        visits.append(f"[{text},{span},[[{text},{span},{count}]]]")
+    name_text = encoded(name)
+    binding_text = encoded(binding, sort_keys=True, separators=(",", ":"))
+    task = f"[{name_text},{name_text},{binding_text},{total_is},[{','.join(visits)}]]"
+    return f'["s{{0:04d}}",[{task}]]'

@@ -10,15 +10,18 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ixcomplex import cli
 from ixcomplex.cli import main
 from ixcomplex.concept import serialize_concept
-from ixcomplex.logs import dump_log
+from ixcomplex.errors import LogFormatError
+from ixcomplex.logs import dump_log, load_log
 from ixcomplex.synth import SynthConfig, generate_log
 
 from helpers import (
@@ -283,11 +286,12 @@ class TestSynthAndLogs:
         assert first.read_bytes() == second.read_bytes()
 
     def test_synth_runs_no_full_collection_on_a_repeat(self, capsys, tmp_path):
-        # One pause covers generating and dumping, so the log is garbage
-        # before it ends.  The full collection that generate_log's own pause
-        # runs on exit for 1000 sessions (see test_logs) is then not needed.
-        # The first command in a process allocates more that stays alive, so
-        # the second is checked.
+        # synth writes the text without building log records, so nothing it
+        # allocates stays alive for the collector to traverse, and the full
+        # collection that generate_log's own pause runs on exit for 1000
+        # sessions (see test_logs) has nothing to do with it.  The first
+        # command in a process allocates more that stays alive, so the
+        # second is checked.
         argv = [
             "synth", V2, *V2_SET,
             "--sessions", "1000", "--speed-mean", "1.0", "--out", str(tmp_path / "x.json"),
@@ -382,6 +386,70 @@ class TestSynthAndLogs:
         code, out, _ = run(capsys, "logs", "-")
         assert code == 0
         assert "v2-single-page" in out
+
+    def test_stdin_not_utf8(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b'{"format": 2, "\xff": 1}')))
+        code, out, err = run(capsys, "logs", "-")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: not valid JSON: 'utf-8' codec can't decode byte 0xff")
+
+    def test_log_with_crlf_line_ends_is_read_as_it_is(self, capsys, tmp_path):
+        # A text-mode read would turn each \r\n into \n, and so move the
+        # offset of a fault that json names.
+        log_file = tmp_path / "log.json"
+        data = b'{\r\n"format": 2,\r\n"sessions": [\r\n["s", [], ]]}\r\n'
+        log_file.write_bytes(data)
+        message = "not valid JSON: Expecting value: line 4 column 11 (char 42)"
+        with pytest.raises(LogFormatError, match=re.escape(message)):
+            load_log(data)
+        assert run(capsys, "logs", str(log_file)) == (1, "", f"error: {message}\n")
+
+    def test_logs_keeps_no_copy_of_the_file(self, capsys, monkeypatch, tmp_path):
+        # load_log gets the file's text as a temporary: its bytes are gone
+        # before load_log runs, and the text once it returns, before the
+        # tables are built.  Each is one block at least the file's size.
+        log_file = tmp_path / "log.json"
+        run(
+            capsys, "synth", V2, *V2_SET,
+            "--sessions", "1000", "--speed-mean", "1.0", "--out", str(log_file),
+        )
+        size = log_file.stat().st_size
+        seen = {}
+
+        def spied(name, function):
+            def spy(first, *rest):
+                blocks = tracemalloc.take_snapshot().traces
+                seen[name] = (type(first).__name__, sum(trace.size >= size for trace in blocks))
+                return function(first, *rest)
+            return spy
+
+        monkeypatch.setattr(cli, "load_log", spied("load_log", cli.load_log))
+        monkeypatch.setattr(cli, "task_table", spied("task_table", cli.task_table))
+        tracemalloc.start()
+        try:
+            code = run(capsys, "logs", str(log_file))[0]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert seen == {"load_log": ("str", 1), "task_table": ("EventLog", 0)}
+
+    @pytest.mark.parametrize("seed, size, digest", [
+        (7, 7_098_374, "e191d452f9927d592485338cdf0404955915679286e062f99a587e89facb83c7"),
+        (1, 7_098_466, "94a9b09deae1d623a93aae08e8cbbda3e2b434fb39c24462b00f3efb8a3afcfc"),
+    ])
+    def test_benchmark_log_file(self, capsys, tmp_path, seed, size, digest):
+        # The 20,000-session log of the benchmark (v2, README bindings),
+        # pinned by size and digest, with it the float rounding of the draw.
+        out_file = tmp_path / "log.json"
+        code, _, err = run(
+            capsys, "synth", V2, *V2_SET,
+            "--sessions", "20000", "--speed-mean", "1.05", "--speed-sd", "0.2",
+            "--seed", str(seed), "--out", str(out_file),
+        )
+        assert (code, err) == (0, f"wrote {out_file}: 20000 sessions\n")
+        data = out_file.read_bytes()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_golden_output(self, capsys, tmp_path):
         out_file = tmp_path / "log.json"

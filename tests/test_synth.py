@@ -33,6 +33,7 @@ from ixcomplex.synth import (
     count_actions,
     eval_source,
     generate_log,
+    generate_log_text,
 )
 
 from helpers import (
@@ -325,6 +326,88 @@ class TestBatchedDraws:
             if abs(step.end_ms - step.start_ms - step.is_count / _MIN_SPEED * 1000.0) <= 1
         ]
         assert clamped
+
+
+# Characters a session's template must carry through as dump_log writes
+# them: str.format's braces and a field, percent signs, JSON's escapes,
+# non-ASCII and astral characters, lone surrogates, and a high and a low
+# surrogate, which dump_log refuses as a pair where they meet.
+_TEMPLATE_CHARS = ("%", "%d", "{", "}", "{0}", '"', "\\", "é", "\U0001f600", "\ud800", "\udc00",
+                   "\udbff\udfff")
+_TEMPLATE_TEXTS = st.lists(
+    st.one_of(st.sampled_from(_TEMPLATE_CHARS), st.characters()), max_size=5
+).map("".join)
+# A value for one variable: a bool, which dump_log refuses, or one that
+# makes counts large; at 10**15 IS a step at the speed floor takes a
+# timestamp past the signed 64-bit range.
+_VARIABLE_VALUES = (True, 10**12, 10**15)
+# Entries generate_log takes and dump_log refuses, and the largest value,
+# which only a variable the concept leaves unused can hold.
+_EXTRA_ENTRIES = ({7: 1}, {"unused": True}, {"unused": -1}, {"unused": 2**63 - 1})
+_LINE = InteractionConcept("line", steps=(UserStep("s", {ActionKind.THINK: parse_expr("a")}),))
+
+
+@st.composite
+def _synth_configs(draw):
+    """Configs of seeded random concepts whose name and step labels are
+    drawn from _TEMPLATE_TEXTS, sometimes with a step of zero IS put in,
+    and whose binding may hold a bool, a large value or an odd entry."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    concept = random_concept(rng, max_steps=5, max_vars=3)
+    steps = [step._replace(label=draw(_TEMPLATE_TEXTS)) for step in concept.steps]
+    if draw(st.booleans()):
+        steps.insert(draw(st.integers(0, len(steps))), UserStep(draw(_TEMPLATE_TEXTS)))
+    concept = InteractionConcept(draw(_TEMPLATE_TEXTS), concept.variables, tuple(steps))
+    binding = random_binding(rng, concept)
+    if draw(st.booleans()):
+        binding[draw(st.sampled_from(sorted(binding)))] = draw(st.sampled_from(_VARIABLE_VALUES))
+    if draw(st.booleans()):
+        binding.update(draw(st.sampled_from(_EXTRA_ENTRIES)))
+    return SynthConfig(
+        concept,
+        binding,
+        sessions=draw(st.integers(1, 50)),
+        speed_mean=draw(st.sampled_from((0.5, 1.05, 2.0))),
+        speed_sd=draw(st.floats(0, 3)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+def _outcome(function, config):
+    """What function(config) returns, or the type, message and path of
+    what it raises."""
+    try:
+        return function(config)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "where", None)
+
+
+class TestGenerateLogText:
+    @given(_synth_configs())
+    @settings(max_examples=200, deadline=None)
+    # The first timestamp past the range is in session 6, and a later one
+    # is larger; it wins over the bool that dump_log refuses in session 0.
+    @example(SynthConfig(_LINE, {"a": 10**15, "unused": True}, 50, 1.0, 1.0, seed=20))
+    @example(SynthConfig(_LINE, {"a": 10**15}, 50, 1.0, 1.0, seed=20))
+    @example(SynthConfig(_LINE._replace(name="%s {0} {{}"), {"a": 3}, 2, 1.0, 0.2))
+    @example(SynthConfig(_LINE._replace(name="\ud83d\ude00"), {"a": 3}, 2, 1.0, 0.2))
+    @example(SynthConfig(_LINE, {"a": 3, 7: 1, "b": 2}, 2, 1.0, 0.2))
+    def test_is_the_dump_of_the_generated_log(self, config):
+        assert _outcome(generate_log_text, config) == _outcome(
+            lambda config: dump_log(generate_log(config)), config
+        )
+
+    def test_the_overflow_example_overflows_late(self):
+        # Pins what the first two examples above rely on: sessions 0 to 5
+        # are in range and session 6 is not.  A session at the speed floor
+        # ends at 10**20 ms, so a later one ends later still.
+        config = SynthConfig(_LINE, {"a": 10**15}, 50, 1.0, 1.0, seed=20)
+        assert len(generate_log(config._replace(sessions=6)).sessions) == 6
+        with pytest.raises(OverflowLimitError) as first:
+            generate_log(config._replace(sessions=7))
+        assert str(first.value) == (
+            "timestamp 11644250200596486144 is outside the signed 64-bit range"
+        )
 
 
 class TestOracleAgreement:
