@@ -56,6 +56,7 @@ from .logs import (
     dump_log,
     iqr_filter,
     load_log,
+    log_tables,
     step_table,
     task_table,
 )
@@ -115,6 +116,7 @@ __all__ = [
     "klm_speed",
     "klm_time",
     "load_log",
+    "log_tables",
     "normalize",
     "parse_concept",
     "parse_expr",

@@ -48,18 +48,7 @@ from .klm import (
     mapping_from_dict,
     model_from_dict,
 )
-from .logs import (
-    AnalyticsWarning,
-    EventLog,
-    cross_check,
-    load_log,
-    gc_paused,
-    step_table,
-    table_to_csv,
-    table_to_dicts,
-    table_to_text,
-    task_table,
-)
+from .logs import AnalyticsWarning, log_tables, table_to_csv, table_to_dicts, table_to_text
 from .rounding import format_fixed, round_half_up
 from .speed import SpeedModel, estimate_time, get_speed_model, speed_model_from_dict
 from .synth import SynthConfig, count_actions, generate_log_text
@@ -399,29 +388,39 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_logs(args: argparse.Namespace) -> int:
-    # One pause covers loading, the tables and rendering.  The log is
-    # garbage once _log_tables returns, before the pause ends, so no
-    # collection visits it.  The file's text is a temporary, freed once
-    # load_log returns, so it is not alive while the tables are built.
-    with gc_paused():
-        tables = _log_tables(load_log(_read_log(args.log)), args)
-        if args.format == "json":
-            _print_json({f"{name}_table": table_to_dicts(rows) for name, rows in tables.items()})
-            return 0
-        if args.format == "csv":
-            print("\n".join(table_to_csv(rows).rstrip("\n") for rows in tables.values()))
-            return 0
-        blocks = []
-        for name, rows in tables.items():
-            blocks.append(_styled(f"{name} table:") + "\n" + table_to_text(rows))
-        print("\n\n".join(blocks))
+    # log_tables reads the file itself, so this frame never holds its text,
+    # and the text is freed once the log is read, before the rows are
+    # computed.  Each warning is printed as it is issued, so the concept,
+    # which log_tables reads only once the log is checked, prints its own
+    # between them.
+    read = partial(_read_log, args.log)
+    concept = None if args.concept is None else partial(_read_concept, args.concept)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", AnalyticsWarning)
+        warnings.showwarning = _print_warning
+        tables = log_tables(read, args.group_by, args.table, concept)
+    if args.format == "json":
+        _print_json({f"{name}_table": table_to_dicts(rows) for name, rows in tables.items()})
+        return 0
+    if args.format == "csv":
+        print("\n".join(table_to_csv(rows).rstrip("\n") for rows in tables.values()))
+        return 0
+    blocks = []
+    for name, rows in tables.items():
+        blocks.append(_styled(f"{name} table:") + "\n" + table_to_text(rows))
+    print("\n\n".join(blocks))
     return 0
+
+
+def _print_warning(message, *_) -> None:
+    """warnings.showwarning for cmd_logs: the message alone, on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _read_log(path: str) -> bytes | str:
     """The log file at path, or stdin for "-", decoded from UTF-8 as it is,
     without the newline translation of a text-mode file; its bytes when they
-    are not UTF-8, for load_log to refuse.  The bytes are freed on return."""
+    are not UTF-8, for log_tables to refuse.  The bytes are freed on return."""
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
@@ -431,28 +430,6 @@ def _read_log(path: str) -> bytes | str:
         return data.decode("utf-8")
     except UnicodeDecodeError:
         return data
-
-
-def _log_tables(log: EventLog, args: argparse.Namespace) -> dict[str, list]:
-    """The tables asked for, by name, from the log; warnings go to stderr
-    as they arise."""
-    if not any(session.tasks for session in log.sessions):
-        print("warning: log contains no tasks", file=sys.stderr)
-
-    if args.concept is not None:
-        for message in cross_check(log, _read_concept(args.concept)):
-            print(f"warning: {message}", file=sys.stderr)
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", AnalyticsWarning)
-        tables: dict[str, list] = {}
-        if args.table in ("task", "both"):
-            tables["task"] = task_table(log, args.group_by)
-        if args.table in ("step", "both"):
-            tables["step"] = step_table(log)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
-    return tables
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

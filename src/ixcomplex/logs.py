@@ -22,10 +22,16 @@ tokens, and refuses a file of another format with a LogFormatError naming
 it: format 1, which earlier versions wrote, held records as objects keyed by
 field name and no "format" key.  A text in dump_log's layout is decoded one
 session at a time, with json's own scanner, and any other text whole, with
-json.loads; both feed one record builder, and only the whole-text path
-reports a fault, so the outcome does not depend on the layout.  A loaded
-log holds one str object per distinct task id, concept name, page and step
-label, as a generated one does.
+json.loads; both feed one row walker, _checked, and only the whole-text path
+reports a fault, so the outcome does not depend on the layout.  load_log
+makes the checked rows its records.  A loaded log holds one str object per
+distinct task id, concept name, page and step label, as a generated one
+does.
+
+log_tables, the reader behind the CLI's logs command, builds no records: it
+adds each checked session's durations straight to the groups of its tables.
+task_table and step_table feed a log's records to the same group code, so a
+file's tables are the same either way.
 
 The writer refuses exactly what the reader would refuse in its output, and
 a surrogate pair, which the reader would take for one character.  load_log
@@ -40,12 +46,11 @@ runs only when the text holds a surrogate's escape.  Tasks that share one
 binding object, as generate_log's do and as consecutive equal bindings of a
 loaded log do, have it checked once per call.
 
-load_log and synth.generate_log pause the cyclic garbage collector while
-they build.  The CLI's logs command holds one pause around the whole
-command, so the log it builds is garbage before it ends; dump_log keeps
-only strings and needs no pause, and the CLI's synth command builds no log
-at all: it writes synth.generate_log_text, the text of dump_log written
-straight from the drawn speeds (see gc_paused).
+load_log, log_tables and synth.generate_log pause the cyclic garbage
+collector while they build (see gc_paused).  The CLI builds a log only to
+cross-check a concept: its logs command runs log_tables and its synth
+command writes synth.generate_log_text, the text of dump_log written
+straight from the drawn speeds.
 
 Outlier removal uses the interquartile range method: per group, durations
 outside [Q1 - 1.5*IQR, Q3 + 1.5*IQR] are dropped before speeds are
@@ -63,16 +68,16 @@ import json
 import math
 import re
 import warnings
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 from .bigi import instantiate, normalize, sum_steps
 from .concept import InteractionConcept
 from .errors import DomainError, IxComplexError, LogFormatError
 from .expr import INT64_MAX
 from .rounding import format_fixed
-from .speed import SpeedStats, speed_stats
+from .speed import SpeedStats, _speed_row
 
 
 class AnalyticsWarning(UserWarning):
@@ -133,16 +138,17 @@ def gc_paused() -> Iterator[None]:
     which triggers repeated full collections that traverse every one of
     them and find nothing: log trees and their JSON forms hold no reference
     cycles, so reference counting frees them without the collector.  So is
-    each session load_log decodes, as soon as its records are built.  The
-    pause is process-wide; the collector's previous state is restored on
-    exit, also when the build raises.  load_log and synth.generate_log
-    pause it.  The CLI's logs command holds one pause around loading, the
-    tables and rendering.  The log is then garbage before that pause ends,
-    so the collection below does not run on it, and the inner pause, which
-    finds the collector already off, runs none either.  dump_log takes none:
-    what it keeps is strings, which the collector does not track.  Nor does
-    the CLI's synth command, which builds no log: synth.generate_log_text
-    keeps only strings and an array of timestamps.
+    each session load_log or log_tables decodes, as soon as its records are
+    built or its durations taken.  The pause is process-wide; the
+    collector's previous state is restored on exit, also when the build
+    raises.  load_log, log_tables and synth.generate_log pause it.
+    log_tables keeps only the durations, and the log it builds with a
+    concept is garbage before its pause ends, so the collection below does
+    not run on it, and load_log's inner pause, which finds the collector
+    already off, runs none either.  dump_log takes none: what it keeps is
+    strings, which the collector does not track.  Nor does the CLI's synth
+    command, which builds no log: synth.generate_log_text keeps only strings
+    and an array of timestamps.
 
     What the build leaves alive sits in the youngest generation, where the
     next few collections would traverse it again, in whatever code runs
@@ -171,29 +177,40 @@ def load_log(data: bytes | str) -> EventLog:
     children: it must be an array of its kind's fields, then a task's
     binding is checked, then each scalar field in declaration order, then
     the type of its child list, then the interval rules of a page visit or
-    a step.
+    a step.  The file is read as _walked reads it, each session built into
+    its records before the next is decoded.
+    """
+    with gc_paused():
+        # The decoded sessions are gone once _log_from returns, before the
+        # collector resumes.
+        return _walked(data, _log_from)
+
+
+_T = TypeVar("_T")
+
+
+def _walked(data: bytes | str, take: Callable[[Iterator], _T]) -> _T:
+    """take applied to the decoded sessions of a log file, given as text or
+    as UTF-8 bytes; take checks them with _checked.
 
     A text in dump_log's layout is decoded one session at a time, each
-    built into its records before the next is decoded, so the decoded tree
-    of the whole file never exists.  Any other layout, and any fault found
-    on the way, takes the reference path instead: json.loads of the whole
-    text, then the same record builder.  That path alone reports faults, so
-    a file's message, and which of its faults comes first, does not depend
-    on its layout: a syntax error anywhere wins over a faulty record.
+    taken before the next is decoded, so the decoded tree of the whole file
+    never exists.  Any other layout, and any fault found on the way, takes
+    the reference path instead: json.loads of the whole text, then a fresh
+    call of take.  That path alone reports faults, so a file's message, and
+    which of its faults comes first, does not depend on its layout: a syntax
+    error anywhere wins over a faulty record.
     """
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
         raise LogFormatError(f"not valid JSON: {exc}") from None
-    with gc_paused():
-        # The decoded sessions are gone once _log_from returns, before the
-        # collector resumes.
-        if text.startswith(_HEAD):
-            try:
-                return _log_from(_streamed(text))
-            except LogFormatError:
-                pass
-        return _log_from(_popped(_decoded(text)))
+    if text.startswith(_HEAD):
+        try:
+            return take(_streamed(text))
+        except LogFormatError:
+            pass
+    return take(_popped(_decoded(text)))
 
 
 def dump_log(log: EventLog) -> str:
@@ -326,42 +343,91 @@ def _streamed(text: str) -> Iterator:
         raise LogFormatError("not in dump_log's layout")
 
 
-def _log_from(raw_sessions: Iterable) -> EventLog:
-    """The log, each record checked by one conjunction.  A record that
-    fails it is refused at once, with the message of _fault; the index of a
-    record is the number of its siblings built before it.  A row that passes
-    becomes its record as it is: its fields are not read again.
+def _checked(raw_sessions: Iterable) -> Iterator[tuple[str, list]]:
+    """Each decoded session's id and task rows, once every row of the
+    session has passed its check: one conjunction per record kind.  A row
+    that fails it is refused at once, with the message of _fault, at the
+    path of its index among its siblings.
 
-    raw_sessions yields the decoded sessions in order, and each is dropped
-    once its records are built, so the decoded tree and the records are
-    never both alive whole.  A task whose binding equals the previous
-    task's gets that binding object, so consecutive equal bindings are one
-    object, as generate_log's are.  Equal task ids, concept names, pages
-    and step labels are one str object each, as a generated log's are."""
+    raw_sessions yields the decoded sessions in order, and the next one is
+    taken only when the taker asks for it, so a taker that keeps no rows
+    never holds the decoded tree whole.  The rows are yielded as decoded:
+    every field is checked, so a taker reads them by position, as it reads
+    records, whose fields are in the same order."""
+    for i, raw_session in enumerate(raw_sessions):
+        if not (type(raw_session) is list and len(raw_session) == 2
+                and type(session_id := raw_session[0]) is str
+                and type(raw_tasks := raw_session[1]) is list):
+            raise _fault(Session, _row(Session, raw_session), _where(i))
+        for raw_task in raw_tasks:
+            if not (type(raw_task) is list and len(raw_task) == 5
+                    and type(binding := raw_task[2]) is dict
+                    and all(type(value) is int and 0 <= value <= INT64_MAX
+                            for value in binding.values())
+                    and type(raw_task[0]) is str
+                    and type(raw_task[1]) is str
+                    and type(is_count := raw_task[3]) is int and 0 <= is_count <= INT64_MAX
+                    and type(raw_visits := raw_task[4]) is list):
+                raise _fault(Task, _row(Task, raw_task), _where(i, _index(raw_tasks, raw_task)))
+            previous_exit = 0
+            for raw_visit in raw_visits:
+                if not (type(raw_visit) is list and len(raw_visit) == 4
+                        and type(raw_visit[0]) is str
+                        and type(enter := raw_visit[1]) is int
+                        and type(exit_ := raw_visit[2]) is int
+                        and previous_exit <= enter <= exit_ <= INT64_MAX
+                        and type(raw_steps := raw_visit[3]) is list):
+                    raise _fault(
+                        PageVisit, _row(PageVisit, raw_visit),
+                        _where(i, _index(raw_tasks, raw_task), _index(raw_visits, raw_visit)),
+                        previous_exit,
+                    )
+                for raw_step in raw_steps:
+                    if not (type(raw_step) is list and len(raw_step) == 4
+                            and type(raw_step[0]) is str
+                            and type(start := raw_step[1]) is int
+                            and type(end := raw_step[2]) is int
+                            and type(count := raw_step[3]) is int
+                            and enter <= start <= end <= exit_ and 1 <= count <= INT64_MAX):
+                        raise _fault(
+                            StepRecord, _row(StepRecord, raw_step),
+                            _where(i, _index(raw_tasks, raw_task), _index(raw_visits, raw_visit),
+                                   _index(raw_steps, raw_step)),
+                            enter, exit_,
+                        )
+                previous_exit = exit_
+        yield session_id, raw_tasks
+
+
+def _index(rows: list, row: list) -> int:
+    """The index of row in rows, a decoded list, which holds each of its
+    rows once."""
+    return next(index for index, item in enumerate(rows) if item is row)
+
+
+def _log_from(raw_sessions: Iterable) -> EventLog:
+    """The log of decoded sessions, each row checked by _checked and then
+    made its record as it is: its fields are not read again, except the
+    strings.
+
+    Each session's rows are dropped once its records are built, so the
+    decoded tree and the records are never both alive whole.  A task whose
+    binding equals the previous task's gets that binding object, so
+    consecutive equal bindings are one object, as generate_log's are.  Equal
+    task ids, concept names, pages and step labels are one str object each,
+    as a generated log's are."""
     record = tuple.__new__
-    sessions = []
+    built = []
     # Compared only once checked: str names and int values, never a bool,
     # so an equal binding is the same binding.
     shared = None
     # The first str object of each text, in any of the four shared fields.
     strings: dict[str, str] = {}
     first = strings.setdefault
-    for raw_session in raw_sessions:
-        if not (type(raw_session) is list and len(raw_session) == 2
-                and type(session_id := raw_session[0]) is str
-                and type(raw_tasks := raw_session[1]) is list):
-            raise _fault(Session, _row(Session, raw_session), _where(len(sessions)))
+    for session_id, raw_tasks in _checked(raw_sessions):
         tasks = []
         for raw_task in raw_tasks:
-            if not (type(raw_task) is list and len(raw_task) == 5
-                    and type(binding := raw_task[2]) is dict
-                    and all(type(value) is int and 0 <= value <= INT64_MAX
-                            for value in binding.values())
-                    and type(task_id := raw_task[0]) is str
-                    and type(concept_name := raw_task[1]) is str
-                    and type(is_count := raw_task[3]) is int and 0 <= is_count <= INT64_MAX
-                    and type(raw_visits := raw_task[4]) is list):
-                raise _fault(Task, _row(Task, raw_task), _where(len(sessions), len(tasks)))
+            task_id, concept_name, binding, _, raw_visits = raw_task
             raw_task[0] = first(task_id, task_id)
             raw_task[1] = first(concept_name, concept_name)
             if binding == shared:
@@ -369,41 +435,20 @@ def _log_from(raw_sessions: Iterable) -> EventLog:
             else:
                 shared = binding
             visits = []
-            previous_exit = 0
             for raw_visit in raw_visits:
-                if not (type(raw_visit) is list and len(raw_visit) == 4
-                        and type(page := raw_visit[0]) is str
-                        and type(enter := raw_visit[1]) is int
-                        and type(exit_ := raw_visit[2]) is int
-                        and previous_exit <= enter <= exit_ <= INT64_MAX
-                        and type(raw_steps := raw_visit[3]) is list):
-                    raise _fault(
-                        PageVisit, _row(PageVisit, raw_visit),
-                        _where(len(sessions), len(tasks), len(visits)), previous_exit,
-                    )
+                page = raw_visit[0]
                 raw_visit[0] = first(page, page)
                 steps = []
-                for raw_step in raw_steps:
-                    if not (type(raw_step) is list and len(raw_step) == 4
-                            and type(label := raw_step[0]) is str
-                            and type(start := raw_step[1]) is int
-                            and type(end := raw_step[2]) is int
-                            and type(count := raw_step[3]) is int
-                            and enter <= start <= end <= exit_ and 1 <= count <= INT64_MAX):
-                        raise _fault(
-                            StepRecord, _row(StepRecord, raw_step),
-                            _where(len(sessions), len(tasks), len(visits), len(steps)),
-                            enter, exit_,
-                        )
+                for raw_step in raw_visit[3]:
+                    label = raw_step[0]
                     raw_step[0] = first(label, label)
                     steps.append(record(StepRecord, raw_step))
                 raw_visit[3] = tuple(steps)
                 visits.append(record(PageVisit, raw_visit))
-                previous_exit = exit_
             raw_task[4] = tuple(visits)
             tasks.append(record(Task, raw_task))
-        sessions.append(Session(session_id, tuple(tasks)))
-    return EventLog(tuple(sessions))
+        built.append(Session(session_id, tuple(tasks)))
+    return EventLog(tuple(built))
 
 
 def _row(kind: type, value):
@@ -616,9 +661,9 @@ def iqr_filter(samples: Sequence[float]) -> tuple[list[float], IqrBounds]:
     q1 = _interpolated_quantile(ordered, 0.25)
     q3 = _interpolated_quantile(ordered, 0.75)
     iqr = q3 - q1
-    bounds = IqrBounds(q1, q3, q1 - 1.5 * iqr, q3 + 1.5 * iqr)
-    retained = [s for s in samples if bounds.lower <= s <= bounds.upper]
-    return retained, bounds
+    lower, upper = q1 - 1.5 * iqr, q3 + 1.5 * iqr
+    retained = [s for s in samples if lower <= s <= upper]
+    return retained, IqrBounds(q1, q3, lower, upper)
 
 
 def _interpolated_quantile(ordered: Sequence[float], fraction: float) -> float:
@@ -651,72 +696,186 @@ def task_table(log: EventLog, group_by: str = "task_id") -> list[SpeedStats]:
     one IS count; groups are emitted in sorted order, so the output does not
     depend on session ordering in the file.
     """
-    if group_by not in ("task_id", "concept_name"):
-        raise DomainError(f"group_by must be 'task_id' or 'concept_name', got {group_by!r}")
-    groups: dict[str, list[tuple[int, float]]] = {}
-    for session in log.sessions:
-        for task in session.tasks:
-            if not task.page_visits:
-                warnings.warn(
-                    f"task {task.task_id!r} in session {session.session_id!r} "
-                    "has no page visits; skipped",
-                    AnalyticsWarning,
-                    stacklevel=2,
-                )
-                continue
-            duration = task.duration_s
-            if duration <= 0:
-                warnings.warn(
-                    f"task {task.task_id!r} in session {session.session_id!r} "
-                    "has zero duration; skipped",
-                    AnalyticsWarning,
-                    stacklevel=2,
-                )
-                continue
-            key = task.task_id if group_by == "task_id" else task.concept_name
-            groups.setdefault(key, []).append((task.is_count, duration))
-    return _rows_from_groups(groups)
+    _check_group_by(group_by)
+    return _table(log, group_by, "task")
 
 
 def step_table(log: EventLog) -> list[SpeedStats]:
     """Per-step-label durations and speeds across the whole log."""
-    groups: dict[str, list[tuple[int, float]]] = {}
-    for session in log.sessions:
-        for task in session.tasks:
-            for visit in task.page_visits:
-                for step in visit.steps:
-                    duration = (step.end_ms - step.start_ms) / 1000.0
-                    if duration <= 0:
-                        warnings.warn(
-                            f"step {step.step_label!r} in session "
-                            f"{session.session_id!r} has zero duration; skipped",
-                            AnalyticsWarning,
-                            stacklevel=2,
-                        )
-                        continue
-                    groups.setdefault(step.step_label, []).append(
-                        (step.is_count, duration)
+    return _table(log, "task_id", "step")
+
+
+def log_tables(
+    data: bytes | str | Callable[[], bytes | str],
+    group_by: str = "task_id",
+    tables: str = "both",
+    concept: Callable[[], InteractionConcept] | None = None,
+) -> dict[str, list[SpeedStats]]:
+    """The speed tables of a log file, by name: "task" when tables is "task"
+    or "both", then "step" when it is "step" or "both".  data is the file's
+    text, its UTF-8 bytes, or a function that returns either, called once.
+
+    The rows are those of task_table(load_log(data), group_by) and
+    step_table(load_log(data)), and so are their AnalyticsWarnings, in the
+    same order, but issued only once every table is computed, so an
+    exception comes without them.  The exception is the one those calls
+    raise, a fault of the file first.  One more warning comes before all
+    others when the log holds no task: "log contains no tasks".
+
+    concept, when given, is called once the log is checked and that warning
+    issued, and returns the concept that the tasks' IS counts are checked
+    against: each message of cross_check is an AnalyticsWarning, issued
+    before the tables are computed.  That check needs the tasks' bindings,
+    so a log read with a concept is built by load_log.  Without one, no
+    record is built: the file is read as _walked reads it, and each session,
+    once checked, goes straight into the durations of its groups.  The text
+    of the file is dropped once it is read: the rows need only the durations.
+    A caller that passes the text itself may hold it until the call returns
+    (before Python 3.11, every caller does); one that passes a function
+    does not, so no copy of the file is alive while the rows are computed.
+    """
+    if tables not in _TABLES:
+        raise DomainError(f"tables must be 'task', 'step' or 'both', got {tables!r}")
+    names = _TABLES[tables]
+
+    if callable(data):
+        data = data()
+
+    def take(sessions: Iterable):
+        return _grouped(_checked(sessions), group_by, names)
+
+    with gc_paused():
+        if concept is None:
+            grouped, has_tasks = _walked(data, take)
+            del data
+            if not has_tasks:
+                warnings.warn("log contains no tasks", AnalyticsWarning, stacklevel=2)
+        else:
+            log = load_log(data)
+            del data
+            grouped, has_tasks = _grouped(log.sessions, group_by, names)
+            if not has_tasks:
+                warnings.warn("log contains no tasks", AnalyticsWarning, stacklevel=2)
+            _warn(cross_check(log, concept()), 2)
+            del log
+    if "task" in names:
+        _check_group_by(group_by)
+    rows: dict[str, list[SpeedStats]] = {}
+    notes: list[str] = []
+    for name in names:
+        groups, skipped = grouped[name]
+        notes += skipped
+        rows[name] = _rows_from_groups(groups, notes)
+    _warn(notes, 2)
+    return rows
+
+
+# The tables log_tables computes for each value of its tables argument.
+_TABLES = {"task": ("task",), "step": ("step",), "both": ("task", "step")}
+
+
+def _check_group_by(group_by: str) -> None:
+    if group_by not in ("task_id", "concept_name"):
+        raise DomainError(f"group_by must be 'task_id' or 'concept_name', got {group_by!r}")
+
+
+def _warn(messages: Iterable[str], stacklevel: int) -> None:
+    """Each message as an AnalyticsWarning, with stacklevel counted from the
+    caller of _warn, as warnings.warn counts it."""
+    for message in messages:
+        warnings.warn(message, AnalyticsWarning, stacklevel=stacklevel + 1)
+
+
+def _table(log: EventLog, group_by: str, name: str) -> list[SpeedStats]:
+    """The table named name of a log in memory, warning of the tasks or
+    steps skipped before its rows are computed, and of each group that
+    outlier removal empties after."""
+    grouped, _ = _grouped(log.sessions, group_by, (name,))
+    groups, skipped = grouped[name]
+    _warn(skipped, 3)
+    emptied: list[str] = []
+    rows = _rows_from_groups(groups, emptied)
+    _warn(emptied, 3)
+    return rows
+
+
+_Groups = dict[str, tuple[list[int], list[float]]]
+
+
+def _grouped(
+    sessions: Iterable[Sequence], group_by: str, names: Sequence[str]
+) -> tuple[dict[str, tuple[_Groups, list[str]]], bool]:
+    """The samples of the tables named in names ("task", "step"), by name,
+    and whether any session holds a task.
+
+    sessions yields each session's id and tasks, with each task [task_id,
+    concept_name, binding, is_count, page_visits], each page visit [page,
+    enter_ms, exit_ms, steps] and each step [step_label, start_ms, end_ms,
+    is_count]: the checked rows of a file, from _checked, or the records of
+    a log, whose fields are in the same order.  A table's samples are its
+    groups, each name mapped to its IS counts and its durations in seconds,
+    two lists in document order, and the warnings for the tasks or steps it
+    skips, in document order.  A task lasts from its first page visit's
+    enter to its last one's exit, and tasks are grouped by group_by.
+    """
+    task_groups: _Groups | None = {} if "task" in names else None
+    step_groups: _Groups | None = {} if "step" in names else None
+    task_skipped: list[str] = []
+    step_skipped: list[str] = []
+    key = 1 if group_by == "concept_name" else 0
+    has_tasks = False
+    for session_id, tasks in sessions:
+        has_tasks = has_tasks or bool(tasks)
+        for task in tasks:
+            visits = task[4]
+            if task_groups is not None:
+                if not visits:
+                    task_skipped.append(
+                        f"task {task[0]!r} in session {session_id!r} has no page visits; skipped"
                     )
-    return _rows_from_groups(groups)
+                elif (duration := (visits[-1][2] - visits[0][1]) / 1000.0) <= 0:
+                    task_skipped.append(
+                        f"task {task[0]!r} in session {session_id!r} has zero duration; skipped"
+                    )
+                else:
+                    group = task_groups.get(task[key])
+                    if group is None:
+                        group = task_groups[task[key]] = ([], [])
+                    group[0].append(task[3])
+                    group[1].append(duration)
+            if step_groups is not None:
+                for visit in visits:
+                    for label, start, end, count in visit[3]:
+                        if (duration := (end - start) / 1000.0) <= 0:
+                            step_skipped.append(
+                                f"step {label!r} in session {session_id!r} has zero duration; skipped"
+                            )
+                            continue
+                        group = step_groups.get(label)
+                        if group is None:
+                            group = step_groups[label] = ([], [])
+                        group[0].append(count)
+                        group[1].append(duration)
+    grouped = {"task": (task_groups, task_skipped), "step": (step_groups, step_skipped)}
+    return {name: grouped[name] for name in names}, has_tasks
 
 
-def _rows_from_groups(groups: dict[str, list[tuple[int, float]]]) -> list[SpeedStats]:
+def _rows_from_groups(groups: _Groups, notes: list[str]) -> list[SpeedStats]:
+    """The rows of groups, in sorted order of their names, outliers removed
+    per group; a group that outlier removal empties adds its warning to
+    notes instead."""
     rows: list[SpeedStats] = []
     for key in sorted(groups):
-        samples = groups[key]
-        counts = {is_count for is_count, _ in samples}
-        if len(counts) > 1:
-            raise DomainError(f"group {key!r} mixes IS counts {sorted(counts)}")
-        is_count = counts.pop()
-        retained, _ = iqr_filter([duration for _, duration in samples])
+        counts, durations = groups[key]
+        if len(distinct := set(counts)) > 1:
+            raise DomainError(f"group {key!r} mixes IS counts {sorted(distinct)}")
+        retained, _ = iqr_filter(durations)
         if not retained:
-            warnings.warn(
-                f"group {key!r} is empty after outlier removal; omitted",
-                AnalyticsWarning,
-                stacklevel=3,
-            )
+            notes.append(f"group {key!r} is empty after outlier removal; omitted")
             continue
-        rows.append(speed_stats([(is_count, duration) for duration in retained], key))
+        if (is_count := counts[0]) < 0:
+            raise DomainError(f"IS count cannot be negative, got {is_count}")
+        rows.append(_speed_row(key, is_count, retained))
     return rows
 
 

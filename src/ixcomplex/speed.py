@@ -159,19 +159,18 @@ def speed_stats(samples: Sequence[tuple[int, float]], group: str = "") -> SpeedS
     durations = [duration for _, duration in samples]
     if min(durations) <= 0:
         raise DomainError("durations must be positive")
+    return _speed_row(group, is_count, durations)
+
+
+def _speed_row(group: str, is_count: int, durations: Sequence[float]) -> SpeedStats:
+    """The row of a group whose samples share is_count and have these
+    durations, already checked: at least one, each positive."""
     mean_s = sum(durations) / len(durations)
     min_s = min(durations)
     max_s = max(durations)
     return SpeedStats(
-        group=group,
-        n=len(durations),
-        is_count=is_count,
-        min_s=min_s,
-        max_s=max_s,
-        mean_s=mean_s,
-        max_is_per_s=is_count / min_s,
-        min_is_per_s=is_count / max_s,
-        mean_is_per_s=is_count / mean_s,
+        group, len(durations), is_count, min_s, max_s, mean_s,
+        is_count / min_s, is_count / max_s, is_count / mean_s,
     )
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ixcomplex import cli
+from ixcomplex import cli, logs
 from ixcomplex.cli import main
 from ixcomplex.concept import serialize_concept
 from ixcomplex.errors import LogFormatError
@@ -303,9 +303,10 @@ class TestSynthAndLogs:
         assert 2 not in generations
 
     def test_logs_runs_no_full_collection_on_a_repeat(self, capsys, tmp_path):
-        # As for synth: one pause covers loading, the tables and rendering,
-        # so the log is garbage before it ends, and the full collection that
-        # load_log's own pause runs on exit for 1000 sessions is not needed.
+        # log_tables' own pause covers its walk of the file, which builds
+        # no record tree: what the walk leaves is a few lists of durations,
+        # too few for the full collection that load_log's pause runs on exit
+        # for 1000 sessions, and rendering runs unpaused on small rows.
         log_file = tmp_path / "x.json"
         synth = [
             "synth", V2, *V2_SET,
@@ -405,33 +406,40 @@ class TestSynthAndLogs:
         assert run(capsys, "logs", str(log_file)) == (1, "", f"error: {message}\n")
 
     def test_logs_keeps_no_copy_of_the_file(self, capsys, monkeypatch, tmp_path):
-        # load_log gets the file's text as a temporary: its bytes are gone
-        # before load_log runs, and the text once it returns, before the
-        # tables are built.  Each is one block at least the file's size.
+        # The CLI hands log_tables a reader, not the text, so no caller
+        # frame holds the text, on any Python version.  The file's bytes are
+        # gone before its text is decoded, and log_tables drops the text once
+        # the log is read, before each table's rows are computed.  Each is
+        # one block at least the file's size.
         log_file = tmp_path / "log.json"
         run(
             capsys, "synth", V2, *V2_SET,
             "--sessions", "1000", "--speed-mean", "1.0", "--out", str(log_file),
         )
         size = log_file.stat().st_size
-        seen = {}
+        seen = {"rows": []}
 
         def spied(name, function):
             def spy(first, *rest):
                 blocks = tracemalloc.take_snapshot().traces
-                seen[name] = (type(first).__name__, sum(trace.size >= size for trace in blocks))
+                alive = sum(trace.size >= size for trace in blocks)
+                if name == "rows":
+                    seen[name].append(alive)
+                else:
+                    seen[name] = (type(first).__name__, alive)
                 return function(first, *rest)
             return spy
 
-        monkeypatch.setattr(cli, "load_log", spied("load_log", cli.load_log))
-        monkeypatch.setattr(cli, "task_table", spied("task_table", cli.task_table))
+        monkeypatch.setattr(cli, "log_tables", spied("log_tables", cli.log_tables))
+        monkeypatch.setattr(logs, "_walked", spied("decoding", logs._walked))
+        monkeypatch.setattr(logs, "_rows_from_groups", spied("rows", logs._rows_from_groups))
         tracemalloc.start()
         try:
             code = run(capsys, "logs", str(log_file))[0]
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert seen == {"load_log": ("str", 1), "task_table": ("EventLog", 0)}
+        assert seen == {"log_tables": ("partial", 0), "decoding": ("str", 1), "rows": [0, 0]}
 
     @pytest.mark.parametrize("seed, size, digest", [
         (7, 7_098_374, "e191d452f9927d592485338cdf0404955915679286e062f99a587e89facb83c7"),

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import tracemalloc
+import warnings
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ixcomplex import logs
-from ixcomplex.errors import DomainError, LogFormatError
+from ixcomplex.errors import DomainError, IxComplexError, LogFormatError
 from ixcomplex.logs import (
     AnalyticsWarning,
     EventLog,
@@ -25,6 +26,7 @@ from ixcomplex.logs import (
     gc_paused,
     iqr_filter,
     load_log,
+    log_tables,
     step_table,
     table_to_csv,
     table_to_text,
@@ -1207,6 +1209,261 @@ class TestStepTable:
             + make_log([1.0], is_count=1, label="aa").sessions
         )
         assert [row.group for row in step_table(log)] == ["aa", "zz"]
+
+
+# A few names, so that groups form; each task id has one concept name, and
+# each task id, concept name and label one IS count, unless a log mixes them.
+TASK_CONCEPTS = {"t0": "demo", "t1": "demo", "é": "other"}
+LABELS = ("pick", "seat", "\ud800")
+
+
+def drawn_count(draw, mixed, name, least):
+    return draw(st.integers(least, least + 2)) if mixed else least + len(name)
+
+
+@st.composite
+def table_logs(draw):
+    """Valid logs for the tables: empty sessions, tasks without visits and
+    zero-length tasks and steps among them, and now and then a log whose
+    groups mix IS counts."""
+    mixed = draw(st.integers(0, 4)) == 0
+    lengths = st.sampled_from((0, 1, 250, 999, 1500, 60_000))
+    sessions = []
+    for index in range(draw(st.integers(0, 4))):
+        tasks = []
+        for _ in range(draw(st.integers(0, 3))):
+            task_id = draw(st.sampled_from(sorted(TASK_CONCEPTS)))
+            concept_name = TASK_CONCEPTS[task_id]
+            clock = draw(st.sampled_from((0, 1000, 2**62)))
+            visits = []
+            for _ in range(draw(st.integers(0, 2))):
+                enter = clock = clock + draw(lengths)
+                steps = []
+                for _ in range(draw(st.integers(0, 3))):
+                    start = clock + draw(st.sampled_from((0, 250)))
+                    clock = start + draw(lengths)
+                    label = draw(st.sampled_from(LABELS))
+                    steps.append(StepRecord(label, start, clock, drawn_count(draw, mixed, label, 1)))
+                clock += draw(st.sampled_from((0, 700)))
+                visits.append(PageVisit("p", enter, clock, tuple(steps)))
+            count = drawn_count(draw, mixed, concept_name, 0)
+            tasks.append(Task(task_id, concept_name, {"m": 1}, count, tuple(visits)))
+        sessions.append(Session(f"s{index}", tuple(tasks)))
+    return EventLog(tuple(sessions))
+
+
+def tables_outcome(function, *args):
+    """What function(*args) gives: its result and the messages of the
+    AnalyticsWarnings it issued, in order, or the type, message and path of
+    the IxComplexError it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = function(*args)
+        except IxComplexError as exc:
+            return type(exc), str(exc), getattr(exc, "where", None)
+    assert all(warning.category is AnalyticsWarning for warning in caught)
+    return result, [str(warning.message) for warning in caught]
+
+
+def reference_tables(data, group_by, tables):
+    """The tables as the log's records give them: task_table and step_table
+    of load_log(data), after the warning for a log without tasks."""
+    log = load_log(data)
+    if not any(session.tasks for session in log.sessions):
+        warnings.warn("log contains no tasks", AnalyticsWarning)
+    rows = {}
+    if tables in ("task", "both"):
+        rows["task"] = task_table(log, group_by)
+    if tables in ("step", "both"):
+        rows["step"] = step_table(log)
+    return rows
+
+
+def record_rows(log, group_by, tables):
+    """The rows as the records' own properties give them, each row's
+    figures worked out here, apart from the group code that log_tables and
+    task_table share; for a log whose groups do not mix IS counts."""
+    samples = {"task": {}, "step": {}}
+    for session in log.sessions:
+        for task in session.tasks:
+            if task.page_visits and task.duration_s > 0:
+                samples["task"].setdefault(getattr(task, group_by), []).append(
+                    (task.is_count, task.duration_s)
+                )
+            for visit in task.page_visits:
+                for step in visit.steps:
+                    if step.end_ms > step.start_ms:
+                        samples["step"].setdefault(step.step_label, []).append(
+                            (step.is_count, (step.end_ms - step.start_ms) / 1000.0)
+                        )
+    rows = {}
+    for name in ("task", "step"):
+        if tables in (name, "both"):
+            rows[name] = []
+            for key, pairs in sorted(samples[name].items()):
+                durations, _ = logs.iqr_filter([duration for _, duration in pairs])
+                if durations:
+                    count, mean = pairs[0][0], sum(durations) / len(durations)
+                    fastest, slowest = min(durations), max(durations)
+                    rows[name].append(SpeedStats(
+                        key, len(durations), count, fastest, slowest, mean,
+                        count / fastest, count / slowest, count / mean,
+                    ))
+    return rows
+
+
+def emptying_filter(samples):
+    """An outlier filter that drops every duration of 1 s or more."""
+    return [sample for sample in samples if sample < 1.0], None
+
+
+def assert_tables_agree(text, group_by="task_id", tables="both"):
+    """log_tables(text) gives what the reference gives; returns that."""
+    expected = tables_outcome(reference_tables, text, group_by, tables)
+    assert tables_outcome(log_tables, text, group_by, tables) == expected
+    return expected
+
+
+class TestLogTables:
+    """log_tables reduces a file straight to its tables, and gives what the
+    tables of its records give: rows and warnings, or the exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        table_logs(),
+        st.sampled_from(("task_id", "concept_name")),
+        st.sampled_from(("task", "step", "both")),
+        st.booleans(),
+    )
+    def test_agrees_with_the_record_tables(self, log, group_by, tables, emptying):
+        # Outlier removal never empties a group of real durations, so an
+        # emptied group comes from a filter that drops all long ones.
+        with pytest.MonkeyPatch.context() as patch:
+            if emptying:
+                patch.setattr(logs, "iqr_filter", emptying_filter)
+            streamed = assert_tables_agree(dump_log(log), group_by, tables)
+            whole = assert_tables_agree(reference_text(log, indent=1), group_by, tables)
+            if len(streamed) == 2:
+                assert streamed[0] == record_rows(log, group_by, tables)
+        assert streamed == whole
+
+    @pytest.mark.parametrize("log, expected", [
+        (make_log([2.0, 0.0, 2.0]),
+         ["task 't' in session 's1' has zero duration; skipped",
+          "step 'step' in session 's1' has zero duration; skipped"]),
+        (EventLog((Session("s0"), Session("s1", (Task("t", "demo", {}, 1),)))),
+         ["task 't' in session 's1' has no page visits; skipped"]),
+        (EventLog((Session("s0"),)), ["log contains no tasks"]),
+        (EventLog(), ["log contains no tasks"]),
+    ])
+    def test_skipped_samples_warn_in_document_order(self, log, expected):
+        for text in (dump_log(log), reference_text(log, indent=1)):
+            _, messages = assert_tables_agree(text)
+            assert messages == expected
+
+    @pytest.mark.parametrize("group_by", ["task_id", "concept_name"])
+    def test_group_that_mixes_counts(self, group_by):
+        log = EventLog(make_log([2.0], is_count=5).sessions + make_log([3.0], is_count=6).sessions)
+        assert assert_tables_agree(dump_log(log), group_by) == (
+            DomainError, "group 't' mixes IS counts [5, 6]" if group_by == "task_id"
+            else "group 'demo' mixes IS counts [5, 6]", None,
+        )
+
+    def test_group_emptied_by_outlier_removal(self, monkeypatch):
+        monkeypatch.setattr(logs, "iqr_filter", emptying_filter)
+        log = EventLog(make_log([0.5], task_id="a", label="x").sessions
+                       + make_log([2.0], task_id="b", label="y").sessions)
+        rows, messages = assert_tables_agree(dump_log(log))
+        assert [row.group for table in rows.values() for row in table] == ["a", "x"]
+        assert messages == ["group 'b' is empty after outlier removal; omitted",
+                            "group 'y' is empty after outlier removal; omitted"]
+
+    def test_warnings_come_after_every_table(self):
+        # task_table warns before step_table raises; log_tables raises alone.
+        log = EventLog(make_log([0.0]).sessions
+                       + make_log([2.0], is_count=2, label="x").sessions
+                       + make_log([2.0], is_count=3, label="x").sessions)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="mixes IS counts"):
+                log_tables(dump_log(log))
+        assert caught == []
+
+    @pytest.mark.parametrize("path, value, message",
+                             SINGLE_FAULTS + NOT_ROWS + MULTI_FAULTS + OUT_OF_RANGE)
+    def test_fault(self, path, value, message):
+        for text in (compact(with_fault(path, value)), json.dumps(with_fault(path, value), indent=1)):
+            assert assert_tables_agree(text) == (LogFormatError, message, message.split(": ")[0]
+                                                 if message.startswith("sessions") else "")
+
+    @pytest.mark.parametrize("top, message", OTHER_FORMATS)
+    def test_other_format(self, top, message):
+        assert assert_tables_agree(compact(top)) == (LogFormatError, message, "")
+
+    @pytest.mark.parametrize("path, value", ACCEPTED_EDGES)
+    def test_interval_edges(self, path, value):
+        for tables in ("task", "step", "both"):
+            rows, _ = assert_tables_agree(compact(with_fault(path, value)), "task_id", tables)
+            assert list(rows) == {"task": ["task"], "step": ["step"]}.get(tables, ["task", "step"])
+
+    def test_generated_log(self, v2_concept):
+        log = generate_log(SynthConfig(v2_concept, V2_BINDING, 50, 1.05, 0.25, seed=3))
+        for group_by in ("task_id", "concept_name"):
+            rows, messages = assert_tables_agree(dump_log(log), group_by)
+            assert messages == [] and [len(rows["task"]), len(rows["step"])] == [1, 4]
+
+    def test_bad_arguments(self):
+        text = dump_log(make_log([1.0]))
+        assert assert_tables_agree(text, "session_id", "both") == (
+            DomainError, "group_by must be 'task_id' or 'concept_name', got 'session_id'", None
+        )
+        # The step table does not group tasks, so it takes any group_by.
+        assert tables_outcome(log_tables, text, "session_id", "step")[0].keys() == {"step"}
+        with pytest.raises(DomainError, match="tables must be 'task', 'step' or 'both'"):
+            log_tables(text, "task_id", "tasks")
+
+    @pytest.mark.parametrize("text", [
+        dump_log(make_log([1.0, 2.0, 4.0])), "[]", b'{"format": 2, "sessions": [["s", [7]]]}',
+    ])
+    def test_a_reader_is_called_once_in_place_of_the_text(self, text):
+        calls = []
+
+        def read():
+            calls.append(True)
+            return text
+
+        for group_by, tables in (("task_id", "both"), ("concept_name", "task")):
+            calls.clear()
+            assert tables_outcome(log_tables, read, group_by, tables) == (
+                tables_outcome(log_tables, text, group_by, tables)
+            )
+            assert calls == [True]
+
+    def test_concept_cross_checks_once_the_log_is_checked(self, v2_concept):
+        log = generate_log(SynthConfig(v2_concept, V2_BINDING, 3, 1.0))
+        sessions = list(log.sessions)
+        task = sessions[1].tasks[0]
+        sessions[1] = Session("s0001", (task._replace(is_count=999),))
+        text = dump_log(EventLog(tuple(sessions)))
+        called = []
+
+        def concept():
+            called.append(True)
+            return v2_concept
+
+        assert tables_outcome(log_tables, text, "task_id", "step", concept) == (
+            tables_outcome(log_tables, text, "task_id", "step")[0],
+            ["task 'v2-single-page' in session 's0001' records 999 IS but the concept yields 45"],
+        )
+        assert called == [True]
+        with pytest.raises(LogFormatError):
+            log_tables(text[:-3], "task_id", "both", concept)
+        assert called == [True]
+        assert tables_outcome(log_tables, dump_log(EventLog()), "task_id", "both", concept) == (
+            {"task": [], "step": []}, ["log contains no tasks"],
+        )
+        assert called == [True, True]
 
 
 class TestRendering:
