@@ -188,7 +188,11 @@ def analyze(
 
 
 def vector_to_dict(vector: ActionVector) -> dict[str, str]:
-    return {kind.value: format_expr(expr) for kind, expr in vector.per_kind.items()}
+    return {
+        kind.value: format_expr(expr)
+        for kind, expr in zip(ActionVector.members, vector.counts)
+        if expr.terms
+    }
 
 
 def assessment_to_dict(view: Assessment) -> dict:

@@ -23,6 +23,12 @@ declared with a var line somewhere in the file.
 The reader matches compiled patterns, not single characters.  A line's code
 runs up to the first '#' outside double quotes, and a quote left open is
 reported at its own column.  Lines end wherever str.splitlines ends them.
+A step line of the usual shape is read with one match, label, repeat, body
+and comment at once, and each part of its body with one more; each
+distinct expression text is parsed once per parse_concept call, in a dict
+dropped when the call returns.  Any other step line, and any line that
+holds a fault, goes to the line-at-a-time reader, which is kept only to
+report: it gives the message, line and column of the first fault.
 
 The file is the concept's only serialized form.  The writer refuses exactly
 what the reader refuses: serialize_concept raises DomainError for a concept
@@ -35,7 +41,13 @@ import enum
 import re
 from collections.abc import Collection, Iterable, Mapping, Sequence
 
-from .errors import ConceptSyntaxError, DomainError, ExpressionSyntaxError, OverflowLimitError
+from .errors import (
+    ConceptSyntaxError,
+    DomainError,
+    ExpressionSyntaxError,
+    IxComplexError,
+    OverflowLimitError,
+)
 from .expr import ONE, ZERO, Expression, Sum, format_expr, is_variable_name, parse_expr
 from .value import Value
 
@@ -139,6 +151,9 @@ class ActionVector(SlotVector, members=ActionKind):
         return Sum(self.counts).value()
 
 
+_SLOT_BY_LETTER = {kind.value: slot for kind, slot in ActionVector.slot.items()}
+
+
 class ConceptVariable(Value):
     __slots__ = ("name", "description")
     name: str
@@ -155,13 +170,14 @@ class UserStep(Value):
 
     actions holds the count of each action kind per execution of the step
     as an ActionVector (ZERO where the step takes none; per_kind views the
-    rest in ActionKind order).  The constructor takes that vector or a
-    mapping from kinds to counts, which it checks in the order given;
-    either way equal steps hold equal vectors.  repeat scales the whole
-    step (default 1).  A field of the wrong type raises DomainError naming
-    the field.  bigi.step_function keeps the step's scaled vector in the
-    private slot _vector; a copy, a pickle or a _replace is rebuilt from
-    the fields, so it keeps no vector derived from the original.
+    rest in ActionKind order).  The constructor takes that vector, which
+    it keeps when every empty slot holds ZERO already, or a mapping from
+    kinds to counts, which it checks in the order given; either way equal
+    steps hold equal vectors.  repeat scales the whole step (default 1).
+    A field of the wrong type raises DomainError naming the field.
+    bigi.step_function keeps the step's scaled vector in the private slot
+    _vector; a copy, a pickle or a _replace is rebuilt from the fields, so
+    it keeps no vector derived from the original.
     """
 
     __slots__ = ("label", "actions", "repeat", "note", "_vector")
@@ -180,27 +196,31 @@ class UserStep(Value):
         if type(label) is not str:
             raise _ill_typed("step label", "a string", label)
         if type(actions) is ActionVector:
-            given = zip(ActionVector.members, actions.counts)
+            # Its counts are Expressions already: a new vector only puts the
+            # ZERO object in an empty slot that holds another zero.
+            counts = actions.counts
+            if not all(count.terms or count is ZERO for count in counts):
+                actions = ActionVector(tuple(count if count.terms else ZERO for count in counts))
         elif isinstance(actions, Mapping):
-            given = actions.items()
+            counts = [ZERO] * len(ActionVector.members)
+            slot_of = ActionVector.members.index
+            for kind, expr in actions.items():
+                if type(kind) is not ActionKind:
+                    raise _ill_typed("step actions key", "an ActionKind", kind)
+                if not isinstance(expr, Expression):
+                    raise _ill_typed(f"step actions value for {kind.word}", "an Expression", expr)
+                if expr.terms:
+                    counts[slot_of(kind)] = expr
+            actions = ActionVector(tuple(counts))
         else:
             raise _ill_typed("step actions", "a mapping", actions)
-        counts = [ZERO] * len(ActionVector.members)
-        slot_of = ActionVector.members.index
-        for kind, expr in given:
-            if type(kind) is not ActionKind:
-                raise _ill_typed("step actions key", "an ActionKind", kind)
-            if not isinstance(expr, Expression):
-                raise _ill_typed(f"step actions value for {kind.word}", "an Expression", expr)
-            if expr.terms:
-                counts[slot_of(kind)] = expr
         if not isinstance(repeat, Expression):
             raise _ill_typed("step repeat", "an Expression", repeat)
         if note is not None:
             if type(note) is not str:
                 raise _ill_typed("step note", "a string or None", note)
             note = note.strip() or None
-        self._store(label, ActionVector(tuple(counts)), repeat, note)
+        self._store(label, actions, repeat, note)
 
 
 class InteractionConcept(Value):
@@ -274,7 +294,7 @@ def validate(concept: InteractionConcept) -> list[Diagnostic]:
         for message in _step_errors(step, seen_labels, seen_vars):
             diagnostics.append(Diagnostic("error", message, step.label))
         seen_labels.add(step.label)
-        if not step.actions.per_kind:
+        if not any(count.terms for count in step.actions.counts):
             diagnostics.append(
                 Diagnostic("warning", "step contributes no interaction", step.label)
             )
@@ -315,9 +335,14 @@ def parse_concept(text: str) -> InteractionConcept:
     concept_name: str | None = None
     variables: list[ConceptVariable] = []
     declared: set[str] = set()
-    step_lines: list[tuple[int, str, int, str | None]] = []
+    step_lines: list[tuple[int, str, re.Match | None]] = []
 
     for number, raw_line in enumerate(text.splitlines(), start=1):
+        if concept_name is not None:
+            match = _STEP_LINE.match(raw_line)
+            if match is not None:
+                step_lines.append((number, raw_line, match))
+                continue
         code, comment = _split_comment(raw_line, number)
         head = _KEYWORD.match(code)
         if head is None:
@@ -335,7 +360,7 @@ def parse_concept(text: str) -> InteractionConcept:
             variables.append(_parse_var_line(code[pos:].rstrip(), comment, declared, number))
             declared.add(variables[-1].name)
         elif keyword == "step":
-            step_lines.append((number, code, pos, comment))
+            step_lines.append((number, raw_line, None))
         else:
             raise ConceptSyntaxError(
                 f"expected 'concept', 'var' or 'step', found {keyword!r}",
@@ -348,11 +373,16 @@ def parse_concept(text: str) -> InteractionConcept:
 
     steps: list[UserStep] = []
     labels: set[str] = set()
-    for number, code, pos, comment in step_lines:
-        step = _parse_step_line(code, pos, comment, number)
-        errors = _step_errors(step, labels, declared)
-        if errors:
-            raise ConceptSyntaxError(errors[0], number)
+    parsed: dict[str, Expression] = {}
+    for number, raw_line, match in step_lines:
+        step = _read_step(match, parsed, declared) if match else None
+        if step is None or step.label in labels:
+            # The line reader and the step rules report the line's first fault.
+            code, comment = _split_comment(raw_line, number)
+            step = _parse_step_line(code, _KEYWORD.match(code).end(), comment, number)
+            errors = _step_errors(step, labels, declared)
+            if errors:
+                raise ConceptSyntaxError(errors[0], number)
         labels.add(step.label)
         steps.append(step)
 
@@ -367,6 +397,16 @@ _CODE_AND_COMMENT = re.compile(r'((?:[^"#]+|"[^"]*")*)(?:#(.*))?')
 _KEYWORD = re.compile(r"\s*(\S+)\s*")
 _SPACES = re.compile(r"\s*")
 _REPEAT = re.compile(r"repeat(?!\w)")
+# A step line of the usual shape, comment and all: its label, which is not
+# empty, repeat text, body and comment.  The repeat text and the body hold
+# no quote and no '#', so the line's code ends where _split_comment ends it.
+_STEP_LINE = re.compile(
+    r'\s*step\s+"([^"]+)"\s*(?:repeat(?!\w)([^{"#]*))?\{([^}"#]*)\}\s*(?:#(.*))?\Z'
+)
+# Each part of a step's body, up to and with its ';': a kind's letter and
+# its count text, or any other text, which is blank in a blank part.  Every
+# character of the body falls in some part, and the last part is blank.
+_PARTS = re.compile(r"\s*(?:([TECSX])\s*:([^;]*)|([^;]*))(?:;|\Z)")
 
 
 def _split_comment(line: str, number: int) -> tuple[str, str | None]:
@@ -461,6 +501,51 @@ def _parse_step_line(code: str, pos: int, comment: str | None, number: int) -> U
     return UserStep(label, actions, repeat, comment)
 
 
+def _read_step(
+    match: re.Match, parsed: dict[str, Expression], declared: set[str]
+) -> UserStep | None:
+    """The step of a line that _STEP_LINE matched, or None when the line
+    holds a fault or a variable not in declared, which the line reader and
+    _step_errors then report.  parsed maps each expression text read so far
+    in this parse_concept call, stripped, to its value."""
+    label, repeat_text, body, comment = match.groups()
+    repeat = ONE if repeat_text is None else _parsed(repeat_text, parsed, declared)
+    if repeat is None:
+        return None
+    counts: list[Expression | None] = [None] * len(ActionVector.members)
+    for letter, expr_text, other in _PARTS.findall(body):
+        if letter:
+            slot = _SLOT_BY_LETTER[letter]
+            if counts[slot] is not None:
+                return None
+            counts[slot] = _parsed(expr_text, parsed, declared)
+            if counts[slot] is None:
+                return None
+        elif other:
+            return None
+    vector = ActionVector(
+        tuple(ZERO if count is None or not count.terms else count for count in counts)
+    )
+    return UserStep(label, vector, repeat, comment)
+
+
+def _parsed(text: str, parsed: dict[str, Expression], declared: set[str]) -> Expression | None:
+    """parse_expr(text) if it parses and uses only declared variables, else
+    None.  Spaces around a text change neither its value nor whether it
+    parses, so the stripped text is the key."""
+    text = text.strip()
+    expr = parsed.get(text)
+    if expr is None:
+        try:
+            expr = parse_expr(text)
+        except IxComplexError:
+            return None
+        if not expr.variables() <= declared:
+            return None
+        parsed[text] = expr
+    return expr
+
+
 def _parse_embedded(text: str, base: int, number: int) -> Expression:
     try:
         return parse_expr(text)
@@ -491,7 +576,9 @@ def serialize_concept(concept: InteractionConcept) -> str:
         if step.repeat != ONE:
             parts.append(f"repeat {format_expr(step.repeat)}")
         body = "; ".join(
-            f"{kind.value}: {format_expr(expr)}" for kind, expr in step.actions.per_kind.items()
+            f"{kind.value}: {format_expr(expr)}"
+            for kind, expr in zip(ActionVector.members, step.actions.counts)
+            if expr.terms
         )
         parts.append("{ " + body + " }" if body else "{ }")
         line = " ".join(parts)

@@ -29,13 +29,14 @@ so that the formatted form of any polynomial parses back to it.
 
 Each term's sort key, (-total degree, expanded variable sequence), is
 computed once, when its monomial first enters a canonical expression, and
-travels with it.  Sum adds any number of expressions: it gathers their
-terms into one dict by key, range-checks each coefficient as it changes, so
-the first error is the one the pairwise fold a + b + c + ... raises, and
-sorts once; + and - are two-term Sums.  Scaling keeps the order, a general
-product collects into a dict and sorts once, and a one-term factor times an
-expression keeps that expression's order (the order on sorted variable
-sequences is multiplicative).
+travels with it; format_expr renders the term's factors from it.  Sum
+adds any number of expressions: it gathers their terms into one dict by
+key, range-checks each coefficient as it changes, so the first error is
+the one the pairwise fold a + b + c + ... raises, and sorts once; + and -
+are two-term Sums.  Scaling keeps the order, a general product collects
+into a dict and sorts once, and a one-term factor times an expression
+keeps that expression's order (the order on sorted variable sequences is
+multiplicative).
 
 The parser scans the text once, with the token pattern's findall, and
 folds the tokens in one pass.  A parenthesis-free term becomes a
@@ -394,24 +395,24 @@ def format_expr(expression: Expression) -> str:
     if not expression.terms:
         return "0"
     parts: list[str] = []
-    for i, (mono, coeff) in enumerate(expression.terms):
-        magnitude = _render_magnitude(mono, abs(coeff))
+    # Each term's factors are its key's expanded variable sequence.
+    for (_, coeff), (_, names) in zip(expression.terms, expression._keys):
+        magnitude = _render_magnitude(names, abs(coeff))
         if coeff == INT64_MIN:  # -2**63 has no literal: two terms, which parse_expr adds up
-            magnitude = f"{_render_magnitude(mono, INT64_MAX)} - {_render_magnitude(mono, 1)}"
-        if i == 0:
+            magnitude = f"{_render_magnitude(names, INT64_MAX)} - {_render_magnitude(names, 1)}"
+        if not parts:
             parts.append(magnitude if coeff > 0 else f"-{magnitude}")
         else:
             parts.append(f"+ {magnitude}" if coeff > 0 else f"- {magnitude}")
     return " ".join(parts)
 
 
-def _render_magnitude(mono: Monomial, coeff: int) -> str:
-    factors = [name for name, exp in mono for _ in range(exp)]
-    if not factors:
+def _render_magnitude(names: tuple[str, ...], coeff: int) -> str:
+    if not names:
         return str(coeff)
-    if coeff != 1:
-        factors.insert(0, str(coeff))
-    return "*".join(factors)
+    if coeff == 1:
+        return "*".join(names)
+    return f"{coeff}*" + "*".join(names)
 
 
 def parse_expr(text: str) -> Expression:

@@ -216,7 +216,8 @@ def _operator_counts(vector: ActionVector, mapping: ActionMapping) -> KlmExpress
     slot = KlmExpression.slot
     return KlmExpression.gather(
         (slot[operator], count)
-        for kind, count in vector.per_kind.items()
+        for kind, count in zip(ActionVector.members, vector.counts)
+        if count.terms
         for operator in mapping[kind]
     )
 
@@ -259,8 +260,9 @@ def klm_time(
     model = model or KlmModel()
     binding = binding if binding is not None else {}
     seconds = 0.0
-    for operator, count in expression.per_operator.items():
-        seconds += evaluate(count, binding) * model.unit_time(operator)
+    for operator, count in zip(KlmExpression.members, expression.counts):
+        if count.terms:
+            seconds += evaluate(count, binding) * model.unit_time(operator)
     if not math.isfinite(seconds):
         raise DomainError(f"execution time must be finite, got {seconds}")
     return seconds

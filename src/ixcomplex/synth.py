@@ -9,6 +9,11 @@ expression text with a compiled token pattern of its own and evaluates the
 tokens by recursive descent, instead of reusing the polynomial engine's
 pattern, parser or evaluator.  The only engine facility used here is
 canonical text rendering, to obtain a textual form of stored expressions.
+Each distinct text is rendered and evaluated once per call, in a dict keyed
+by the expression's terms (equal terms render equal text) and dropped when
+the call returns; a text that raises is not kept, so it raises where it
+first appears.  Every step's products are still range-checked.  Steps are
+read slot by slot, in ActionKind order.
 
 generate_log produces deterministic synthetic event logs: per-step speeds
 are drawn from a normal distribution (PCG64-seeded, via numpy's Generator,
@@ -31,7 +36,7 @@ import math
 import re
 from typing import Mapping
 
-from .concept import ActionKind, InteractionConcept, UserStep
+from .concept import ActionKind, ActionVector, InteractionConcept, UserStep
 from .errors import (
     DomainError,
     InvalidBindingError,
@@ -68,22 +73,24 @@ def count_actions(concept: InteractionConcept, binding: Mapping[str, int]) -> Ac
     Each product and the total must fit in a signed 64-bit integer, the
     engine's contract; beyond it OverflowLimitError is raised.
     """
-    totals = {kind: 0 for kind in ActionKind}
+    values: dict[tuple, int] = {}
+    totals = [0] * len(ActionVector.members)
     for step in concept.steps:
-        for kind, count in _step_counts(step, binding).items():
-            totals[kind] += count
-    per_kind = {kind: count for kind, count in totals.items() if count}
-    return ActionCounts(per_kind, _in_range(sum(totals.values()), "total count"))
+        for slot, count in enumerate(_step_counts(step, binding, values)):
+            totals[slot] += count
+    per_kind = {kind: count for kind, count in zip(ActionVector.members, totals) if count}
+    return ActionCounts(per_kind, _in_range(sum(totals), "total count"))
 
 
-def _step_counts(step: UserStep, binding: Mapping[str, int]) -> dict[ActionKind, int]:
-    """One step's count per kind: repeat times per-execution count, each
-    inside the 64-bit range."""
-    repeat = _leaf_value(step.repeat, binding)
-    return {
-        kind: _in_range(repeat * _leaf_value(expr, binding), "step count")
-        for kind, expr in step.actions.per_kind.items()
-    }
+def _step_counts(step: UserStep, binding: Mapping[str, int], values: dict[tuple, int]) -> list[int]:
+    """One step's count in each slot of its actions: repeat times
+    per-execution count, each inside the 64-bit range (0 in an empty slot).
+    values holds the leaves evaluated so far in the caller's call."""
+    repeat = _leaf_value(step.repeat, binding, values)
+    return [
+        _in_range(repeat * _leaf_value(expr, binding, values), "step count") if expr.terms else 0
+        for expr in step.actions.counts
+    ]
 
 
 def _in_range(count: int, what: str) -> int:
@@ -92,10 +99,18 @@ def _in_range(count: int, what: str) -> int:
     return count
 
 
-def _leaf_value(expr, binding: Mapping[str, int]) -> int:
-    value = eval_source(format_expr(expr), binding)
-    if value < 0:
-        raise NegativeCountError(format_expr(expr), value)
+def _leaf_value(expr, binding: Mapping[str, int], values: dict[tuple, int]) -> int:
+    """The value of the expression's rendered text.  values maps the terms
+    of each leaf evaluated so far to its value, so each distinct text is
+    rendered and evaluated once; a text that raises is not kept, so it
+    raises where it first appears."""
+    value = values.get(expr.terms)
+    if value is None:
+        text = format_expr(expr)
+        value = eval_source(text, binding)
+        if value < 0:
+            raise NegativeCountError(text, value)
+        values[expr.terms] = value
     return value
 
 
@@ -276,8 +291,9 @@ def _draw(config: SynthConfig):
     for name, value in config.binding.items():
         _in_range(value, f"binding {name} =")
     rng = np.random.Generator(np.random.PCG64(config.seed))
+    values: dict[tuple, int] = {}
     step_counts = [
-        (step.label, sum(_step_counts(step, config.binding).values()))
+        (step.label, sum(_step_counts(step, config.binding, values)))
         for step in config.concept.steps
     ]
     total_is = _in_range(sum(count for _, count in step_counts), "total count")

@@ -14,10 +14,30 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from ixcomplex.concept import ActionKind, ConceptVariable, InteractionConcept, UserStep
-from ixcomplex.errors import ExpressionSyntaxError, OverflowLimitError
-from ixcomplex.expr import INT64_MAX, INT64_MIN, MAX_NESTING, Expression, parse_expr
+from ixcomplex.concept import (
+    ActionKind,
+    ConceptVariable,
+    InteractionConcept,
+    UserStep,
+    serialize_concept,
+)
+from ixcomplex.errors import (
+    ConceptSyntaxError,
+    ExpressionSyntaxError,
+    NegativeCountError,
+    OverflowLimitError,
+)
+from ixcomplex.expr import (
+    INT64_MAX,
+    INT64_MIN,
+    MAX_NESTING,
+    ONE,
+    Expression,
+    is_variable_name,
+    parse_expr,
+)
 from ixcomplex.logs import EventLog, PageVisit, Session, StepRecord, Task
+from ixcomplex.synth import ActionCounts, eval_source
 
 CONCEPTS_DIR = Path(__file__).resolve().parent.parent / "concepts"
 
@@ -392,6 +412,328 @@ def parser_texts(draw):
         closing = depth + draw(st.integers(-1, 1))
         text = "(" * depth + text + ")" * closing
     return text
+
+
+# --- reference concept reader -------------------------------------------------
+#
+# The line-at-a-time concept reader that ixcomplex.concept keeps only to
+# report faults, as it read every line before that module read a step line
+# of the usual shape with one match: a comment split, a keyword, then a
+# quoted label, a repeat, a body split at ';' and each part at ':', every
+# expression parsed on its own.  The differential test holds the reader to
+# the same concepts, messages, lines and columns.
+
+_REFERENCE_CODE_AND_COMMENT = re.compile(r'((?:[^"#]+|"[^"]*")*)(?:#(.*))?')
+_REFERENCE_KEYWORD = re.compile(r"\s*(\S+)\s*")
+_REFERENCE_SPACES = re.compile(r"\s*")
+_REFERENCE_REPEAT = re.compile(r"repeat(?!\w)")
+
+
+def reference_parse_concept(text):
+    concept_name = None
+    variables = []
+    declared = set()
+    step_lines = []
+    for number, raw_line in enumerate(text.splitlines(), start=1):
+        code, comment = _reference_split(raw_line, number)
+        head = _REFERENCE_KEYWORD.match(code)
+        if head is None:
+            continue
+        keyword, pos = head[1], head.end()
+        if keyword == "concept":
+            if concept_name is not None:
+                raise ConceptSyntaxError("duplicate concept line", number)
+            concept_name = _reference_concept_line(code, pos, number)
+        elif concept_name is None:
+            raise ConceptSyntaxError("the concept line must come before anything else", number)
+        elif keyword == "var":
+            variables.append(_reference_var_line(code[pos:].rstrip(), comment, declared, number))
+            declared.add(variables[-1].name)
+        elif keyword == "step":
+            step_lines.append((number, code, pos, comment))
+        else:
+            raise ConceptSyntaxError(
+                f"expected 'concept', 'var' or 'step', found {keyword!r}", number, head.start(1) + 1
+            )
+    if concept_name is None:
+        raise ConceptSyntaxError("missing concept line", 1)
+    steps = []
+    labels = set()
+    for number, code, pos, comment in step_lines:
+        step = _reference_step_line(code, pos, comment, number)
+        errors = _reference_step_errors(step, labels, declared)
+        if errors:
+            raise ConceptSyntaxError(errors[0], number)
+        labels.add(step.label)
+        steps.append(step)
+    return InteractionConcept(concept_name, tuple(variables), tuple(steps))
+
+
+def _reference_variable_errors(name, declared):
+    errors = []
+    if not is_variable_name(name):
+        errors.append(f"invalid variable name {name!r}")
+    if name in declared:
+        errors.append(f"duplicate variable {name!r}")
+    return errors
+
+
+def _reference_step_errors(step, labels, declared):
+    errors = []
+    if step.label in labels:
+        errors.append(f"duplicate step label {step.label!r}")
+    used = step.repeat.variables().union(*(e.variables() for e in step.actions.counts if e.terms))
+    errors.extend(f"undeclared variable {name!r}" for name in sorted(used - declared))
+    return errors
+
+
+def _reference_split(line, number):
+    match = _REFERENCE_CODE_AND_COMMENT.match(line)
+    if match.end() < len(line):
+        raise ConceptSyntaxError("unterminated quote", number, match.end() + 1)
+    return match[1], match[2]
+
+
+def _reference_quoted(code, start, number):
+    if start >= len(code) or code[start] != '"':
+        raise ConceptSyntaxError("expected an opening quote", number, start + 1)
+    end = code.find('"', start + 1)
+    if end < 0:
+        raise ConceptSyntaxError("unterminated quote", number, start + 1)
+    return code[start + 1 : end], end + 1
+
+
+def _reference_concept_line(code, pos, number):
+    name, pos = _reference_quoted(code, pos, number)
+    if code[pos:].strip():
+        raise ConceptSyntaxError("unexpected text after the concept name", number, pos + 1)
+    if not name:
+        raise ConceptSyntaxError("concept name is empty", number)
+    return name
+
+
+def _reference_var_line(rest, comment, declared, number):
+    if not rest:
+        raise ConceptSyntaxError("missing variable name", number)
+    errors = _reference_variable_errors(rest, declared)
+    if errors:
+        raise ConceptSyntaxError(errors[0], number)
+    return ConceptVariable(rest, comment or "")
+
+
+def _reference_step_line(code, pos, comment, number):
+    label, pos = _reference_quoted(code, pos, number)
+    if not label:
+        raise ConceptSyntaxError("empty step label", number)
+    pos = _REFERENCE_SPACES.match(code, pos).end()
+    repeat = ONE
+    if _REFERENCE_REPEAT.match(code, pos):
+        brace = code.find("{", pos)
+        if brace < 0:
+            raise ConceptSyntaxError("missing '{' after repeat expression", number, pos + 1)
+        repeat = _reference_embedded(code[pos + len("repeat") : brace], pos + len("repeat"), number)
+        pos = brace
+    if pos >= len(code) or code[pos] != "{":
+        raise ConceptSyntaxError("expected '{'", number, pos + 1)
+    closing = code.find("}", pos)
+    if closing < 0:
+        raise ConceptSyntaxError("missing '}'", number, pos + 1)
+    body = code[pos + 1 : closing]
+    if code[closing + 1 :].strip():
+        raise ConceptSyntaxError("unexpected text after '}'", number, closing + 2)
+    actions = {}
+    offset = pos + 1
+    for part in body.split(";"):
+        if not part.strip():
+            offset += len(part) + 1
+            continue
+        letter, sep, expr_text = part.partition(":")
+        if not sep:
+            raise ConceptSyntaxError("expected '<action>: <expr>'", number, offset + 1)
+        letter = letter.strip()
+        try:
+            kind = ActionKind.from_letter(letter)
+        except KeyError:
+            raise ConceptSyntaxError(
+                f"unknown action kind {letter!r} (expected one of T, E, C, S, X)",
+                number,
+                offset + 1,
+            ) from None
+        if kind in actions:
+            raise ConceptSyntaxError(f"duplicate action kind {letter!r}", number, offset + 1)
+        actions[kind] = _reference_embedded(expr_text, offset + len(part) - len(expr_text), number)
+        offset += len(part) + 1
+    return UserStep(label, actions, repeat, comment)
+
+
+def _reference_embedded(text, base, number):
+    try:
+        return parse_expr(text)
+    except (ExpressionSyntaxError, OverflowLimitError) as exc:
+        if exc.offset is None:
+            raise
+        raise ConceptSyntaxError(str(exc), number, base + exc.offset + 1) from None
+
+
+def _sum_of(count):
+    return "(" + " + ".join(f"v{i}" for i in range(count)) + ")"
+
+
+# Text spliced into a line at any place: quotes, comment marks, braces,
+# separators, kinds known and unknown, a repeat, and the spaces that
+# str.isspace and str.splitlines treat alike or apart.
+_SPLICES = ('"', "#", "}", "{", ";", ";;", " ; ; ", ":", "Q", "t", "TT", " x", "repeat",
+            " repeat 2 ", "; T: 1", "; C: a", "\x85", "　", "\t")
+# Texts put in place of a repeat or a count: a 20-digit literal, products
+# out of the signed 64-bit range, a product past MAX_TERMS, and faults of
+# the grammar.
+_BAD_EXPRESSIONS = ("1" * 20, "9223372036854775807*2", "3037000500*3037000500*a",
+                    f"{_sum_of(100)}*{_sum_of(101)}", "", " ", "a a", "(a", "é", "z")
+_LABELS = ('""', '"a#b"', '"a}b"', '"{"', '"step 1"', '"#"')
+_AROUND = re.compile(r"[TECSX](?=\s*:)|:")
+_PUNCTUATION = re.compile(r'[{}":;]')
+_PART_TEXT = re.compile(r"[TECSX]: [^;}]*")
+_EXPRESSION_TEXT = re.compile(r"(?<=:)[^;}]*|(?<=repeat)[^{]*")
+
+
+@st.composite
+def concept_texts(draw):
+    """The text of a random_concept, drawn by seed, with up to three of its
+    lines, mostly step lines, mutated: a splice at any place, a space
+    around a kind or a colon, a brace, quote, colon or ';' cut, a bad
+    expression for a repeat or a count, a part of the body repeated, or a
+    label emptied, repeated or holding a '#' or a brace."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    lines = serialize_concept(random_concept(rng, max_steps=6)).splitlines()
+    steps = [at for at, line in enumerate(lines) if line.startswith("step")]
+    for _ in range(draw(st.integers(0, 3))):
+        # Mostly a step line, the lines the reader reads by one match.
+        if steps and draw(st.integers(0, 3)):
+            at = draw(st.sampled_from(steps))
+        else:
+            at = draw(st.integers(0, len(lines) - 1))
+        line = lines[at]
+        mutation = draw(st.sampled_from(("splice", "space", "cut", "expression", "label", "part")))
+        if mutation == "splice":
+            pos = draw(st.integers(0, len(line)))
+            line = line[:pos] + draw(st.sampled_from(_SPLICES)) + line[pos:]
+        elif mutation == "space":
+            places = [m.start() for m in _AROUND.finditer(line)] + [
+                m.end() for m in _AROUND.finditer(line)
+            ]
+            if places:
+                pos = draw(st.sampled_from(places))
+                line = line[:pos] + draw(st.sampled_from(("\x85", "　", "\t"))) + line[pos:]
+        elif mutation == "cut":
+            places = [m.start() for m in _PUNCTUATION.finditer(line)]
+            if places:
+                pos = draw(st.sampled_from(places))
+                line = line[:pos] + line[pos + 1 :]
+        elif mutation == "expression":
+            spans = [m.span() for m in _EXPRESSION_TEXT.finditer(line)]
+            bad = draw(st.sampled_from(_BAD_EXPRESSIONS))
+            if spans:
+                start, end = draw(st.sampled_from(spans))
+                line = f"{line[:start]} {bad} {line[end:]}"
+            elif "{" in line:
+                line = line.replace("{", f"repeat {bad} {{", 1)
+        elif mutation == "part":
+            parts = _PART_TEXT.findall(line)
+            if parts and "}" in line:
+                line = line.replace("}", f"; {draw(st.sampled_from(parts))} }}", 1)
+        elif mutation == "label":
+            line = re.sub(r'"[^"]*"', draw(st.sampled_from(_LABELS)), line, count=1)
+        lines[at] = line
+    return "\n".join(lines) + "\n"
+
+
+# Leaf texts of the oracle cases: some raise for a binding without b or with
+# a below 2 or negative, and some overflow only under a repeat of 2 or more.
+_LEAVES = ("a", "b", "a - 2", "2*a", "a*b", "b - a", "1", "2", "4611686018427387904",
+           "9223372036854775807 - a")
+_BINDING_VALUES = (0, 1, 2, 3, 2**31, 2**62, 2**63 - 1, -1)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A concept whose repeats and counts come from a few leaf texts, each
+    parsed afresh where it is used, so that equal leaves recur as distinct
+    objects; and a binding of a and b that may lack a name or hold a
+    negative or 64-bit-edge value."""
+    texts = draw(st.lists(st.sampled_from(_LEAVES), min_size=1, max_size=3))
+    leaves = st.sampled_from(texts).map(parse_expr)
+    steps = []
+    for index in range(draw(st.integers(0, 5))):
+        kinds = draw(st.lists(st.sampled_from(list(ActionKind)), unique=True, max_size=3))
+        actions = {kind: draw(leaves) for kind in kinds}
+        repeat = draw(st.one_of(st.just(ONE), leaves))
+        steps.append(UserStep(f"s{index}", actions, repeat))
+    variables = (ConceptVariable("a"), ConceptVariable("b"))
+    values = [draw(st.sampled_from((*_BINDING_VALUES, None))) for _ in "ab"]
+    binding = {name: value for name, value in zip("ab", values) if value is not None}
+    return InteractionConcept("oracle", variables, tuple(steps)), binding
+
+
+# --- reference oracle ---------------------------------------------------------
+#
+# count_actions as it was before it read steps by slot and kept each leaf's
+# value for the rest of the call: every leaf of every step is rendered, by
+# the renderer that expanded each monomial again, and evaluated afresh.
+
+
+def reference_count_actions(concept, binding):
+    totals = {kind: 0 for kind in ActionKind}
+    for step in concept.steps:
+        for kind, count in _reference_step_counts(step, binding).items():
+            totals[kind] += count
+    per_kind = {kind: count for kind, count in totals.items() if count}
+    return ActionCounts(per_kind, _reference_in_range(sum(totals.values()), "total count"))
+
+
+def _reference_step_counts(step, binding):
+    repeat = _reference_leaf_value(step.repeat, binding)
+    return {
+        kind: _reference_in_range(repeat * _reference_leaf_value(expr, binding), "step count")
+        for kind, expr in step.actions.per_kind.items()
+    }
+
+
+def _reference_in_range(count, what):
+    if count > INT64_MAX:
+        raise OverflowLimitError(f"{what} {count} is outside the signed 64-bit range")
+    return count
+
+
+def _reference_leaf_value(expr, binding):
+    value = eval_source(reference_format_expr(expr), binding)
+    if value < 0:
+        raise NegativeCountError(reference_format_expr(expr), value)
+    return value
+
+
+def reference_format_expr(expression):
+    """format_expr as it rendered each term from its monomial."""
+    if not expression.terms:
+        return "0"
+    parts = []
+    for i, (mono, coeff) in enumerate(expression.terms):
+        magnitude = _reference_magnitude(mono, abs(coeff))
+        if coeff == INT64_MIN:
+            magnitude = f"{_reference_magnitude(mono, INT64_MAX)} - {_reference_magnitude(mono, 1)}"
+        if i == 0:
+            parts.append(magnitude if coeff > 0 else f"-{magnitude}")
+        else:
+            parts.append(f"+ {magnitude}" if coeff > 0 else f"- {magnitude}")
+    return " ".join(parts)
+
+
+def _reference_magnitude(mono, coeff):
+    factors = [name for name, exp in mono for _ in range(exp)]
+    if not factors:
+        return str(coeff)
+    if coeff != 1:
+        factors.insert(0, str(coeff))
+    return "*".join(factors)
 
 
 # --- seeded bulk generator ---------------------------------------------------

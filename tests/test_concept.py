@@ -4,7 +4,7 @@ import pickle
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ixcomplex.concept import (
@@ -20,7 +20,7 @@ from ixcomplex.concept import (
 )
 from ixcomplex.bigi import analyze
 from ixcomplex.errors import ConceptSyntaxError, DomainError, IxComplexError
-from ixcomplex.expr import MAX_NESTING, ONE, ZERO, format_expr, parse_expr
+from ixcomplex.expr import MAX_NESTING, ONE, ZERO, Expression, format_expr, parse_expr
 from ixcomplex.klm import DEFAULT_MAPPING, klm_from_concept
 from ixcomplex.synth import count_actions
 
@@ -28,7 +28,9 @@ from helpers import (
     LINE_BOUNDARIES,
     V1_BINDING,
     V2_BINDING,
+    concept_texts,
     concepts,
+    reference_parse_concept,
     reference_split_comment,
     unicode_texts,
 )
@@ -284,6 +286,16 @@ class TestModel:
             f"ActionVector count for {ActionKind.from_word(word)} must be an Expression, got {got}"
         )
 
+    def test_an_action_vector_is_kept_when_its_empty_slots_hold_zero(self):
+        a = parse_expr("a")
+        vector = ActionVector((a, ZERO, ONE, ZERO, ZERO))
+        assert UserStep("s", vector).actions is vector
+        # Expression() equals ZERO but is another object: the step holds a
+        # new vector with ZERO in that slot.
+        other = ActionVector((a, Expression(), ONE, ZERO, ZERO))
+        actions = UserStep("s", other).actions
+        assert actions is not other and actions == vector and actions.counts[1] is ZERO
+
     def test_actions_type_checked_in_the_order_given(self):
         with pytest.raises(DomainError, match="for External"):
             UserStep("s", {ActionKind.EXTERNAL: "1", ActionKind.SCROLL: 1})
@@ -510,3 +522,39 @@ class TestProperties:
             parse_concept(text)
         except IxComplexError:
             pass
+
+
+def _read(parse, text):
+    try:
+        concept = parse(text)
+    except Exception as exc:  # the type, message, line and column are compared
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    return concept, repr(concept)
+
+
+class TestOneMatchReader:
+    @given(concept_texts())
+    @settings(max_examples=500)
+    @example('concept "x"\nvar a\nstep "s" repeat 2 { T: a; C:a }\nstep "t" { T: a - a; E: 0 }\n')
+    @example('concept "x"\nvar a\nstep "s" { T: b }\nstep "t" { T: 1 } "\n')
+    @example('concept "x"\nvar a\nstep "s" { T: 1 }\nstep "s" { T: b }\n')
+    @example('concept "x"\nstep "s" { T: 1; T: 9223372036854775807*2 }\n')
+    @example('concept "x"\nstep "s" { T: 1; C: 2; T: 1 }\n')
+    @example('concept "x"\nstep "s" repeat 11111111111111111111 { T: 1 }\n')
+    @example('concept "x"\nstep "s" { T\x85: 1 }\n')
+    @example('concept "x"\nstep "s" {\u3000T\t:\t1 ;; }  # note\n')
+    @example('concept "x"\nstep "s" repeat 2 }{ T: 1 }\n')
+    @example('concept "x"\nstep "s" { T: 1 }}\n')
+    @example('concept "x"\nstep"s" { T: 1 }\n')
+    @example('step "s" { T: 1 }\nconcept "x"\n')
+    @example('concept "x"\nstep "a#b}" repeat{ T: 1 }\n')
+    def test_matches_the_reference_reader(self, text):
+        assert _read(parse_concept, text) == _read(reference_parse_concept, text)
+
+    def test_a_text_is_parsed_once_per_call(self):
+        text = 'concept "x"\nvar a\nstep "s" repeat a { T: a }\nstep "t" { C:  a ; E: 2 }\n'
+        first, again = parse_concept(text), parse_concept(text)
+        assert first.steps[0].repeat is first.steps[0].actions.counts[0]
+        assert first.steps[0].repeat is first.steps[1].actions.counts[2]
+        # The parses live only for the call: a second call parses afresh.
+        assert again == first and again.steps[0].repeat is not first.steps[0].repeat

@@ -35,7 +35,14 @@ from ixcomplex.expr import (
     total_degree,
 )
 
-from helpers import expressions, monomials, nonneg_expressions, parser_texts, reference_parse
+from helpers import (
+    expressions,
+    monomials,
+    nonneg_expressions,
+    parser_texts,
+    reference_format_expr,
+    reference_parse,
+)
 
 
 def mono(*pairs):
@@ -328,6 +335,19 @@ class TestDegreeAndFormat:
 
     def test_format_powers(self):
         assert format_expr(parse_expr("a*a + b")) == "a*a + b"
+
+    @given(
+        st.dictionaries(
+            monomials(),
+            st.one_of(st.integers(-9, 9), st.sampled_from((INT64_MIN, INT64_MAX, -INT64_MAX))),
+            max_size=5,
+        ).map(lambda terms: Expression(tuple(terms.items())))
+    )
+    @example(Expression((((), INT64_MIN), ((("a", 2), ("b", 1)), INT64_MIN))))
+    @example(Expression((((("a", 3),), 1), ((("b", 1),), -1))))
+    def test_format_matches_the_reference_renderer(self, e):
+        # The reference expands each monomial; format_expr reads the keys.
+        assert format_expr(e) == reference_format_expr(e)
 
 
 class TestProperties:

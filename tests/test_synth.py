@@ -26,6 +26,7 @@ from ixcomplex.logs import (
     load_log,
     task_table,
 )
+from ixcomplex import synth
 from ixcomplex.synth import (
     _MIN_SPEED,
     ActionCounts,
@@ -40,8 +41,10 @@ from helpers import (
     V1_BINDING,
     V2_BINDING,
     expressions,
+    oracle_cases,
     random_binding,
     random_concept,
+    reference_count_actions,
 )
 
 
@@ -410,6 +413,24 @@ class TestGenerateLogText:
         )
 
 
+def _oracle_case(counts, repeats, binding):
+    """A concept of one step per count text, its Think count, under the
+    repeat text at the same place; each text parsed where it is used."""
+    steps = tuple(
+        UserStep(f"s{index}", {ActionKind.THINK: parse_expr(count)}, parse_expr(repeat))
+        for index, (count, repeat) in enumerate(zip(counts, repeats))
+    )
+    return InteractionConcept("oracle", (), steps), binding
+
+
+def _counted(count, concept, binding):
+    try:
+        counts = count(concept, binding)
+    except Exception as exc:  # the first exception's type and message are compared
+        return type(exc), str(exc)
+    return counts, repr(counts)
+
+
 class TestOracleAgreement:
     def test_symbolic_equivalence_bulk(self):
         from ixcomplex.bigi import instantiate, normalize, sum_steps
@@ -423,6 +444,33 @@ class TestOracleAgreement:
                     count_actions(concept, binding).total
                     == instantiate(normalize(sum_steps(concept)), binding)
                 )
+
+    @given(oracle_cases())
+    @settings(max_examples=300)
+    @example(_oracle_case(["a - 2", "a - 2"], ["1", "1"], {"a": 0}))
+    @example(_oracle_case(["a - 2", "b"], ["1", "1"], {"a": 1}))
+    @example(_oracle_case(["a", "a"], ["1", "2"], {"a": 2**62}))
+    @example(_oracle_case(["a", "a"], ["2", "1"], {"a": 2**63 - 1}))
+    @example(_oracle_case(["a", "b"], ["0", "0"], {"a": 2**63 - 1, "b": -1}))
+    def test_matches_the_reference_oracle(self, case):
+        concept, binding = case
+        assert _counted(count_actions, concept, binding) == _counted(
+            reference_count_actions, concept, binding
+        )
+
+    def test_each_distinct_leaf_is_evaluated_once_per_call(self, monkeypatch):
+        evaluated = []
+
+        def counting(text, binding):
+            evaluated.append(text)
+            return eval_source(text, binding)
+
+        monkeypatch.setattr(synth, "eval_source", counting)
+        concept, binding = _oracle_case(["2*a", "a", "2*a"], ["a", "1", "a"], {"a": 3})
+        assert count_actions(concept, binding) == reference_count_actions(concept, binding)
+        assert evaluated == ["a", "2*a", "1"]
+        count_actions(concept, binding)
+        assert evaluated[3:] == ["a", "2*a", "1"]
 
     def test_klm_count_agreement(self, v1_concept):
         from ixcomplex.klm import KlmOperator, klm_from_concept
