@@ -350,7 +350,7 @@ def _gathered(coeffs: dict[_Key, int], monos: dict[_Key, Monomial]) -> Expressio
         if coeff:
             terms.append((monos[key], coeff))
             keys.append(key)
-    return _canonical(tuple(terms), tuple(keys))
+    return _canonical(tuple(terms), tuple(keys)) if terms else ZERO
 
 
 ZERO = Expression()

@@ -28,10 +28,15 @@ makes the checked rows its records.  A loaded log holds one str object per
 distinct task id, concept name, page and step label, as a generated one
 does.
 
-log_tables, the reader behind the CLI's logs command, builds no records: it
-adds each checked session's durations straight to the groups of its tables.
-task_table and step_table feed a log's records to the same group code, so a
-file's tables are the same either way.
+log_tables, the reader behind the CLI's logs command, builds no record tree:
+it adds each checked session's durations straight to the groups of its
+tables, and keeps the tasks, without their page visits, only to cross-check
+a concept.  task_table and step_table feed a log's records to the same group
+code, so a file's tables are the same either way.  The CLI's synth command
+writes synth.generate_log_text, the text of dump_log written straight from
+the drawn speeds, so no CLI command builds a log.  load_log, log_tables and
+synth.generate_log pause the cyclic garbage collector while they build (see
+gc_paused).
 
 The writer refuses exactly what the reader would refuse in its output, and
 a surrogate pair, which the reader would take for one character.  load_log
@@ -45,12 +50,6 @@ then json.dumps of the records, then a search for surrogate pairs that
 runs only when the text holds a surrogate's escape.  Tasks that share one
 binding object, as generate_log's do and as consecutive equal bindings of a
 loaded log do, have it checked once per call.
-
-load_log, log_tables and synth.generate_log pause the cyclic garbage
-collector while they build (see gc_paused).  The CLI builds a log only to
-cross-check a concept: its logs command runs log_tables and its synth
-command writes synth.generate_log_text, the text of dump_log written
-straight from the drawn speeds.
 
 Outlier removal uses the interquartile range method: per group, durations
 outside [Q1 - 1.5*IQR, Q3 + 1.5*IQR] are dropped before speeds are
@@ -142,13 +141,12 @@ def gc_paused() -> Iterator[None]:
     built or its durations taken.  The pause is process-wide; the
     collector's previous state is restored on exit, also when the build
     raises.  load_log, log_tables and synth.generate_log pause it.
-    log_tables keeps only the durations, and the log it builds with a
-    concept is garbage before its pause ends, so the collection below does
-    not run on it, and load_log's inner pause, which finds the collector
-    already off, runs none either.  dump_log takes none: what it keeps is
-    strings, which the collector does not track.  Nor does the CLI's synth
-    command, which builds no log: synth.generate_log_text keeps only strings
-    and an array of timestamps.
+    log_tables keeps only the durations, and the tasks it keeps for a
+    concept are garbage before its pause ends, so the collection below does
+    not run on them.  dump_log takes none: what it keeps is strings, which
+    the collector does not track.  Nor does the CLI's synth command, which
+    builds no log: synth.generate_log_text keeps only strings and an array
+    of timestamps.
 
     What the build leaves alive sits in the youngest generation, where the
     next few collections would traverse it again, in whatever code runs
@@ -430,10 +428,9 @@ def _log_from(raw_sessions: Iterable) -> EventLog:
             task_id, concept_name, binding, _, raw_visits = raw_task
             raw_task[0] = first(task_id, task_id)
             raw_task[1] = first(concept_name, concept_name)
-            if binding == shared:
-                raw_task[2] = shared
-            else:
+            if binding != shared:
                 shared = binding
+            raw_task[2] = shared
             visits = []
             for raw_visit in raw_visits:
                 page = raw_visit[0]
@@ -613,12 +610,12 @@ def cross_check(log: EventLog, concept: InteractionConcept) -> list[str]:
     expected: dict[tuple, int | IxComplexError] = {}
     messages = []
     last = yielded = None
-    for session in log.sessions:
-        for task in session.tasks:
-            if task.concept_name != concept.name or not task.binding:
+    for session_id, tasks in log.sessions:
+        for task_id, concept_name, binding, is_count, _ in tasks:
+            if concept_name != concept.name or not binding:
                 continue
-            if task.binding is not last:
-                last = task.binding
+            if binding is not last:
+                last = binding
                 key = tuple(sorted(last.items()))
                 if key not in expected:
                     try:
@@ -628,13 +625,13 @@ def cross_check(log: EventLog, concept: InteractionConcept) -> list[str]:
                 yielded = expected[key]
             if isinstance(yielded, IxComplexError):
                 messages.append(
-                    f"task {task.task_id!r} in session {session.session_id!r}: "
+                    f"task {task_id!r} in session {session_id!r}: "
                     f"the concept yields no IS count at its binding: {yielded}"
                 )
-            elif yielded != task.is_count:
+            elif yielded != is_count:
                 messages.append(
-                    f"task {task.task_id!r} in session {session.session_id!r} "
-                    f"records {task.is_count} IS but the concept yields {yielded}"
+                    f"task {task_id!r} in session {session_id!r} "
+                    f"records {is_count} IS but the concept yields {yielded}"
                 )
     return messages
 
@@ -725,14 +722,13 @@ def log_tables(
     concept, when given, is called once the log is checked and that warning
     issued, and returns the concept that the tasks' IS counts are checked
     against: each message of cross_check is an AnalyticsWarning, issued
-    before the tables are computed.  That check needs the tasks' bindings,
-    so a log read with a concept is built by load_log.  Without one, no
-    record is built: the file is read as _walked reads it, and each session,
-    once checked, goes straight into the durations of its groups.  The text
-    of the file is dropped once it is read: the rows need only the durations.
-    A caller that passes the text itself may hold it until the call returns
-    (before Python 3.11, every caller does); one that passes a function
-    does not, so no copy of the file is alive while the rows are computed.
+    before the tables are computed.  The file is read as _walked reads it:
+    each session, once checked, goes straight into the durations of its
+    groups, and its tasks, without page visits, are kept for that check
+    only.  The text of the file is dropped once it is read.  A caller that
+    passes the text itself may hold it until the call returns (before Python
+    3.11, every caller does); one that passes a function does not, so no
+    copy of the file is alive while the rows are computed.
     """
     if tables not in _TABLES:
         raise DomainError(f"tables must be 'task', 'step' or 'both', got {tables!r}")
@@ -742,22 +738,16 @@ def log_tables(
         data = data()
 
     def take(sessions: Iterable):
-        return _grouped(_checked(sessions), group_by, names)
+        return _grouped(_checked(sessions), group_by, names, concept is not None)
 
     with gc_paused():
-        if concept is None:
-            grouped, has_tasks = _walked(data, take)
-            del data
-            if not has_tasks:
-                warnings.warn("log contains no tasks", AnalyticsWarning, stacklevel=2)
-        else:
-            log = load_log(data)
-            del data
-            grouped, has_tasks = _grouped(log.sessions, group_by, names)
-            if not has_tasks:
-                warnings.warn("log contains no tasks", AnalyticsWarning, stacklevel=2)
-            _warn(cross_check(log, concept()), 2)
-            del log
+        grouped, has_tasks, kept = _walked(data, take)
+        del data
+        if not has_tasks:
+            warnings.warn("log contains no tasks", AnalyticsWarning, stacklevel=2)
+        if kept is not None:
+            _warn(cross_check(EventLog(tuple(kept)), concept()), 2)
+            del kept
     if "task" in names:
         _check_group_by(group_by)
     rows: dict[str, list[SpeedStats]] = {}
@@ -790,8 +780,7 @@ def _table(log: EventLog, group_by: str, name: str) -> list[SpeedStats]:
     """The table named name of a log in memory, warning of the tasks or
     steps skipped before its rows are computed, and of each group that
     outlier removal empties after."""
-    grouped, _ = _grouped(log.sessions, group_by, (name,))
-    groups, skipped = grouped[name]
+    groups, skipped = _grouped(log.sessions, group_by, (name,))[0][name]
     _warn(skipped, 3)
     emptied: list[str] = []
     rows = _rows_from_groups(groups, emptied)
@@ -803,10 +792,12 @@ _Groups = dict[str, tuple[list[int], list[float]]]
 
 
 def _grouped(
-    sessions: Iterable[Sequence], group_by: str, names: Sequence[str]
-) -> tuple[dict[str, tuple[_Groups, list[str]]], bool]:
+    sessions: Iterable[Sequence], group_by: str, names: Sequence[str], keep: bool = False
+) -> tuple[dict[str, tuple[_Groups, list[str]]], bool, list | None]:
     """The samples of the tables named in names ("task", "step"), by name,
-    and whether any session holds a task.
+    whether any session holds a task, and, when keep is true, the sessions
+    with their tasks' records, page visits left out, else None.  Each kept
+    task whose binding equals the previous one's gets that binding object.
 
     sessions yields each session's id and tasks, with each task [task_id,
     concept_name, binding, is_count, page_visits], each page visit [page,
@@ -824,8 +815,17 @@ def _grouped(
     step_skipped: list[str] = []
     key = 1 if group_by == "concept_name" else 0
     has_tasks = False
+    kept: list | None = [] if keep else None
+    shared = None
     for session_id, tasks in sessions:
         has_tasks = has_tasks or bool(tasks)
+        if kept is not None:
+            records = []
+            for task_id, concept_name, binding, is_count, _ in tasks:
+                if binding != shared:
+                    shared = binding
+                records.append(Task(task_id, concept_name, shared, is_count))
+            kept.append(Session(session_id, tuple(records)))
         for task in tasks:
             visits = task[4]
             if task_groups is not None:
@@ -857,7 +857,7 @@ def _grouped(
                         group[0].append(count)
                         group[1].append(duration)
     grouped = {"task": (task_groups, task_skipped), "step": (step_groups, step_skipped)}
-    return {name: grouped[name] for name in names}, has_tasks
+    return {name: grouped[name] for name in names}, has_tasks, kept
 
 
 def _rows_from_groups(groups: _Groups, notes: list[str]) -> list[SpeedStats]:

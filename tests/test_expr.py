@@ -634,6 +634,14 @@ class TestSum:
         assert Sum().value() == ZERO
         assert Sum([parse_expr("a"), parse_expr("-a")]).value() == ZERO
 
+    def test_terms_that_all_cancel_give_the_zero_object(self):
+        # Two or more monomials cancelling at once, in each gathering path:
+        # the parser's fold, subtraction and a Sum.
+        a, b = parse_expr("a"), parse_expr("b")
+        assert parse_expr("a - a + b - b") is ZERO
+        assert (a + b) - (b + a) is ZERO
+        assert Sum([a + b, parse_expr("-a - b")]).value() is ZERO
+
 
 def _raw(e, binding):
     # reference evaluation without the nonnegativity gate

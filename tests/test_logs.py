@@ -1465,6 +1465,51 @@ class TestLogTables:
         )
         assert called == [True, True]
 
+    def test_concept_warnings_are_those_of_cross_check_in_every_layout(self, v2_concept):
+        # One task records a wrong count, under a task id of its own so that
+        # no group mixes counts, and one leaves a variable unbound.  A key
+        # after "sessions" leaves dump_log's layout only once every session
+        # is read, so that text is walked twice.
+        sessions = list(generate_log(SynthConfig(v2_concept, V2_BINDING, 4, 1.0)).sessions)
+        changes = {"task_id": "wrong", "is_count": 999}, {"binding": {"m": 1}}
+        for index, change in zip((1, 2), changes):
+            task = sessions[index].tasks[0]._replace(**change)
+            sessions[index] = sessions[index]._replace(tasks=(task,))
+        log = EventLog(tuple(sessions))
+        expected = cross_check(log, v2_concept)
+        assert expected == [
+            "task 'wrong' in session 's0001' records 999 IS but the concept yields 45",
+            "task 'v2-single-page' in session 's0002': the concept yields no IS count at its "
+            "binding: unbound variable 'd'",
+        ]
+        data = json.loads(dump_log(log))
+        for text in (
+            dump_log(log),
+            json.dumps(data, indent=1),
+            compact(dict(data, extra=[1])),
+            compact({"sessions": data["sessions"], "format": 2}),
+        ):
+            assert cross_check(load_log(text), v2_concept) == expected
+            assert tables_outcome(log_tables, text, "task_id", "both", lambda: v2_concept) == (
+                tables_outcome(log_tables, text, "task_id", "both")[0], expected,
+            )
+
+    def test_concept_check_peaks_below_the_records(self, v2_concept):
+        # The 2,000-session log of TestStreamedLoad's peak test.
+        text = dump_log(generate_log(SynthConfig(v2_concept, V2_BINDING, 2000, 1.05, 0.2)))
+        checked = traced_peak(log_tables, text, "task_id", "both", lambda: v2_concept)
+        assert checked < traced_peak(load_log, text)
+
+
+def traced_peak(function, *args):
+    """The peak of the memory traced while function(*args) runs."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 class TestRendering:
     def test_csv_columns(self):
