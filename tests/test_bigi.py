@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -37,13 +38,22 @@ from ixcomplex.errors import (
     UnboundVariableError,
     UnmappedActionError,
 )
-from ixcomplex.expr import INT64_MAX, INT64_MIN, ZERO, Expression, evaluate, parse_expr
+from ixcomplex.expr import (
+    INT64_MAX,
+    INT64_MIN,
+    ZERO,
+    Expression,
+    evaluate,
+    format_expr,
+    parse_expr,
+)
 from ixcomplex.klm import (
     DEFAULT_MAPPING,
     KlmExpression,
     KlmOperator,
     klm_from_concept,
     klm_step,
+    klm_time,
     mapping_from_dict,
 )
 from ixcomplex.logs import EventLog, Session, Task, cross_check
@@ -542,3 +552,40 @@ class TestSharedDerivation:
             "label", "actions", "repeat", "note"
         ]
         assert v1_concept == _fresh(v1_concept)
+
+
+# The sha256 of the repr of every engine output below, for 40 concepts of
+# helpers.random_concept at each seed.  Taken before the engine stored its
+# terms as sort keys and coefficients; a change to the engine's internals
+# must leave it alone.  Every output is exact (klm_time adds its floats one
+# at a time), so the digest is the same on every supported Python.
+ENGINE_DIGEST_SEEDS = (1, 2, 3, 4, 5)
+ENGINE_DIGEST = "fdfdd237c276d3d7629e7604925a804dd67f812a2f60c195c970cfa73a64127a"
+
+
+def engine_outputs(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        concept = parse_concept(serialize_concept(random_concept(rng)))
+        binding = random_binding(rng, concept)
+        report = analyze(concept, binding)
+        klm = klm_from_concept(concept, _FULL_MAPPING)
+        yield concept
+        yield report
+        yield report_to_dict(report)
+        yield klm
+        yield klm_time(klm, binding=binding)
+        yield count_actions(concept, binding)
+        yield parse_expr(format_expr(report.normalized.is_function))
+
+
+def engine_digest():
+    digest = hashlib.sha256()
+    for seed in ENGINE_DIGEST_SEEDS:
+        for output in engine_outputs(seed):
+            digest.update(repr(output).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_engine_outputs_match_the_pinned_digest():
+    assert engine_digest() == ENGINE_DIGEST
