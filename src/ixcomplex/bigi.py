@@ -31,7 +31,7 @@ import math
 from typing import Iterable
 
 from .concept import ActionVector, InteractionConcept, SlotVector, UserStep
-from .expr import Binding, Expression, evaluate, format_expr, total_degree
+from .expr import Binding, Expression, _canonical, evaluate, format_expr, total_degree
 from .value import Value
 
 _CLASS_NAMES = {0: "constant", 1: "linear", 2: "quadratic", 3: "cubic"}
@@ -105,7 +105,7 @@ def step_function(step: UserStep) -> ActionVector:
     if vector is None:
         repeat = step.repeat
         vector = ActionVector(
-            tuple([repeat * count if count.terms else count for count in step.actions.counts])
+            tuple([repeat * count if count._keys else count for count in step.actions.counts])
         )
         object.__setattr__(step, "_vector", vector)
     return vector
@@ -146,14 +146,15 @@ def simplify(normalized: NormalizedComplexity) -> SimplifiedComplexity:
     degree = total_degree(function)
     if degree == 0:
         return SimplifiedComplexity(function, class_label(0))
-    dominant = [
-        frozenset(name for name, _ in mono)
-        for mono, _ in function.terms
-        if sum(exp for _, exp in mono) == degree
+    # A key holds its term's degree (negated) and variable names.
+    keys = function._keys
+    dominant = [frozenset(names) for negated, names in keys if negated == -degree]
+    kept = [
+        index for index, (_, names) in enumerate(keys)
+        if names and any(dom.issuperset(names) for dom in dominant)
     ]
-    retained = function.select(
-        lambda mono: bool(mono)
-        and any(frozenset(name for name, _ in mono) <= dom for dom in dominant)
+    retained = _canonical(
+        tuple([keys[index] for index in kept]), tuple([function._coeffs[index] for index in kept])
     )
     return SimplifiedComplexity(retained, class_label(degree))
 
@@ -191,7 +192,7 @@ def vector_to_dict(vector: ActionVector) -> dict[str, str]:
     return {
         kind.value: format_expr(expr)
         for kind, expr in zip(ActionVector.members, vector.counts)
-        if expr.terms
+        if expr._keys
     }
 
 

@@ -48,7 +48,8 @@ from .errors import (
     IxComplexError,
     OverflowLimitError,
 )
-from .expr import ONE, ZERO, Expression, Sum, format_expr, is_variable_name, parse_expr
+from .expr import ONE, ZERO, Expression, Sum, _gather, _gathered, format_expr
+from .expr import is_variable_name, parse_expr
 from .value import Value
 
 
@@ -119,7 +120,7 @@ class SlotVector(Value):
 
     @property
     def nonzero(self) -> dict[enum.Enum, Expression]:
-        return {member: count for member, count in zip(self.members, self.counts) if count.terms}
+        return {member: count for member, count in zip(self.members, self.counts) if count._keys}
 
     def get(self, member: enum.Enum) -> Expression:
         return self.counts[self.slot[member]]
@@ -134,10 +135,16 @@ class SlotVector(Value):
         """The vector whose count in each slot (V.slot[member]) is the sum
         of the counts paired with that slot; each partial sum is checked in
         the order that adding the pairs one at a time with + would check it."""
-        sums = [Sum() for _ in cls.members]
+        # Each slot's count while it has had one nonzero count, then None.
+        lone: list[Expression | None] = [ZERO] * len(cls.members)
+        gathered: list[dict] = [{} for _ in cls.members]
         for slot, count in pairs:
-            sums[slot].add(count)
-        return cls(tuple(total.value() for total in sums))
+            if count._keys:
+                lone[slot] = count if lone[slot] is ZERO else None
+                _gather(gathered[slot], count, 1)
+        return cls(tuple([
+            _gathered(coeffs) if count is None else count for count, coeffs in zip(lone, gathered)
+        ]))
 
 
 class ActionVector(SlotVector, members=ActionKind):
@@ -199,8 +206,8 @@ class UserStep(Value):
             # Its counts are Expressions already: a new vector only puts the
             # ZERO object in an empty slot that holds another zero.
             counts = actions.counts
-            if not all(count.terms or count is ZERO for count in counts):
-                actions = ActionVector(tuple(count if count.terms else ZERO for count in counts))
+            if not all(count._keys or count is ZERO for count in counts):
+                actions = ActionVector(tuple(count if count._keys else ZERO for count in counts))
         elif isinstance(actions, Mapping):
             counts = [ZERO] * len(ActionVector.members)
             slot_of = ActionVector.members.index
@@ -209,18 +216,34 @@ class UserStep(Value):
                     raise _ill_typed("step actions key", "an ActionKind", kind)
                 if not isinstance(expr, Expression):
                     raise _ill_typed(f"step actions value for {kind.word}", "an Expression", expr)
-                if expr.terms:
+                if expr._keys:
                     counts[slot_of(kind)] = expr
             actions = ActionVector(tuple(counts))
         else:
             raise _ill_typed("step actions", "a mapping", actions)
         if not isinstance(repeat, Expression):
             raise _ill_typed("step repeat", "an Expression", repeat)
-        if note is not None:
-            if type(note) is not str:
-                raise _ill_typed("step note", "a string or None", note)
-            note = note.strip() or None
-        self._store(label, actions, repeat, note)
+        if note is not None and type(note) is not str:
+            raise _ill_typed("step note", "a string or None", note)
+        self._store(label, actions, repeat, _stored_note(note))
+
+
+def _stored_note(note: str | None) -> str | None:
+    """A step's note as a step keeps it: stripped, and None when blank."""
+    return (note.strip() or None) if note else None
+
+
+def _checked_step(
+    label: str, counts: tuple[Expression, ...], repeat: Expression, note: str | None
+) -> UserStep:
+    """UserStep(label, ActionVector(counts), repeat, note) for parts that
+    pass its checks already: a string label, one Expression per kind with
+    ZERO in every empty slot, an Expression repeat, a string note or None."""
+    actions = object.__new__(ActionVector)
+    object.__setattr__(actions, "counts", counts)
+    step = object.__new__(UserStep)
+    step._store(label, actions, repeat, _stored_note(note))
+    return step
 
 
 class InteractionConcept(Value):
@@ -294,7 +317,7 @@ def validate(concept: InteractionConcept) -> list[Diagnostic]:
         for message in _step_errors(step, seen_labels, seen_vars):
             diagnostics.append(Diagnostic("error", message, step.label))
         seen_labels.add(step.label)
-        if not any(count.terms for count in step.actions.counts):
+        if not any(count._keys for count in step.actions.counts):
             diagnostics.append(
                 Diagnostic("warning", "step contributes no interaction", step.label)
             )
@@ -317,7 +340,7 @@ def _step_errors(step: UserStep, labels: Collection[str], declared: set[str]) ->
     errors = []
     if step.label in labels:
         errors.append(f"duplicate step label {step.label!r}")
-    used = step.repeat.variables().union(*(e.variables() for e in step.actions.counts if e.terms))
+    used = step.repeat.variables().union(*(e.variables() for e in step.actions.counts if e._keys))
     errors.extend(f"undeclared variable {name!r}" for name in sorted(used - declared))
     return errors
 
@@ -523,10 +546,12 @@ def _read_step(
                 return None
         elif other:
             return None
-    vector = ActionVector(
-        tuple(ZERO if count is None or not count.terms else count for count in counts)
+    return _checked_step(
+        label,
+        tuple([ZERO if count is None or not count._keys else count for count in counts]),
+        repeat,
+        comment,
     )
-    return UserStep(label, vector, repeat, comment)
 
 
 def _parsed(text: str, parsed: dict[str, Expression], declared: set[str]) -> Expression | None:
@@ -540,8 +565,9 @@ def _parsed(text: str, parsed: dict[str, Expression], declared: set[str]) -> Exp
             expr = parse_expr(text)
         except IxComplexError:
             return None
-        if not expr.variables() <= declared:
-            return None
+        for _, names in expr._keys:  # each term's names
+            if not declared.issuperset(names):
+                return None
         parsed[text] = expr
     return expr
 
@@ -578,7 +604,7 @@ def serialize_concept(concept: InteractionConcept) -> str:
         body = "; ".join(
             f"{kind.value}: {format_expr(expr)}"
             for kind, expr in zip(ActionVector.members, step.actions.counts)
-            if expr.terms
+            if expr._keys
         )
         parts.append("{ " + body + " }" if body else "{ }")
         line = " ".join(parts)

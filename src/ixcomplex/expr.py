@@ -27,15 +27,21 @@ syntax; powers arise only through repeated multiplication, and formatted
 output renders them the same way ("a*a").  The optional leading "-" exists
 so that the formatted form of any polynomial parses back to it.
 
-Each term's sort key, (-total degree, expanded variable sequence), is
-computed once, when its monomial first enters a canonical expression, and
-travels with it; format_expr renders the term's factors from it.  Sum
-adds any number of expressions: it gathers their terms into one dict by
-key, range-checks each coefficient as it changes, so the first error is
-the one the pairwise fold a + b + c + ... raises, and sorts once; + and -
-are two-term Sums.  Scaling keeps the order, a general product collects
-into a dict and sorts once, and a one-term factor times an expression
-keeps that expression's order (the order on sorted variable sequences is
+An expression holds each term in one form: its sort key, (-total degree,
+expanded variable sequence), e.g. (-3, ("a", "a", "r")) for a^2*r, in
+_keys, and its coefficient at the same index of _coeffs.  A key determines
+its monomial, and a product's sequence is the sorted concatenation of its
+factors', so arithmetic, Sum, the parser's fold, format_expr, evaluate and
+the other readers work on keys alone.  terms is a property that builds the
+pairs on each read; repr, hash, pickle and copy go through it.  (A
+__getattr__ hook filling terms lazily would slow every attribute read on
+an Expression, the hot paths' slot reads included.)  Sum adds any number
+of expressions: it gathers their terms into one dict by key, range-checks
+each coefficient as it changes, so the first error is the one the
+pairwise fold a + b + c + ... raises, and sorts once; + and - are
+two-term Sums.  Scaling keeps the keys, a general product collects into a
+dict and sorts once, and a one-term factor times an expression keeps that
+expression's order (the order on sorted variable sequences is
 multiplicative).
 
 The parser scans the text once, with the token pattern's findall, and
@@ -162,12 +168,12 @@ def _grouped(expanded: tuple[str, ...]) -> Monomial:
 class Expression(Value):
     """Canonical integer polynomial over named variables, built from terms
     in any order, each merged coefficient range-checked; a coefficient or
-    exponent that is not an int (a bool neither) raises DomainError.  The
-    sort keys of the terms (_keys) are not a field: ==, hash and repr see
-    terms alone."""
+    exponent that is not an int (a bool neither) raises DomainError.  Its
+    one field, terms, is built on each read from the private slots _keys
+    and _coeffs, which == compares directly."""
 
-    __slots__ = ("terms", "_keys")
-    terms: tuple[tuple[Monomial, int], ...]
+    __slots__ = ("_keys", "_coeffs")
+    _fields = ("terms",)
 
     def __init__(self, terms: Iterable[tuple[Monomial, int]] = ()):
         merged: dict[Monomial, int] = {}
@@ -176,35 +182,47 @@ class Expression(Value):
                 raise DomainError(f"coefficient {coeff!r} must be an integer")
             mono = _canonical_mono(mono)
             merged[mono] = merged.get(mono, 0) + coeff
-        keys = {mono: _mono_key(mono) for mono, coeff in merged.items() if coeff != 0}
-        order = sorted(keys, key=keys.__getitem__)
-        terms = tuple((mono, _check_range(merged[mono], "coefficient")) for mono in order)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_keys", tuple(keys[mono] for mono in order))
+        coeffs = {_mono_key(mono): coeff for mono, coeff in merged.items() if coeff != 0}
+        keys = tuple(sorted(coeffs))
+        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(
+            self, "_coeffs", tuple([_check_range(coeffs[key], "coefficient") for key in keys])
+        )
+
+    @property
+    def terms(self) -> tuple[tuple[Monomial, int], ...]:
+        return tuple([(_grouped(key[1]), coeff) for key, coeff in zip(self._keys, self._coeffs)])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._keys == other._keys and self._coeffs == other._coeffs
+        return NotImplemented
+
+    __hash__ = Value.__hash__
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._keys
 
     def variables(self) -> frozenset[str]:
-        return frozenset(name for mono, _ in self.terms for name, _ in mono)
+        return frozenset([name for _, names in self._keys for name in names])
 
     def select(self, keep: Callable[[Monomial], bool]) -> "Expression":
-        """The terms whose monomials keep accepts, in order, keys and all."""
-        kept = [index for index, (mono, _) in enumerate(self.terms) if keep(mono)]
+        """The terms whose monomials keep accepts, in order."""
+        kept = [index for index, (_, names) in enumerate(self._keys) if keep(_grouped(names))]
         return _canonical(
-            tuple(self.terms[index] for index in kept),
-            tuple(self._keys[index] for index in kept),
+            tuple([self._keys[index] for index in kept]),
+            tuple([self._coeffs[index] for index in kept]),
         )
 
     def __add__(self, other: "Expression") -> "Expression":
-        if not other.terms:
+        if not other._keys:
             return self
-        if not self.terms:
+        if not self._keys:
             return other
         return Sum((self, other)).value()
 
     def __sub__(self, other: "Expression") -> "Expression":
-        if not other.terms:
+        if not other._keys:
             return self
         difference = Sum((self,))
         difference.add(other, -1)
@@ -214,7 +232,7 @@ class Expression(Value):
         return _scale(self, -1)
 
     def __mul__(self, other: "Expression") -> "Expression":
-        a, b = self.terms, other.terms
+        a, b = self._coeffs, other._coeffs
         if len(a) * len(b) > MAX_TERMS:
             raise TermLimitError(
                 f"a product of {len(a)} by {len(b)} terms would form more than "
@@ -223,57 +241,54 @@ class Expression(Value):
         if not a or not b:
             return ZERO
         if len(a) == 1:
-            if not a[0][0]:
-                return _scale(other, a[0][1])
-            return _term_times(a[0][1], self._keys[0], other)
+            if not self._keys[0][1]:
+                return _scale(other, a[0])
+            return _term_times(a[0], self._keys[0], other)
         if len(b) == 1:
-            if not b[0][0]:
-                return _scale(self, b[0][1])
-            return _term_times(b[0][1], other._keys[0], self)
+            if not other._keys[0][1]:
+                return _scale(self, b[0])
+            return _term_times(b[0], other._keys[0], self)
         # Keys double as dict keys: the expanded sequence of a product is
         # the sorted concatenation of its factors' sequences.
         coeffs: dict[_Key, int] = {}
-        for (_, coeff_a), (degree_a, expanded_a) in zip(a, self._keys):
-            for (_, coeff_b), (degree_b, expanded_b) in zip(b, other._keys):
+        for coeff_a, (degree_a, expanded_a) in zip(a, self._keys):
+            for coeff_b, (degree_b, expanded_b) in zip(b, other._keys):
                 key = (degree_a + degree_b, tuple(sorted(expanded_a + expanded_b)))
                 if key in coeffs:
                     coeffs[key] += coeff_a * coeff_b
                 else:
                     coeffs[key] = coeff_a * coeff_b
-        order = sorted(key for key, coeff in coeffs.items() if coeff != 0)
+        keys = sorted([key for key, coeff in coeffs.items() if coeff != 0])
         return _canonical(
-            tuple((_grouped(key[1]), _check_range(coeffs[key], "coefficient")) for key in order),
-            tuple(order),
+            tuple(keys), tuple([_check_range(coeffs[key], "coefficient") for key in keys])
         )
 
     def __str__(self) -> str:
         return format_expr(self)
 
 
-def _canonical(terms, keys) -> Expression:
-    """An Expression from terms already canonical and their sort keys."""
+def _canonical(keys: tuple[_Key, ...], coeffs: tuple[int, ...]) -> Expression:
+    """An Expression from sorted keys and their nonzero coefficients."""
     expression = object.__new__(Expression)
-    object.__setattr__(expression, "terms", terms)
     object.__setattr__(expression, "_keys", keys)
+    object.__setattr__(expression, "_coeffs", coeffs)
     return expression
 
 
 def _constant(value: int) -> Expression:
-    return _canonical((((), value),), (_CONSTANT_KEY,)) if value else ZERO
+    return _canonical((_CONSTANT_KEY,), (value,)) if value else ZERO
 
 
 def _variable(name: str) -> Expression:
-    return _canonical(((((name, 1),), 1),), ((-1, (name,)),))
+    return _canonical(((-1, (name,)),), (1,))
 
 
 def _scale(expression: Expression, factor: int) -> Expression:
-    """A nonzero factor times a canonical expression: same order and keys."""
+    """A nonzero factor times a canonical expression: same keys."""
     if factor == 1:
         return expression
-    terms = tuple(
-        (mono, _check_range(coeff * factor, "coefficient")) for mono, coeff in expression.terms
-    )
-    return _canonical(terms, expression._keys)
+    coeffs = tuple([_check_range(coeff * factor, "coefficient") for coeff in expression._coeffs])
+    return _canonical(expression._keys, coeffs)
 
 
 def _term_times(coeff: int, key: _Key, expression: Expression) -> Expression:
@@ -283,74 +298,63 @@ def _term_times(coeff: int, key: _Key, expression: Expression) -> Expression:
     so the products come out in order, each checked there, with no dict and
     no sort."""
     degree, expanded = key
-    terms = []
     keys = []
-    for (_, coeff_b), (degree_b, expanded_b) in zip(expression.terms, expression._keys):
-        product = tuple(sorted(expanded + expanded_b))
-        terms.append((_grouped(product), _check_range(coeff * coeff_b, "coefficient")))
-        keys.append((degree + degree_b, product))
-    return _canonical(tuple(terms), tuple(keys))
+    coeffs = []
+    for coeff_b, (degree_b, expanded_b) in zip(expression._coeffs, expression._keys):
+        keys.append((degree + degree_b, tuple(sorted(expanded + expanded_b))))
+        coeffs.append(_check_range(coeff * coeff_b, "coefficient"))
+    return _canonical(tuple(keys), tuple(coeffs))
 
 
 class Sum:
-    """An n-ary sum of canonical expressions: add() gathers terms by their
-    carried keys and range-checks each coefficient it changes at once, so
-    the first error is the one the pairwise fold a + b + ... raises (or,
-    with sign -1, a - b); value() sorts once.  A sum of one nonzero
-    expression is that expression, as with +."""
+    """An n-ary sum of canonical expressions: add() gathers terms by key
+    and range-checks each coefficient it changes at once, so the first
+    error is the one the pairwise fold a + b + ... raises (or, with sign
+    -1, a - b); value() sorts once.  A sum of one nonzero expression is
+    that expression, as with +."""
 
-    __slots__ = ("_coeffs", "_monos", "_lone")
+    __slots__ = ("_coeffs", "_lone")
 
     def __init__(self, expressions: Iterable[Expression] = ()):
         self._coeffs: dict[_Key, int] = {}
-        self._monos: dict[_Key, Monomial] = {}
         self._lone: Expression | None = None
         for expression in expressions:
             self.add(expression)
 
     def add(self, expression: Expression, sign: int = 1) -> None:
-        if expression.terms:
+        if expression._keys:
             self._lone = expression if sign > 0 and not self._coeffs else None
-            _gather(self._coeffs, self._monos, expression, sign)
+            _gather(self._coeffs, expression, sign)
 
     def value(self) -> Expression:
         if self._lone is not None:
             return self._lone
-        return _gathered(self._coeffs, self._monos)
+        return _gathered(self._coeffs)
 
 
-def _gather(coeffs: dict[_Key, int], monos: dict[_Key, Monomial], expression: Expression,
-            sign: int) -> None:
+def _gather(coeffs: dict[_Key, int], expression: Expression, sign: int) -> None:
     """Add sign times the expression's terms, checking each coefficient as
     it changes."""
-    for (mono, coeff), key in zip(expression.terms, expression._keys):
+    for key, coeff in zip(expression._keys, expression._coeffs):
         if sign < 0:
             coeff = -coeff
         if key in coeffs:
             coeff += coeffs[key]
-        else:
-            monos[key] = mono
         if coeff > INT64_MAX or coeff < INT64_MIN:
             _check_range(coeff, "coefficient")
         coeffs[key] = coeff
 
 
-def _gathered(coeffs: dict[_Key, int], monos: dict[_Key, Monomial]) -> Expression:
+def _gathered(coeffs: dict[_Key, int]) -> Expression:
     """The gathered terms as an expression: zero coefficients dropped and
     the keys sorted once."""
-    if not coeffs:
-        return ZERO
     if len(coeffs) == 1:
         ((key, coeff),) = coeffs.items()
-        return _canonical(((monos[key], coeff),), (key,)) if coeff else ZERO
-    terms = []
-    keys = []
-    for key in sorted(coeffs):
-        coeff = coeffs[key]
-        if coeff:
-            terms.append((monos[key], coeff))
-            keys.append(key)
-    return _canonical(tuple(terms), tuple(keys)) if terms else ZERO
+        return _canonical((key,), (coeff,)) if coeff else ZERO
+    keys = sorted(coeffs)
+    if 0 in coeffs.values():
+        keys = [key for key in keys if coeffs[key]]
+    return _canonical(tuple(keys), tuple(map(coeffs.__getitem__, keys))) if keys else ZERO
 
 
 ZERO = Expression()
@@ -359,10 +363,7 @@ ONE = Expression((((), 1),))
 
 def total_degree(expression: Expression) -> int:
     """Largest total degree over the monomials; 0 for the zero polynomial."""
-    if not expression.terms:
-        return 0
-    first_mono = expression.terms[0][0]  # terms sorted by descending degree
-    return sum(exp for _, exp in first_mono)
+    return -expression._keys[0][0] if expression._keys else 0  # keys sorted by degree
 
 
 def evaluate(expression: Expression, binding: Binding) -> int:
@@ -379,10 +380,10 @@ def evaluate(expression: Expression, binding: Binding) -> int:
         if binding[name] < 0:
             raise InvalidBindingError(name, binding[name])
     total = 0
-    for mono, coeff in expression.terms:
+    for (_, names), coeff in zip(expression._keys, expression._coeffs):
         value = coeff
-        for name, exp in mono:
-            value *= binding[name] ** exp
+        for name in names:
+            value *= binding[name]
         total += _check_range(value, "term value")
     _check_range(total, "value")
     if total < 0:
@@ -392,11 +393,11 @@ def evaluate(expression: Expression, binding: Binding) -> int:
 
 def format_expr(expression: Expression) -> str:
     """Deterministic canonical text; parse_expr(format_expr(e)) == e."""
-    if not expression.terms:
+    if not expression._keys:
         return "0"
     parts: list[str] = []
     # Each term's factors are its key's expanded variable sequence.
-    for (_, coeff), (_, names) in zip(expression.terms, expression._keys):
+    for (_, names), coeff in zip(expression._keys, expression._coeffs):
         magnitude = _render_magnitude(names, abs(coeff))
         if coeff == INT64_MIN:  # -2**63 has no literal: two terms, which parse_expr adds up
             magnitude = f"{_render_magnitude(names, INT64_MAX)} - {_render_magnitude(names, 1)}"
@@ -471,7 +472,6 @@ def _fold_sum(tokens: list[tuple[str, str, str, str]], index: int, depth: int):
     """Fold the sum that starts at tokens[index], at nesting depth depth;
     return it and the index of the first token after it."""
     coeffs: dict[_Key, int] = {}
-    monos: dict[_Key, Monomial] = {}
     sign = 1
     if tokens[index][2] == "-":
         sign = -1
@@ -516,23 +516,20 @@ def _fold_sum(tokens: list[tuple[str, str, str, str]], index: int, depth: int):
                 break
             index += 1
         if value is not None:
-            _gather(coeffs, monos, value, sign)
+            _gather(coeffs, value, sign)
         elif coeff:
             # A coefficient in 1..INT64_MAX: only a merged sum can leave the range.
             if names:
                 names.sort()
-                expanded = tuple(names)
-                key = (-len(expanded), expanded)
+                key = (-len(names), tuple(names))
             else:
-                expanded, key = (), _CONSTANT_KEY
+                key = _CONSTANT_KEY
             if sign < 0:
                 coeff = -coeff
             if key in coeffs:
                 coeff += coeffs[key]
                 if coeff > INT64_MAX or coeff < INT64_MIN:
                     _check_range(coeff, "coefficient")
-            else:
-                monos[key] = _grouped(expanded)
             coeffs[key] = coeff
         op = tokens[index][2]
         if op == "+":
@@ -540,7 +537,7 @@ def _fold_sum(tokens: list[tuple[str, str, str, str]], index: int, depth: int):
         elif op == "-":
             sign = -1
         else:
-            return _gathered(coeffs, monos), index
+            return _gathered(coeffs), index
         index += 1
 
 
@@ -555,8 +552,7 @@ def _term(coeff: int, names: list[str]) -> Expression:
     """The parenthesis-free part of a term as an expression."""
     if not coeff:
         return ZERO
-    expanded = tuple(sorted(names))
-    return _canonical(((_grouped(expanded), coeff),), ((-len(expanded), expanded),))
+    return _canonical(((-len(names), tuple(sorted(names))),), (coeff,))
 
 
 def _scan(text: str, token_pattern: re.Pattern[str]) -> list[tuple[object, int]]:

@@ -208,7 +208,7 @@ def klm_from_concept(
 def _check_mapped(step: UserStep, mapping: ActionMapping) -> None:
     # The slots themselves: per_kind would build a dict, hashing each kind.
     for kind, count in zip(ActionVector.members, step.actions.counts):
-        if count.terms and not mapping.get(kind):
+        if count._keys and not mapping.get(kind):
             raise UnmappedActionError(kind.word, step.label)
 
 
@@ -217,7 +217,7 @@ def _operator_counts(vector: ActionVector, mapping: ActionMapping) -> KlmExpress
     return KlmExpression.gather(
         (slot[operator], count)
         for kind, count in zip(ActionVector.members, vector.counts)
-        if count.terms
+        if count._keys
         for operator in mapping[kind]
     )
 
@@ -261,7 +261,7 @@ def klm_time(
     binding = binding if binding is not None else {}
     seconds = 0.0
     for operator, count in zip(KlmExpression.members, expression.counts):
-        if count.terms:
+        if count._keys:
             seconds += evaluate(count, binding) * model.unit_time(operator)
     if not math.isfinite(seconds):
         raise DomainError(f"execution time must be finite, got {seconds}")

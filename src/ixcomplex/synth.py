@@ -10,10 +10,10 @@ tokens by recursive descent, instead of reusing the polynomial engine's
 pattern, parser or evaluator.  The only engine facility used here is
 canonical text rendering, to obtain a textual form of stored expressions.
 Each distinct text is rendered and evaluated once per call, in a dict keyed
-by the expression's terms (equal terms render equal text) and dropped when
-the call returns; a text that raises is not kept, so it raises where it
-first appears.  Every step's products are still range-checked.  Steps are
-read slot by slot, in ActionKind order.
+by the expression's keys and coefficients (equal ones render equal text) and
+dropped when the call returns; a text that raises is not kept, so it raises
+where it first appears.  Every step's products are still range-checked.
+Steps are read slot by slot, in ActionKind order.
 
 generate_log produces deterministic synthetic event logs: per-step speeds
 are drawn from a normal distribution (PCG64-seeded, via numpy's Generator,
@@ -88,7 +88,7 @@ def _step_counts(step: UserStep, binding: Mapping[str, int], values: dict[tuple,
     values holds the leaves evaluated so far in the caller's call."""
     repeat = _leaf_value(step.repeat, binding, values)
     return [
-        _in_range(repeat * _leaf_value(expr, binding, values), "step count") if expr.terms else 0
+        _in_range(repeat * _leaf_value(expr, binding, values), "step count") if expr._keys else 0
         for expr in step.actions.counts
     ]
 
@@ -100,17 +100,18 @@ def _in_range(count: int, what: str) -> int:
 
 
 def _leaf_value(expr, binding: Mapping[str, int], values: dict[tuple, int]) -> int:
-    """The value of the expression's rendered text.  values maps the terms
-    of each leaf evaluated so far to its value, so each distinct text is
-    rendered and evaluated once; a text that raises is not kept, so it
-    raises where it first appears."""
-    value = values.get(expr.terms)
+    """The value of the expression's rendered text.  values maps the term
+    form (keys and coefficients) of each leaf evaluated so far to its value,
+    so each distinct text is rendered and evaluated once; a text that raises
+    is not kept, so it raises where it first appears."""
+    form = (expr._keys, expr._coeffs)
+    value = values.get(form)
     if value is None:
         text = format_expr(expr)
         value = eval_source(text, binding)
         if value < 0:
             raise NegativeCountError(text, value)
-        values[expr.terms] = value
+        values[form] = value
     return value
 
 

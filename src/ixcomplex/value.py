@@ -3,9 +3,11 @@
 A value class lists its state in __slots__.  The names there that do not
 start with an underscore are its fields, in order, after those of its
 bases; a private slot holds state derived from the fields, such as a
-polynomial's sort keys or a step's kept vector.  __init__ validates its
-arguments and stores the fields with _store (or object.__setattr__);
-after that, assigning or deleting any attribute raises AttributeError.
+step's kept vector.  A class may instead name its fields in _fields and
+read each through a property from private slots, as Expression does.
+__init__ validates its arguments and stores the fields with _store (or
+object.__setattr__); after that, assigning or deleting any attribute
+raises AttributeError.
 
 == holds between two objects of the same class whose fields are equal,
 hash is taken over the fields, and repr reads Name(field=value, ...).

@@ -21,18 +21,30 @@ from ixcomplex.concept import (
     UserStep,
     serialize_concept,
 )
+from ixcomplex.bigi import class_label
 from ixcomplex.errors import (
     ConceptSyntaxError,
+    DomainError,
     ExpressionSyntaxError,
+    InvalidBindingError,
     NegativeCountError,
     OverflowLimitError,
+    TermLimitError,
+    UnboundVariableError,
 )
 from ixcomplex.expr import (
+    _END,
+    _LOWER_TOKEN,
+    _MAX_DIGITS,
     INT64_MAX,
     INT64_MIN,
     MAX_NESTING,
+    MAX_TERMS,
     ONE,
     Expression,
+    _long_literal,
+    _scan,
+    _SyntaxAt,
     is_variable_name,
     parse_expr,
 )
@@ -734,6 +746,295 @@ def _reference_magnitude(mono, coeff):
     if coeff != 1:
         factors.insert(0, str(coeff))
     return "*".join(factors)
+
+
+# --- reference polynomial engine ---------------------------------------------
+#
+# ixcomplex.expr's term handling as it was when an expression stored every
+# term twice: as a (monomial, coefficient) pair in the terms field and as
+# its sort key beside it, every product, gather and fold rebuilding the
+# monomial from the key.  The constructor, + - *, Sum, the parser's fold,
+# evaluate and bigi.simplify are kept here, with reference_format_expr as
+# the renderer; the differential test holds the key-only engine to the same
+# values, keys, texts and errors.
+
+
+class ReferenceExpression:
+    __slots__ = ("terms", "_keys")
+
+    def __repr__(self):
+        return f"Expression(terms={self.terms!r})"
+
+    def __init__(self, terms=()):
+        merged = {}
+        for mono, coeff in terms:
+            if type(coeff) is not int:
+                raise DomainError(f"coefficient {coeff!r} must be an integer")
+            mono = _reference_canonical_mono(mono)
+            merged[mono] = merged.get(mono, 0) + coeff
+        keys = {mono: _reference_mono_key(mono) for mono, coeff in merged.items() if coeff != 0}
+        order = sorted(keys, key=keys.__getitem__)
+        terms = tuple((mono, _reference_range(merged[mono], "coefficient")) for mono in order)
+        self.terms = terms
+        self._keys = tuple(keys[mono] for mono in order)
+
+    def variables(self):
+        return frozenset(name for mono, _ in self.terms for name, _ in mono)
+
+    def select(self, keep):
+        kept = [index for index, (mono, _) in enumerate(self.terms) if keep(mono)]
+        return _reference_canonical(
+            tuple(self.terms[index] for index in kept), tuple(self._keys[index] for index in kept)
+        )
+
+    def __add__(self, other):
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        return ReferenceSum((self, other)).value()
+
+    def __sub__(self, other):
+        if not other.terms:
+            return self
+        difference = ReferenceSum((self,))
+        difference.add(other, -1)
+        return difference.value()
+
+    def __neg__(self):
+        return _reference_scale(self, -1)
+
+    def __mul__(self, other):
+        a, b = self.terms, other.terms
+        if len(a) * len(b) > MAX_TERMS:
+            raise TermLimitError(
+                f"a product of {len(a)} by {len(b)} terms would form more than "
+                f"{MAX_TERMS} monomial products"
+            )
+        if not a or not b:
+            return REFERENCE_ZERO
+        if len(a) == 1:
+            if not a[0][0]:
+                return _reference_scale(other, a[0][1])
+            return _reference_term_times(a[0][1], self._keys[0], other)
+        if len(b) == 1:
+            if not b[0][0]:
+                return _reference_scale(self, b[0][1])
+            return _reference_term_times(b[0][1], other._keys[0], self)
+        coeffs = {}
+        for (_, coeff_a), (degree_a, expanded_a) in zip(a, self._keys):
+            for (_, coeff_b), (degree_b, expanded_b) in zip(b, other._keys):
+                key = (degree_a + degree_b, tuple(sorted(expanded_a + expanded_b)))
+                coeffs[key] = coeffs.get(key, 0) + coeff_a * coeff_b
+        order = sorted(key for key, coeff in coeffs.items() if coeff != 0)
+        return _reference_canonical(
+            tuple(
+                (_reference_grouped(key[1]), _reference_range(coeffs[key], "coefficient"))
+                for key in order
+            ),
+            tuple(order),
+        )
+
+
+def _reference_mono_key(mono):
+    expanded = tuple(name for name, exp in mono for _ in range(exp))
+    return (-len(expanded), expanded)
+
+
+def _reference_canonical_mono(mono):
+    powers = {}
+    for name, exp in mono:
+        if type(exp) is not int:
+            raise DomainError(f"exponent {exp!r} of {name!r} must be an integer")
+        if exp < 0:
+            raise DomainError(f"exponent {exp} of {name!r} is negative")
+        powers[name] = powers.get(name, 0) + exp
+    return tuple(sorted((name, exp) for name, exp in powers.items() if exp))
+
+
+def _reference_grouped(expanded):
+    mono = []
+    for name in expanded:
+        if mono and mono[-1][0] == name:
+            mono[-1] = (name, mono[-1][1] + 1)
+        else:
+            mono.append((name, 1))
+    return tuple(mono)
+
+
+def _reference_canonical(terms, keys):
+    expression = object.__new__(ReferenceExpression)
+    expression.terms = terms
+    expression._keys = keys
+    return expression
+
+
+def _reference_scale(expression, factor):
+    if factor == 1:
+        return expression
+    terms = tuple(
+        (mono, _reference_range(coeff * factor, "coefficient")) for mono, coeff in expression.terms
+    )
+    return _reference_canonical(terms, expression._keys)
+
+
+def _reference_term_times(coeff, key, expression):
+    degree, expanded = key
+    terms = []
+    keys = []
+    for (_, coeff_b), (degree_b, expanded_b) in zip(expression.terms, expression._keys):
+        product = tuple(sorted(expanded + expanded_b))
+        terms.append((_reference_grouped(product), _reference_range(coeff * coeff_b, "coefficient")))
+        keys.append((degree + degree_b, product))
+    return _reference_canonical(tuple(terms), tuple(keys))
+
+
+class ReferenceSum:
+    def __init__(self, expressions=()):
+        self.coeffs = {}
+        self.monos = {}
+        self.lone = None
+        for expression in expressions:
+            self.add(expression)
+
+    def add(self, expression, sign=1):
+        if expression.terms:
+            self.lone = expression if sign > 0 and not self.coeffs else None
+            _reference_gather(self.coeffs, self.monos, expression, sign)
+
+    def value(self):
+        if self.lone is not None:
+            return self.lone
+        return _reference_gathered(self.coeffs, self.monos)
+
+
+def _reference_gather(coeffs, monos, expression, sign):
+    for (mono, coeff), key in zip(expression.terms, expression._keys):
+        if sign < 0:
+            coeff = -coeff
+        if key in coeffs:
+            coeff += coeffs[key]
+        else:
+            monos[key] = mono
+        coeffs[key] = _reference_range(coeff, "coefficient")
+
+
+def _reference_gathered(coeffs, monos):
+    keys = [key for key in sorted(coeffs) if coeffs[key]]
+    if not keys:
+        return REFERENCE_ZERO
+    return _reference_canonical(tuple((monos[key], coeffs[key]) for key in keys), tuple(keys))
+
+
+REFERENCE_ZERO = ReferenceExpression()
+
+
+def reference_evaluate(expression, binding):
+    for name in sorted(expression.variables()):
+        if name not in binding:
+            raise UnboundVariableError(name)
+        if binding[name] < 0:
+            raise InvalidBindingError(name, binding[name])
+    total = 0
+    for mono, coeff in expression.terms:
+        value = coeff
+        for name, exp in mono:
+            value *= binding[name] ** exp
+        total += _reference_range(value, "term value")
+    _reference_range(total, "value")
+    if total < 0:
+        raise NegativeCountError(reference_format_expr(expression), total)
+    return total
+
+
+def reference_simplify(expression):
+    """bigi.simplify's retained expression and class label."""
+    degree = sum(exp for _, exp in expression.terms[0][0]) if expression.terms else 0
+    if degree == 0:
+        return expression, class_label(0)
+    dominant = [
+        frozenset(name for name, _ in mono)
+        for mono, _ in expression.terms
+        if sum(exp for _, exp in mono) == degree
+    ]
+    retained = expression.select(
+        lambda mono: bool(mono)
+        and any(frozenset(name for name, _ in mono) <= dom for dom in dominant)
+    )
+    return retained, class_label(degree)
+
+
+def reference_fold_parse(text):
+    """parse_expr as its one-pass fold built reference expressions."""
+    tokens = _LOWER_TOKEN.findall(text)
+    if tokens[0] == _END:
+        raise ExpressionSyntaxError("empty expression", 0)
+    try:
+        value, index = _reference_fold_sum(tokens, 0, 0)
+        if tokens[index] != _END:
+            raise _SyntaxAt(index)
+        return value
+    except (_SyntaxAt, OverflowLimitError, TermLimitError) as exc:
+        fault = exc
+    located = _scan(text, _LOWER_TOKEN)
+    if isinstance(fault, _SyntaxAt):
+        raise fault.located(text, located)
+    raise fault
+
+
+def _reference_fold_sum(tokens, index, depth):
+    coeffs = {}
+    monos = {}
+    sign = 1
+    if tokens[index][2] == "-":
+        sign = -1
+        index += 1
+    while True:
+        start = index
+        coeff = 1
+        names = []
+        value = None
+        while True:
+            number, name, op, _ = tokens[index]
+            if number:
+                factor = int(number) if len(number) <= _MAX_DIGITS else _long_literal(number)
+                if factor > INT64_MAX:
+                    raise _SyntaxAt(index)
+                if value is None:
+                    coeff = _reference_range(coeff * factor, "coefficient")
+                else:
+                    value = value * ReferenceExpression(((((), factor),)))
+            elif name:
+                if value is None:
+                    names.append(name)
+                else:
+                    value = value * ReferenceExpression(((((name, 1),), 1),))
+            elif op == "(":
+                if depth == MAX_NESTING:
+                    raise _SyntaxAt(index, f"parentheses nested more than {MAX_NESTING} deep")
+                if value is None and index != start:
+                    value = ReferenceExpression(((tuple((n, 1) for n in names), coeff),))
+                inner, index = _reference_fold_sum(tokens, index + 1, depth + 1)
+                if tokens[index][2] != ")":
+                    raise _SyntaxAt(index, "missing closing parenthesis")
+                value = inner if value is None else value * inner
+            else:
+                raise _SyntaxAt(index)
+            index += 1
+            if tokens[index][2] != "*":
+                break
+            index += 1
+        if value is None:
+            value = ReferenceExpression(((tuple((n, 1) for n in names), coeff),))
+        _reference_gather(coeffs, monos, value, sign)
+        op = tokens[index][2]
+        if op == "+":
+            sign = 1
+        elif op == "-":
+            sign = -1
+        else:
+            return _reference_gathered(coeffs, monos), index
+        index += 1
 
 
 # --- seeded bulk generator ---------------------------------------------------

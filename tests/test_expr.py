@@ -7,10 +7,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ixcomplex.bigi import NormalizedComplexity, simplify
 from ixcomplex.errors import (
     DomainError,
     ExpressionSyntaxError,
     InvalidBindingError,
+    IxComplexError,
     NegativeCountError,
     OverflowLimitError,
     TermLimitError,
@@ -36,12 +38,19 @@ from ixcomplex.expr import (
 )
 
 from helpers import (
+    VARIABLE_NAMES,
+    ReferenceExpression,
+    ReferenceSum,
     expressions,
+    grammar_texts,
     monomials,
     nonneg_expressions,
     parser_texts,
+    reference_evaluate,
+    reference_fold_parse,
     reference_format_expr,
     reference_parse,
+    reference_simplify,
 )
 
 
@@ -655,3 +664,112 @@ def _product(mono, binding):
     for name, exp in mono:
         value *= binding[name] ** exp
     return value
+
+
+# --- the key-only engine against the reference engine ------------------------
+
+
+def _simplified(expression):
+    view = simplify(NormalizedComplexity(expression))
+    return view.retained, view.class_label
+
+
+# Each engine's constructor, Sum, parser, renderer, evaluate and simplify.
+ENGINE = (Expression, Sum, parse_expr, format_expr, evaluate, _simplified)
+REFERENCE_ENGINE = (
+    ReferenceExpression, ReferenceSum, reference_fold_parse, reference_format_expr,
+    reference_evaluate, reference_simplify,
+)
+
+
+def _shown(result, render):
+    """An expression as its repr, text and keys; simplify's pair part by part."""
+    if isinstance(result, tuple):
+        return tuple(_shown(part, render) for part in result)
+    if isinstance(result, (Expression, ReferenceExpression)):
+        return repr(result), render(result), result._keys
+    return result
+
+
+def _engine_outcomes(engine, term_lists, text, signs, binding):
+    """The outcome of each operation under one engine, in order: a value
+    as _shown gives it, an error as its type, message and offset.  The
+    operands are the term lists built and the text parsed, where they do
+    not raise."""
+    build, summed, parse, render, value_at, simplified = engine
+    outcomes = []
+
+    def run(compute):
+        try:
+            result = compute()
+        except IxComplexError as exc:
+            outcomes.append((type(exc), str(exc), getattr(exc, "offset", None)))
+            return None
+        outcomes.append(_shown(result, render))
+        return result
+
+    def sum_all():
+        total = summed()
+        for operand, sign in zip(operands, signs):
+            total.add(operand, sign)
+        return total.value()
+
+    operands = [run(lambda: build(terms)) for terms in term_lists]
+    operands.append(run(lambda: parse(text)))
+    operands = [operand for operand in operands if operand is not None]
+    for x in operands:
+        run(lambda: -x)
+        run(lambda: value_at(x, binding))
+        run(lambda: simplified(x))
+        run(lambda: parse(render(x)))
+        for y in operands:
+            run(lambda: x + y)
+            run(lambda: x - y)
+            run(lambda: x * y)
+    run(sum_all)
+    return outcomes
+
+
+# Coefficients at and just past the ends of the signed 64-bit range, and
+# factors whose products straddle it.
+_EDGE_COEFFICIENTS = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from((-(2**63), 2**63, INT64_MAX, -INT64_MAX, 2**62, -(2**62), 3037000500)),
+)
+_EDGE_TERMS = st.lists(st.tuples(monomials(), _EDGE_COEFFICIENTS), max_size=5)
+# Every name of monomials and grammar_texts, some left unbound (None).
+_BINDINGS = st.fixed_dictionaries({
+    name: st.sampled_from((0, 1, 1, 2, 3, 2**31, 2**62, -1, None))
+    for name in VARIABLE_NAMES + ("x", "r2", "ab_1")
+}).map(lambda binding: {name: value for name, value in binding.items() if value is not None})
+
+
+class TestReferenceEngine:
+    @given(
+        st.lists(st.one_of(_EDGE_TERMS, expressions().map(lambda e: e.terms)), max_size=2),
+        grammar_texts(),
+        st.lists(st.sampled_from((1, -1)), min_size=3, max_size=3),
+        _BINDINGS,
+    )
+    @example([[((("a", 1),), 2**63), ((("a", 1),), -1)], [((), -(2**63))]],
+             "9223372036854775807*a + a", [1, -1, 1], {"a": 1})
+    @example([[((), -(2**63))]], "-(9223372036854775807 - 1)*a*a", [-1, 1, 1], {"a": 2**31})
+    def test_matches_the_reference_engine(self, term_lists, text, signs, binding):
+        assert _engine_outcomes(ENGINE, term_lists, text, signs, binding) == _engine_outcomes(
+            REFERENCE_ENGINE, term_lists, text, signs, binding
+        )
+
+    # Products of sums of n and m variables, with n*m at, just below and
+    # just past MAX_TERMS, and coefficients that leave the range there.
+    @pytest.mark.parametrize("n, m, coeff", [
+        (100, 100, 1), (99, 101, -1), (101, 99, 3), (100, 101, 1), (73, 137, 1),
+        (100, 100, 2**62), (100, 100, -(2**62)), (100, 100, 3037000500),
+    ])
+    def test_products_near_the_term_limit(self, n, m, coeff):
+        term_lists = [
+            [(((f"v{i}", 1),), coeff) for i in range(n)],
+            [(((f"w{i}", 1),), coeff if i % 2 else 1) for i in range(m)],
+        ]
+        assert _engine_outcomes(ENGINE, term_lists, "v0", [1, -1, 1], {}) == _engine_outcomes(
+            REFERENCE_ENGINE, term_lists, "v0", [1, -1, 1], {}
+        )
