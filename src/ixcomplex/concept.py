@@ -135,7 +135,7 @@ class SlotVector(Value):
         """The vector whose count in each slot (V.slot[member]) is the sum
         of the counts paired with that slot; each partial sum is checked in
         the order that adding the pairs one at a time with + would check it."""
-        # Each slot's count while it has had one nonzero count, then None.
+        # Each slot's lone nonzero count: ZERO before its first, None after a second.
         lone: list[Expression | None] = [ZERO] * len(cls.members)
         gathered: list[dict] = [{} for _ in cls.members]
         for slot, count in pairs:
@@ -233,9 +233,7 @@ def _stored_note(note: str | None) -> str | None:
     return (note.strip() or None) if note else None
 
 
-def _checked_step(
-    label: str, counts: tuple[Expression, ...], repeat: Expression, note: str | None
-) -> UserStep:
+def _checked_step(label: str, counts: tuple, repeat: Expression, note: str | None) -> UserStep:
     """UserStep(label, ActionVector(counts), repeat, note) for parts that
     pass its checks already: a string label, one Expression per kind with
     ZERO in every empty slot, an Expression repeat, a string note or None."""
@@ -546,12 +544,8 @@ def _read_step(
                 return None
         elif other:
             return None
-    return _checked_step(
-        label,
-        tuple([ZERO if count is None or not count._keys else count for count in counts]),
-        repeat,
-        comment,
-    )
+    counts = tuple([ZERO if count is None or not count._keys else count for count in counts])
+    return _checked_step(label, counts, repeat, comment)
 
 
 def _parsed(text: str, parsed: dict[str, Expression], declared: set[str]) -> Expression | None:

@@ -31,18 +31,17 @@ An expression holds each term in one form: its sort key, (-total degree,
 expanded variable sequence), e.g. (-3, ("a", "a", "r")) for a^2*r, in
 _keys, and its coefficient at the same index of _coeffs.  A key determines
 its monomial, and a product's sequence is the sorted concatenation of its
-factors', so arithmetic, Sum, the parser's fold, format_expr, evaluate and
-the other readers work on keys alone.  terms is a property that builds the
-pairs on each read; repr, hash, pickle and copy go through it.  (A
-__getattr__ hook filling terms lazily would slow every attribute read on
-an Expression, the hot paths' slot reads included.)  Sum adds any number
-of expressions: it gathers their terms into one dict by key, range-checks
-each coefficient as it changes, so the first error is the one the
-pairwise fold a + b + c + ... raises, and sorts once; + and - are
-two-term Sums.  Scaling keeps the keys, a general product collects into a
-dict and sorts once, and a one-term factor times an expression keeps that
-expression's order (the order on sorted variable sequences is
-multiplicative).
+factors', so arithmetic, Sum, the parser's fold, format_expr and evaluate
+work on keys alone.  terms is a property that builds the pairs on each
+read; repr, hash, pickle and copy go through it.  (A __getattr__ hook
+filling terms lazily would slow every attribute read on an Expression.)
+Sum adds any number of expressions: it gathers their terms into one dict
+by key, range-checks each coefficient as it changes, so the first error
+is the one the pairwise fold a + b + c + ... raises, and sorts once;
++ and - are two-term Sums.  Scaling keeps the keys, a general product
+collects into a dict and sorts once, and a one-term factor times an
+expression keeps that expression's order (the order on sorted variable
+sequences is multiplicative).
 
 The parser scans the text once, with the token pattern's findall, and
 folds the tokens in one pass.  A parenthesis-free term becomes a

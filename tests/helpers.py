@@ -884,7 +884,8 @@ def _reference_term_times(coeff, key, expression):
     keys = []
     for (_, coeff_b), (degree_b, expanded_b) in zip(expression.terms, expression._keys):
         product = tuple(sorted(expanded + expanded_b))
-        terms.append((_reference_grouped(product), _reference_range(coeff * coeff_b, "coefficient")))
+        coeff_product = _reference_range(coeff * coeff_b, "coefficient")
+        terms.append((_reference_grouped(product), coeff_product))
         keys.append((degree + degree_b, product))
     return _reference_canonical(tuple(terms), tuple(keys))
 
