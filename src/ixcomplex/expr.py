@@ -66,7 +66,7 @@ parenthesis, so it stays well inside the interpreter's recursion limit.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     DomainError,
@@ -204,14 +204,6 @@ class Expression(Value):
 
     def variables(self) -> frozenset[str]:
         return frozenset([name for _, names in self._keys for name in names])
-
-    def select(self, keep: Callable[[Monomial], bool]) -> "Expression":
-        """The terms whose monomials keep accepts, in order."""
-        kept = [index for index, (_, names) in enumerate(self._keys) if keep(_grouped(names))]
-        return _canonical(
-            tuple([self._keys[index] for index in kept]),
-            tuple([self._coeffs[index] for index in kept]),
-        )
 
     def __add__(self, other: "Expression") -> "Expression":
         if not other._keys:

@@ -20,13 +20,16 @@ are drawn from a normal distribution (PCG64-seeded, via numpy's Generator,
 so a seed pins the byte-exact output) and durations follow as IS divided by
 speed.  All speeds come from one draw of shape (sessions, nonzero steps);
 its row-major order is the stream that one draw per step, session by
-session, would consume.  generate_log_text returns dump_log of that log
-without building it: every session shares the log's strings, binding and
-counts, so each session's text is one format call on its index and its
-timestamps.  The CLI's synth command writes it.  Both share the draw and
-the timestamp arithmetic, so the records and the text cannot drift apart.
-The draw is the package's only numpy use and imports numpy itself, so
-importing the package or running any other command does not load numpy.
+session, would consume.  The page boundaries are computed a column at a
+time, one pass per drawn step over all sessions, with the float operations
+of one session at a time in the same order, so every bit is the same.
+generate_log_text returns dump_log of that log without building it: every
+session shares the log's strings, binding and counts, so the sessions'
+texts are one template filled in from the boundary columns.  The CLI's
+synth command writes it.  Both share the draw and the boundary arithmetic,
+so the records and the text cannot drift apart.  The draw is the package's
+only numpy use and imports numpy itself, so importing the package or
+running any other command does not load numpy.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from itertools import repeat
 from typing import Mapping
 
 from .concept import ActionKind, ActionVector, InteractionConcept, UserStep
@@ -220,21 +224,20 @@ def generate_log(config: SynthConfig) -> EventLog:
 
     One page visit per executed step; steps that contribute zero IS are
     skipped.  Timestamps are cumulative and rounded once per boundary, so a
-    task's duration equals the rounded sum of its step durations.  Sessions
-    are generated sequentially for reproducibility: a fixed seed yields a
+    task's duration equals the rounded sum of its step durations.  Speeds
+    are drawn session by session for reproducibility: a fixed seed yields a
     byte-identical log.  Every task holds the same binding object, one copy
     of config.binding.
     """
-    drawn, total_is, speeds = _draw(config)
-    counts = [count for _, count in drawn]
+    drawn, total_is, columns = _boundaries(config)
     name = config.concept.name
     binding = dict(config.binding)
-    sessions = []
     with gc_paused():
-        for index, row in enumerate(speeds):
-            stamps = _timestamps(counts, row.tolist())
-            sessions.append(_session(index, name, binding, total_is, drawn, stamps))
-    return EventLog(tuple(sessions))
+        sessions = tuple(
+            _session(index, name, binding, total_is, drawn, stamps)
+            for index, stamps in enumerate(zip(*columns))
+        )
+    return EventLog(sessions)
 
 
 def generate_log_text(config: SynthConfig) -> str:
@@ -243,39 +246,31 @@ def generate_log_text(config: SynthConfig) -> str:
     The result is the same text, or the same exception with the same
     message and path.  Every session of a generated log holds the same
     strings, binding and counts; only its index and its timestamps differ.
-    So each string is encoded by json.dumps once, into a template of a
-    session's text, and each session is one format call on its index and
-    its page boundaries.
+    So each string is encoded by json.dumps once, into a %-template of a
+    session's text, and the sessions are that template filled in from the
+    boundary columns, one zip over them all.
 
-    First come generate_log's own refusals, the timestamp range among them,
-    checked in every session in order.  Then come dump_log's, by dumping
-    session 0 as a log of its own.  Whatever dump_log refuses in a
-    generated log sits in session 0: a binding name or value, or a string
-    holding a surrogate pair, since every session shares those strings and
-    that binding.  Its other checks cannot fail in a later session either:
-    the page boundaries only grow, so every interval runs forwards in order,
-    the last boundary is inside the range, and every step's IS count is at
-    least 1.  The boundaries wait in a flat array('q') until that check has
-    passed, because only then is the template built: json.dumps can fail on
-    a binding that dump_log refuses, one whose names mix types, say.
+    First come generate_log's own refusals, the timestamp range among them.
+    Then come dump_log's, by dumping session 0 as a log of its own.
+    Whatever dump_log refuses in a generated log sits in session 0: a
+    binding name or value, or a string holding a surrogate pair, since
+    every session shares those strings and that binding.  Its other checks
+    cannot fail in a later session either: the page boundaries only grow,
+    so every interval runs forwards in order, the last boundary is inside
+    the range, and every step's IS count is at least 1.  Only after that
+    check is the template built: json.dumps can fail on a binding that
+    dump_log refuses, one whose names mix types, say.
     """
-    # Imported here, as numpy is, so that no other command loads it.
-    from array import array
-
-    drawn, total_is, speeds = _draw(config)
-    counts = [count for _, count in drawn]
-    width = len(counts) + 1
-    stamps = array("q")
-    for row in speeds:
-        stamps.extend(_timestamps(counts, row.tolist()))
+    drawn, total_is, columns = _boundaries(config)
     name = config.concept.name
     binding = dict(config.binding)
-    dump_log(EventLog((_session(0, name, binding, total_is, drawn, stamps[:width].tolist()),)))
+    first = tuple(column[0] for column in columns)
+    dump_log(EventLog((_session(0, name, binding, total_is, drawn, first),)))
     template = _session_template(name, binding, total_is, drawn)
-    texts = [
-        template.format(index, *stamps[at : at + width])
-        for index, at in enumerate(range(0, len(stamps), width))
-    ]
+    fields = [range(config.sessions)]
+    for start, end in zip(columns, columns[1:]):
+        fields += (start, end, start, end)
+    texts = list(map(template.__mod__, zip(*fields)))
     # The head and the tail join the first and last session, so the whole
     # text is built by one join and never copied.
     texts[0] = _HEAD + texts[0]
@@ -285,8 +280,10 @@ def generate_log_text(config: SynthConfig) -> str:
 
 def _draw(config: SynthConfig):
     """The steps with nonzero IS as (label, count) pairs, the task's IS
-    count, and the speeds of every session as one numpy draw of shape
-    (sessions, len(drawn))."""
+    count, and the speeds of every session from one numpy draw of shape
+    (sessions, len(drawn)), as lists of floats, one per drawn step.  Each
+    list is made as it is taken, so one column of float objects is alive
+    at a time."""
     import numpy as np
 
     for name, value in config.binding.items():
@@ -300,28 +297,47 @@ def _draw(config: SynthConfig):
     total_is = _in_range(sum(count for _, count in step_counts), "total count")
     drawn = [(label, count) for label, count in step_counts if count]
     speeds = rng.normal(config.speed_mean, config.speed_sd, size=(config.sessions, len(drawn)))
-    return drawn, total_is, speeds
+    return drawn, total_is, map(np.ndarray.tolist, speeds.T)
 
 
-def _timestamps(counts: list[int], speeds: list[float]) -> list[int]:
-    """A session's page boundaries in milliseconds: 0, then the clock
-    rounded after each drawn step.  A step lasts its IS count over its
-    speed, which is at least _MIN_SPEED; the clock adds up unrounded
-    durations.  The last boundary is the largest, and one past the signed
-    64-bit range raises OverflowLimitError."""
-    clock_ms = 0.0
-    stamps = [0]
-    for count, speed in zip(counts, speeds):
-        if speed < _MIN_SPEED:
-            speed = _MIN_SPEED
-        clock_ms += count / speed * 1000.0
-        stamps.append(round(clock_ms))
-    _in_range(stamps[-1], "timestamp")
-    return stamps
+def _boundaries(config: SynthConfig):
+    """_draw's steps and IS count, and the page boundaries of every session
+    in milliseconds, as columns: column 0 holds zeros and column k the clock
+    rounded after drawn step k, one entry per session.  A column is an
+    array('q'), which holds no int objects, or a list if it holds a
+    boundary past the signed 64-bit range, which the array cannot hold.
+
+    A step lasts its IS count over its speed, which is at least _MIN_SPEED;
+    the clock adds up unrounded durations.  The arithmetic runs one drawn
+    step at a time over all sessions, in the float operations and the order
+    of one session at a time, so every bit is the same.  A session's
+    boundaries only grow, so the last column holds its largest; the first
+    session whose last boundary is past the signed 64-bit range raises
+    OverflowLimitError.
+    """
+    # Imported here, as numpy is, so that no other command loads it.
+    from array import array
+
+    drawn, total_is, speeds = _draw(config)
+    clock = [0.0] * config.sessions
+    columns = [array("q", [0]) * config.sessions]
+    for (_, count), column in zip(drawn, speeds):
+        if min(column) < _MIN_SPEED:
+            column = map(max, column, repeat(_MIN_SPEED))
+        durations = map((1000.0).__mul__, map(float(count).__truediv__, column))
+        clock = list(map(float.__add__, clock, durations))
+        try:
+            columns.append(array("q", map(float.__round__, clock)))
+        except OverflowError:
+            columns.append(list(map(float.__round__, clock)))
+    last = columns[-1]
+    if max(last) > _COUNT_MAX:
+        _in_range(next(filter(_COUNT_MAX.__lt__, last)), "timestamp")
+    return drawn, total_is, columns
 
 
 def _session(index: int, name: str, binding: dict, total_is: int,
-             drawn: list[tuple[str, int]], stamps: list[int]) -> Session:
+             drawn: list[tuple[str, int]], stamps: tuple[int, ...]) -> Session:
     """Session index of a generated log: one task, with a page visit of one
     step record per drawn step, between consecutive page boundaries."""
     visits = []
@@ -333,18 +349,19 @@ def _session(index: int, name: str, binding: dict, total_is: int,
 def _session_template(name: str, binding: dict, total_is: int,
                       drawn: list[tuple[str, int]]) -> str:
     """The text dump_log writes for a session of a generated log, as a
-    str.format template: {0} is the session index and {k} the page
-    boundary before drawn step k, counted from 1.  Each string is the JSON
-    that dump_log writes for it, its braces doubled."""
+    %-template: %04d is the session index, then each drawn step takes four
+    %d, its start and end boundary for its page visit and again for its
+    step record.  Each string is the JSON that dump_log writes for it, its
+    percent signs doubled."""
 
     def encoded(value, **options) -> str:
-        return json.dumps(value, **options).replace("{", "{{").replace("}", "}}")
+        return json.dumps(value, **options).replace("%", "%%")
 
     visits = []
-    for k, (label, count) in enumerate(drawn, start=1):
-        text, span = encoded(label), f"{{{k}}},{{{k + 1}}}"
-        visits.append(f"[{text},{span},[[{text},{span},{count}]]]")
+    for label, count in drawn:
+        text = encoded(label)
+        visits.append(f"[{text},%d,%d,[[{text},%d,%d,{count}]]]")
     name_text = encoded(name)
     binding_text = encoded(binding, sort_keys=True, separators=(",", ":"))
     task = f"[{name_text},{name_text},{binding_text},{total_is},[{','.join(visits)}]]"
-    return f'["s{{0:04d}}",[{task}]]'
+    return f'["s%04d",[{task}]]'

@@ -272,6 +272,21 @@ def collections_started():
         gc.callbacks.remove(record)
 
 
+def check_20k_log_file(capsys, tmp_path, sd, seed, size, digest):
+    """synth writes the 20,000-session v2 log at the README bindings, speed
+    mean 1.05, this sd and seed, with this size and sha256 digest."""
+    out_file = tmp_path / "log.json"
+    code, _, err = run(
+        capsys, "synth", V2, *V2_SET,
+        "--sessions", "20000", "--speed-mean", "1.05", "--speed-sd", sd,
+        "--seed", str(seed), "--out", str(out_file),
+    )
+    assert (code, err) == (0, f"wrote {out_file}: 20000 sessions\n")
+    data = out_file.read_bytes()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 class TestSynthAndLogs:
     def test_deterministic_files(self, capsys, tmp_path):
         args = [
@@ -448,16 +463,15 @@ class TestSynthAndLogs:
     def test_benchmark_log_file(self, capsys, tmp_path, seed, size, digest):
         # The 20,000-session log of the benchmark (v2, README bindings),
         # pinned by size and digest, with it the float rounding of the draw.
-        out_file = tmp_path / "log.json"
-        code, _, err = run(
-            capsys, "synth", V2, *V2_SET,
-            "--sessions", "20000", "--speed-mean", "1.05", "--speed-sd", "0.2",
-            "--seed", str(seed), "--out", str(out_file),
+        check_20k_log_file(capsys, tmp_path, "0.2", seed, size, digest)
+
+    def test_clamped_log_file(self, capsys, tmp_path):
+        # The same log at sd 3.0: most sessions have a step drawn below the
+        # speed floor, so this pins the clamp too.
+        check_20k_log_file(
+            capsys, tmp_path, "3.0", 11,
+            7_381_984, "ecd09d544e0ff6d01841c0fc730a48f35fd1021ea1bd1fa0b0c8ef11289c28c2",
         )
-        assert (code, err) == (0, f"wrote {out_file}: 20000 sessions\n")
-        data = out_file.read_bytes()
-        assert len(data) == size
-        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_golden_output(self, capsys, tmp_path):
         out_file = tmp_path / "log.json"

@@ -589,13 +589,6 @@ class TestFastPath:
                 assert result.terms == expected
                 assert result._keys == tuple(_expanded_key(m) for m, _ in expected)
 
-    @given(wide_expressions(), st.sets(st.sampled_from(("a", "b", "c", "m"))))
-    def test_select_keeps_order_and_keys(self, e, names):
-        kept = e.select(lambda mono: any(name in names for name, _ in mono))
-        expected = [(m, c) for m, c in e.terms if any(name in names for name, _ in m)]
-        assert kept == Expression(tuple(expected))
-        assert kept._keys == tuple(_expanded_key(m) for m, _ in expected)
-
     @given(expressions())
     def test_parsed_keys_match_recomputed(self, e):
         parsed = parse_expr(format_expr(e))

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ixcomplex.bigi import analyze, normalize, sum_steps
-from ixcomplex.concept import ActionKind, InteractionConcept, UserStep
+from ixcomplex.concept import ActionKind, InteractionConcept, UserStep, parse_concept
 from ixcomplex.errors import (
     DomainError,
     InvalidBindingError,
@@ -300,6 +300,13 @@ def one_draw_per_step(config):
     return EventLog(tuple(sessions))
 
 
+def assert_as_one_draw_per_step(config):
+    """Both the log and its text are those of the reference."""
+    reference = one_draw_per_step(config)
+    assert generate_log(config) == reference
+    assert generate_log_text(config) == dump_log(reference)
+
+
 class TestBatchedDraws:
     @pytest.mark.parametrize(
         "concept, binding, sd, seed",
@@ -314,8 +321,44 @@ class TestBatchedDraws:
         ],
     )
     def test_same_stream_as_one_draw_per_step(self, request, concept, binding, sd, seed):
-        config = SynthConfig(request.getfixturevalue(concept), binding, 40, 1.05, sd, seed)
-        assert generate_log(config) == one_draw_per_step(config)
+        concept = request.getfixturevalue(concept)
+        assert_as_one_draw_per_step(SynthConfig(concept, binding, 40, 1.05, sd, seed))
+
+    def test_no_drawn_step(self):
+        # The only step has zero IS, so sessions draw nothing and visit no page.
+        concept = parse_concept('concept "idle"\nstep "a" repeat 0 { T: 1 }\n')
+        config = SynthConfig(concept, {}, 40, 1.05, 0.2, seed=7)
+        assert_as_one_draw_per_step(config)
+        assert generate_log(config).sessions[-1].tasks[0].page_visits == ()
+
+    def test_one_session(self, v2_concept):
+        assert_as_one_draw_per_step(SynthConfig(v2_concept, V2_BINDING, 1, 1.05, 0.2, seed=7))
+
+    def test_boundaries_keep_the_float_operations_of_one_session(self, monkeypatch):
+        # Each speed of step "a" ends it on or next to a half millisecond,
+        # where another order of the float operations (1000.0 * count /
+        # speed, say) rounds the boundary the other way; 0.001 is below the
+        # speed floor.
+        drawn = [("a", 1), ("b", 3)]
+        columns = [
+            [9.950248756218905, 9.75609756097561, 8.583690987124463,
+             7.782101167315174, 7.6628352490421445, 7.434944237918215],
+            [1.05, 0.001, 2.5, 0.3, 1.0, 0.75],
+        ]
+        monkeypatch.setattr(synth, "_draw", lambda config: (drawn, 4, columns))
+        expected = []
+        for row in zip(*columns):
+            clock_ms, stamps = 0.0, [0]
+            for (_, count), speed in zip(drawn, row):
+                clock_ms += count / max(speed, _MIN_SPEED) * 1000.0
+                stamps.append(round(clock_ms))
+            expected.append(stamps)
+        concept = parse_concept('concept "c"\nstep "a" { T: 1 }\nstep "b" { T: 3 }\n')
+        config = SynthConfig(concept, {}, len(expected), 1.05)
+        log = generate_log(config)
+        visits = [session.tasks[0].page_visits for session in log.sessions]
+        assert [[v[0].enter_ms, *(visit.exit_ms for visit in v)] for v in visits] == expected
+        assert generate_log_text(config) == dump_log(log)
 
     def test_large_sd_hits_the_speed_floor(self, v2_concept):
         # The sd 3.0 cases above must exercise the clamp: a clamped step
@@ -411,6 +454,18 @@ class TestGenerateLogText:
         assert str(first.value) == (
             "timestamp 11644250200596486144 is outside the signed 64-bit range"
         )
+
+    def test_the_first_session_past_the_range_raises(self):
+        # Of the 50 sessions, several more are past the range, session 8
+        # at the speed floor by the most, but the error names session 6's
+        # last boundary, as with seven sessions.
+        config = SynthConfig(_LINE, {"a": 10**15}, 50, 1.0, 1.0, seed=20)
+        for function in (generate_log, generate_log_text):
+            with pytest.raises(OverflowLimitError) as raised:
+                function(config)
+            assert str(raised.value) == (
+                "timestamp 11644250200596486144 is outside the signed 64-bit range"
+            )
 
 
 def _oracle_case(counts, repeats, binding):
