@@ -23,12 +23,13 @@ declared with a var line somewhere in the file.
 The reader matches compiled patterns, not single characters.  A line's code
 runs up to the first '#' outside double quotes, and a quote left open is
 reported at its own column.  Lines end wherever str.splitlines ends them.
-A step line of the usual shape is read with one match, label, repeat, body
-and comment at once, and each part of its body with one more; each
-distinct expression text is parsed once per parse_concept call, in a dict
-dropped when the call returns.  Any other step line, and any line that
-holds a fault, goes to the line-at-a-time reader, which is kept only to
-report: it gives the message, line and column of the first fault.
+A step line of the usual shape gives its label, repeat, body and comment
+with one match; any other step line is walked to find them, and the walk
+raises the first fault on its way.  Either way one reader reads the body,
+each part of it with one more match, and raises the line's first fault
+with its message, line and column.  Each distinct expression text is
+parsed once per parse_concept call, in a dict dropped when the call
+returns.
 
 The file is the concept's only serialized form.  The writer refuses exactly
 what the reader refuses: serialize_concept raises DomainError for a concept
@@ -45,7 +46,6 @@ from .errors import (
     ConceptSyntaxError,
     DomainError,
     ExpressionSyntaxError,
-    IxComplexError,
     OverflowLimitError,
 )
 from .expr import ONE, ZERO, Expression, Sum, _gather, _gathered, format_expr
@@ -68,15 +68,10 @@ class ActionKind(enum.Enum):
         return self.name.capitalize()
 
     @classmethod
-    def from_letter(cls, letter: str) -> "ActionKind":
-        return _KIND_BY_LETTER[letter]
-
-    @classmethod
     def from_word(cls, word: str) -> "ActionKind":
         return _KIND_BY_WORD[word]
 
 
-_KIND_BY_LETTER = {kind.value: kind for kind in ActionKind}
 _KIND_BY_WORD = {kind.word: kind for kind in ActionKind}
 
 
@@ -233,17 +228,6 @@ def _stored_note(note: str | None) -> str | None:
     return (note.strip() or None) if note else None
 
 
-def _checked_step(label: str, counts: tuple, repeat: Expression, note: str | None) -> UserStep:
-    """UserStep(label, ActionVector(counts), repeat, note) for parts that
-    pass its checks already: a string label, one Expression per kind with
-    ZERO in every empty slot, an Expression repeat, a string note or None."""
-    actions = object.__new__(ActionVector)
-    object.__setattr__(actions, "counts", counts)
-    step = object.__new__(UserStep)
-    step._store(label, actions, repeat, _stored_note(note))
-    return step
-
-
 class InteractionConcept(Value):
     """A named task: its variables and its steps, each held as a tuple.  A
     field of the wrong type raises DomainError naming the field.
@@ -352,17 +336,27 @@ def parse_concept(text: str) -> InteractionConcept:
     Raises ConceptSyntaxError with the 1-based line and column of the first
     problem.  Parsing is total: any input yields either a concept or that
     error, never a crash.
+
+    The order of faults: a first pass over the lines raises a missing,
+    late or repeated concept line, a fault in a concept or var line, an
+    unknown keyword, and an unterminated quote on any line outside the
+    one-match step shape, wherever it is in the file, so an unterminated
+    quote on line 3 wins over a body fault on line 2.  The step lines are
+    then read in order, and each line's first fault in text order is
+    raised; after its body come a repeated label, then the first undeclared
+    variable in sorted order.
     """
     concept_name: str | None = None
     variables: list[ConceptVariable] = []
     declared: set[str] = set()
-    step_lines: list[tuple[int, str, re.Match | None]] = []
+    # Each step line's number, and its match or where the walk starts.
+    step_lines: list[tuple[int, re.Match | None, tuple[str, str | None, int] | None]] = []
 
     for number, raw_line in enumerate(text.splitlines(), start=1):
         if concept_name is not None:
             match = _STEP_LINE.match(raw_line)
             if match is not None:
-                step_lines.append((number, raw_line, match))
+                step_lines.append((number, match, None))
                 continue
         code, comment = _split_comment(raw_line, number)
         head = _KEYWORD.match(code)
@@ -381,7 +375,7 @@ def parse_concept(text: str) -> InteractionConcept:
             variables.append(_parse_var_line(code[pos:].rstrip(), comment, declared, number))
             declared.add(variables[-1].name)
         elif keyword == "step":
-            step_lines.append((number, raw_line, None))
+            step_lines.append((number, None, (code, comment, pos)))
         else:
             raise ConceptSyntaxError(
                 f"expected 'concept', 'var' or 'step', found {keyword!r}",
@@ -392,22 +386,12 @@ def parse_concept(text: str) -> InteractionConcept:
     if concept_name is None:
         raise ConceptSyntaxError("missing concept line", 1)
 
-    steps: list[UserStep] = []
-    labels: set[str] = set()
-    parsed: dict[str, Expression] = {}
-    for number, raw_line, match in step_lines:
-        step = _read_step(match, parsed, declared) if match else None
-        if step is None or step.label in labels:
-            # The line reader and the step rules report the line's first fault.
-            code, comment = _split_comment(raw_line, number)
-            step = _parse_step_line(code, _KEYWORD.match(code).end(), comment, number)
-            errors = _step_errors(step, labels, declared)
-            if errors:
-                raise ConceptSyntaxError(errors[0], number)
-        labels.add(step.label)
-        steps.append(step)
-
-    return InteractionConcept(concept_name, tuple(variables), tuple(steps))
+    reader = _StepReader(declared)
+    steps = tuple([
+        reader.matched(match, number) if match else reader.walked(*located, number)
+        for number, match, located in step_lines
+    ])
+    return InteractionConcept(concept_name, tuple(variables), steps)
 
 
 # Code and comment; a match that ends before the line does ends at a quote
@@ -424,10 +408,11 @@ _REPEAT = re.compile(r"repeat(?!\w)")
 _STEP_LINE = re.compile(
     r'\s*step\s+"([^"]+)"\s*(?:repeat(?!\w)([^{"#]*))?\{([^}"#]*)\}\s*(?:#(.*))?\Z'
 )
-# Each part of a step's body, up to and with its ';': a kind's letter and
-# its count text, or any other text, which is blank in a blank part.  Every
-# character of the body falls in some part, and the last part is blank.
-_PARTS = re.compile(r"\s*(?:([TECSX])\s*:([^;]*)|([^;]*))(?:;|\Z)")
+# Each part of a step's body, and the ';' after it: the whole part, which
+# is a piece that str.split(";") cuts; a kind's letter and its count text,
+# or any other text, which is blank in a blank part.  Every character of
+# the body falls in some part, and no part starts where the body ends.
+_PARTS = re.compile(r"(?!\Z)(\s*(?:([TECSX])\s*:([^;]*)|([^;]*)))(?:;|\Z)")
 
 
 def _split_comment(line: str, number: int) -> tuple[str, str | None]:
@@ -466,113 +451,119 @@ def _parse_var_line(
     return ConceptVariable(rest, comment or "")
 
 
-def _parse_step_line(code: str, pos: int, comment: str | None, number: int) -> UserStep:
-    label, pos = _parse_quoted(code, pos, number)
-    if not label:
-        raise ConceptSyntaxError("empty step label", number)
-    pos = _SPACES.match(code, pos).end()
+class _StepReader:
+    """Reads the step lines of one parse_concept call, in order, into
+    steps; each read raises its line's first fault at its column.  parsed
+    maps each expression text read so far in the call, stripped, to its
+    value: spaces around a text change neither its value nor whether it
+    parses.  undeclared is set on the first text found to name a variable
+    not in declared, and the step that holds it then raises."""
 
-    repeat = ONE
-    if _REPEAT.match(code, pos):
-        brace = code.find("{", pos)
-        if brace < 0:
-            raise ConceptSyntaxError("missing '{' after repeat expression", number, pos + 1)
-        repeat_text = code[pos + len("repeat") : brace]
-        repeat = _parse_embedded(repeat_text, pos + len("repeat"), number)
-        pos = brace
+    __slots__ = ("declared", "labels", "parsed", "undeclared", "number")
 
-    if pos >= len(code) or code[pos] != "{":
-        raise ConceptSyntaxError("expected '{'", number, pos + 1)
-    closing = code.find("}", pos)
-    if closing < 0:
-        raise ConceptSyntaxError("missing '}'", number, pos + 1)
-    body = code[pos + 1 : closing]
-    if code[closing + 1 :].strip():
-        raise ConceptSyntaxError("unexpected text after '}'", number, closing + 2)
+    def __init__(self, declared: set[str]):
+        self.declared = declared
+        self.labels: set[str] = set()
+        self.parsed: dict[str, Expression] = {}
+        self.undeclared = False
 
-    actions: dict[ActionKind, Expression] = {}
-    offset = pos + 1
-    for part in body.split(";"):
-        if not part.strip():
-            offset += len(part) + 1
-            continue
-        letter, sep, expr_text = part.partition(":")
-        if not sep:
-            raise ConceptSyntaxError(
-                "expected '<action>: <expr>'", number, offset + 1
-            )
-        letter = letter.strip()
-        try:
-            kind = ActionKind.from_letter(letter)
-        except KeyError:
-            raise ConceptSyntaxError(
-                f"unknown action kind {letter!r} (expected one of T, E, C, S, X)",
-                number,
-                offset + 1,
-            ) from None
-        if kind in actions:
-            raise ConceptSyntaxError(
-                f"duplicate action kind {letter!r}", number, offset + 1
-            )
-        actions[kind] = _parse_embedded(
-            expr_text, offset + len(part) - len(expr_text), number
-        )
-        offset += len(part) + 1
+    def matched(self, match: re.Match, number: int) -> UserStep:
+        """The step of a line that _STEP_LINE matched."""
+        self.number = number
+        label, repeat_text, body, comment = match.groups()
+        repeat = ONE if repeat_text is None else self.expression(repeat_text, match.end(2))
+        return self.body(label, repeat, body, match.start(3), comment)
 
-    return UserStep(label, actions, repeat, comment)
+    def walked(self, code: str, comment: str | None, pos: int, number: int) -> UserStep:
+        """The step of any other step line, whose code after the keyword
+        starts at pos: a walk that finds the label, the repeat and the body
+        of the line, raising the first fault on the way."""
+        self.number = number
+        label, pos = _parse_quoted(code, pos, number)
+        if not label:
+            raise ConceptSyntaxError("empty step label", number)
+        pos = _SPACES.match(code, pos).end()
+        repeat = ONE
+        if _REPEAT.match(code, pos):
+            brace = code.find("{", pos)
+            if brace < 0:
+                raise ConceptSyntaxError("missing '{' after repeat expression", number, pos + 1)
+            repeat = self.expression(code[pos + len("repeat") : brace], brace)
+            pos = brace
+        if pos >= len(code) or code[pos] != "{":
+            raise ConceptSyntaxError("expected '{'", number, pos + 1)
+        closing = code.find("}", pos)
+        if closing < 0:
+            raise ConceptSyntaxError("missing '}'", number, pos + 1)
+        if code[closing + 1 :].strip():
+            raise ConceptSyntaxError("unexpected text after '}'", number, closing + 2)
+        return self.body(label, repeat, code[pos + 1 : closing], pos + 1, comment)
 
+    def body(
+        self, label: str, repeat: Expression, body: str, at: int, comment: str | None
+    ) -> UserStep:
+        """The step whose body starts at 0-based column at.  Each part
+        raises at its own column, in text order; then a repeated label or an
+        undeclared variable raises the first of the step rules' errors."""
+        counts: list[Expression | None] = [None] * len(ActionVector.members)
+        for part, letter, expr_text, other in _PARTS.findall(body):
+            end = at + len(part)
+            if letter:
+                slot = _SLOT_BY_LETTER[letter]
+                if counts[slot] is not None:
+                    raise ConceptSyntaxError(
+                        f"duplicate action kind {letter!r}", self.number, at + 1
+                    )
+                counts[slot] = self.expression(expr_text, end)
+            elif other:
+                if ":" not in other:
+                    raise ConceptSyntaxError("expected '<action>: <expr>'", self.number, at + 1)
+                raise ConceptSyntaxError(
+                    f"unknown action kind {other.partition(':')[0].strip()!r}"
+                    " (expected one of T, E, C, S, X)",
+                    self.number,
+                    at + 1,
+                )
+            at = end + 1
+        # UserStep(label, ActionVector(counts), repeat, comment) without its
+        # checks, which these parts pass already.
+        actions = object.__new__(ActionVector)
+        counts = tuple([ZERO if count is None or not count._keys else count for count in counts])
+        object.__setattr__(actions, "counts", counts)
+        step = object.__new__(UserStep)
+        step._store(label, actions, repeat, _stored_note(comment))
+        if label in self.labels or self.undeclared:
+            errors = _step_errors(step, self.labels, self.declared)
+            raise ConceptSyntaxError(errors[0], self.number)
+        self.labels.add(label)
+        return step
 
-def _read_step(
-    match: re.Match, parsed: dict[str, Expression], declared: set[str]
-) -> UserStep | None:
-    """The step of a line that _STEP_LINE matched, or None when the line
-    holds a fault or a variable not in declared, which the line reader and
-    _step_errors then report.  parsed maps each expression text read so far
-    in this parse_concept call, stripped, to its value."""
-    label, repeat_text, body, comment = match.groups()
-    repeat = ONE if repeat_text is None else _parsed(repeat_text, parsed, declared)
-    if repeat is None:
-        return None
-    counts: list[Expression | None] = [None] * len(ActionVector.members)
-    for letter, expr_text, other in _PARTS.findall(body):
-        if letter:
-            slot = _SLOT_BY_LETTER[letter]
-            if counts[slot] is not None:
-                return None
-            counts[slot] = _parsed(expr_text, parsed, declared)
-            if counts[slot] is None:
-                return None
-        elif other:
-            return None
-    counts = tuple([ZERO if count is None or not count._keys else count for count in counts])
-    return _checked_step(label, counts, repeat, comment)
-
-
-def _parsed(text: str, parsed: dict[str, Expression], declared: set[str]) -> Expression | None:
-    """parse_expr(text) if it parses and uses only declared variables, else
-    None.  Spaces around a text change neither its value nor whether it
-    parses, so the stripped text is the key."""
-    text = text.strip()
-    expr = parsed.get(text)
-    if expr is None:
-        try:
-            expr = parse_expr(text)
-        except IxComplexError:
-            return None
-        for _, names in expr._keys:  # each term's names
-            if not declared.issuperset(names):
-                return None
-        parsed[text] = expr
-    return expr
-
-
-def _parse_embedded(text: str, base: int, number: int) -> Expression:
-    try:
-        return parse_expr(text)
-    except (ExpressionSyntaxError, OverflowLimitError) as exc:
-        if exc.offset is None:  # an overflow in arithmetic, not in the text
-            raise
-        raise ConceptSyntaxError(str(exc), number, base + exc.offset + 1) from None
+    def expression(self, text: str, end: int) -> Expression:
+        """parse_expr(text), parsed once per call, for a text that ends
+        where 0-based column end begins.  A fault located in the text
+        raises ConceptSyntaxError at its column; an overflow in arithmetic
+        and TermLimitError propagate."""
+        key = text.strip()
+        expr = self.parsed.get(key)
+        if expr is None:
+            try:
+                expr = parse_expr(key)
+            except (ExpressionSyntaxError, OverflowLimitError):
+                # The key parses faster, as spaces after a text cost
+                # parse_expr a token; the text as written is parsed for the
+                # fault, whose offset in that text the message gives.
+                try:
+                    expr = parse_expr(text)
+                except (ExpressionSyntaxError, OverflowLimitError) as exc:
+                    if exc.offset is None:  # an overflow in arithmetic, not in the text
+                        raise
+                    column = end - len(text) + exc.offset + 1
+                    raise ConceptSyntaxError(str(exc), self.number, column) from None
+            for _, names in expr._keys:  # each term's names
+                if not self.declared.issuperset(names):
+                    self.undeclared = True
+            self.parsed[key] = expr
+        return expr
 
 
 def serialize_concept(concept: InteractionConcept) -> str:

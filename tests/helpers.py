@@ -428,17 +428,18 @@ def parser_texts(draw):
 
 # --- reference concept reader -------------------------------------------------
 #
-# The line-at-a-time concept reader that ixcomplex.concept keeps only to
-# report faults, as it read every line before that module read a step line
-# of the usual shape with one match: a comment split, a keyword, then a
-# quoted label, a repeat, a body split at ';' and each part at ':', every
-# expression parsed on its own.  The differential test holds the reader to
-# the same concepts, messages, lines and columns.
+# The line-at-a-time concept reader, as ixcomplex.concept read every line
+# before it read a step line of the usual shape with one match: a comment
+# split, a keyword, then a quoted label, a repeat, a body split at ';' and
+# each part at ':', every expression parsed on its own.  The differential
+# test holds the package's one step reader to the same concepts, messages,
+# lines and columns.
 
 _REFERENCE_CODE_AND_COMMENT = re.compile(r'((?:[^"#]+|"[^"]*")*)(?:#(.*))?')
 _REFERENCE_KEYWORD = re.compile(r"\s*(\S+)\s*")
 _REFERENCE_SPACES = re.compile(r"\s*")
 _REFERENCE_REPEAT = re.compile(r"repeat(?!\w)")
+_REFERENCE_KIND_BY_LETTER = {kind.value: kind for kind in ActionKind}
 
 
 def reference_parse_concept(text):
@@ -564,7 +565,7 @@ def _reference_step_line(code, pos, comment, number):
             raise ConceptSyntaxError("expected '<action>: <expr>'", number, offset + 1)
         letter = letter.strip()
         try:
-            kind = ActionKind.from_letter(letter)
+            kind = _REFERENCE_KIND_BY_LETTER[letter]
         except KeyError:
             raise ConceptSyntaxError(
                 f"unknown action kind {letter!r} (expected one of T, E, C, S, X)",

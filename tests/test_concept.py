@@ -548,6 +548,18 @@ class TestOneMatchReader:
     @example('concept "x"\nstep"s" { T: 1 }\n')
     @example('step "s" { T: 1 }\nconcept "x"\n')
     @example('concept "x"\nstep "a#b}" repeat{ T: 1 }\n')
+    # The fault order the one step reader keeps: a fault in the body of a
+    # line off the one-match shape, a syntax fault after an undeclared
+    # name, a repeat fault before text after '}', a zero-valued term that
+    # names an undeclared variable (accepted), and a text seen clean in one
+    # step then reused on a faulty line off the shape; and a fault of the
+    # first pass on line 3 before a body fault on line 2.
+    @example('concept "x"\nvar a\nstep "s" { T: "1" }\n')
+    @example('concept "x"\nvar a\nstep "s" { T: b; C: 1 + }\n')
+    @example('concept "x"\nvar a\nstep "s" repeat 1 + { T: 1 } x\n')
+    @example('concept "x"\nvar a\nstep "s" { T: 0*zz }\n')
+    @example('concept "x"\nvar a\nstep "s" { T: a + 1 }\nstep "t" { T:  a + 1 ; C: "q" }\n')
+    @example('concept "x"\nstep "s" { T: 1 + }\nstep "t { T: 1 }\n')
     def test_matches_the_reference_reader(self, text):
         assert _read(parse_concept, text) == _read(reference_parse_concept, text)
 
