@@ -37,7 +37,14 @@ from .bigi import (
 )
 from .concept import InteractionConcept, parse_concept, validate
 from .errors import IxComplexError
-from .expr import INT64_MAX, binding_from_dict, format_expr, is_variable_name, parse_expr
+from .expr import (
+    _MAX_DIGITS,
+    INT64_MAX,
+    binding_from_dict,
+    format_expr,
+    is_variable_name,
+    parse_expr,
+)
 from .klm import (
     DEFAULT_MAPPING,
     KlmModel,
@@ -52,11 +59,6 @@ from .logs import AnalyticsWarning, log_tables, table_to_csv, table_to_dicts, ta
 from .rounding import format_fixed, round_half_up
 from .speed import SpeedModel, estimate_time, get_speed_model, speed_model_from_dict
 from .synth import SynthConfig, count_actions, generate_log_text
-
-
-# An integer flag, like a literal in an expression, has at most as many
-# significant digits as INT64_MAX.
-_MAX_DIGITS = len(str(INT64_MAX))
 
 
 def _echo(text: str) -> str:
@@ -89,6 +91,8 @@ def _int_at_least(minimum: int, text: str) -> int:
     digits = text[1:] if text[:1] in ("+", "-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"expected an integer, got {_echo(text)}")
+    # An integer flag, like a literal in an expression, has at most as many
+    # significant digits as INT64_MAX.
     if len(digits.lstrip("0")) > _MAX_DIGITS:
         raise argparse.ArgumentTypeError(
             f"expected an integer of at most {_MAX_DIGITS} digits, got {_echo(text)}"

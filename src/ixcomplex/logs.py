@@ -39,17 +39,16 @@ synth.generate_log pause the cyclic garbage collector while they build (see
 gc_paused).
 
 The writer refuses exactly what the reader would refuse in its output, and
-a surrogate pair, which the reader would take for one character.  load_log
-checks a file and validate_log a log built in memory, each refusing the
-first faulty record in document order: a record's own fields, then its
-intervals, then its children (see load_log).  Page visits run forwards and
-in chronological order within their task, and each step runs forwards
-inside its visit.  Both report a fault through one function, _fault, so
-they give the same message at the same path.  dump_log is validate_log,
-then json.dumps of the records, then a search for surrogate pairs that
-runs only when the text holds a surrogate's escape.  Tasks that share one
-binding object, as generate_log's do and as consecutive equal bindings of a
-loaded log do, have it checked once per call.
+a surrogate pair, which the reader would take for one character.  One row
+walker, _checked, checks a file's decoded rows for load_log and log_tables
+and a log's records for validate_log, refusing the first faulty record in
+document order: a record's own fields, then its intervals, then its
+children (see load_log).  Page visits run forwards and in chronological
+order within their task, and each step runs forwards inside its visit.  A
+file and a log in memory differ only in the type of a row, so they get the
+same message at the same path.  dump_log is validate_log, then json.dumps
+of the records, then a search for surrogate pairs that runs only when the
+text holds a surrogate's escape.
 
 Outlier removal uses the interquartile range method: per group, durations
 outside [Q1 - 1.5*IQR, Q3 + 1.5*IQR] are dropped before speeds are
@@ -341,54 +340,68 @@ def _streamed(text: str) -> Iterator:
         raise LogFormatError("not in dump_log's layout")
 
 
-def _checked(raw_sessions: Iterable) -> Iterator[tuple[str, list]]:
-    """Each decoded session's id and task rows, once every row of the
-    session has passed its check: one conjunction per record kind.  A row
-    that fails it is refused at once, with the message of _fault, at the
-    path of its index among its siblings.
+def _checked(
+    raw_sessions: Iterable, rows: tuple[type, ...] = (list, list, list, list)
+) -> Iterator[tuple[str, Sequence]]:
+    """Each session's id and task rows, once every row of the session has
+    passed its check: one conjunction per record kind.  A row that fails it
+    is refused at once, with the message of _fault, at the path of its place
+    among its siblings (see _index and _visit_index).
 
-    raw_sessions yields the decoded sessions in order, and the next one is
-    taken only when the taker asks for it, so a taker that keeps no rows
-    never holds the decoded tree whole.  The rows are yielded as decoded:
-    every field is checked, so a taker reads them by position, as it reads
+    rows is the type of a row at each level, session first: list for the
+    decoded sessions of a file, whose every record is an array, and Session,
+    Task, PageVisit and StepRecord for the sessions of a log in memory.  A
+    child list passes as a list or a tuple, and a binding as any Mapping of
+    str names to int values.  A decoded file holds no tuple, no Mapping but
+    a dict and no name but a str, so these tests take and refuse its rows
+    as tests of its own types would, and its lists and dicts pass on the
+    first test.
+
+    raw_sessions yields the sessions in order, and the next one is taken
+    only when the taker asks for it, so a taker that keeps no rows never
+    holds the decoded tree whole.  The rows are yielded as they are: every
+    field is checked, so a taker reads them by position, as it reads
     records, whose fields are in the same order."""
+    session_row, task_row, visit_row, step_row = rows
     for i, raw_session in enumerate(raw_sessions):
-        if not (type(raw_session) is list and len(raw_session) == 2
+        if not (type(raw_session) is session_row and len(raw_session) == 2
                 and type(session_id := raw_session[0]) is str
-                and type(raw_tasks := raw_session[1]) is list):
-            raise _fault(Session, _row(Session, raw_session), _where(i))
+                and (type(raw_tasks := raw_session[1]) is list or type(raw_tasks) is tuple)):
+            raise _fault(Session, _row(Session, raw_session, session_row), _where(i))
         for raw_task in raw_tasks:
-            if not (type(raw_task) is list and len(raw_task) == 5
-                    and type(binding := raw_task[2]) is dict
-                    and all(type(value) is int and 0 <= value <= INT64_MAX
-                            for value in binding.values())
+            if not (type(raw_task) is task_row and len(raw_task) == 5
+                    and (type(binding := raw_task[2]) is dict or isinstance(binding, Mapping))
+                    and all(type(name) is str and type(value) is int and 0 <= value <= INT64_MAX
+                            for name, value in binding.items())
                     and type(raw_task[0]) is str
                     and type(raw_task[1]) is str
                     and type(is_count := raw_task[3]) is int and 0 <= is_count <= INT64_MAX
-                    and type(raw_visits := raw_task[4]) is list):
-                raise _fault(Task, _row(Task, raw_task), _where(i, _index(raw_tasks, raw_task)))
+                    and (type(raw_visits := raw_task[4]) is list or type(raw_visits) is tuple)):
+                raise _fault(Task, _row(Task, raw_task, task_row),
+                             _where(i, _index(raw_tasks, raw_task)))
             previous_exit = 0
             for raw_visit in raw_visits:
-                if not (type(raw_visit) is list and len(raw_visit) == 4
+                if not (type(raw_visit) is visit_row and len(raw_visit) == 4
                         and type(raw_visit[0]) is str
                         and type(enter := raw_visit[1]) is int
                         and type(exit_ := raw_visit[2]) is int
                         and previous_exit <= enter <= exit_ <= INT64_MAX
-                        and type(raw_steps := raw_visit[3]) is list):
+                        and (type(raw_steps := raw_visit[3]) is list or type(raw_steps) is tuple)):
                     raise _fault(
-                        PageVisit, _row(PageVisit, raw_visit),
-                        _where(i, _index(raw_tasks, raw_task), _index(raw_visits, raw_visit)),
+                        PageVisit, _row(PageVisit, raw_visit, visit_row),
+                        _where(i, _index(raw_tasks, raw_task),
+                               _visit_index(raw_visits, raw_visit, previous_exit)),
                         previous_exit,
                     )
                 for raw_step in raw_steps:
-                    if not (type(raw_step) is list and len(raw_step) == 4
+                    if not (type(raw_step) is step_row and len(raw_step) == 4
                             and type(raw_step[0]) is str
                             and type(start := raw_step[1]) is int
                             and type(end := raw_step[2]) is int
                             and type(count := raw_step[3]) is int
                             and enter <= start <= end <= exit_ and 1 <= count <= INT64_MAX):
                         raise _fault(
-                            StepRecord, _row(StepRecord, raw_step),
+                            StepRecord, _row(StepRecord, raw_step, step_row),
                             _where(i, _index(raw_tasks, raw_task), _index(raw_visits, raw_visit),
                                    _index(raw_steps, raw_step)),
                             enter, exit_,
@@ -397,10 +410,24 @@ def _checked(raw_sessions: Iterable) -> Iterator[tuple[str, list]]:
         yield session_id, raw_tasks
 
 
-def _index(rows: list, row: list) -> int:
-    """The index of row in rows, a decoded list, which holds each of its
-    rows once."""
+def _index(rows: Sequence, row) -> int:
+    """The index of the first place of row in rows.  A task or a step that
+    fails its check fails it at its first place, since the check does not
+    depend on where the row sits among its siblings; a row below a task or
+    a visit fails at the first place of that task or visit."""
     return next(index for index, item in enumerate(rows) if item is row)
+
+
+def _visit_index(visits: Sequence, visit, previous_exit: int) -> int:
+    """The index of the place where visit failed its check, entered before
+    previous_exit: the first place of visit that follows a visit exited at
+    previous_exit (0 for the first place).  A visit's check depends on the
+    exit of the visit before it, so one visit object can pass at one place
+    of its task and fail at a later one."""
+    return next(
+        k for k, item in enumerate(visits)
+        if item is visit and (visits[k - 1][2] if k else 0) == previous_exit
+    )
 
 
 def _log_from(raw_sessions: Iterable) -> EventLog:
@@ -448,10 +475,10 @@ def _log_from(raw_sessions: Iterable) -> EventLog:
     return EventLog(tuple(built))
 
 
-def _row(kind: type, value):
-    """value when it is a decoded row of kind: a list of one value per
-    field; else None."""
-    return value if type(value) is list and len(value) == len(kind._fields) else None
+def _row(kind: type, value, row: type):
+    """value when it is a row of kind: of type row, a list or the record
+    type, with one value per field; else None."""
+    return value if type(value) is row and len(value) == len(kind._fields) else None
 
 
 # Each record kind's name in messages, its own scalar fields in the order
@@ -466,23 +493,18 @@ _RULES = {
 }
 
 
-# A list in a decoded log; a list or a tuple in a log built in memory.
-_LISTS = (list, tuple)
-
-
 def _fault(kind: type, record: Sequence | None, where: str, *bounds: int) -> LogFormatError:
-    """The fault of a record of this kind that failed its conjunction,
-    located at where.  record holds the record's fields in the order of
-    kind._fields, or is None when the value in the record's place is no
-    record: not an array of one value per field for load_log, not an
-    instance of kind for validate_log.  bounds are the previous visit's exit
-    (0 for the first) for a page visit, and its visit's enter and exit for a
-    step."""
+    """The fault of a record of this kind that failed its conjunction in
+    _checked, located at where.  record holds the record's fields in the
+    order of kind._fields, or is None when the value in the record's place
+    is not a row of its level (see _row).  bounds are the previous visit's
+    exit (0 for the first) for a page visit, and its visit's enter and exit
+    for a step."""
     name, _, children = _RULES[kind]
     if record is None:
         message = f"{name} must be an array [{', '.join(kind._fields)}]"
     elif not (message := _field_fault(kind, fields := dict(zip(kind._fields, record)))):
-        if children and type(fields[children]) not in _LISTS:
+        if children and type(fields[children]) not in (list, tuple):
             message = f"{children!r} must be a list"
         elif kind is PageVisit:
             message = _visit_fault(fields["enter_ms"], fields["exit_ms"], *bounds)
@@ -545,7 +567,8 @@ def validate_log(log: EventLog) -> None:
     """Check a log built in memory by the rules load_log applies to a file.
 
     Raises the LogFormatError that load_log would raise on the log's JSON
-    text, with the path to the first faulty record in document order: each
+    text, with the path to the first faulty record in document order, since
+    it runs load_log's own row check, _checked, over the records: each
     record's own fields, then the type of its child list, then its
     intervals, then its children.  A child list may be a tuple or a list, a
     binding any Mapping, and a binding name must be a str.  A value in a
@@ -553,50 +576,10 @@ def validate_log(log: EventLog) -> None:
     included, gets the message load_log gives a row of the wrong shape: the
     record "must be an array" of its fields.
     """
-    sessions = log.sessions
-    if type(sessions) not in _LISTS:
+    if type(log.sessions) not in (list, tuple):
         raise LogFormatError("'sessions' must be a list")
-    # The binding of the last accepted task, so that tasks sharing one
-    # binding object, as generate_log's do, have it checked once; no task
-    # holds the empty dict it starts as.
-    accepted: Mapping = {}
-    for i, session in enumerate(sessions):
-        if not (type(session) is Session and type(session.session_id) is str
-                and type(tasks := session.tasks) in _LISTS):
-            raise _fault(Session, session if type(session) is Session else None,
-                         _where(i))
-        for j, task in enumerate(tasks):
-            if not (type(task) is Task
-                    and ((binding := task.binding) is accepted
-                         or (isinstance(binding, Mapping)
-                             and all(type(name) is str and type(value) is int
-                                     and 0 <= value <= INT64_MAX
-                                     for name, value in binding.items())))
-                    and type(task.task_id) is str and type(task.concept_name) is str
-                    and type(is_count := task.is_count) is int and 0 <= is_count <= INT64_MAX
-                    and type(visits := task.page_visits) in _LISTS):
-                raise _fault(Task, task if type(task) is Task else None, _where(i, j))
-            accepted = binding
-            previous_exit = 0
-            for k, visit in enumerate(visits):
-                if not (type(visit) is PageVisit and type(visit.page) is str
-                        and type(enter := visit.enter_ms) is int
-                        and type(exit_ := visit.exit_ms) is int
-                        and previous_exit <= enter <= exit_ <= INT64_MAX
-                        and type(steps := visit.steps) in _LISTS):
-                    raise _fault(PageVisit, visit if type(visit) is PageVisit else None,
-                                 _where(i, j, k), previous_exit)
-                for n, step in enumerate(steps):
-                    if not (type(step) is StepRecord and type(step.step_label) is str
-                            and type(start := step.start_ms) is int
-                            and type(end := step.end_ms) is int
-                            and type(count := step.is_count) is int
-                            and enter <= start <= end <= exit_ and 1 <= count <= INT64_MAX):
-                        raise _fault(
-                            StepRecord, step if type(step) is StepRecord else None,
-                            _where(i, j, k, n), enter, exit_,
-                        )
-                previous_exit = exit_
+    for _ in _checked(log.sessions, (Session, Task, PageVisit, StepRecord)):
+        pass
 
 
 def cross_check(log: EventLog, concept: InteractionConcept) -> list[str]:

@@ -911,6 +911,24 @@ class TestLoaderAgreement:
         log = EventLog((Session("s", ({"task_id": "t"},)),))
         assert outcome(validate_log, log) == f"sessions[0].tasks[0]: task {NO_TASK}"
 
+    @pytest.mark.parametrize("log, message", [
+        # The second place of one visit is entered before the first exits.
+        (EventLog((Session("s", (Task("t", "c", {}, 1, (PageVisit("p", 0, 5, ()),) * 2),)),)),
+         "sessions[0].tasks[0].page_visits[1]: page visits are not in chronological order"),
+        (EventLog((["s", ()],)), f"sessions[0]: session {NO_SESSION}"),
+        (EventLog((Session(type("Id", (str,), {})("s"), ()),)),
+         "sessions[0]: 'session_id' must be a string"),
+        (EventLog((Session("s", (Task("t", "c", {}, 1, (
+            PageVisit("p", 0, 5, (StepRecord("a", 1, 2, 1),) * 2),
+        )),)),)), None),
+        (EventLog((Session("s", (Task("t", "c", {}, 1, (PageVisit("p", 0, 5, ()),)),) * 2),)),
+         None),
+    ], ids=["repeated visit", "list session", "str subclass id", "repeated step",
+            "repeated task"])
+    def test_repeated_or_foreign_rows_in_memory(self, log, message):
+        assert outcome(validate_log, log) == message
+        assert outcome(dump_log, log) == message
+
 
 class TestGcState:
     @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
