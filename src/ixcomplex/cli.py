@@ -485,6 +485,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (IxComplexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # Sizes the arguments allow but no machine holds, such as synth's
+    # --sessions 10**15; numpy says what it could not allocate.
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 def run() -> None:

@@ -90,8 +90,10 @@ MAX_TERMS = 10_000
 
 _VARIABLE_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 # After optional whitespace (\s is exactly str.isspace): an ASCII integer,
-# a name, an operator, any other character, or the end of the text.
-_TOKEN = r"\s*(?:([0-9]+)|({name})|([-+*()])|(.)|\Z)"
+# a name, an operator, any other character, or the end of the text.  A
+# match starts only where no whitespace precedes it, so after trailing
+# whitespace findall gives no second, empty end tuple.
+_TOKEN = r"(?<!\s)\s*(?:([0-9]+)|({name})|([-+*()])|(.)|\Z)"
 _LOWER_TOKEN = re.compile(_TOKEN.format(name="[a-z][a-z0-9_]*"))
 _MIXED_TOKEN = re.compile(_TOKEN.format(name="[A-Za-z][A-Za-z0-9_]*"))
 # The sort key of the constant monomial.

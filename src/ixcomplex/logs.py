@@ -26,7 +26,9 @@ json.loads; both feed one row walker, _checked, and only the whole-text path
 reports a fault, so the outcome does not depend on the layout.  load_log
 makes the checked rows its records.  A loaded log holds one str object per
 distinct task id, concept name, page and step label, as a generated one
-does.
+does.  In a long text, log_tables reads each later session of the first
+session's shape through a regular expression compiled from it, decoding
+only the id and the timestamps (see _template).
 
 log_tables, the reader behind the CLI's logs command, builds no record tree:
 it adds each checked session's durations straight to the groups of its
@@ -68,6 +70,7 @@ import re
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
+from operator import itemgetter, le, sub
 from typing import NamedTuple, TypeVar
 
 from .bigi import instantiate, normalize, sum_steps
@@ -137,7 +140,9 @@ def gc_paused() -> Iterator[None]:
     them and find nothing: log trees and their JSON forms hold no reference
     cycles, so reference counting frees them without the collector.  So is
     each session load_log or log_tables decodes, as soon as its records are
-    built or its durations taken.  The pause is process-wide; the
+    built or its durations taken; a session log_tables reads through a
+    template (see _template) builds no JSON values, only its durations and
+    their group entries, which stay alive.  The pause is process-wide; the
     collector's previous state is restored on exit, also when the build
     raises.  load_log, log_tables and synth.generate_log pause it.
     log_tables keeps only the durations, and the tasks it keeps for a
@@ -186,16 +191,24 @@ def load_log(data: bytes | str) -> EventLog:
 _T = TypeVar("_T")
 
 
-def _walked(data: bytes | str, take: Callable[[Iterator], _T]) -> _T:
+def _walked(
+    data: bytes | str,
+    take: Callable[[Iterator], _T],
+    take_text: Callable[[str], _T] | None = None,
+) -> _T:
     """take applied to the decoded sessions of a log file, given as text or
     as UTF-8 bytes; take checks them with _checked.
 
     A text in dump_log's layout is decoded one session at a time, each
     taken before the next is decoded, so the decoded tree of the whole file
-    never exists.  Any other layout, and any fault found on the way, takes
-    the reference path instead: json.loads of the whole text, then a fresh
-    call of take.  That path alone reports faults, so a file's message, and
-    which of its faults comes first, does not depend on its layout: a syntax
+    never exists.  When take_text is given, such a text goes to it instead:
+    it returns what take returns for the text's sessions, and log_tables
+    passes one that reads every session of the first session's shape
+    through a template, without decoding it (see _template).  Any other
+    layout, and any fault found on the way, takes the reference path
+    instead: json.loads of the whole text, then a fresh call of take.  That
+    path alone reports faults, so a file's message, and which of its faults
+    comes first, does not depend on its layout or on a template: a syntax
     error anywhere wins over a faulty record.
     """
     try:
@@ -204,7 +217,7 @@ def _walked(data: bytes | str, take: Callable[[Iterator], _T]) -> _T:
         raise LogFormatError(f"not valid JSON: {exc}") from None
     if text.startswith(_HEAD):
         try:
-            return take(_streamed(text))
+            return take_text(text) if take_text else take(_streamed(text))
         except LogFormatError:
             pass
     return take(_popped(_decoded(text)))
@@ -316,13 +329,36 @@ _HEAD = f'{{"format":{_FORMAT},"sessions":['
 _SCAN = json.decoder.JSONDecoder().scan_once
 
 
-def _streamed(text: str) -> Iterator:
+# A template is compiled only when the text after the first session is
+# longer than this many sessions of its length.  Compiling one costs about
+# as much as decoding 100 such sessions, and reading a session through it
+# saves from nothing, for a session of many timestamps and few strings, to
+# half of its decoding, for a synth session; so compiling costs at most
+# about a tenth more than decoding the rest of the text.
+_TEMPLATE_ROOM = 1000
+# A template is dropped once the sessions it failed to read outnumber the
+# runs of sessions it read by this many.  A failed match can cost a fifth
+# of decoding a session, so a log of many shapes pays for at most this many.
+_TEMPLATE_MISSES = 100
+
+
+def _streamed(text: str, samples: _Samples | None = None) -> Iterator:
     """The sessions of a text that starts with _HEAD, each decoded only
     when the one before it has been taken.  A text that leaves dump_log's
     layout, in JSON or not, raises LogFormatError where it leaves it; the
-    caller then decodes it whole, which finds and reports its fault."""
+    caller then decodes it whole, which finds and reports its fault.
+
+    samples, when given, are the samples that the taker adds each session
+    to once it is checked.  Then, when the text is long enough (see
+    _TEMPLATE_ROOM), each later session that _template of the first session
+    reads is added to them there, in document order, and is neither decoded
+    nor yielded, until the template misses too often (see
+    _TEMPLATE_MISSES)."""
     index = len(_HEAD)
     if text[index : index + 1] != "]":
+        read = None
+        # Runs of sessions the template read, less the sessions it missed.
+        credit = 0
         while True:
             try:
                 session, index = _SCAN(text, index)
@@ -331,6 +367,17 @@ def _streamed(text: str) -> Iterator:
             except (StopIteration, ValueError, RecursionError):
                 raise LogFormatError("not in dump_log's layout") from None
             yield session
+            # Resumed, the taker has checked and added the session.
+            if samples is not None:
+                if len(text) - index > _TEMPLATE_ROOM * (index - len(_HEAD)):
+                    read = _template(session, samples)
+                samples = None
+            if read is not None:
+                after = read(text, index)
+                credit += 1 if after != index else -1
+                if credit < -_TEMPLATE_MISSES:
+                    read = None
+                index = after
             if text[index : index + 1] != ",":
                 break
             index += 1
@@ -338,6 +385,119 @@ def _streamed(text: str) -> Iterator:
     # not str.strip's: that also takes a form feed or a no-break space.
     if text[index : index + 1] != "]" or text[index + 1 :].strip(" \t\n\r") != "}":
         raise LogFormatError("not in dump_log's layout")
+
+
+def _template(session: list, samples: _Samples) -> Callable[[str, int], int] | None:
+    """The reader of the sessions that have the shape of session, a
+    session of a file that samples have added, or None when session has no
+    task, a task without page visits or a duration that is not positive.
+
+    read(text, index), at the comma before a session, reads each session
+    from there that has the shape and passes the checks below: it adds the
+    session to samples, as samples.add would, and returns the index after
+    the last session it read, which is index when it read none.  A session
+    has the shape when it matches one regular expression, compiled from
+    session as dump_log writes it: the JSON of each task id, concept name,
+    binding, IS count, page, step label and step count as a literal, a
+    capture for the session id, a string without escapes or control
+    characters, and one for each timestamp, a canonical JSON integer of at
+    most 18 digits and so below INT64_MAX.  A timestamp equal to an earlier
+    one of session is a back-reference to it, as in a synth session, where
+    a step's bounds repeat its visit's and a visit's enter the exit before
+    it.
+
+    Why it is exact: each literal is the JSON of a value that passed
+    _checked, and each capture decodes to itself or to int() of itself, so
+    a session that matches decodes to session with its id and timestamps
+    replaced.  read checks those timestamps with the interval rules of
+    _checked, and requires every task and step duration to be positive, so
+    the session skips nothing and warns of nothing.  Its samples go to
+    group lists found once here, and the tasks it keeps for a concept are
+    session's own, with their shared binding.  A session that does not
+    match, or fails a check, is left to the caller, which decodes it.
+    """
+    if not session[1] or not all(task[4] for task in session[1]):
+        return None
+    captures: dict[int, int] = {}
+    bounds: set[tuple[int, int]] = set()
+    spans: dict[str, list[tuple[int, int, str, int]]] = {"task": [], "step": []}
+
+    def literal(value) -> str:
+        return re.escape(json.dumps(value, sort_keys=True, separators=(",", ":")))
+
+    def stamp(value: int) -> tuple[str, int]:
+        """The pattern of a timestamp and the index of its capture."""
+        if value in captures:
+            return f"(?P=t{captures[value]})", captures[value]
+        captures[value] = index = len(captures)
+        return f"(?P<t{index}>0|[1-9][0-9]{{0,17}})", index
+
+    tasks = []
+    for task in session[1]:
+        task_id, concept_name, binding, is_count, raw_visits = task
+        visits = []
+        previous = None
+        for page, enter_ms, exit_ms, raw_steps in raw_visits:
+            (enter_text, enter), (exit_text, exit_) = stamp(enter_ms), stamp(exit_ms)
+            bounds |= {(enter, exit_)} if previous is None else {(previous, enter), (enter, exit_)}
+            previous = exit_
+            steps = []
+            for label, start_ms, end_ms, count in raw_steps:
+                (start_text, start), (end_text, end) = stamp(start_ms), stamp(end_ms)
+                bounds |= {(enter, start), (end, exit_)}
+                spans["step"].append((start, end, label, count))
+                steps.append(rf"\[{literal(label)},{start_text},{end_text},{literal(count)}\]")
+            visits.append(rf"\[{literal(page)},{enter_text},{exit_text},\[{','.join(steps)}\]\]")
+        spans["task"].append((captures[raw_visits[0][1]], captures[raw_visits[-1][2]],
+                              task[samples.key], is_count))
+        tasks.append(rf"\[{literal(task_id)},{literal(concept_name)},{literal(binding)},"
+                     rf"{literal(is_count)},\[{','.join(visits)}\]\]")
+    # Each span of a table that samples hold, with its group, then the rest.
+    entries = []
+    ordered: list[tuple[int, int]] = []
+    unheld: list[tuple[int, int]] = []
+    for name, found in spans.items():
+        for start, end, key, count in found:
+            if start == end:
+                return None
+            if name in samples.tables:
+                counts, durations = samples.tables[name][0][key]
+                entries.append((counts.append, durations.append, count))
+                ordered.append((start, end))
+            else:
+                unheld.append((start, end))
+    ordered += unheld
+    # A span's check is stricter than its bounds', and a bound of one
+    # capture always holds.
+    bounds = sorted({(low, high) for low, high in bounds if low != high} - set(ordered))
+    starts, ends = _picker([start for start, _ in ordered]), _picker([end for _, end in ordered])
+    lows, highs = _picker([low for low, _ in bounds]), _picker([high for _, high in bounds])
+    match = re.compile(rf',\["([^"\\\x00-\x1f]*)",\[{",".join(tasks)}\]\]').match
+    kept = samples.kept
+    kept_tasks = kept[-1].tasks if kept is not None else None
+
+    def read(text: str, index: int) -> int:
+        while (found := match(text, index)) is not None:
+            fields = found.groups()
+            values = list(map(int, fields[1:]))
+            durations = list(map(sub, ends(values), starts(values)))
+            if min(durations) <= 0 or bounds and not all(map(le, lows(values), highs(values))):
+                break
+            for (add_count, add_duration, count), duration in zip(entries, durations):
+                add_count(count)
+                add_duration(duration / 1000.0)
+            if kept is not None:
+                kept.append(Session(fields[0], kept_tasks))
+            index = found.end()
+        return index
+
+    return read
+
+
+def _picker(indices: list[int]) -> Callable[[Sequence], Sequence]:
+    """The function that picks the items at indices from a sequence, in
+    order; itemgetter of one index would return the bare item."""
+    return itemgetter(*indices) if len(indices) > 1 else lambda items: [items[i] for i in indices]
 
 
 def _checked(
@@ -708,7 +868,12 @@ def log_tables(
     before the tables are computed.  The file is read as _walked reads it:
     each session, once checked, goes straight into the durations of its
     groups, and its tasks, without page visits, are kept for that check
-    only.  The text of the file is dropped once it is read.  A caller that
+    only.  A long text in dump_log's layout is read through a template of
+    its first session (see _template and _TEMPLATE_ROOM): each later
+    session of that shape costs one match of a regular expression and int()
+    of its timestamps, and builds no JSON values; a session of another
+    shape costs one failed match more than a decoded one.  The text of the
+    file is dropped once it is read.  A caller that
     passes the text itself may hold it until the call returns (before Python
     3.11, every caller does); one that passes a function does not, so no
     copy of the file is alive while the rows are computed.
@@ -720,17 +885,24 @@ def log_tables(
     if callable(data):
         data = data()
 
-    def take(sessions: Iterable):
-        return _grouped(_checked(sessions), group_by, names, concept is not None)
+    keep = concept is not None
+
+    def take(sessions: Iterable) -> _Samples:
+        return _Samples(group_by, names, keep).add(_checked(sessions))
+
+    def take_text(text: str) -> _Samples:
+        samples = _Samples(group_by, names, keep)
+        return samples.add(_checked(_streamed(text, samples)))
 
     with gc_paused():
-        grouped, has_tasks, kept = _walked(data, take)
+        samples = _walked(data, take, take_text)
         del data
-        if not has_tasks:
+        grouped = samples.tables
+        if not samples.has_tasks:
             warnings.warn("log contains no tasks", AnalyticsWarning, stacklevel=2)
-        if kept is not None:
-            _warn(cross_check(EventLog(tuple(kept)), concept()), 2)
-            del kept
+        if samples.kept is not None:
+            _warn(cross_check(EventLog(tuple(samples.kept)), concept()), 2)
+        del samples
     if "task" in names:
         _check_group_by(group_by)
     rows: dict[str, list[SpeedStats]] = {}
@@ -763,7 +935,7 @@ def _table(log: EventLog, group_by: str, name: str) -> list[SpeedStats]:
     """The table named name of a log in memory, warning of the tasks or
     steps skipped before its rows are computed, and of each group that
     outlier removal empties after."""
-    groups, skipped = _grouped(log.sessions, group_by, (name,))[0][name]
+    groups, skipped = _Samples(group_by, (name,)).add(log.sessions).tables[name]
     _warn(skipped, 3)
     emptied: list[str] = []
     rows = _rows_from_groups(groups, emptied)
@@ -774,73 +946,83 @@ def _table(log: EventLog, group_by: str, name: str) -> list[SpeedStats]:
 _Groups = dict[str, tuple[list[int], list[float]]]
 
 
-def _grouped(
-    sessions: Iterable[Sequence], group_by: str, names: Sequence[str], keep: bool = False
-) -> tuple[dict[str, tuple[_Groups, list[str]]], bool, list | None]:
-    """The samples of the tables named in names ("task", "step"), by name,
-    whether any session holds a task, and, when keep is true, the sessions
-    with their tasks' records, page visits left out, else None.  Each kept
-    task whose binding equals the previous one's gets that binding object.
+class _Samples:
+    """The samples of the speed tables named in names ("task", "step"),
+    filled by add.
 
-    sessions yields each session's id and tasks, with each task [task_id,
-    concept_name, binding, is_count, page_visits], each page visit [page,
-    enter_ms, exit_ms, steps] and each step [step_label, start_ms, end_ms,
-    is_count]: the checked rows of a file, from _checked, or the records of
-    a log, whose fields are in the same order.  A table's samples are its
-    groups, each name mapped to its IS counts and its durations in seconds,
-    two lists in document order, and the warnings for the tasks or steps it
-    skips, in document order.  A task lasts from its first page visit's
-    enter to its last one's exit, and tasks are grouped by group_by.
+    tables maps each name to the table's groups, each group's name mapped
+    to its IS counts and its durations in seconds, two lists in document
+    order, and to the warnings for the tasks or steps the table skips, in
+    document order.  has_tasks tells whether any session added holds a
+    task.  kept, when keep is true, holds the sessions added, with their
+    tasks' records, page visits left out, and is None otherwise.  A task
+    lasts from its first page visit's enter to its last one's exit, and
+    tasks are grouped by group_by.
     """
-    task_groups: _Groups | None = {} if "task" in names else None
-    step_groups: _Groups | None = {} if "step" in names else None
-    task_skipped: list[str] = []
-    step_skipped: list[str] = []
-    key = 1 if group_by == "concept_name" else 0
-    has_tasks = False
-    kept: list | None = [] if keep else None
-    shared = None
-    for session_id, tasks in sessions:
-        has_tasks = has_tasks or bool(tasks)
-        if kept is not None:
-            records = []
-            for task_id, concept_name, binding, is_count, _ in tasks:
-                if binding != shared:
-                    shared = binding
-                records.append(Task(task_id, concept_name, shared, is_count))
-            kept.append(Session(session_id, tuple(records)))
-        for task in tasks:
-            visits = task[4]
-            if task_groups is not None:
-                if not visits:
-                    task_skipped.append(
-                        f"task {task[0]!r} in session {session_id!r} has no page visits; skipped"
-                    )
-                elif (duration := (visits[-1][2] - visits[0][1]) / 1000.0) <= 0:
-                    task_skipped.append(
-                        f"task {task[0]!r} in session {session_id!r} has zero duration; skipped"
-                    )
-                else:
-                    group = task_groups.get(task[key])
-                    if group is None:
-                        group = task_groups[task[key]] = ([], [])
-                    group[0].append(task[3])
-                    group[1].append(duration)
-            if step_groups is not None:
-                for visit in visits:
-                    for label, start, end, count in visit[3]:
-                        if (duration := (end - start) / 1000.0) <= 0:
-                            step_skipped.append(
-                                f"step {label!r} in session {session_id!r} has zero duration; skipped"
-                            )
-                            continue
-                        group = step_groups.get(label)
+
+    def __init__(self, group_by: str, names: Sequence[str], keep: bool = False):
+        # The index of the field that names a task's group.
+        self.key = 1 if group_by == "concept_name" else 0
+        self.tables: dict[str, tuple[_Groups, list[str]]] = {name: ({}, []) for name in names}
+        self.has_tasks = False
+        self.kept: list | None = [] if keep else None
+
+    def add(self, sessions: Iterable[Sequence]) -> _Samples:
+        """Add the samples of sessions, and return self.
+
+        sessions yields each session's id and tasks, with each task
+        [task_id, concept_name, binding, is_count, page_visits], each page
+        visit [page, enter_ms, exit_ms, steps] and each step [step_label,
+        start_ms, end_ms, is_count]: the checked rows of a file, from
+        _checked, or the records of a log, whose fields are in the same
+        order.  Each kept task whose binding equals the previous one's gets
+        that binding object."""
+        task_groups, task_skipped = self.tables.get("task", (None, None))
+        step_groups, step_skipped = self.tables.get("step", (None, None))
+        key = self.key
+        kept = self.kept
+        shared = None
+        for session_id, tasks in sessions:
+            if tasks:
+                self.has_tasks = True
+            if kept is not None:
+                records = []
+                for task_id, concept_name, binding, is_count, _ in tasks:
+                    if binding != shared:
+                        shared = binding
+                    records.append(Task(task_id, concept_name, shared, is_count))
+                kept.append(Session(session_id, tuple(records)))
+            for task in tasks:
+                visits = task[4]
+                if task_groups is not None:
+                    if not visits:
+                        task_skipped.append(
+                            f"task {task[0]!r} in session {session_id!r} has no page visits; skipped"
+                        )
+                    elif (duration := (visits[-1][2] - visits[0][1]) / 1000.0) <= 0:
+                        task_skipped.append(
+                            f"task {task[0]!r} in session {session_id!r} has zero duration; skipped"
+                        )
+                    else:
+                        group = task_groups.get(task[key])
                         if group is None:
-                            group = step_groups[label] = ([], [])
-                        group[0].append(count)
+                            group = task_groups[task[key]] = ([], [])
+                        group[0].append(task[3])
                         group[1].append(duration)
-    grouped = {"task": (task_groups, task_skipped), "step": (step_groups, step_skipped)}
-    return {name: grouped[name] for name in names}, has_tasks, kept
+                if step_groups is not None:
+                    for visit in visits:
+                        for label, start, end, count in visit[3]:
+                            if (duration := (end - start) / 1000.0) <= 0:
+                                step_skipped.append(
+                                    f"step {label!r} in session {session_id!r} has zero duration; skipped"
+                                )
+                                continue
+                            group = step_groups.get(label)
+                            if group is None:
+                                group = step_groups[label] = ([], [])
+                            group[0].append(count)
+                            group[1].append(duration)
+        return self
 
 
 def _rows_from_groups(groups: _Groups, notes: list[str]) -> list[SpeedStats]:

@@ -742,6 +742,26 @@ class TestNoTraceback:
             "error: timestamp 9223372036854775808000 is outside the signed 64-bit range\n"
         )
 
+    @pytest.mark.parametrize("raised, line", [
+        (MemoryError("Unable to allocate 28.4 PiB for an array with shape (1000000000000000, 4)"),
+         "error: Unable to allocate 28.4 PiB for an array with shape (1000000000000000, 4)\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_synth_past_memory(self, capsys, monkeypatch, tmp_path, raised, line):
+        # The draw is replaced by the failure it meets at this size, so the
+        # test allocates nothing.
+        def fail(config):
+            raise raised
+
+        monkeypatch.setattr(cli, "generate_log_text", fail)
+        out = tmp_path / "log.json"
+        err = self.run_failing(
+            capsys, "synth", V2, *V2_SET, "--sessions", "1000000000000000",
+            "--speed-mean", "1.05", "--out", str(out),
+        )
+        assert err == line
+        assert not out.exists()
+
     def test_synth_binding_past_64_bits(self, capsys, tmp_path):
         # --set refuses the value as a usage error before synth runs.
         code, out, err = run(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import time
 
@@ -21,6 +22,8 @@ from ixcomplex.errors import (
 from ixcomplex.expr import (
     _LOWER_TOKEN,
     _MIXED_TOKEN,
+    _TOKEN,
+    _scan,
     INT64_MAX,
     INT64_MIN,
     MAX_NESTING,
@@ -178,6 +181,18 @@ _SIDE = "(" + " + ".join(f"v{i}" for i in range(100)) + ")"
 _WIDE_SUM = f"({_SIDE}*{_SIDE.replace('v', 'w')} + {_SIDE}*{_SIDE.replace('v', 'u')})"
 
 
+# The token pattern before it gave one end tuple for every text.
+TWO_END_TOKEN = r"\s*(?:([0-9]+)|({name})|([-+*()])|(.)|\Z)"
+PADS = ("", " ", "  ", "\t", "\n", "\u3000", " \n ")
+
+
+def _scanned(text, pattern):
+    try:
+        return _scan(text, pattern)
+    except Exception as exc:  # the type, message and offset are compared
+        return type(exc), str(exc), exc.offset
+
+
 def _outcome(compute):
     try:
         result = compute()
@@ -207,6 +222,29 @@ class TestOneScanParser:
     def test_matches_the_reference_parser(self, text):
         for parse, pattern in ((parse_expr, _LOWER_TOKEN), (parse_operator_expr, _MIXED_TOKEN)):
             assert _outcome(lambda: parse(text)) == _outcome(lambda: reference_parse(text, pattern))
+
+    @pytest.mark.parametrize("text", ["", " ", "a", "a ", " a*b + 2 ", "a\n\t", "$ ", "(a", "\u3000"])
+    def test_one_end_tuple(self, text):
+        for pattern in (_LOWER_TOKEN, _MIXED_TOKEN):
+            tokens = pattern.findall(text)
+            assert tokens[-1] == ("", "", "", "")
+            assert tokens.count(("", "", "", "")) == 1
+
+    @given(parser_texts(), st.sampled_from(PADS), st.sampled_from(PADS))
+    @example("a*b + 2", " ", " ")
+    @example("", " ", "\n")
+    @example("a $", "", " ")
+    def test_padding_parses_as_before(self, text, lead, trail):
+        # Against the token pattern that gave a second end tuple after
+        # trailing whitespace: the same tokens at the same offsets, and the
+        # same result, message and offset.
+        padded = lead + text + trail
+        for parse, name in ((parse_expr, "[a-z][a-z0-9_]*"),
+                            (parse_operator_expr, "[A-Za-z][A-Za-z0-9_]*")):
+            new = re.compile(_TOKEN.format(name=name))
+            old = re.compile(TWO_END_TOKEN.format(name=name))
+            assert _scanned(padded, new) == _scanned(padded, old)
+            assert _outcome(lambda: parse(padded)) == _outcome(lambda: reference_parse(padded, old))
 
     # Too slow for a hypothesis example's deadline: each builds 20,000 terms.
     @pytest.mark.parametrize(

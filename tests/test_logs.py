@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ixcomplex import logs
+from ixcomplex.concept import parse_concept
 from ixcomplex.errors import DomainError, IxComplexError, LogFormatError
 from ixcomplex.logs import (
     AnalyticsWarning,
@@ -34,7 +35,7 @@ from ixcomplex.logs import (
     validate_log,
 )
 from ixcomplex.speed import SpeedStats, speed_stats
-from ixcomplex.synth import SynthConfig, generate_log
+from ixcomplex.synth import SynthConfig, generate_log, generate_log_text
 
 from helpers import V2_BINDING, event_logs
 
@@ -1517,6 +1518,219 @@ class TestLogTables:
         text = dump_log(generate_log(SynthConfig(v2_concept, V2_BINDING, 2000, 1.05, 0.2)))
         checked = traced_peak(log_tables, text, "task_id", "both", lambda: v2_concept)
         assert checked < traced_peak(load_log, text)
+
+
+# Session ids the template's capture takes, and ones it leaves to json's
+# scanner: an escaped quote or backslash, a control character, non-ASCII and
+# a lone surrogate, each escaped by dump_log and raw in RAW_LAYOUT.
+SESSION_IDS = ("s1", "é", "€", "\ud800", 'a"b', "a\\b", "\x1f")
+# Offsets that take a shape's timestamps to 18 and to 19 digits.
+OFFSETS = (0, 1, 10**17, 10**18 - 2_000, 10**18, 2**62)
+# dump_log's layout, but with non-ASCII characters and lone surrogates raw.
+RAW_LAYOUT = {"sort_keys": True, "separators": (",", ":"), "ensure_ascii": False}
+# IS = m, so the tasks of TASK_CONCEPTS' "demo", at binding {"m": 1}, record
+# another count than the concept yields.
+DEMO = parse_concept('concept "demo"\nvar m\nstep "s" { T: m }\n')
+# Replacements for one character of a text; "" deletes it and "00" inserts.
+MUTATIONS = tuple('0123456789,[]{}":\\-.e ') + ("", "00", "é", "\ud800")
+
+
+@st.composite
+def shapes(draw):
+    """The tasks of one session shape.  Each task's clock starts at 0 or
+    1000, so that timestamps of two tasks can be equal by chance; tasks
+    without visits, and zero-length tasks and steps, come now and then."""
+    tasks = []
+    for _ in range(draw(st.integers(1, 2))):
+        task_id = draw(st.sampled_from(sorted(TASK_CONCEPTS)))
+        clock = draw(st.sampled_from((0, 1000)))
+        visits = []
+        for _ in range(draw(st.sampled_from((1, 2, 1, 2, 0)))):
+            enter = clock = clock + draw(st.sampled_from((0, 250, 0)))
+            steps = []
+            for _ in range(draw(st.sampled_from((1, 2, 1, 2, 0)))):
+                start = enter + draw(st.sampled_from((0, 250)))
+                clock = max(clock, start + draw(st.sampled_from((250, 999, 250, 999, 0))))
+                label = draw(st.sampled_from(LABELS))
+                steps.append(StepRecord(label, start, clock, drawn_count(draw, False, label, 1)))
+            clock += draw(st.sampled_from((0, 700)))
+            visits.append(PageVisit("p", enter, clock, tuple(steps)))
+        concept_name = TASK_CONCEPTS[task_id]
+        count = drawn_count(draw, False, concept_name, 0)
+        tasks.append(Task(task_id, concept_name, {"m": 1}, count, tuple(visits)))
+    return tuple(tasks)
+
+
+def moved(task, offset):
+    """task with every timestamp moved by offset."""
+    return task._replace(page_visits=tuple(
+        visit._replace(
+            enter_ms=visit.enter_ms + offset,
+            exit_ms=visit.exit_ms + offset,
+            steps=tuple(step._replace(start_ms=step.start_ms + offset, end_ms=step.end_ms + offset)
+                        for step in visit.steps),
+        )
+        for visit in task.page_visits
+    ))
+
+
+@st.composite
+def shaped_logs(draw):
+    """Logs whose sessions take one of one to three shapes, each task moved
+    by an offset.  A session whose tasks move by one offset keeps its
+    timestamps that are equal by chance equal; one whose tasks move apart
+    does not."""
+    drawn = draw(st.lists(shapes(), min_size=1, max_size=3))
+    sessions = []
+    for _ in range(draw(st.integers(1, 8))):
+        # The first shape, which the template takes, half of the time.
+        tasks = draw(st.sampled_from(drawn[:1] * len(drawn) + drawn))
+        offset = draw(st.sampled_from(OFFSETS))
+        offsets = [draw(st.sampled_from((offset,) * 3 + OFFSETS)) for _ in tasks]
+        session_id = draw(st.one_of(st.sampled_from(("s", "s0")), st.sampled_from(SESSION_IDS)))
+        sessions.append(Session(session_id, tuple(map(moved, tasks, offsets))))
+    return EventLog(tuple(sessions))
+
+
+# Two sessions of one shape, the second moved by 1000 ms.  In the first
+# task, a step repeats its visit's bounds, other steps lie inside theirs,
+# and a gap comes before the second visit; the second task repeats
+# timestamps of the first by chance.
+_SHAPE = (
+    Task("t0", "demo", {"m": 1}, 4, (
+        PageVisit("p", 0, 700, (StepRecord("pick", 0, 700, 5), StepRecord("seat", 250, 450, 5))),
+        PageVisit("q", 950, 2000, (StepRecord("pick", 1200, 1999, 5),)),
+    )),
+    Task("t1", "demo", {"m": 1}, 4, (PageVisit("p", 0, 700, (StepRecord("seat", 250, 700, 5),)),)),
+)
+SHAPED = json.loads(dump_log(EventLog((
+    Session("s0", _SHAPE), Session("s1", tuple(moved(task, 1000) for task in _SHAPE)),
+))))
+# The path to each timestamp of the second session.
+SHAPE_SLOTS = [
+    (*visit_path, *inner)
+    for task, record in enumerate(_SHAPE)
+    for visit, page_visit in enumerate(record.page_visits)
+    for visit_path in [("sessions", 1, "tasks", task, "page_visits", visit)]
+    for inner in [("enter_ms",), ("exit_ms",)] + [
+        ("steps", step, field) for step in range(len(page_visit.steps))
+        for field in ("start_ms", "end_ms")
+    ]
+]
+
+
+class TestTemplatedTables:
+    """log_tables reads each session of the first session's shape through a
+    template and decodes the rest; it gives what the reference path, which
+    decodes the whole text, gives: rows, warnings in order, or the
+    exception.  The tests of small logs let every log with a second session
+    compile a template, which only a long log does otherwise."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shaped_logs(),
+        st.sampled_from(("task_id", "concept_name")),
+        st.sampled_from(("task", "step", "both")),
+        st.booleans(),
+        st.sampled_from((0, 1, 100)),
+    )
+    def test_agrees_with_the_reference_path(self, log, group_by, tables, with_concept, misses):
+        concept = (lambda: DEMO) if with_concept else None
+        expected = tables_outcome(
+            log_tables, reference_text(log, indent=1), group_by, tables, concept
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(logs, "_TEMPLATE_ROOM", 0)
+            patch.setattr(logs, "_TEMPLATE_MISSES", misses)
+            for text in (dump_log(log), reference_text(log, **RAW_LAYOUT)):
+                assert tables_outcome(log_tables, text, group_by, tables, concept) == expected
+            assert_tables_agree(dump_log(log), group_by, tables)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shaped_logs(),
+        st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(MUTATIONS)),
+                 min_size=1, max_size=3),
+    )
+    def test_a_mutated_text_agrees_with_the_record_tables(self, log, edits):
+        text = dump_log(log)
+        for at, replacement in edits:
+            at %= len(text)
+            text = text[:at] + replacement + text[at + 1:]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(logs, "_TEMPLATE_ROOM", 0)
+            assert_tables_agree(text)
+            assert_tables_agree(text, "concept_name", "task")
+
+    @pytest.mark.parametrize("path", SHAPE_SLOTS, ids=lambda path: ".".join(map(str, path[3:])))
+    def test_each_timestamp_of_a_later_session_moved(self, monkeypatch, path):
+        # Values of one timestamp of the second session that break a rule,
+        # make a duration zero or leave the 64-bit range while the template
+        # still matches, or equal another timestamp, which the template
+        # takes or refuses as it repeats that one or not.
+        monkeypatch.setattr(logs, "_TEMPLATE_ROOM", 0)
+        stamps = {at(SHAPED, slot) for slot in SHAPE_SLOTS}
+        values = {0, 10**18 - 1, 10**18, 2**63 - 1, 2**63}
+        values |= {stamp + step for stamp in stamps for step in (-1, 0, 1)}
+        for value in sorted(values):
+            data = json.loads(json.dumps(SHAPED))
+            replace(at(data, path[:-1]), row_path(path)[-1], value)
+            for group_by, concept in (("task_id", None), ("concept_name", lambda: DEMO)):
+                assert tables_outcome(log_tables, compact(data), group_by, "both", concept) == (
+                    tables_outcome(log_tables, json.dumps(data, indent=1), group_by, "both", concept)
+                )
+
+    @pytest.mark.parametrize("later, scans, reads", [
+        # Twelve sessions of another shape: the template misses four in a
+        # row, then is dropped.
+        ("b" * 12, 13, 4),
+        # Sessions of the first shape between them keep it: it reads each.
+        ("ab" * 6, 7, 7),
+    ])
+    def test_a_template_that_misses_too_often_is_dropped(self, monkeypatch, later, scans, reads):
+        shapes = {"a": _SHAPE, "b": _SHAPE[:1]}
+        log = EventLog(tuple(
+            Session(f"s{index}", tuple(moved(task, 1000 * index) for task in shapes[shape]))
+            for index, shape in enumerate("a" + later)
+        ))
+        monkeypatch.setattr(logs, "_TEMPLATE_ROOM", 0)
+        monkeypatch.setattr(logs, "_TEMPLATE_MISSES", 3)
+        scanned, called = [], []
+        scan, template = logs._SCAN, logs._template
+
+        def counted(session, samples):
+            read = template(session, samples)
+            return lambda text, index: called.append(index) or read(text, index)
+
+        monkeypatch.setattr(logs, "_SCAN", lambda text, index: scanned.append(index) or scan(text, index))
+        monkeypatch.setattr(logs, "_template", counted)
+        assert_tables_agree(dump_log(log))
+        scanned.clear()
+        called.clear()
+        log_tables(dump_log(log))
+        # The template is tried once after each session the scanner reads.
+        assert (len(scanned), len(called)) == (scans, reads)
+
+    @pytest.mark.parametrize("sessions, scans", [(2000, 1), (500, 500)])
+    def test_a_long_generated_log_is_read_through_the_template(
+        self, monkeypatch, v2_concept, sessions, scans
+    ):
+        # json's scanner decodes the first session only, once the text is
+        # long enough for a template to pay; else it decodes every session.
+        text = generate_log_text(SynthConfig(v2_concept, V2_BINDING, sessions, 1.05, 0.2, seed=5))
+        scanned = []
+        scan = logs._SCAN
+        monkeypatch.setattr(logs, "_SCAN", lambda text, index: scanned.append(index) or scan(text, index))
+        for group_by, tables, concept in (
+            ("task_id", "both", None),
+            ("concept_name", "task", lambda: v2_concept),
+            ("task_id", "step", lambda: v2_concept),
+        ):
+            assert_tables_agree(text, group_by, tables)
+            scanned.clear()
+            rows, messages = tables_outcome(log_tables, text, group_by, tables, concept)
+            assert len(scanned) == scans
+            assert messages == [] and sum(row.n for table in rows.values() for row in table) > 0
 
 
 def traced_peak(function, *args):
