@@ -28,7 +28,9 @@ makes the checked rows its records.  A loaded log holds one str object per
 distinct task id, concept name, page and step label, as a generated one
 does.  In a long text, log_tables reads each later session of the first
 session's shape through a regular expression compiled from it, decoding
-only the id and the timestamps (see _template).
+only the id and the timestamps, and reads most of a long run of such
+sessions a chunk at a time, a column of timestamps at a time (see
+_template).
 
 log_tables, the reader behind the CLI's logs command, builds no record tree:
 it adds each checked session's durations straight to the groups of its
@@ -70,7 +72,8 @@ import re
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from operator import itemgetter, le, sub
+from itertools import chain, islice, repeat
+from operator import itemgetter, le, sub, truediv
 from typing import NamedTuple, TypeVar
 
 from .bigi import instantiate, normalize, sum_steps
@@ -142,7 +145,8 @@ def gc_paused() -> Iterator[None]:
     each session load_log or log_tables decodes, as soon as its records are
     built or its durations taken; a session log_tables reads through a
     template (see _template) builds no JSON values, only its durations and
-    their group entries, which stay alive.  The pause is process-wide; the
+    their group entries, which stay alive, and a chunk's matches and columns
+    are garbage once the chunk is added.  The pause is process-wide; the
     collector's previous state is restored on exit, also when the build
     raises.  load_log, log_tables and synth.generate_log pause it.
     log_tables keeps only the durations, and the tasks it keeps for a
@@ -331,15 +335,24 @@ _SCAN = json.decoder.JSONDecoder().scan_once
 
 # A template is compiled only when the text after the first session is
 # longer than this many sessions of its length.  Compiling one costs about
-# as much as decoding 100 such sessions, and reading a session through it
-# saves from nothing, for a session of many timestamps and few strings, to
-# half of its decoding, for a synth session; so compiling costs at most
-# about a tenth more than decoding the rest of the text.
+# as much as decoding, checking and adding 50 to 130 such sessions.  Reading
+# a long run through it costs from seven to nine tenths of that, for
+# sessions of many timestamps and few strings, to a quarter, for synth
+# sessions; so compiling costs at most about an eighth more than decoding
+# the rest of the text.
 _TEMPLATE_ROOM = 1000
 # A template is dropped once the sessions it failed to read outnumber the
-# runs of sessions it read by this many.  A failed match can cost a fifth
-# of decoding a session, so a log of many shapes pays for at most this many.
+# runs of sessions it read by this many.  A failed match costs from a
+# twentieth of decoding the session, for one that leaves the template at
+# its first task, to about half, for a synth session that matches but
+# fails a check, so a log of many shapes pays for at most this many.
 _TEMPLATE_MISSES = 100
+# A template reads the first this many sessions of a run one at a time,
+# which a log of many shapes, whose runs are short, reads fastest; then the
+# rest in chunks of this many, a column at a time, which a long run of
+# synth sessions reads in about three fifths of the time.
+_TEMPLATE_RUN = 16
+_TEMPLATE_CHUNK = 1000
 
 
 def _streamed(text: str, samples: _Samples | None = None) -> Iterator:
@@ -353,7 +366,9 @@ def _streamed(text: str, samples: _Samples | None = None) -> Iterator:
     _TEMPLATE_ROOM), each later session that _template of the first session
     reads is added to them there, in document order, and is neither decoded
     nor yielded, until the template misses too often (see
-    _TEMPLATE_MISSES)."""
+    _TEMPLATE_MISSES).  The template reads each run of such sessions, one
+    at a time or a chunk at a time, up to the first that it does not read,
+    which is decoded here as any other session is."""
     index = len(_HEAD)
     if text[index : index + 1] != "]":
         read = None
@@ -406,6 +421,15 @@ def _template(session: list, samples: _Samples) -> Callable[[str, int], int] | N
     a step's bounds repeat its visit's and a visit's enter the exit before
     it.
 
+    read takes the first _TEMPLATE_RUN sessions of a run one at a time and
+    the rest in chunks of _TEMPLATE_CHUNK, a column at a time: int() of
+    each timestamp column, then each span's durations and each bound's
+    check over whole columns.  A group with more than one span per session
+    takes their columns interleaved, so its durations keep document order
+    and their sums are bit for bit those of one session at a time.  A chunk
+    with a session that fails a check is read again one session at a time,
+    up to that session.
+
     Why it is exact: each literal is the JSON of a value that passed
     _checked, and each capture decodes to itself or to int() of itself, so
     a session that matches decodes to session with its id and timestamps
@@ -454,6 +478,9 @@ def _template(session: list, samples: _Samples) -> Callable[[str, int], int] | N
                      rf"{literal(is_count)},\[{','.join(visits)}\]\]")
     # Each span of a table that samples hold, with its group, then the rest.
     entries = []
+    # Each group's counts and durations, by table and group, with the count
+    # and the index in ordered of each of its spans.
+    groups: dict[tuple[str, str], tuple[list[int], list[float], list[int], list[int]]] = {}
     ordered: list[tuple[int, int]] = []
     unheld: list[tuple[int, int]] = []
     for name, found in spans.items():
@@ -463,6 +490,9 @@ def _template(session: list, samples: _Samples) -> Callable[[str, int], int] | N
             if name in samples.tables:
                 counts, durations = samples.tables[name][0][key]
                 entries.append((counts.append, durations.append, count))
+                group = groups.setdefault((name, key), (counts, durations, [], []))
+                group[2].append(count)
+                group[3].append(len(ordered))
                 ordered.append((start, end))
             else:
                 unheld.append((start, end))
@@ -472,23 +502,64 @@ def _template(session: list, samples: _Samples) -> Callable[[str, int], int] | N
     bounds = sorted({(low, high) for low, high in bounds if low != high} - set(ordered))
     starts, ends = _picker([start for start, _ in ordered]), _picker([end for _, end in ordered])
     lows, highs = _picker([low for low, _ in bounds]), _picker([high for _, high in bounds])
-    match = re.compile(rf',\["([^"\\\x00-\x1f]*)",\[{",".join(tasks)}\]\]').match
+    pattern = re.compile(rf',\["([^"\\\x00-\x1f]*)",\[{",".join(tasks)}\]\]')
+    match, scanner = pattern.match, pattern.scanner
     kept = samples.kept
     kept_tasks = kept[-1].tasks if kept is not None else None
 
+    def take(fields: tuple[str, ...]) -> bool:
+        """Add the samples of the session of these captures, when it passes
+        the checks, and tell whether it did."""
+        values = list(map(int, fields[1:]))
+        durations = list(map(sub, ends(values), starts(values)))
+        if min(durations) <= 0 or bounds and not all(map(le, lows(values), highs(values))):
+            return False
+        for (add_count, add_duration, count), duration in zip(entries, durations):
+            add_count(count)
+            add_duration(duration / 1000.0)
+        if kept is not None:
+            kept.append(Session(fields[0], kept_tasks))
+        return True
+
+    def take_all(rows: list[tuple[str, ...]]) -> bool:
+        """take of each session of these captures, a column at a time, when
+        all of them pass the checks, and tell whether they did."""
+        fields = list(zip(*rows))
+        values = [list(map(int, column)) for column in fields[1:]]
+        durations = [list(map(sub, end, start)) for end, start in zip(ends(values), starts(values))]
+        if min(map(min, durations)) <= 0 or bounds and not all(
+            all(map(le, low, high)) for low, high in zip(lows(values), highs(values))
+        ):
+            return False
+        for counts, seconds, span_counts, picks in groups.values():
+            if len(picks) == 1:
+                counts.extend(repeat(span_counts[0], len(rows)))
+                column = durations[picks[0]]
+            else:
+                # Spans of one group in one session: interleaved, so that
+                # the durations, and so their sums, keep document order.
+                counts.extend(chain.from_iterable(repeat(span_counts, len(rows))))
+                column = chain.from_iterable(zip(*[durations[pick] for pick in picks]))
+            seconds.extend(map(truediv, column, repeat(1000.0)))
+        if kept is not None:
+            kept.extend(map(Session, fields[0], repeat(kept_tasks)))
+        return True
+
     def read(text: str, index: int) -> int:
-        while (found := match(text, index)) is not None:
-            fields = found.groups()
-            values = list(map(int, fields[1:]))
-            durations = list(map(sub, ends(values), starts(values)))
-            if min(durations) <= 0 or bounds and not all(map(le, lows(values), highs(values))):
-                break
-            for (add_count, add_duration, count), duration in zip(entries, durations):
-                add_count(count)
-                add_duration(duration / 1000.0)
-            if kept is not None:
-                kept.append(Session(fields[0], kept_tasks))
+        for _ in range(_TEMPLATE_RUN):
+            if (found := match(text, index)) is None or not take(found.groups()):
+                return index
             index = found.end()
+        # The pattern's scanner, which re leaves undocumented, starts each
+        # match where the one before it ended; the first miss ends them.
+        matches = iter(scanner(text, index).match, None)
+        while chunk := list(islice(matches, _TEMPLATE_CHUNK)):
+            rows = list(map(re.Match.groups, chunk))
+            if not take_all(rows):
+                for found, fields in zip(chunk, rows):
+                    if not take(fields):
+                        return found.start()
+            index = chunk[-1].end()
         return index
 
     return read
@@ -871,12 +942,13 @@ def log_tables(
     only.  A long text in dump_log's layout is read through a template of
     its first session (see _template and _TEMPLATE_ROOM): each later
     session of that shape costs one match of a regular expression and int()
-    of its timestamps, and builds no JSON values; a session of another
-    shape costs one failed match more than a decoded one.  The text of the
-    file is dropped once it is read.  A caller that
-    passes the text itself may hold it until the call returns (before Python
-    3.11, every caller does); one that passes a function does not, so no
-    copy of the file is alive while the rows are computed.
+    of its timestamps, and builds no JSON values, and most of a long run of
+    them is read a chunk at a time, a column at a time; a session of
+    another shape costs one failed match more than a decoded one.  The text
+    of the file is dropped once it is read.  A caller that passes the text
+    itself may hold it until the call returns (before Python 3.11, every
+    caller does); one that passes a function does not, so no copy of the
+    file is alive while the rows are computed.
     """
     if tables not in _TABLES:
         raise DomainError(f"tables must be 'task', 'step' or 'both', got {tables!r}")

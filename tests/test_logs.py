@@ -1592,6 +1592,20 @@ def shaped_logs(draw):
     return EventLog(tuple(sessions))
 
 
+# The chunk sizes, and the lengths of a run read one session at a time,
+# that the tests of small logs take.
+CHUNKS = (1, 2, 3)
+RUNS = (0, 1, 2)
+
+
+def small_template(patch, chunk, run):
+    """Let every log with a second session compile a template, which reads
+    run sessions one at a time, then chunks of chunk sessions."""
+    patch.setattr(logs, "_TEMPLATE_ROOM", 0)
+    patch.setattr(logs, "_TEMPLATE_CHUNK", chunk)
+    patch.setattr(logs, "_TEMPLATE_RUN", run)
+
+
 # Two sessions of one shape, the second moved by 1000 ms.  In the first
 # task, a step repeats its visit's bounds, other steps lie inside theirs,
 # and a gap comes before the second visit; the second task repeats
@@ -1619,12 +1633,60 @@ SHAPE_SLOTS = [
 ]
 
 
+def with_seat(session, **fields):
+    """session with these fields of the "seat" step of its first visit
+    replaced."""
+    task = session.tasks[0]
+    visit = task.page_visits[0]
+    visit = visit._replace(steps=(visit.steps[0], visit.steps[1]._replace(**fields)))
+    task = task._replace(page_visits=(visit,) + task.page_visits[1:])
+    return session._replace(tasks=(task,) + session.tasks[1:])
+
+
+# A session of _SHAPE turned into one that the template does not read: its
+# "seat" step zero-length, its "seat" step leaving its visit, or a session
+# of another shape.
+EDGE_FAULTS = {
+    "zero-length step": lambda session: with_seat(
+        session, end_ms=session.tasks[0].page_visits[0].steps[1].start_ms
+    ),
+    "broken bound": lambda session: with_seat(
+        session, end_ms=session.tasks[0].page_visits[0].exit_ms + 1
+    ),
+    "another shape": lambda session: session._replace(tasks=session.tasks[:1]),
+}
+# After the first session, the template reads EDGE_RUN sessions one at a
+# time, then chunks of EDGE_CHUNK sessions.  EDGES are the first, a middle
+# and the last session of the first chunk, and the first of the next.
+EDGE_RUN, EDGE_CHUNK = 2, 5
+EDGES = [1 + EDGE_RUN + offset for offset in (0, EDGE_CHUNK // 2, EDGE_CHUNK - 1, EDGE_CHUNK)]
+
+
+def twice_picked(index):
+    """Session index: two tasks of concept "demo" on one visit, which holds
+    two "pick" steps whose lengths differ from each other and change from
+    session to session."""
+    first = 100 + index * 37 % 500
+    second = first + 1 + index * 91 % 700
+    start = 10_000 * index
+    steps = (
+        StepRecord("pick", start + 1, start + 1 + first, 5),
+        StepRecord("pick", start + 2 + first, start + 2 + first + second, 5),
+    )
+    visit = PageVisit("p", start, start + 3 + first + second, steps)
+    return Session(f"s{index}", tuple(
+        Task(task_id, "demo", {"m": 1}, 4, (visit,)) for task_id in ("t0", "t1")
+    ))
+
+
 class TestTemplatedTables:
     """log_tables reads each session of the first session's shape through a
     template and decodes the rest; it gives what the reference path, which
     decodes the whole text, gives: rows, warnings in order, or the
     exception.  The tests of small logs let every log with a second session
-    compile a template, which only a long log does otherwise."""
+    compile a template, which only a long log does otherwise, and read runs
+    in chunks of a few sessions after a few sessions one at a time, so that
+    short runs, long runs and the edges of chunks all come up."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1633,14 +1695,18 @@ class TestTemplatedTables:
         st.sampled_from(("task", "step", "both")),
         st.booleans(),
         st.sampled_from((0, 1, 100)),
+        st.sampled_from(CHUNKS),
+        st.sampled_from(RUNS),
     )
-    def test_agrees_with_the_reference_path(self, log, group_by, tables, with_concept, misses):
+    def test_agrees_with_the_reference_path(
+        self, log, group_by, tables, with_concept, misses, chunk, run
+    ):
         concept = (lambda: DEMO) if with_concept else None
         expected = tables_outcome(
             log_tables, reference_text(log, indent=1), group_by, tables, concept
         )
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(logs, "_TEMPLATE_ROOM", 0)
+            small_template(patch, chunk, run)
             patch.setattr(logs, "_TEMPLATE_MISSES", misses)
             for text in (dump_log(log), reference_text(log, **RAW_LAYOUT)):
                 assert tables_outcome(log_tables, text, group_by, tables, concept) == expected
@@ -1651,14 +1717,16 @@ class TestTemplatedTables:
         shaped_logs(),
         st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(MUTATIONS)),
                  min_size=1, max_size=3),
+        st.sampled_from(CHUNKS),
+        st.sampled_from(RUNS),
     )
-    def test_a_mutated_text_agrees_with_the_record_tables(self, log, edits):
+    def test_a_mutated_text_agrees_with_the_record_tables(self, log, edits, chunk, run):
         text = dump_log(log)
         for at, replacement in edits:
             at %= len(text)
             text = text[:at] + replacement + text[at + 1:]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(logs, "_TEMPLATE_ROOM", 0)
+            small_template(patch, chunk, run)
             assert_tables_agree(text)
             assert_tables_agree(text, "concept_name", "task")
 
@@ -1731,6 +1799,58 @@ class TestTemplatedTables:
             rows, messages = tables_outcome(log_tables, text, group_by, tables, concept)
             assert len(scanned) == scans
             assert messages == [] and sum(row.n for table in rows.values() for row in table) > 0
+
+    @pytest.mark.parametrize("fault", sorted(EDGE_FAULTS))
+    @pytest.mark.parametrize("place", EDGES)
+    def test_a_fault_at_the_edge_of_a_chunk(self, fault, place):
+        sessions = [
+            Session(f"s{index}", tuple(moved(task, 1000 * index) for task in _SHAPE))
+            for index in range(50)
+        ]
+        sessions[place] = EDGE_FAULTS[fault](sessions[place])
+        log = EventLog(tuple(sessions))
+        # dump_log's layout, which dump_log itself refuses to write for a
+        # faulty log.
+        text = reference_text(log, **RAW_LAYOUT)
+        for group_by, tables, concept in (
+            ("task_id", "both", None),
+            ("concept_name", "task", lambda: DEMO),
+        ):
+            expected = tables_outcome(
+                log_tables, reference_text(log, indent=1), group_by, tables, concept
+            )
+            scanned = []
+            scan = logs._SCAN
+            with pytest.MonkeyPatch.context() as patch:
+                small_template(patch, EDGE_CHUNK, EDGE_RUN)
+                patch.setattr(logs, "_SCAN", lambda text, index: scanned.append(index) or scan(text, index))
+                assert tables_outcome(log_tables, text, group_by, tables, concept) == expected
+            # json's scanner decodes the first session and the faulty one;
+            # the template reads the rest.
+            assert len(scanned) == 2
+
+    @pytest.mark.parametrize("chunk, run", [(3, 0), (3, 2), (7, 1), (40, 16)])
+    def test_spans_of_one_group_keep_document_order(self, monkeypatch, chunk, run):
+        # Each session has two "pick" steps of different lengths, in each of
+        # two tasks of one concept, so a float sum in another order than the
+        # records' can differ in its last digit.
+        text = dump_log(EventLog(tuple(map(twice_picked, range(40)))))
+        small_template(monkeypatch, chunk, run)
+        for group_by in ("task_id", "concept_name"):
+            rows, messages = assert_tables_agree(text, group_by)
+            assert messages == [] and [row.n for row in rows["step"]] == [160]
+
+    @pytest.mark.parametrize("chunk, run", [(3, 0), (3, 2), (7, 1)])
+    def test_kept_tasks_keep_document_order_across_chunks(self, monkeypatch, chunk, run):
+        # Every task records another IS count than DEMO yields, so each one
+        # warns, in the order of the sessions.
+        text = dump_log(EventLog(tuple(map(twice_picked, range(40)))))
+        expected = tables_outcome(
+            log_tables, json.dumps(json.loads(text), indent=1), "task_id", "both", lambda: DEMO
+        )
+        assert len(expected[1]) == 80
+        small_template(monkeypatch, chunk, run)
+        assert tables_outcome(log_tables, text, "task_id", "both", lambda: DEMO) == expected
 
 
 def traced_peak(function, *args):
