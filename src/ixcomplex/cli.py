@@ -11,10 +11,10 @@ Subcommands:
     synth     generate a deterministic synthetic event log
     oracle    brute-force action counts for a concept and binding
 
-Exit codes: 0 success, 1 domain, validation or input-file error, 2 usage
-error.  Bindings come only from explicit --set flags or a --bindings file;
-there are no default variable values.  Set IXCOMPLEX_NO_COLOR to disable
-the minimal styling on terminals.
+Exit codes: 0 success, 1 domain, validation or input-file error or a
+closed standard stream, 2 usage error.  Bindings come only from explicit
+--set flags or a --bindings file; there are no default variable values.
+Set IXCOMPLEX_NO_COLOR to disable the minimal styling on terminals.
 """
 
 from __future__ import annotations
@@ -426,6 +426,9 @@ def _read_log(path: str) -> bytes | str:
     without the newline translation of a text-mode file; its bytes when they
     are not UTF-8, for log_tables to refuse.  The bytes are freed on return."""
     if path == "-":
+        # Python sets sys.stdin to None when the process starts with it closed.
+        if sys.stdin is None:
+            raise IxComplexError("standard input is closed")
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as file:
@@ -481,6 +484,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        # As sys.stdin, sys.stdout is None when the process starts with it
+        # closed; every command but synth to a file prints its result there.
+        if sys.stdout is None and (args.command != "synth" or args.out == "-"):
+            raise IxComplexError("standard output is closed")
         return args.func(args)
     except (IxComplexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,9 +36,11 @@ log_tables, the reader behind the CLI's logs command, builds no record tree:
 it adds each checked session's durations straight to the groups of its
 tables, and keeps the tasks, without their page visits, only to cross-check
 a concept.  task_table and step_table feed a log's records to the same group
-code, so a file's tables are the same either way.  The CLI's synth command
-writes synth.generate_log_text, the text of dump_log written straight from
-the drawn speeds, so no CLI command builds a log.  load_log, log_tables and
+code, so a file's tables are the same either way.  A group holds the set of
+its IS counts and its durations in integer milliseconds, made seconds only
+when its row is computed.  The CLI's synth command writes
+synth.generate_log_text, the text of dump_log written straight from the
+drawn speeds, so no CLI command builds a log.  load_log, log_tables and
 synth.generate_log pause the cyclic garbage collector while they build (see
 gc_paused).
 
@@ -144,10 +146,10 @@ def gc_paused() -> Iterator[None]:
     cycles, so reference counting frees them without the collector.  So is
     each session load_log or log_tables decodes, as soon as its records are
     built or its durations taken; a session log_tables reads through a
-    template (see _template) builds no JSON values, only its durations and
-    their group entries, which stay alive, and a chunk's matches and columns
-    are garbage once the chunk is added.  The pause is process-wide; the
-    collector's previous state is restored on exit, also when the build
+    template (see _template) builds no JSON values, only its durations,
+    integers that stay alive in their groups, and a chunk's matches and
+    columns are garbage once the chunk is added.  The pause is process-wide;
+    the collector's previous state is restored on exit, also when the build
     raises.  load_log, log_tables and synth.generate_log pause it.
     log_tables keeps only the durations, and the tasks it keeps for a
     concept are garbage before its pause ends, so the collection below does
@@ -409,17 +411,18 @@ def _template(session: list, samples: _Samples) -> Callable[[str, int], int] | N
 
     read(text, index), at the comma before a session, reads each session
     from there that has the shape and passes the checks below: it adds the
-    session to samples, as samples.add would, and returns the index after
-    the last session it read, which is index when it read none.  A session
-    has the shape when it matches one regular expression, compiled from
-    session as dump_log writes it: the JSON of each task id, concept name,
-    binding, IS count, page, step label and step count as a literal, a
-    capture for the session id, a string without escapes or control
-    characters, and one for each timestamp, a canonical JSON integer of at
-    most 18 digits and so below INT64_MAX.  A timestamp equal to an earlier
-    one of session is a back-reference to it, as in a synth session, where
-    a step's bounds repeat its visit's and a visit's enter the exit before
-    it.
+    session's durations to samples, as samples.add would, but no IS count,
+    since its counts are session's, which samples.add added; and it returns
+    the index after the last session it read, which is index when it read
+    none.  A session has the shape when it matches one regular expression,
+    compiled from session as dump_log writes it: the JSON of each task id,
+    concept name, binding, IS count, page, step label and step count as a
+    literal, a capture for the session id, a string without escapes or
+    control characters, and one for each timestamp, a canonical JSON integer
+    of at most 18 digits and so below INT64_MAX.  A timestamp equal to an
+    earlier one of session is a back-reference to it, as in a synth session,
+    where a step's bounds repeat its visit's and a visit's enter the exit
+    before it.
 
     read takes the first _TEMPLATE_RUN sessions of a run one at a time and
     the rest in chunks of _TEMPLATE_CHUNK, a column at a time: int() of
@@ -435,7 +438,7 @@ def _template(session: list, samples: _Samples) -> Callable[[str, int], int] | N
     a session that matches decodes to session with its id and timestamps
     replaced.  read checks those timestamps with the interval rules of
     _checked, and requires every task and step duration to be positive, so
-    the session skips nothing and warns of nothing.  Its samples go to
+    the session skips nothing and warns of nothing.  Its durations go to
     group lists found once here, and the tasks it keeps for a concept are
     session's own, with their shared binding.  A session that does not
     match, or fails a check, is left to the caller, which decodes it.
@@ -444,7 +447,7 @@ def _template(session: list, samples: _Samples) -> Callable[[str, int], int] | N
         return None
     captures: dict[int, int] = {}
     bounds: set[tuple[int, int]] = set()
-    spans: dict[str, list[tuple[int, int, str, int]]] = {"task": [], "step": []}
+    spans: dict[str, list[tuple[int, int, str]]] = {"task": [], "step": []}
 
     def literal(value) -> str:
         return re.escape(json.dumps(value, sort_keys=True, separators=(",", ":")))
@@ -469,30 +472,28 @@ def _template(session: list, samples: _Samples) -> Callable[[str, int], int] | N
             for label, start_ms, end_ms, count in raw_steps:
                 (start_text, start), (end_text, end) = stamp(start_ms), stamp(end_ms)
                 bounds |= {(enter, start), (end, exit_)}
-                spans["step"].append((start, end, label, count))
+                spans["step"].append((start, end, label))
                 steps.append(rf"\[{literal(label)},{start_text},{end_text},{literal(count)}\]")
             visits.append(rf"\[{literal(page)},{enter_text},{exit_text},\[{','.join(steps)}\]\]")
         spans["task"].append((captures[raw_visits[0][1]], captures[raw_visits[-1][2]],
-                              task[samples.key], is_count))
+                              task[samples.key]))
         tasks.append(rf"\[{literal(task_id)},{literal(concept_name)},{literal(binding)},"
                      rf"{literal(is_count)},\[{','.join(visits)}\]\]")
-    # Each span of a table that samples hold, with its group, then the rest.
-    entries = []
-    # Each group's counts and durations, by table and group, with the count
-    # and the index in ordered of each of its spans.
-    groups: dict[tuple[str, str], tuple[list[int], list[float], list[int], list[int]]] = {}
+    # For the spans of a table that samples hold, which come first in
+    # ordered: the append of each one's group list, and each group's
+    # durations, by table and group, with the index in ordered of each span.
+    appends = []
+    groups: dict[tuple[str, str], tuple[list[int], list[int]]] = {}
     ordered: list[tuple[int, int]] = []
     unheld: list[tuple[int, int]] = []
     for name, found in spans.items():
-        for start, end, key, count in found:
+        for start, end, key in found:
             if start == end:
                 return None
             if name in samples.tables:
-                counts, durations = samples.tables[name][0][key]
-                entries.append((counts.append, durations.append, count))
-                group = groups.setdefault((name, key), (counts, durations, [], []))
-                group[2].append(count)
-                group[3].append(len(ordered))
+                durations = samples.tables[name][0][key][1]
+                appends.append(durations.append)
+                groups.setdefault((name, key), (durations, []))[1].append(len(ordered))
                 ordered.append((start, end))
             else:
                 unheld.append((start, end))
@@ -508,15 +509,14 @@ def _template(session: list, samples: _Samples) -> Callable[[str, int], int] | N
     kept_tasks = kept[-1].tasks if kept is not None else None
 
     def take(fields: tuple[str, ...]) -> bool:
-        """Add the samples of the session of these captures, when it passes
-        the checks, and tell whether it did."""
+        """Add the durations of the session of these captures, when it
+        passes the checks, and tell whether it did."""
         values = list(map(int, fields[1:]))
         durations = list(map(sub, ends(values), starts(values)))
         if min(durations) <= 0 or bounds and not all(map(le, lows(values), highs(values))):
             return False
-        for (add_count, add_duration, count), duration in zip(entries, durations):
-            add_count(count)
-            add_duration(duration / 1000.0)
+        for append, duration in zip(appends, durations):
+            append(duration)
         if kept is not None:
             kept.append(Session(fields[0], kept_tasks))
         return True
@@ -531,16 +531,13 @@ def _template(session: list, samples: _Samples) -> Callable[[str, int], int] | N
             all(map(le, low, high)) for low, high in zip(lows(values), highs(values))
         ):
             return False
-        for counts, seconds, span_counts, picks in groups.values():
+        for group, picks in groups.values():
             if len(picks) == 1:
-                counts.extend(repeat(span_counts[0], len(rows)))
-                column = durations[picks[0]]
+                group.extend(durations[picks[0]])
             else:
                 # Spans of one group in one session: interleaved, so that
                 # the durations, and so their sums, keep document order.
-                counts.extend(chain.from_iterable(repeat(span_counts, len(rows))))
-                column = chain.from_iterable(zip(*[durations[pick] for pick in picks]))
-            seconds.extend(map(truediv, column, repeat(1000.0)))
+                group.extend(chain.from_iterable(zip(*[durations[pick] for pick in picks])))
         if kept is not None:
             kept.extend(map(Session, fields[0], repeat(kept_tasks)))
         return True
@@ -1015,7 +1012,7 @@ def _table(log: EventLog, group_by: str, name: str) -> list[SpeedStats]:
     return rows
 
 
-_Groups = dict[str, tuple[list[int], list[float]]]
+_Groups = dict[str, tuple[set[int], list[int]]]
 
 
 class _Samples:
@@ -1023,13 +1020,13 @@ class _Samples:
     filled by add.
 
     tables maps each name to the table's groups, each group's name mapped
-    to its IS counts and its durations in seconds, two lists in document
-    order, and to the warnings for the tasks or steps the table skips, in
-    document order.  has_tasks tells whether any session added holds a
-    task.  kept, when keep is true, holds the sessions added, with their
-    tasks' records, page visits left out, and is None otherwise.  A task
-    lasts from its first page visit's enter to its last one's exit, and
-    tasks are grouped by group_by.
+    to the set of its IS counts and the list of its durations in integer
+    milliseconds, in document order, and to the warnings for the tasks or
+    steps the table skips, in document order.  has_tasks tells whether any
+    session added holds a task.  kept, when keep is true, holds the sessions
+    added, with their tasks' records, page visits left out, and is None
+    otherwise.  A task lasts from its first page visit's enter to its last
+    one's exit, and tasks are grouped by group_by.
     """
 
     def __init__(self, group_by: str, names: Sequence[str], keep: bool = False):
@@ -1071,28 +1068,28 @@ class _Samples:
                         task_skipped.append(
                             f"task {task[0]!r} in session {session_id!r} has no page visits; skipped"
                         )
-                    elif (duration := (visits[-1][2] - visits[0][1]) / 1000.0) <= 0:
+                    elif (duration := visits[-1][2] - visits[0][1]) <= 0:
                         task_skipped.append(
                             f"task {task[0]!r} in session {session_id!r} has zero duration; skipped"
                         )
                     else:
                         group = task_groups.get(task[key])
                         if group is None:
-                            group = task_groups[task[key]] = ([], [])
-                        group[0].append(task[3])
+                            group = task_groups[task[key]] = (set(), [])
+                        group[0].add(task[3])
                         group[1].append(duration)
                 if step_groups is not None:
                     for visit in visits:
                         for label, start, end, count in visit[3]:
-                            if (duration := (end - start) / 1000.0) <= 0:
+                            if (duration := end - start) <= 0:
                                 step_skipped.append(
                                     f"step {label!r} in session {session_id!r} has zero duration; skipped"
                                 )
                                 continue
                             group = step_groups.get(label)
                             if group is None:
-                                group = step_groups[label] = ([], [])
-                            group[0].append(count)
+                                group = step_groups[label] = (set(), [])
+                            group[0].add(count)
                             group[1].append(duration)
         return self
 
@@ -1100,17 +1097,19 @@ class _Samples:
 def _rows_from_groups(groups: _Groups, notes: list[str]) -> list[SpeedStats]:
     """The rows of groups, in sorted order of their names, outliers removed
     per group; a group that outlier removal empties adds its warning to
-    notes instead."""
+    notes instead.  Here, and only here, a group's durations are made
+    seconds, in their order, before iqr_filter sees them."""
     rows: list[SpeedStats] = []
     for key in sorted(groups):
-        counts, durations = groups[key]
-        if len(distinct := set(counts)) > 1:
-            raise DomainError(f"group {key!r} mixes IS counts {sorted(distinct)}")
-        retained, _ = iqr_filter(durations)
+        counts, durations_ms = groups[key]
+        if len(counts) > 1:
+            raise DomainError(f"group {key!r} mixes IS counts {sorted(counts)}")
+        retained, _ = iqr_filter(list(map(truediv, durations_ms, repeat(1000.0))))
         if not retained:
             notes.append(f"group {key!r} is empty after outlier removal; omitted")
             continue
-        if (is_count := counts[0]) < 0:
+        (is_count,) = counts
+        if is_count < 0:
             raise DomainError(f"IS count cannot be negative, got {is_count}")
         rows.append(_speed_row(key, is_count, retained))
     return rows

@@ -272,9 +272,19 @@ def collections_started():
         gc.callbacks.remove(record)
 
 
+# The sha256 digest of `logs FILE --table both --format csv` on each
+# 20,000-session log of check_20k_log_file, by its sd and seed.
+TABLE_DIGESTS = {
+    ("0.2", 7): "3295242a170bfc163a7753b7d62cc9eeafd5e12b46e0094ba710a51b6437d431",
+    ("0.2", 1): "36d995d475c5838e789d96f118d3e6870fa6489cf57ca263d61c4f7610319f53",
+    ("3.0", 11): "243aa473ac505d976d6e5c7adacb1b23d6e0d23b843c9a81296064aeb23974b5",
+}
+
+
 def check_20k_log_file(capsys, tmp_path, sd, seed, size, digest):
     """synth writes the 20,000-session v2 log at the README bindings, speed
-    mean 1.05, this sd and seed, with this size and sha256 digest."""
+    mean 1.05, this sd and seed, with this size and sha256 digest, and logs
+    gives its tables in CSV with the digest of TABLE_DIGESTS and no warning."""
     out_file = tmp_path / "log.json"
     code, _, err = run(
         capsys, "synth", V2, *V2_SET,
@@ -285,6 +295,9 @@ def check_20k_log_file(capsys, tmp_path, sd, seed, size, digest):
     data = out_file.read_bytes()
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
+    code, out, err = run(capsys, "logs", str(out_file), "--table", "both", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TABLE_DIGESTS[sd, seed]
 
 
 class TestSynthAndLogs:
@@ -624,6 +637,53 @@ class TestNoTraceback:
             argv += ["--out", str(tmp_path / "out.json")]
         err = self.run_failing(capsys, *argv)
         assert err == "error: [Errno 2] No such file or directory: ''\n"
+
+    # A command with each standard stream it reads or writes, LOG standing
+    # for a valid log file.  Python sets a stream the process starts with
+    # closed to None.
+    CLOSED_STREAMS = [
+        (["logs", "-"], "stdin", "input"),
+        (["logs", "LOG"], "stdout", "output"),
+        (["analyze", V2], "stdout", "output"),
+        (["oracle", V2, *V2_SET], "stdout", "output"),
+        (["synth", V2, *V2_SET, "--sessions", "1", "--speed-mean", "1", "--out", "-"],
+         "stdout", "output"),
+    ]
+
+    @pytest.mark.parametrize("argv, stream, name", CLOSED_STREAMS,
+                             ids=[f"{argv[0]} {stream}" for argv, stream, _ in CLOSED_STREAMS])
+    def test_a_closed_standard_stream(self, capsys, monkeypatch, tmp_path, argv, stream, name):
+        log = tmp_path / "log.json"
+        log.write_text(json.dumps({"format": 2, "sessions": []}))
+        monkeypatch.setattr(sys, stream, None)
+        argv = [str(log) if arg == "LOG" else arg for arg in argv]
+        err = self.run_failing(capsys, *argv)
+        assert err == f"error: standard {name} is closed\n"
+
+    def test_synth_to_a_file_needs_no_standard_output(self, capsys, monkeypatch, tmp_path):
+        out_file = tmp_path / "log.json"
+        monkeypatch.setattr(sys, "stdout", None)
+        code, _, err = run(
+            capsys, "synth", V2, *V2_SET, "--sessions", "1", "--speed-mean", "1",
+            "--out", str(out_file),
+        )
+        assert (code, err) == (0, f"wrote {out_file}: 1 sessions\n")
+        assert load_log(out_file.read_bytes()).sessions
+
+    @pytest.mark.parametrize("argv, redirect, name", [
+        (["logs", "-"], "<&-", "input"),
+        (["analyze", V2], ">&-", "output"),
+        (["synth", V2, *V2_SET, "--sessions", "1", "--speed-mean", "1", "--out", "-"],
+         ">&-", "output"),
+    ], ids=["logs", "analyze", "synth"])
+    def test_a_closed_standard_stream_through_the_console(self, argv, redirect, name):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "ixcomplex", *argv],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (1, f"error: standard {name} is closed\n".encode())
 
     def test_speed_file_without_mean(self, capsys, tmp_path):
         speed = tmp_path / "speed.json"

@@ -1536,10 +1536,12 @@ MUTATIONS = tuple('0123456789,[]{}":\\-.e ') + ("", "00", "é", "\ud800")
 
 
 @st.composite
-def shapes(draw):
+def shapes(draw, mixed):
     """The tasks of one session shape.  Each task's clock starts at 0 or
     1000, so that timestamps of two tasks can be equal by chance; tasks
-    without visits, and zero-length tasks and steps, come now and then."""
+    without visits, and zero-length tasks and steps, come now and then.
+    When mixed, the IS counts are drawn, so that two shapes, or two tasks or
+    steps of one shape, can give one group two counts."""
     tasks = []
     for _ in range(draw(st.integers(1, 2))):
         task_id = draw(st.sampled_from(sorted(TASK_CONCEPTS)))
@@ -1552,11 +1554,11 @@ def shapes(draw):
                 start = enter + draw(st.sampled_from((0, 250)))
                 clock = max(clock, start + draw(st.sampled_from((250, 999, 250, 999, 0))))
                 label = draw(st.sampled_from(LABELS))
-                steps.append(StepRecord(label, start, clock, drawn_count(draw, False, label, 1)))
+                steps.append(StepRecord(label, start, clock, drawn_count(draw, mixed, label, 1)))
             clock += draw(st.sampled_from((0, 700)))
             visits.append(PageVisit("p", enter, clock, tuple(steps)))
         concept_name = TASK_CONCEPTS[task_id]
-        count = drawn_count(draw, False, concept_name, 0)
+        count = drawn_count(draw, mixed, concept_name, 0)
         tasks.append(Task(task_id, concept_name, {"m": 1}, count, tuple(visits)))
     return tuple(tasks)
 
@@ -1577,10 +1579,11 @@ def moved(task, offset):
 @st.composite
 def shaped_logs(draw):
     """Logs whose sessions take one of one to three shapes, each task moved
-    by an offset.  A session whose tasks move by one offset keeps its
-    timestamps that are equal by chance equal; one whose tasks move apart
-    does not."""
-    drawn = draw(st.lists(shapes(), min_size=1, max_size=3))
+    by an offset, and now and then a log whose groups mix IS counts.  A
+    session whose tasks move by one offset keeps its timestamps that are
+    equal by chance equal; one whose tasks move apart does not."""
+    mixed = draw(st.integers(0, 4)) == 0
+    drawn = draw(st.lists(shapes(mixed), min_size=1, max_size=3))
     sessions = []
     for _ in range(draw(st.integers(1, 8))):
         # The first shape, which the template takes, half of the time.
@@ -1644,8 +1647,9 @@ def with_seat(session, **fields):
 
 
 # A session of _SHAPE turned into one that the template does not read: its
-# "seat" step zero-length, its "seat" step leaving its visit, or a session
-# of another shape.
+# "seat" step zero-length, its "seat" step leaving its visit or counting
+# one IS more, which mixes the counts of the "seat" group, or a session of
+# another shape.
 EDGE_FAULTS = {
     "zero-length step": lambda session: with_seat(
         session, end_ms=session.tasks[0].page_visits[0].steps[1].start_ms
@@ -1654,6 +1658,9 @@ EDGE_FAULTS = {
         session, end_ms=session.tasks[0].page_visits[0].exit_ms + 1
     ),
     "another shape": lambda session: session._replace(tasks=session.tasks[:1]),
+    "another count": lambda session: with_seat(
+        session, is_count=session.tasks[0].page_visits[0].steps[1].is_count + 1
+    ),
 }
 # After the first session, the template reads EDGE_RUN sessions one at a
 # time, then chunks of EDGE_CHUNK sessions.  EDGES are the first, a middle
